@@ -19,8 +19,7 @@ from .diagnostics import (BoundsRecord, EnergyRecord, JensenBand,
 from .harness import (RunConfig, RunReport, acceptance_suite, default_config,
                       load_config, mms_convergence, run_simulation, sweep,
                       write_config, write_series, write_snapshot)
-from .model import (MmsProfile, boundary_stress, cell_strain_and_stress,
-                    conductivity, face_heat_flux, mms_source, pressure, rhs)
+from .model import MmsProfile, cell_stress, face_conductance, mms_source
 from .stepper import (PositivityViolation, StepControl, StepFailure, TriDiag,
                       advance, solve_tridiagonal, stable_dt, step_imex)
 
@@ -37,8 +36,7 @@ __all__ = [
     "RunConfig", "RunReport", "acceptance_suite", "default_config",
     "load_config", "mms_convergence", "run_simulation", "sweep",
     "write_config", "write_series", "write_snapshot",
-    "MmsProfile", "boundary_stress", "cell_strain_and_stress",
-    "conductivity", "face_heat_flux", "mms_source", "pressure", "rhs",
+    "MmsProfile", "cell_stress", "face_conductance", "mms_source",
     "PositivityViolation", "StepControl", "StepFailure", "TriDiag",
     "advance", "solve_tridiagonal", "stable_dt", "step_imex",
     "__version__",

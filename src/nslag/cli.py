@@ -2,7 +2,8 @@
 
 Subcommands: run (one trajectory), sweep (one config across conductivity
 exponents), mms (convergence study), check (acceptance suite).  Exit code
-0 on success, 1 when a verdict fails, 2 on configuration errors.
+0 on success, 1 when a verdict fails, 2 on configuration errors and on
+diagnostics errors (too few samples for the decay report).
 """
 
 from __future__ import annotations
@@ -144,7 +145,7 @@ def main(argv=None):
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except DiagnosticsError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+        print(f"diagnostics error: {exc}", file=sys.stderr)
         return 2
     except StepFailure as exc:
         print(f"step failure at t = {exc.state.t}: {exc}", file=sys.stderr)

@@ -9,7 +9,7 @@ pressure condition), face N carries the far-field state (v, u, theta) =
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,8 +27,8 @@ class Params:
     """Physical constants of the gas model.
 
     Pressure law P = R*theta/v, heat conductivity kappa*theta**beta, constant
-    dynamic viscosity mu.  The wall stress is -P_outer, with P_outer pinned
-    to R so the far-field state (1, 0, 1) satisfies the wall condition.
+    dynamic viscosity mu.  The wall stress is -R: the outer pressure equals
+    R so the far-field state (1, 0, 1) satisfies the wall condition.
     """
 
     mu: float = 1.0
@@ -36,7 +36,6 @@ class Params:
     beta: float = 1.0
     R: float = 1.0
     cv: float = 1.0
-    P_outer: float | None = None
 
     def __post_init__(self):
         for name in ("mu", "kappa", "R", "cv"):
@@ -45,10 +44,6 @@ class Params:
                 raise ConfigError(f"{name} must be positive, got {val}")
         if self.beta < 0.0:
             raise ConfigError(f"beta must be nonnegative, got {self.beta}")
-        if self.P_outer is None:
-            object.__setattr__(self, "P_outer", float(self.R))
-        elif self.P_outer != self.R:
-            raise ConfigError("P_outer is pinned to R in this model")
 
 
 @dataclass(frozen=True)
@@ -105,7 +100,7 @@ class Violation:
         return f"{self.field}[{self.index}] = {self.value}: {self.reason}"
 
 
-def validate_state(s, params):
+def validate_state(s):
     """Return None if the state is admissible, else the first Violation.
 
     Admissible means every entry finite, v and theta strictly positive, and
@@ -205,7 +200,7 @@ def make_initial_data(grid, spec):
     state = State(0.0, v, theta, u)
     if v.min() < spec.floor or theta.min() < spec.floor:
         raise ConfigError("generated initial data dips below the floor")
-    bad = validate_state(state, None)
+    bad = validate_state(state)
     if bad is not None:
         raise ConfigError(f"generated initial data invalid: {bad}")
     return state

@@ -10,11 +10,12 @@ machinery that reconstructs v from the wall-stress exponential.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .core import ConfigError, DomainError
+from .model import cell_stress
 
 
 class DiagnosticsError(RuntimeError):
@@ -221,10 +222,11 @@ def make_repr_probe(s0, grid, i, n_points=5):
 
 
 def _sigma_at_face(s, fi, h, params):
-    # face value of the cell stress: mean of the two adjacent cells
+    # face value of the cell stress: mean of the two adjacent cells, on
+    # scalars (array slices cost more than the arithmetic here)
     def cell_sigma(j):
-        ux = (s.u[j + 1] - s.u[j]) / h
-        return (params.mu * ux - params.R * s.theta[j]) / s.v[j]
+        return cell_stress((s.u[j + 1] - s.u[j]) / h, s.theta[j], s.v[j],
+                           params)
 
     return 0.5 * (cell_sigma(fi - 1) + cell_sigma(fi))
 

@@ -15,12 +15,12 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
 
 import numpy as np
 
-from .core import (ConfigError, ICSpec, Params, build_grid, make_initial_data,
-                   validate_state)
-from .diagnostics import (POSPART_THRESHOLD, _ZERO_NORM, decay_report,
+from .core import ConfigError, ICSpec, Params, build_grid, make_initial_data
+from .diagnostics import (_ZERO_NORM, decay_report,
                           dissipation_functional, energy_functional,
                           entropy_roots, make_repr_probe, reconstruct_v,
                           sample_bounds, sample_energy,
@@ -80,29 +80,30 @@ class RunConfig:
         return self.probe_interval
 
 
-# key -> (type, default, section attribute path); defaults match RunConfig
+# config key -> (RunConfig attribute path, type), in report and file order;
+# the defaults are RunConfig's
 CONFIG_KEYS = {
-    "physics.beta": float,
-    "physics.mu": float,
-    "physics.kappa": float,
-    "physics.R": float,
-    "physics.cv": float,
-    "grid.length": float,
-    "grid.cells": int,
-    "ic.kind": str,
-    "ic.amp_v": float,
-    "ic.amp_u": float,
-    "ic.amp_theta": float,
-    "ic.center": float,
-    "ic.width": float,
-    "ic.floor": float,
-    "run.t_final": float,
-    "run.sample_dt": float,
-    "ctl.cfl_hyp": float,
-    "ctl.dt_min": float,
-    "probe.interval": int,
-    "out.series": str,
-    "out.report": str,
+    "physics.beta": ("params.beta", float),
+    "physics.mu": ("params.mu", float),
+    "physics.kappa": ("params.kappa", float),
+    "physics.R": ("params.R", float),
+    "physics.cv": ("params.cv", float),
+    "grid.length": ("length", float),
+    "grid.cells": ("n_cells", int),
+    "ic.kind": ("ic.kind", str),
+    "ic.amp_v": ("ic.amp_v", float),
+    "ic.amp_u": ("ic.amp_u", float),
+    "ic.amp_theta": ("ic.amp_theta", float),
+    "ic.center": ("ic.center", float),
+    "ic.width": ("ic.width", float),
+    "ic.floor": ("ic.floor", float),
+    "run.t_final": ("t_final", float),
+    "run.sample_dt": ("sample_dt", float),
+    "ctl.cfl_hyp": ("ctl.cfl_hyp", float),
+    "ctl.dt_min": ("ctl.dt_min", float),
+    "probe.interval": ("probe_interval", int),
+    "out.series": ("series_path", str),
+    "out.report": ("report_path", str),
 }
 
 
@@ -137,42 +138,16 @@ def config_from_dict(values):
     if unknown:
         raise ConfigError(f"unknown config key {sorted(unknown)[0]!r}")
     base = default_config()
-
-    def get(key, fallback):
-        return values.get(key, fallback)
-
-    try:
-        params = Params(
-            mu=get("physics.mu", base.params.mu),
-            kappa=get("physics.kappa", base.params.kappa),
-            beta=get("physics.beta", base.params.beta),
-            R=get("physics.R", base.params.R),
-            cv=get("physics.cv", base.params.cv))
-        ic = ICSpec(
-            kind=get("ic.kind", base.ic.kind),
-            amp_v=get("ic.amp_v", base.ic.amp_v),
-            amp_u=get("ic.amp_u", base.ic.amp_u),
-            amp_theta=get("ic.amp_theta", base.ic.amp_theta),
-            center=get("ic.center", base.ic.center),
-            width=get("ic.width", base.ic.width),
-            floor=get("ic.floor", base.ic.floor))
-        ctl = StepControl(
-            cfl_hyp=get("ctl.cfl_hyp", base.ctl.cfl_hyp),
-            dt_min=get("ctl.dt_min", base.ctl.dt_min))
-    except ConfigError:
-        raise
-    cfg = RunConfig(
-        params=params,
-        length=get("grid.length", base.length),
-        n_cells=get("grid.cells", base.n_cells),
-        ic=ic,
-        t_final=get("run.t_final", base.t_final),
-        sample_dt=get("run.sample_dt", base.sample_dt),
-        ctl=ctl,
-        probe_interval=values.get("probe.interval"),
-        series_path=get("out.series", base.series_path),
-        report_path=get("out.report", base.report_path))
-    return _validate_config(cfg)
+    changes = {}   # {section attribute, "" for RunConfig itself: {field: value}}
+    for key, (path, _) in CONFIG_KEYS.items():
+        if key in values:
+            section, _, attr = path.rpartition(".")
+            changes.setdefault(section, {})[attr] = values[key]
+    top = changes.pop("", {})
+    # Params and StepControl validate themselves when rebuilt
+    for section, fields in changes.items():
+        top[section] = replace(getattr(base, section), **fields)
+    return _validate_config(replace(base, **top))
 
 
 def load_config(path):
@@ -190,7 +165,7 @@ def load_config(path):
             text = text.strip()
             if key not in CONFIG_KEYS:
                 raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-            typ = CONFIG_KEYS[key]
+            typ = CONFIG_KEYS[key][1]
             if typ is str and len(text) >= 2 and text[0] == text[-1] \
                     and text[0] in "'\"":
                 text = text[1:-1]
@@ -203,30 +178,10 @@ def load_config(path):
 
 
 def config_to_dict(cfg):
-    """Flat {config key: value} view of a RunConfig."""
-    return {
-        "physics.beta": cfg.params.beta,
-        "physics.mu": cfg.params.mu,
-        "physics.kappa": cfg.params.kappa,
-        "physics.R": cfg.params.R,
-        "physics.cv": cfg.params.cv,
-        "grid.length": cfg.length,
-        "grid.cells": cfg.n_cells,
-        "ic.kind": cfg.ic.kind,
-        "ic.amp_v": cfg.ic.amp_v,
-        "ic.amp_u": cfg.ic.amp_u,
-        "ic.amp_theta": cfg.ic.amp_theta,
-        "ic.center": cfg.ic.center,
-        "ic.width": cfg.ic.width,
-        "ic.floor": cfg.ic.floor,
-        "run.t_final": cfg.t_final,
-        "run.sample_dt": cfg.sample_dt,
-        "ctl.cfl_hyp": cfg.ctl.cfl_hyp,
-        "ctl.dt_min": cfg.ctl.dt_min,
-        "probe.interval": cfg.resolved_probe(),
-        "out.series": cfg.series_path,
-        "out.report": cfg.report_path,
-    }
+    """Flat {config key: value} view of a RunConfig, probe default resolved."""
+    flat = {key: attrgetter(path)(cfg) for key, (path, _) in CONFIG_KEYS.items()}
+    flat["probe.interval"] = cfg.resolved_probe()
+    return flat
 
 
 def write_config(cfg, path):
@@ -240,17 +195,31 @@ def _fmt(x):
     return repr(float(x))
 
 
+def _series_writer(fh):
+    """Write the series header to fh; return a function writing one row.
+
+    A row is a dict keyed by the schema columns; floats are written in
+    shortest round-trip form.
+    """
+    fh.write(SERIES_HEADER + "\n")
+
+    def write_row(row):
+        fh.write(",".join(_fmt(row[c]) for c in SERIES_COLUMNS) + "\n")
+
+    return write_row
+
+
 def write_series(rows, path):
     """Write sample rows (dicts keyed by the schema columns) as CSV.
 
-    Floats are written in shortest round-trip form; rows must be nonempty.
+    Rows must be nonempty.
     """
     if not rows:
         raise ValueError("write_series needs at least one row")
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(SERIES_HEADER + "\n")
+        write_row = _series_writer(fh)
         for row in rows:
-            fh.write(",".join(_fmt(row[c]) for c in SERIES_COLUMNS) + "\n")
+            write_row(row)
 
 
 def read_series(path):
@@ -393,10 +362,11 @@ def run_simulation(cfg, thresholds=None):
     snapshots = sorted(set(cfg.snapshot_times))
 
     with open(cfg.series_path, "w", encoding="utf-8") as fh:
-        fh.write(SERIES_HEADER + "\n")
+        write_row = _series_writer(fh)
         row = _series_row(acc, state)
-        fh.write(",".join(_fmt(row[c]) for c in SERIES_COLUMNS) + "\n")
+        write_row(row)
         fh.flush()
+        worst_repr = row["repr_relerr"]
         for t_next in _sample_times(cfg.t_final, cfg.sample_dt):
             try:
                 state = advance(state, t_next, grid, params, cfg.ctl,
@@ -410,8 +380,9 @@ def run_simulation(cfg, thresholds=None):
             energy_series.append(acc.energy)
             track_averages(state)
             row = _series_row(acc, state)
-            fh.write(",".join(_fmt(row[c]) for c in SERIES_COLUMNS) + "\n")
+            write_row(row)
             fh.flush()
+            worst_repr = max(worst_repr, row["repr_relerr"])
             while snapshots and snapshots[0] <= state.t:
                 t_snap = snapshots.pop(0)
                 write_snapshot(state, grid,
@@ -433,7 +404,6 @@ def run_simulation(cfg, thresholds=None):
         excursion <= 0.0, excursion, 0.0,
         note=f"alpha1 = {band.alpha1}, alpha2 = {band.alpha2}")
 
-    worst_repr = max(_collect_repr(cfg.series_path))
     verdicts["representation"] = _verdict(
         worst_repr <= thr["repr_tol"], worst_repr, thr["repr_tol"])
 
@@ -496,22 +466,16 @@ def run_simulation(cfg, thresholds=None):
     return report
 
 
-def _collect_repr(series_path):
-    return [row["repr_relerr"] for row in read_series(series_path)]
-
-
-def _combined_l2(state, grid, prof):
-    xc = grid.centers()
-    xf = grid.faces()
-    t = state.t
-    ev = state.v - prof.v_exact(xc, t)
-    eu = state.u - prof.u_exact(xf, t)
-    eth = state.theta - prof.theta_exact(xc, t)
+def _l2_distance(a, b, grid):
+    # combined L2 distance of two states: cells weigh h, faces trapezoid
+    dv = a.v - b.v
+    du = a.u - b.u
+    dth = a.theta - b.theta
     wface = np.full(grid.n_cells + 1, grid.h)
     wface[0] = wface[-1] = 0.5 * grid.h
-    return math.sqrt(grid.h * float(np.sum(ev * ev))
-                     + float(np.sum(wface * eu * eu))
-                     + grid.h * float(np.sum(eth * eth)))
+    return math.sqrt(grid.h * float(np.sum(dv * dv))
+                     + float(np.sum(wface * du * du))
+                     + grid.h * float(np.sum(dth * dth)))
 
 
 def _mms_state(grid, prof, t):
@@ -553,7 +517,8 @@ def mms_convergence(levels=3, base_cells=100, amp=0.1, length=20.0,
     for n in cells:
         h = length / n
         state, grid = _mms_run(n, 0.2 * h * h, t_end, prof, params)
-        errors.append(_combined_l2(state, grid, prof))
+        errors.append(_l2_distance(state, _mms_state(grid, prof, state.t),
+                                   grid))
     exact = all(e < 1e-14 for e in errors)
     if exact:
         sp_ratios, sp_orders = [], []
@@ -565,16 +530,8 @@ def mms_convergence(levels=3, base_cells=100, amp=0.1, length=20.0,
     dts = [4e-3, 2e-3, 1e-3, 5e-4]
     finals = [_mms_run(n_t, dt, t_end, prof, params)[0] for dt in dts]
     grid_t = build_grid(length, n_t)
-    diffs = []
-    for a, b in zip(finals[:-1], finals[1:]):
-        dv = a.v - b.v
-        du = a.u - b.u
-        dth = a.theta - b.theta
-        wface = np.full(n_t + 1, grid_t.h)
-        wface[0] = wface[-1] = 0.5 * grid_t.h
-        diffs.append(math.sqrt(grid_t.h * float(np.sum(dv * dv))
-                               + float(np.sum(wface * du * du))
-                               + grid_t.h * float(np.sum(dth * dth))))
+    diffs = [_l2_distance(a, b, grid_t)
+             for a, b in zip(finals[:-1], finals[1:])]
     if exact and all(d < 1e-14 for d in diffs):
         tm_ratios, tm_orders = [], []
     else:
@@ -599,7 +556,7 @@ def _sweep_worker(args):
     cfg, beta = args
     run_cfg = replace(
         cfg,
-        params=replace(cfg.params, beta=beta, P_outer=None),
+        params=replace(cfg.params, beta=beta),
         series_path=_keyed_path(cfg.series_path, f"beta{beta:g}"),
         report_path=_keyed_path(cfg.report_path, f"beta{beta:g}"))
     return beta, run_simulation(run_cfg)
@@ -665,13 +622,22 @@ def _frozen_state(grid, seed=2024):
     return State(0.0, v, theta, u)
 
 
-def _criterion_equilibrium(thr):
+@dataclass
+class _Suite:
+    """What the criteria read: config, thresholds and the shared runs."""
+
+    cfg: RunConfig
+    thr: dict
+    runs: dict = field(default_factory=dict)   # {beta: RunReport} of the sweep
+    eq: RunReport | None = None                # equilibrium diagnostics run
+
+
+def _criterion_equilibrium(suite):
     from .core import equilibrium_state
     grid = build_grid(50.0, 500)
     params = Params()
     ctl = StepControl()
     state = equilibrium_state(grid)
-    dev = 0.0
     t0 = time.perf_counter()
     for _ in range(10_000):
         dt = stable_dt(state, grid, params, ctl)
@@ -680,24 +646,25 @@ def _criterion_equilibrium(thr):
     dev = max(float(np.max(np.abs(state.v - 1.0))),
               float(np.max(np.abs(state.theta - 1.0))),
               float(np.max(np.abs(state.u))))
-    passed = dev <= thr["equilibrium_dev"] and seconds < 5.0
-    return passed, dev, thr["equilibrium_dev"]
+    limit = suite.thr["equilibrium_dev"]
+    return dev <= limit and seconds < 5.0, dev, limit
 
 
-def _criterion_mms(thr):
+def _criterion_mms(suite):
     report = mms_convergence(levels=3, base_cells=100)
-    lo_s, hi_s = thr["spatial_order"]
-    lo_t, hi_t = thr["temporal_order"]
+    lo_s, hi_s = suite.thr["spatial_order"]
+    lo_t, hi_t = suite.thr["temporal_order"]
     sp = report["spatial"]["orders"]
     tm = report["temporal"]["orders"]
     ok = (sp and all(lo_s <= p <= hi_s for p in sp)
           and tm and all(lo_t <= p <= hi_t for p in tm))
     return ok, {"spatial": sp, "temporal": tm}, \
-        {"spatial": list(thr["spatial_order"]),
-         "temporal": list(thr["temporal_order"])}
+        {"spatial": list(suite.thr["spatial_order"]),
+         "temporal": list(suite.thr["temporal_order"])}
 
 
-def _criterion_tridiag(thr):
+def _criterion_tridiag(suite):
+    thr = suite.thr
     rng = np.random.default_rng(7)
     worst = 0.0
     for _ in range(20):
@@ -724,6 +691,86 @@ def _criterion_tridiag(thr):
         {"tridiag": thr["tridiag_tol"], "quadrature": thr["quad_tol"]}
 
 
+def _rollup(runs, name, key="measured"):
+    """One run verdict over the sweep: (passed on every run, {beta: its key})."""
+    ok = all(r.verdicts[name]["pass"] for r in runs.values())
+    return ok, {f"{b:g}": r.verdicts[name][key] for b, r in runs.items()}
+
+
+def _criterion_energy(suite):
+    ok, margins = _rollup(suite.runs, "energy_inequality")
+    _, limits = _rollup(suite.runs, "energy_inequality", "threshold")
+    ok = ok and all(r.wall_seconds <= 120.0 for r in suite.runs.values())
+    return ok, margins, limits
+
+
+def _criterion_stabilization(suite):
+    ok, drift = _rollup(suite.runs, "stabilization")
+    ok = ok and _rollup(suite.runs, "positivity")[0]
+    return ok, drift, suite.thr["drift_tol"]
+
+
+def _criterion_decay(suite):
+    ok_u, u = _rollup(suite.runs, "decay_u")
+    ok_grad, grad = _rollup(suite.runs, "decay_grad")
+    measured = {b: {"u": u[b], "grad": grad[b]} for b in u}
+    return ok_u and ok_grad, measured, \
+        {"u": suite.thr["uinf_ratio"], "grad": suite.thr["grad_ratio"]}
+
+
+def _criterion_jensen(suite):
+    resid = 0.0
+    for r in suite.runs.values():
+        for alpha in (r.alpha1, r.alpha2):
+            resid = max(resid, abs(alpha - math.log(alpha) - 1.0 - r.e0))
+    ok, measured = _rollup(suite.runs, "jensen_band")
+    measured["root_residual"] = resid
+    limit = suite.thr["root_residual"]
+    return ok and resid <= limit, measured, \
+        {"excursion": 0.0, "root_residual": limit}
+
+
+def _criterion_representation(suite):
+    ok, measured = _rollup(suite.runs, "representation")
+    eq_err = suite.eq.verdicts["representation"]["measured"]
+    measured["equilibrium"] = eq_err
+    limit = suite.thr["repr_tol_equilibrium"]
+    return ok and eq_err <= limit, measured, \
+        {"runs": suite.thr["repr_tol"], "equilibrium": limit}
+
+
+def _criterion_y_decay(suite):
+    ok, measured = _rollup(suite.runs, "y_slope")
+    eq_slope = suite.eq.decay["y_slope"]
+    measured["equilibrium_slope"] = eq_slope
+    limit = suite.thr["yslope_eq_tol"]
+    return ok and abs(eq_slope + suite.cfg.params.R) <= limit, measured, \
+        {"sign": 0.0, "equilibrium": limit}
+
+
+# (number, name, evaluator) in report order; an evaluator takes the _Suite
+# and returns (passed, measured, threshold)
+_CRITERIA = (
+    (1, "equilibrium", _criterion_equilibrium),
+    (2, "mms_orders", _criterion_mms),
+    (3, "energy_inequality", _criterion_energy),
+    (4, "bound_stabilization", _criterion_stabilization),
+    (5, "norm_decay", _criterion_decay),
+    (6, "jensen_band", _criterion_jensen),
+    (7, "representation", _criterion_representation),
+    (8, "y_decay", _criterion_y_decay),
+    (9, "integrability_plateaus",
+     lambda suite: (*_rollup(suite.runs, "plateaus"),
+                    suite.thr["plateau_frac"])),
+    (10, "oracle_agreement", _criterion_tridiag),
+    (11, "farfield_fidelity",
+     lambda suite: (*_rollup(suite.runs, "farfield"),
+                    suite.thr["farfield_tol"])),
+)
+_NEEDS_SWEEP = {3, 4, 5, 6, 7, 8, 9, 11}
+_NEEDS_EQUILIBRIUM_RUN = {7, 8}
+
+
 def _equilibrium_diag_run(cfg, thr):
     run_cfg = replace(
         cfg,
@@ -741,7 +788,9 @@ def acceptance_suite(cfg=None, criteria=None, overrides=None, out_path=None):
     criteria selects a subset by number (1..11); an explicit empty list is a
     vacuous pass with a warning.  overrides patches threshold values by
     name.  Returns the aggregate report dict; "all_pass" says whether every
-    executed criterion passed.
+    executed criterion passed.  A criterion's seconds are its own running
+    time plus the shared run charged to it: the beta sweep to c03, the
+    equilibrium diagnostics run to c07.
     """
     if cfg is None:
         cfg = default_config()
@@ -751,133 +800,38 @@ def acceptance_suite(cfg=None, criteria=None, overrides=None, out_path=None):
         if unknown:
             raise ConfigError(f"unknown threshold {sorted(unknown)[0]!r}")
         thr.update(overrides)
-    if criteria is None:
-        wanted = list(range(1, 12))
-    else:
-        wanted = sorted(set(int(c) for c in criteria))
-        bad = [c for c in wanted if not 1 <= c <= 11]
-        if bad:
-            raise ConfigError(f"no such criterion {bad[0]}")
+    numbers = {num for num, _, _ in _CRITERIA}
+    wanted = numbers if criteria is None else {int(c) for c in criteria}
+    bad = sorted(wanted - numbers)
+    if bad:
+        raise ConfigError(f"no such criterion {bad[0]}")
 
     report = {"criteria": {}, "all_pass": True}
     if not wanted:
         report["warning"] = "empty criterion list: vacuous pass"
-        if out_path:
-            with open(out_path, "w", encoding="utf-8") as fh:
-                json.dump(report, fh, indent=2)
-                fh.write("\n")
-        return report
 
-    def record(num, name, passed, measured, threshold, seconds):
+    suite = _Suite(cfg, thr)
+    charged = {}
+    if wanted & _NEEDS_SWEEP:
+        t0 = time.perf_counter()
+        suite.runs = sweep(cfg, [0.5, 1.0, 2.5])
+        charged[3] = time.perf_counter() - t0
+    if wanted & _NEEDS_EQUILIBRIUM_RUN:
+        t0 = time.perf_counter()
+        suite.eq = _equilibrium_diag_run(cfg, thr)
+        charged[7] = time.perf_counter() - t0
+
+    for num, name, evaluate in _CRITERIA:
+        if num not in wanted:
+            continue
+        t0 = time.perf_counter()
+        passed, measured, threshold = evaluate(suite)
+        seconds = time.perf_counter() - t0 + charged.get(num, 0.0)
         report["criteria"][f"c{num:02d}_{name}"] = {
             "pass": bool(passed), "measured": measured,
             "threshold": threshold, "seconds": round(seconds, 3)}
         if not passed:
             report["all_pass"] = False
-
-    needs_runs = any(c in wanted for c in (3, 4, 5, 6, 7, 8, 9, 11))
-    runs = {}
-    run_seconds = {}
-    if needs_runs:
-        t0 = time.perf_counter()
-        runs = sweep(cfg, [0.5, 1.0, 2.5])
-        run_seconds = {b: r.wall_seconds for b, r in runs.items()}
-        sweep_wall = time.perf_counter() - t0
-    eq_report = None
-    if any(c in wanted for c in (7, 8)):
-        t0 = time.perf_counter()
-        eq_report = _equilibrium_diag_run(cfg, thr)
-        eq_seconds = time.perf_counter() - t0
-
-    for num in wanted:
-        t0 = time.perf_counter()
-        if num == 1:
-            passed, measured, threshold = _criterion_equilibrium(thr)
-            record(1, "equilibrium", passed, measured, threshold,
-                   time.perf_counter() - t0)
-        elif num == 2:
-            passed, measured, threshold = _criterion_mms(thr)
-            record(2, "mms_orders", passed, measured, threshold,
-                   time.perf_counter() - t0)
-        elif num == 3:
-            margins = {f"{b:g}": r.verdicts["energy_inequality"]["measured"]
-                       for b, r in runs.items()}
-            passed = all(r.verdicts["energy_inequality"]["pass"]
-                         for r in runs.values())
-            passed = passed and all(sec <= 120.0 for sec in run_seconds.values())
-            threshold = {f"{b:g}": r.verdicts["energy_inequality"]["threshold"]
-                         for b, r in runs.items()}
-            record(3, "energy_inequality", passed, margins, threshold,
-                   sweep_wall)
-        elif num == 4:
-            ok = all(r.verdicts["positivity"]["pass"]
-                     and r.verdicts["stabilization"]["pass"]
-                     for r in runs.values())
-            measured = {f"{b:g}": r.verdicts["stabilization"]["measured"]
-                        for b, r in runs.items()}
-            record(4, "bound_stabilization", ok, measured, thr["drift_tol"],
-                   time.perf_counter() - t0)
-        elif num == 5:
-            ok = all(r.verdicts["decay_u"]["pass"]
-                     and r.verdicts["decay_grad"]["pass"]
-                     for r in runs.values())
-            measured = {f"{b:g}": {"u": r.verdicts["decay_u"]["measured"],
-                                   "grad": r.verdicts["decay_grad"]["measured"]}
-                        for b, r in runs.items()}
-            record(5, "norm_decay", ok, measured,
-                   {"u": thr["uinf_ratio"], "grad": thr["grad_ratio"]},
-                   time.perf_counter() - t0)
-        elif num == 6:
-            resid = 0.0
-            for r in runs.values():
-                for alpha in (r.alpha1, r.alpha2):
-                    resid = max(resid, abs(alpha - math.log(alpha) - 1.0 - r.e0))
-            ok = all(r.verdicts["jensen_band"]["pass"] for r in runs.values()) \
-                and resid <= thr["root_residual"]
-            measured = {f"{b:g}": r.verdicts["jensen_band"]["measured"]
-                        for b, r in runs.items()}
-            measured["root_residual"] = resid
-            record(6, "jensen_band", ok, measured,
-                   {"excursion": 0.0, "root_residual": thr["root_residual"]},
-                   time.perf_counter() - t0)
-        elif num == 7:
-            eq_err = max(_collect_repr(eq_report.config["out.series"]))
-            ok = all(r.verdicts["representation"]["pass"] for r in runs.values()) \
-                and eq_err <= thr["repr_tol_equilibrium"]
-            measured = {f"{b:g}": r.verdicts["representation"]["measured"]
-                        for b, r in runs.items()}
-            measured["equilibrium"] = eq_err
-            record(7, "representation", ok, measured,
-                   {"runs": thr["repr_tol"],
-                    "equilibrium": thr["repr_tol_equilibrium"]},
-                   time.perf_counter() - t0 + eq_seconds)
-        elif num == 8:
-            eq_slope = eq_report.decay["y_slope"]
-            eq_err = abs(eq_slope + cfg.params.R)
-            ok = all(r.verdicts["y_slope"]["pass"] for r in runs.values()) \
-                and eq_err <= thr["yslope_eq_tol"]
-            measured = {f"{b:g}": r.verdicts["y_slope"]["measured"]
-                        for b, r in runs.items()}
-            measured["equilibrium_slope"] = eq_slope
-            record(8, "y_decay", ok, measured,
-                   {"sign": 0.0, "equilibrium": thr["yslope_eq_tol"]},
-                   time.perf_counter() - t0)
-        elif num == 9:
-            ok = all(r.verdicts["plateaus"]["pass"] for r in runs.values())
-            measured = {f"{b:g}": r.verdicts["plateaus"]["measured"]
-                        for b, r in runs.items()}
-            record(9, "integrability_plateaus", ok, measured,
-                   thr["plateau_frac"], time.perf_counter() - t0)
-        elif num == 10:
-            passed, measured, threshold = _criterion_tridiag(thr)
-            record(10, "oracle_agreement", passed, measured, threshold,
-                   time.perf_counter() - t0)
-        elif num == 11:
-            ok = all(r.verdicts["farfield"]["pass"] for r in runs.values())
-            measured = {f"{b:g}": r.verdicts["farfield"]["measured"]
-                        for b, r in runs.items()}
-            record(11, "farfield_fidelity", ok, measured, thr["farfield_tol"],
-                   time.perf_counter() - t0)
 
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:

@@ -1,10 +1,11 @@
-"""Constitutive laws and the semi-discrete spatial operator.
+"""Discrete operator pieces shared by the stepper and the diagnostics.
 
 Index conventions (0-based): cell j sits between faces j and j+1, so the
 strain rate of cell j is (u[j+1] - u[j])/h and interior face i separates
-cells i-1 and i.  The wall face 0 carries the prescribed stress -P_outer
-and zero heat flux; face N is closed with the far-field ghost state (1, 1)
-for (v, theta) and a pinned velocity u[N] = 0.
+cells i-1 and i.  The wall face 0 carries the prescribed stress -R (the
+outer pressure equals R) and zero heat flux; face N is closed with the
+far-field ghost state (1, 1) for (v, theta) and a pinned velocity u[N] = 0.
+Also the manufactured solution and its forcing for verification runs.
 """
 
 from __future__ import annotations
@@ -14,109 +15,28 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DomainError
 
+def face_conductance(theta, v, params, h, theta_ghost=1.0, v_ghost=1.0):
+    """Conduction coefficients kappa*mean(theta**beta)/(h*mean(v)) on faces 0..N.
 
-@dataclass
-class Rhs:
-    """Semi-discrete rates: dv, dtheta on cells, du on faces (du[N] = 0)."""
-
-    dv: np.ndarray
-    du: np.ndarray
-    dtheta: np.ndarray
-
-
-@dataclass
-class FaceFlux:
-    """Heat flux per face, q[i] ~ kappa(theta) theta_x / v; q[0] = 0."""
-
-    q: np.ndarray
-
-
-def pressure(v, theta, params):
-    """Ideal-gas pressure R*theta/v."""
-    v = np.asarray(v, dtype=float)
-    if np.any(v <= 0.0):
-        raise DomainError("pressure needs v > 0")
-    return params.R * np.asarray(theta, dtype=float) / v
-
-
-def conductivity(theta, params):
-    """Degenerate conductivity kappa*theta**beta."""
-    theta = np.asarray(theta, dtype=float)
-    if np.any(theta <= 0.0):
-        raise DomainError("conductivity needs theta > 0")
-    return params.kappa * theta ** params.beta
-
-
-def cell_strain_and_stress(s, grid, params):
-    """Per-cell strain rate u_x and total stress (mu*u_x - R*theta)/v."""
-    ux = (s.u[1:] - s.u[:-1]) / grid.h
-    sigma = (params.mu * ux - params.R * s.theta) / s.v
-    return ux, sigma
-
-
-def boundary_stress(t, params):
-    """Stress prescribed at the wall face, -P_outer (constant in time)."""
-    return -params.P_outer
-
-
-def face_heat_flux(s, grid, params, theta_ghost=1.0, v_ghost=1.0):
-    """Heat flux on faces with arithmetic-mean coefficients.
-
-    Interior face i uses the mean of theta**beta and of v from the adjacent
-    cells.  The wall face stays adiabatic (q[0] = 0).  Face N is closed with
-    a ghost cell half a spacing beyond the boundary; physically this holds
-    the far-field values (1, 1), verification runs may override it.
+    Interior face i averages the two adjacent cells.  The wall face 0 stays
+    adiabatic (conductance 0).  Face N pairs the last cell with a ghost cell
+    half a spacing beyond the boundary; physically the ghost holds the
+    far-field values (1, 1), verification runs override them.  The heat
+    flux through a face is its conductance times the temperature jump.
     """
-    n = grid.n_cells
-    h = grid.h
-    th = s.theta
-    thb = th ** params.beta
-    q = np.zeros(n + 1)
-    kf = 0.5 * params.kappa * (thb[:-1] + thb[1:])
-    vf = 0.5 * (s.v[:-1] + s.v[1:])
-    q[1:n] = kf * (th[1:] - th[:-1]) / (h * vf)
-    kf_n = 0.5 * params.kappa * (thb[-1] + theta_ghost ** params.beta)
-    q[n] = kf_n * (theta_ghost - th[-1]) / (h * 0.5 * (s.v[-1] + v_ghost))
-    return FaceFlux(q)
+    kt, beta = params.kappa, params.beta
+    thb = theta ** beta
+    cond = np.zeros(theta.size + 1)
+    cond[1:-1] = 0.5 * kt * (thb[:-1] + thb[1:]) / (h * 0.5 * (v[:-1] + v[1:]))
+    cond[-1] = 0.5 * kt * (thb[-1] + theta_ghost ** beta) \
+        / (h * 0.5 * (v[-1] + v_ghost))
+    return cond
 
 
-def rhs(s, grid, params, mms=None):
-    """Semi-discrete rates for the full system.
-
-    Volume: dv = u_x.  Momentum: du = sigma_x with a half-cell one-sided
-    closure against the prescribed wall stress and a pinned far-field face.
-    Temperature: dtheta = (-R*theta*u_x + mu*u_x**2)/(cv*v) plus the flux
-    divergence over cv.  With a manufactured profile the two velocity
-    closures become exact trace rates, the far ghost takes exact values and
-    the forcing is added componentwise.
-    """
-    n = grid.n_cells
-    h = grid.h
-    ux, sigma = cell_strain_and_stress(s, grid, params)
-    dv = ux.copy()
-    du = np.zeros(n + 1)
-    du[1:n] = (sigma[1:] - sigma[:-1]) / h
-    if mms is None:
-        du[0] = (sigma[0] - boundary_stress(s.t, params)) / (0.5 * h)
-        q = face_heat_flux(s, grid, params).q
-    else:
-        du[0] = mms.u_t(0.0, s.t)
-        du[n] = mms.u_t(grid.length, s.t)
-        xg = grid.length + 0.5 * h
-        q = face_heat_flux(s, grid, params,
-                           theta_ghost=mms.theta_exact(xg, s.t),
-                           v_ghost=mms.v_exact(xg, s.t)).q
-    dtheta = (-params.R * s.theta * ux + params.mu * ux * ux) \
-        / (params.cv * s.v) + (q[1:] - q[:-1]) / (params.cv * h)
-    if mms is not None:
-        sv, _, sth = mms_source(grid.centers(), s.t, mms, params)
-        _, su, _ = mms_source(grid.faces(), s.t, mms, params)
-        dv += sv
-        du[1:n] += su[1:n]
-        dtheta += sth
-    return Rhs(dv, du, dtheta)
+def cell_stress(ux, theta, v, params):
+    """Total stress (mu*u_x - R*theta)/v of a cell, elementwise."""
+    return (params.mu * ux - params.R * theta) / v
 
 
 @dataclass(frozen=True)

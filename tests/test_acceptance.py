@@ -7,7 +7,7 @@ criterion and prints a PASS/FAIL line with the measured value against its
 threshold.
 
 The far-field fidelity criterion fails at this resolution: the bump radiates
-a wave train that reaches the outer fifth of the domain well before the
+a wave train that reaches the outer tenth of the domain well before the
 horizon, leaving a deviation near 3e-2 against the 1e-4 tolerance for every
 exponent tested.  The test states the requirement as is and stays red.
 """

@@ -47,13 +47,6 @@ def test_last_face_lands_on_length(n, length):
 def test_params_defaults():
     p = Params()
     assert (p.mu, p.kappa, p.beta, p.R, p.cv) == (1.0, 1.0, 1.0, 1.0, 1.0)
-    assert p.P_outer == p.R
-
-
-def test_params_outer_pressure_tied_to_R():
-    assert Params(R=2.0).P_outer == 2.0
-    with pytest.raises(ConfigError):
-        Params(R=1.0, P_outer=2.0)
 
 
 def test_params_rejects_nonpositive():
@@ -73,13 +66,13 @@ def test_equilibrium_state_values():
 
 
 def test_equilibrium_stress_matches_outer_pressure():
-    from nslag.model import boundary_stress, cell_strain_and_stress
+    """The rest state's cell stress equals the wall stress -R."""
+    from nslag.model import cell_stress
     grid = build_grid(10.0, 8)
     params = Params(R=1.7)
     s = equilibrium_state(grid)
-    _, sigma = cell_strain_and_stress(s, grid, params)
+    sigma = cell_stress((s.u[1:] - s.u[:-1]) / grid.h, s.theta, s.v, params)
     np.testing.assert_allclose(sigma, -1.7, rtol=0, atol=0)
-    assert boundary_stress(0.0, params) == -1.7
 
 
 def test_equilibrium_energy_is_zero():
@@ -90,14 +83,14 @@ def test_equilibrium_energy_is_zero():
 
 def test_validate_state_accepts_equilibrium():
     grid = build_grid(10.0, 8)
-    assert validate_state(equilibrium_state(grid), Params()) is None
+    assert validate_state(equilibrium_state(grid)) is None
 
 
 def test_validate_state_flags_negative_volume():
     grid = build_grid(10.0, 8)
     s = equilibrium_state(grid)
     s.v[7] = -0.1
-    report = validate_state(s, Params())
+    report = validate_state(s)
     assert isinstance(report, Violation)
     assert report.field == "v" and report.index == 7
 
@@ -106,7 +99,7 @@ def test_validate_state_flags_nonfinite_temperature():
     grid = build_grid(10.0, 8)
     s = equilibrium_state(grid)
     s.theta[3] = math.nan
-    report = validate_state(s, Params())
+    report = validate_state(s)
     assert report is not None
     assert report.field == "theta" and report.index == 3
 
@@ -115,7 +108,7 @@ def test_validate_state_flags_moving_far_face():
     grid = build_grid(10.0, 8)
     s = equilibrium_state(grid)
     s.u[-1] = 1e-9
-    report = validate_state(s, Params())
+    report = validate_state(s)
     assert report is not None and report.field == "u"
 
 
@@ -170,7 +163,7 @@ def test_packet_profile_valid():
     spec = ICSpec(kind="packet", amp_v=0.2, amp_u=0.2, amp_theta=0.2,
                   center=8.0, width=1.5, floor=0.1)
     s = make_initial_data(grid, spec)
-    assert validate_state(s, Params()) is None
+    assert validate_state(s) is None
     assert s.u[-1] == 0.0
     assert s.v.min() > 0.1 and s.theta.min() > 0.1
 
@@ -191,4 +184,4 @@ def test_generated_data_positive_and_valid(amp_v, amp_u, amp_theta, kind,
     s = make_initial_data(grid, spec)
     assert s.v.min() >= 0.1 and s.theta.min() >= 0.1
     assert s.u[-1] == 0.0
-    assert validate_state(s, Params()) is None
+    assert validate_state(s) is None

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 from nslag.cli import main as cli_main
 from nslag.core import ConfigError, ICSpec, Params
-from nslag.harness import (SERIES_COLUMNS, SERIES_HEADER, RunConfig,
-                           acceptance_suite, config_from_dict, config_to_dict,
+from nslag.harness import (CONFIG_KEYS, SERIES_COLUMNS, SERIES_HEADER,
+                           RunConfig, acceptance_suite, config_from_dict, config_to_dict,
                            default_config, load_config, mms_convergence,
                            read_series, run_simulation, sweep, write_config,
                            write_series, write_snapshot)
@@ -96,22 +96,34 @@ def test_config_rejects_nonpositive_horizon():
         config_from_dict({"run.t_final": 0.0})
 
 
-config_floats = st.floats(0.1, 10.0)
+config_floats = st.floats(0.1, 10.0).filter(lambda x: x != 1.0)
+
+# a value other than the default for every config key; grid.length 100
+# keeps h dividing the unit interval for every drawn cell count
+NON_DEFAULT = {
+    "physics.beta": 2.5, "physics.mu": 0.7, "physics.kappa": 1.3,
+    "physics.R": 1.2, "physics.cv": 1.8, "grid.length": 100.0,
+    "grid.cells": 500, "ic.kind": "packet", "ic.amp_v": 0.2,
+    "ic.amp_u": -0.1, "ic.amp_theta": 0.25, "ic.center": 7.0,
+    "ic.width": 1.5, "ic.floor": 0.2, "run.t_final": 30.0,
+    "run.sample_dt": 0.25, "ctl.cfl_hyp": 0.3, "ctl.dt_min": 1e-10,
+    "probe.interval": 9, "out.series": "s.csv", "out.report": "r.json",
+}
 
 
 @settings(max_examples=30, deadline=None)
-@given(beta=config_floats, mu=config_floats, amp=st.floats(-0.5, 0.5),
+@given(beta=config_floats, mu=config_floats,
+       amp=st.floats(-0.5, 0.5).filter(lambda x: x != 0.3),
        cells=st.sampled_from([100, 200, 500, 1000]))
 def test_config_dict_round_trip(beta, mu, amp, cells):
-    values = {"physics.beta": beta, "physics.mu": mu, "ic.amp_u": amp,
-              "grid.cells": cells}
-    cfg = config_from_dict(values)
-    flat = config_to_dict(cfg)
-    assert flat["physics.beta"] == beta
-    assert flat["physics.mu"] == mu
-    assert flat["ic.amp_u"] == amp
-    assert flat["grid.cells"] == cells
-    # the flat view resolves the probe default, so compare flat views
+    values = dict(NON_DEFAULT)
+    values.update({"physics.beta": beta, "physics.mu": mu, "ic.amp_u": amp,
+                   "grid.cells": cells})
+    defaults = config_to_dict(default_config())
+    assert all(values[key] != defaults[key] for key in CONFIG_KEYS)
+    flat = config_to_dict(config_from_dict(values))
+    assert flat == values
+    assert list(flat) == list(CONFIG_KEYS)
     assert config_to_dict(config_from_dict(flat)) == flat
 
 
@@ -278,6 +290,17 @@ def test_cli_unknown_key_exit_two(tmp_path, capsys):
     cfg_path.write_text("grid.cellz = 5\n")
     assert cli_main(["run", "--config", str(cfg_path)]) == 2
     assert "grid.cellz" in capsys.readouterr().err
+
+
+def test_cli_reports_diagnostics_error(tmp_path, capsys):
+    """Too few samples for the decay report: exit 2, named as such."""
+    cfg_path = tmp_path / "short.cfg"
+    cfg_path.write_text(
+        "grid.cells = 100\nrun.t_final = 1\nrun.sample_dt = 0.5\n"
+        f"out.series = {tmp_path}/s.csv\nout.report = {tmp_path}/r.json\n")
+    assert cli_main(["run", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("diagnostics error: need at least 10 samples")
 
 
 def test_cli_sweep_aggregate(tmp_path, monkeypatch, capsys):

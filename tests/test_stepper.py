@@ -170,7 +170,7 @@ def test_advance_bump_run_stays_valid():
     s = make_initial_data(grid, spec)
     out = advance(s, 5.0, grid, Params())
     assert out.t == 5.0
-    assert validate_state(out, Params()) is None
+    assert validate_state(out) is None
 
 
 def test_advance_lands_exactly_and_reports_steps():
