@@ -15,7 +15,8 @@ import sys
 from .core import ConfigError
 from .diagnostics import DiagnosticsError
 from .harness import (acceptance_suite, default_config, load_config,
-                      mms_convergence, run_simulation, sweep, write_config)
+                      mms_convergence, mms_orders_pass, run_simulation,
+                      sweep, write_config)
 from .stepper import StepFailure
 
 
@@ -72,13 +73,7 @@ def _cmd_mms(args):
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(report, fh, indent=2)
             fh.write("\n")
-    lo_s, hi_s = 1.8, 2.2
-    lo_t, hi_t = 0.8, 1.2
-    sp = report["spatial"]["orders"]
-    tm = report["temporal"]["orders"]
-    ok = (sp and all(lo_s <= p <= hi_s for p in sp)
-          and tm and all(lo_t <= p <= hi_t for p in tm))
-    return 0 if ok else 1
+    return 0 if mms_orders_pass(report) else 1
 
 
 def _cmd_check(args):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ConfigError, DomainError
-from .model import cell_stress
+from .model import cell_stress, strain_rate
 
 
 class DiagnosticsError(RuntimeError):
@@ -83,16 +83,18 @@ def energy_functional(s, grid, params):
     return float(np.sum(grid.dx * total))
 
 
-def dissipation_functional(s, grid, params):
+def dissipation_functional(s, grid, params, ux=None):
     """Dissipation: sum(h_j*mu*u_x^2/(v*theta)) + the interior-face part.
 
     The face part uses arithmetic means of theta and v and the squared
     one-sided temperature difference over the distance m_i between cell
     centers, weighted by m_i, matching the conduction stencil's stagger.
+    ux, the state's strain rates, is computed when not passed in.
     """
     h = grid.dx
     m = grid.dm[1:-1]
-    ux = (s.u[1:] - s.u[:-1]) / h
+    if ux is None:
+        ux = strain_rate(s.u, h)
     cell = params.mu * ux * ux / (s.v * s.theta)
     thf = 0.5 * (s.theta[:-1] + s.theta[1:])
     vf = 0.5 * (s.v[:-1] + s.v[1:])
@@ -101,15 +103,76 @@ def dissipation_functional(s, grid, params):
     return float(np.sum(h * cell)) + float(np.sum(m * face))
 
 
-def sample_energy(s, grid, params, prev=None):
-    """EnergyRecord at the state's time; cumV advanced from prev by trapezoid."""
-    e = energy_functional(s, grid, params)
-    v = dissipation_functional(s, grid, params)
+def _trapezoid(cum, dt, before, after):
+    # one trapezoid step of a running time integral
+    return cum + 0.5 * dt * (before + after)
+
+
+def _norm2(weights, x):
+    # weighted discrete L2 norm sqrt(sum(w * x^2))
+    return math.sqrt(float(np.sum(weights * x * x)))
+
+
+def _pospart(theta, threshold):
+    # max over cells of (theta - threshold)_+^2; the map is monotone in
+    # theta, and so is each rounding, so the hottest cell gives it exactly
+    pos = max(float(theta.max()) - threshold, 0.0)
+    return pos * pos
+
+
+@dataclass
+class RunningIntegrals:
+    """Integrands of the three running time integrals at time t.
+
+    V is the dissipation, g2_ux the L2 norm of u_x (its square is
+    integrated) and pospart the positive-part maximum; cumV, cum_ux2 and
+    cum_pospart are their trapezoid integrals from the first time on.
+    """
+
+    t: float
+    V: float
+    g2_ux: float
+    pospart: float
+    cumV: float = 0.0
+    cum_ux2: float = 0.0
+    cum_pospart: float = 0.0
+
+
+def running_integrals(s, grid, params, prev=None):
+    """The integrands at the state's time, integrals advanced from prev.
+
+    This is what a run needs every step; sample_energy and sample_bounds
+    fill the full records from it at sample times.  All three integrands
+    share one evaluation of u_x.
+    """
+    ux = strain_rate(s.u, grid.dx)
+    v = dissipation_functional(s, grid, params, ux)
+    g2_ux = _norm2(grid.dx, ux)
+    pospart = _pospart(s.theta, POSPART_THRESHOLD)
     if prev is None:
-        cum = 0.0
+        return RunningIntegrals(s.t, v, g2_ux, pospart)
+    dt = s.t - prev.t
+    return RunningIntegrals(
+        s.t, v, g2_ux, pospart,
+        cumV=_trapezoid(prev.cumV, dt, prev.V, v),
+        cum_ux2=_trapezoid(prev.cum_ux2, dt, prev.g2_ux ** 2, g2_ux ** 2),
+        cum_pospart=_trapezoid(prev.cum_pospart, dt, prev.pospart, pospart))
+
+
+def sample_energy(s, grid, params, prev=None, running=None):
+    """EnergyRecord at the state's time.
+
+    V and cumV are taken from running, the RunningIntegrals at this state,
+    when given; otherwise V is evaluated and cumV advanced from prev by
+    trapezoid.
+    """
+    if running is not None:
+        v, cum = running.V, running.cumV
     else:
-        cum = prev.cumV + 0.5 * (s.t - prev.t) * (prev.V + v)
-    return EnergyRecord(s.t, e, v, cum)
+        v = dissipation_functional(s, grid, params)
+        cum = 0.0 if prev is None else _trapezoid(prev.cumV, s.t - prev.t,
+                                                  prev.V, v)
+    return EnergyRecord(s.t, energy_functional(s, grid, params), v, cum)
 
 
 def _bisect(f, lo, hi):
@@ -191,7 +254,9 @@ class ReprProbe:
     Carries the wall-of-interval stress exponential Y, the accumulated
     time integral I per probe point, and the spatial factor D recomputed
     from the current state.  The running integral grows like e^{R t}, so
-    the probe is meant for moderate horizons (R*t well below 700).
+    the probe is meant for moderate horizons (R*t well below 700).  seg
+    is the face range from face fi to the face right of the last probe
+    cell, jrel each probe cell's offset in it.
     """
 
     i: int
@@ -205,6 +270,8 @@ class ReprProbe:
     I: np.ndarray
     t: float
     logY_series: list
+    seg: slice
+    jrel: np.ndarray
 
 
 def make_repr_probe(s0, grid, i, n_points=5):
@@ -227,7 +294,8 @@ def make_repr_probe(s0, grid, i, n_points=5):
     v0 = s0.v[cells].copy()
     return ReprProbe(i=i, xs=xs, cells=cells, fi=fi, v0=v0, u0=s0.u.copy(),
                      D=v0.copy(), Y=1.0, I=np.zeros(n_points), t=s0.t,
-                     logY_series=[(s0.t, 0.0)])
+                     logY_series=[(s0.t, 0.0)],
+                     seg=slice(fi, int(cells.max()) + 2), jrel=cells - fi)
 
 
 def _sigma_at_face(s, fi, h, params):
@@ -244,17 +312,13 @@ def _probe_d(p, s, grid):
     # D(x, t) = v0(x) * exp(int_i^x (u - u0) dy), trapezoid over faces plus
     # a half-cell tail from the last face to the cell center
     h = grid.h
-    w = s.u - p.u0
-    j0 = p.fi
-    jmax = int(p.cells.max())
-    seg = w[j0:jmax + 2]
+    w = s.u[p.seg] - p.u0[p.seg]
     cum = np.concatenate(
-        ([0.0], np.cumsum(0.5 * h * (seg[:-1] + seg[1:]))))
-    jrel = p.cells - j0
-    wl = w[p.cells]
-    wr = w[p.cells + 1]
+        ([0.0], np.cumsum(0.5 * h * (w[:-1] + w[1:]))))
+    wl = w[p.jrel]
+    wr = w[p.jrel + 1]
     tail = 0.25 * h * (1.5 * wl + 0.5 * wr)
-    return p.v0 * np.exp(cum[jrel] + tail)
+    return p.v0 * np.exp(cum[p.jrel] + tail)
 
 
 def update_repr_probe(p, s, s_prev, dt, grid, params):
@@ -297,8 +361,13 @@ def reconstruct_v(p, s, params):
     return v_rec, v_act, rel
 
 
-def sample_bounds(s, grid, prev=None, pos_threshold=POSPART_THRESHOLD):
+def sample_bounds(s, grid, prev=None, pos_threshold=POSPART_THRESHOLD,
+                  running=None):
     """BoundsRecord at the state's time; running integrals advanced from prev.
+
+    With running, the RunningIntegrals at this state, g2_ux, pospart and
+    the two running integrals are taken from it instead (its pospart uses
+    POSPART_THRESHOLD).
 
     Gradient norms use one-sided differences at their natural stagger:
     v_x and theta_x on interior faces, u_x on cells; cells weigh h_j and
@@ -310,42 +379,43 @@ def sample_bounds(s, grid, prev=None, pos_threshold=POSPART_THRESHOLD):
     wface = grid.dm
     mi = wface[1:-1]
     v, th, u = s.v, s.theta, s.u
-    ux = (u[1:] - u[:-1]) / h
+    if running is not None:
+        g2_ux, pospart = running.g2_ux, running.pospart
+        cum_ux2, cum_pospart = running.cum_ux2, running.cum_pospart
+    else:
+        g2_ux = _norm2(h, strain_rate(u, h))
+        pospart = _pospart(th, pos_threshold)
+        if prev is None:
+            cum_ux2 = cum_pospart = 0.0
+        else:
+            dt = s.t - prev.t
+            cum_ux2 = _trapezoid(prev.cum_ux2, dt, prev.g2_ux ** 2,
+                                 g2_ux ** 2)
+            cum_pospart = _trapezoid(prev.cum_pospart, dt, prev.pospart,
+                                     pospart)
     dvx = (v[1:] - v[:-1]) / mi
     dthx = (th[1:] - th[:-1]) / mi
-
     vm1 = v - 1.0
     thm1 = th - 1.0
-    g2_ux = math.sqrt(float(np.sum(h * ux * ux)))
-    pos = np.maximum(th - pos_threshold, 0.0)
-    pospart = float(np.max(pos * pos))
 
     j = grid.farfield_start
     farfield = max(float(np.max(np.abs(vm1[j:]))),
                    float(np.max(np.abs(thm1[j:]))),
                    float(np.max(np.abs(u[j:]))))
 
-    if prev is None:
-        cum_ux2 = 0.0
-        cum_pospart = 0.0
-    else:
-        dt = s.t - prev.t
-        cum_ux2 = prev.cum_ux2 + 0.5 * dt * (prev.g2_ux ** 2 + g2_ux ** 2)
-        cum_pospart = prev.cum_pospart + 0.5 * dt * (prev.pospart + pospart)
-
     return BoundsRecord(
         t=s.t,
         vmin=float(v.min()), vmax=float(v.max()),
         thmin=float(th.min()), thmax=float(th.max()),
-        n2_vm1=math.sqrt(float(np.sum(h * vm1 * vm1))),
-        n2_u=math.sqrt(float(np.sum(wface * u * u))),
-        n2_thm1=math.sqrt(float(np.sum(h * thm1 * thm1))),
+        n2_vm1=_norm2(h, vm1),
+        n2_u=_norm2(wface, u),
+        n2_thm1=_norm2(h, thm1),
         ninf_vm1=float(np.max(np.abs(vm1))),
         ninf_u=float(np.max(np.abs(u))),
         ninf_thm1=float(np.max(np.abs(thm1))),
-        g2_vx=math.sqrt(float(np.sum(mi * dvx * dvx))),
+        g2_vx=_norm2(mi, dvx),
         g2_ux=g2_ux,
-        g2_thx=math.sqrt(float(np.sum(mi * dthx * dthx))),
+        g2_thx=_norm2(mi, dthx),
         pospart=pospart,
         cum_ux2=cum_ux2,
         cum_pospart=cum_pospart,

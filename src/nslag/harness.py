@@ -23,7 +23,7 @@ from .core import ConfigError, ICSpec, Params, build_grid, make_initial_data
 from .diagnostics import (_ZERO_NORM, decay_report,
                           dissipation_functional, energy_functional,
                           entropy_roots, make_repr_probe, reconstruct_v,
-                          sample_bounds, sample_energy,
+                          running_integrals, sample_bounds, sample_energy,
                           unit_interval_averages, update_repr_probe)
 from .model import MmsProfile
 from .stepper import (StepControl, StepFailure, TriDiag, advance,
@@ -293,25 +293,34 @@ def _verdict(passed, measured, threshold, note=None):
 
 
 class _RunAccumulator:
-    """Per-step diagnostics state threaded through the advance callbacks."""
+    """Diagnostics state threaded through the advance callbacks.
+
+    Every step advances the running integrals and the probe; the full
+    energy and bounds records are filled only at sample times, from the
+    integrands the last step computed.
+    """
 
     def __init__(self, state0, grid, params, probe_i):
         self.grid = grid
         self.params = params
-        self.energy = sample_energy(state0, grid, params, prev=None)
-        self.bounds = sample_bounds(state0, grid, prev=None)
+        self.running = running_integrals(state0, grid, params)
         self.probe = make_repr_probe(state0, grid, probe_i)
         self.n_steps = 0
 
     def __call__(self, prev, new, dt):
         self.n_steps += 1
-        self.energy = sample_energy(new, self.grid, self.params, prev=self.energy)
-        self.bounds = sample_bounds(new, self.grid, prev=self.bounds)
+        self.running = running_integrals(new, self.grid, self.params,
+                                         prev=self.running)
         update_repr_probe(self.probe, new, prev, dt, self.grid, self.params)
 
+    def sample(self, state):
+        """(EnergyRecord, BoundsRecord) at the state the last step reached."""
+        return (sample_energy(state, self.grid, self.params,
+                              running=self.running),
+                sample_bounds(state, self.grid, running=self.running))
 
-def _series_row(acc, state):
-    e, b = acc.energy, acc.bounds
+
+def _series_row(acc, state, e, b):
     _, _, relerr = reconstruct_v(acc.probe, state, acc.params)
     return {
         "t": state.t, "E": e.E, "V": e.V, "cumV": e.cumV,
@@ -354,8 +363,9 @@ def run_simulation(cfg, thresholds=None):
     state = make_initial_data(grid, cfg.ic)
     band = entropy_roots(energy_functional(state, grid, params))
     acc = _RunAccumulator(state, grid, params, cfg.resolved_probe())
-    bounds_series = [acc.bounds]
-    energy_series = [acc.energy]
+    energy, bounds = acc.sample(state)
+    bounds_series = [bounds]
+    energy_series = [energy]
 
     avg_min, avg_max = math.inf, -math.inf
 
@@ -370,7 +380,7 @@ def run_simulation(cfg, thresholds=None):
 
     with open(cfg.series_path, "w", encoding="utf-8") as fh:
         write_row = _series_writer(fh)
-        row = _series_row(acc, state)
+        row = _series_row(acc, state, energy, bounds)
         write_row(row)
         fh.flush()
         worst_repr = row["repr_relerr"]
@@ -383,10 +393,11 @@ def run_simulation(cfg, thresholds=None):
                 write_snapshot(exc.state, grid, snap)
                 exc.snapshot_path = snap
                 raise
-            bounds_series.append(acc.bounds)
-            energy_series.append(acc.energy)
+            energy, bounds = acc.sample(state)
+            bounds_series.append(bounds)
+            energy_series.append(energy)
             track_averages(state)
-            row = _series_row(acc, state)
+            row = _series_row(acc, state, energy, bounds)
             write_row(row)
             fh.flush()
             worst_repr = max(worst_repr, row["repr_relerr"])
@@ -656,15 +667,26 @@ def _criterion_equilibrium(suite):
     return dev <= limit and seconds < 5.0, dev, limit
 
 
-def _criterion_mms(suite):
-    report = mms_convergence(levels=3, base_cells=100)
-    lo_s, hi_s = suite.thr["spatial_order"]
-    lo_t, hi_t = suite.thr["temporal_order"]
+def mms_orders_pass(report, thresholds=None):
+    """Whether an mms_convergence report has orders, all inside their windows.
+
+    The windows are thresholds' "spatial_order" and "temporal_order",
+    THRESHOLDS' when thresholds is None.
+    """
+    thr = THRESHOLDS if thresholds is None else thresholds
+    lo_s, hi_s = thr["spatial_order"]
+    lo_t, hi_t = thr["temporal_order"]
     sp = report["spatial"]["orders"]
     tm = report["temporal"]["orders"]
-    ok = (sp and all(lo_s <= p <= hi_s for p in sp)
-          and tm and all(lo_t <= p <= hi_t for p in tm))
-    return ok, {"spatial": sp, "temporal": tm}, \
+    return bool(sp and all(lo_s <= p <= hi_s for p in sp)
+                and tm and all(lo_t <= p <= hi_t for p in tm))
+
+
+def _criterion_mms(suite):
+    report = mms_convergence(levels=3, base_cells=100)
+    measured = {"spatial": report["spatial"]["orders"],
+                "temporal": report["temporal"]["orders"]}
+    return mms_orders_pass(report, suite.thr), measured, \
         {"spatial": list(suite.thr["spatial_order"]),
          "temporal": list(suite.thr["temporal_order"])}
 

@@ -17,6 +17,11 @@ from dataclasses import dataclass
 import numpy as np
 
 
+def strain_rate(u, h):
+    """Cell strain rates (u[j+1] - u[j])/h_j from face velocities."""
+    return (u[1:] - u[:-1]) / h
+
+
 def face_conductance(theta, v, params, h, theta_ghost=1.0, v_ghost=1.0):
     """Conduction coefficients kappa*mean(theta**beta)/(d*mean(v)) on faces 0..N.
 

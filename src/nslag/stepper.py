@@ -9,6 +9,10 @@ heating explicit with the fresh strain rate).  Both matrices are strictly
 diagonally dominant for every positive state and step size, so the linear
 solves cannot break down.  Steps that drive v or theta to the positivity
 floor are rejected and retried with a halved step.
+
+Each system is assembled in place into the three diagonals and the load
+that LAPACK's gtsv takes, and solve_tridiagonal hands them to gtsv
+directly, between a dominance check before and a residual check after.
 """
 
 from __future__ import annotations
@@ -16,10 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 
 from .core import ConfigError, State
-from .model import face_conductance, mms_source
+from .model import face_conductance, mms_source, strain_rate
 
 
 @dataclass(frozen=True)
@@ -63,8 +67,9 @@ class StepFailure(RuntimeError):
 class TriDiag:
     """Tridiagonal system; lower[k] multiplies x[k-1], upper[k] x[k+1].
 
-    lower[0] and upper[-1] are structural zeros.  Assembly must produce
-    strict diagonal dominance; solve_tridiagonal checks it.
+    lower[0] and upper[-1] are structural zeros, so lower[1:], diag and
+    upper[:-1] are gtsv's dl, d and du.  Assembly must produce strict
+    diagonal dominance; solve_tridiagonal checks it.
     """
 
     lower: np.ndarray
@@ -73,30 +78,35 @@ class TriDiag:
     rhs: np.ndarray
 
     def check_dominant(self):
-        gap = np.abs(self.diag) - np.abs(self.lower) - np.abs(self.upper)
-        if not np.all(gap > 0.0):
+        gap = np.abs(self.diag)
+        gap -= np.abs(self.lower)
+        gap -= np.abs(self.upper)
+        if not gap.min() > 0.0:
             k = int(np.argmin(gap))
             raise ValueError(f"tridiagonal row {k} is not strictly dominant")
 
 
 def solve_tridiagonal(sys):
-    """Solve a strictly dominant tridiagonal system by banded elimination.
+    """Solve a strictly dominant tridiagonal system with LAPACK gtsv.
 
-    The residual is checked against 1e-12 * (|rhs|_inf + |x|_inf); under
-    dominance the factorization is stable and this cannot trip.
+    gtsv eliminates with partial pivoting; the system's arrays are left
+    untouched.  A nonzero gtsv info raises ArithmeticError, and so does a
+    residual above 1e-12 * (|rhs|_inf + |x|_inf); under dominance the
+    elimination is stable and neither can trip.
     """
     sys.check_dominant()
-    n = sys.diag.size
-    ab = np.zeros((3, n))
-    ab[0, 1:] = sys.upper[:-1]
-    ab[1, :] = sys.diag
-    ab[2, :-1] = sys.lower[1:]
-    x = solve_banded((1, 1), ab, sys.rhs, overwrite_ab=True, check_finite=False)
-    res = sys.diag * x - sys.rhs
-    res[1:] += sys.lower[1:] * x[:-1]
-    res[:-1] += sys.upper[:-1] * x[1:]
-    bound = 1e-12 * (np.abs(sys.rhs).max() + np.abs(x).max())
-    if np.abs(res).max() > bound:
+    lower, diag, upper, rhs = sys.lower, sys.diag, sys.upper, sys.rhs
+    _, _, _, x, info = dgtsv(lower[1:], diag, upper[:-1], rhs)
+    if info != 0:
+        raise ArithmeticError(f"tridiagonal solve failed: gtsv info {info}")
+    res = diag * x
+    res -= rhs
+    off = lower[1:] * x[:-1]
+    res[1:] += off
+    np.multiply(upper[:-1], x[1:], out=off)
+    res[:-1] += off
+    bound = 1e-12 * (np.abs(rhs).max() + np.abs(x).max())
+    if np.abs(res, out=res).max() > bound:
         raise ArithmeticError("tridiagonal solve lost accuracy")
     return x
 
@@ -112,6 +122,14 @@ def stable_dt(s, grid, params, ctl):
     c = np.sqrt(params.R * (1.0 + params.R / params.cv) * s.theta)
     dt = float(np.min((ctl.cfl_hyp * grid.dx) * (s.v / c)))
     return max(dt, ctl.dt_min)
+
+
+def _require_above(name, x, floor):
+    # positivity and finiteness in two reductions: a NaN propagates into the
+    # minimum, +inf shows in the maximum
+    lo = x.min()
+    if not (lo > floor and x.max() < np.inf):
+        raise PositivityViolation(name, float(lo))
 
 
 def step_imex(s, dt, grid, params, mms=None, floor=0.0):
@@ -130,41 +148,58 @@ def step_imex(s, dt, grid, params, mms=None, floor=0.0):
     mu, gas_r, cv = params.mu, params.R, params.cv
     t1 = s.t + dt
 
-    ux_n = (s.u[1:] - s.u[:-1]) / h
-    v1 = s.v + dt * ux_n
+    # v1 = v + dt*u_x, built in the strain rate's buffer
+    v1 = strain_rate(s.u, h)
+    v1 *= dt
+    v1 += s.v
     if mms is not None:
         sv, _, _ = mms_source(grid.centers(), s.t, mms, params)
-        v1 = v1 + dt * sv
-    if not np.all(np.isfinite(v1)) or v1.min() <= floor:
-        raise PositivityViolation("v", float(v1.min()))
+        v1 += dt * sv
+    _require_above("v", v1, floor)
 
     # velocity solve: viscosity implicit on v1, pressure explicit at theta^n;
-    # face rows are divided by their control mass, a half cell at the wall
-    a = mu / (h * v1)
-    pe = gas_r * s.theta / v1
+    # face rows are divided by their control mass, a half cell at the wall;
+    # rows 1..n-1 are written in place; (-r)*a is -(r*a) exactly
+    a = h * v1
+    np.divide(mu, a, out=a)
+    pe = gas_r * s.theta
+    pe /= v1
     r = dt / grid.dm
     ri = r[1:n]
-    lower = np.zeros(n + 1)
-    diag = np.ones(n + 1)
-    upper = np.zeros(n + 1)
-    load = np.zeros(n + 1)
-    lower[1:n] = -ri * a[: n - 1]
-    diag[1:n] = 1.0 + ri * (a[: n - 1] + a[1:n])
-    upper[1:n] = -ri * a[1:n]
-    load[1:n] = s.u[1:n] - ri * (pe[1:n] - pe[: n - 1])
+    nri = np.negative(ri)
+    lower = np.empty(n + 1)
+    diag = np.empty(n + 1)
+    upper = np.empty(n + 1)
+    load = np.empty(n + 1)
+    np.multiply(nri, a[:-1], out=lower[1:n])
+    np.multiply(nri, a[1:], out=upper[1:n])
+    d = diag[1:n]
+    np.add(a[:-1], a[1:], out=d)
+    d *= ri
+    d += 1.0
+    b = load[1:n]
+    np.subtract(pe[1:], pe[:-1], out=b)
+    b *= ri
+    np.subtract(s.u[1:n], b, out=b)
+    lower[0] = upper[n] = 0.0
+    # far-field row stays pinned: u[n] = 0, or its exact trace under mms
+    lower[n] = load[n] = 0.0
+    diag[n] = 1.0
     if mms is None:
         # wall row: half-cell closure against the prescribed stress -R
-        diag[0] = 1.0 + r[0] * a[0]
-        upper[0] = -r[0] * a[0]
+        ra = r[0] * a[0]
+        diag[0] = 1.0 + ra
+        upper[0] = -ra
         load[0] = s.u[0] + r[0] * (gas_r - pe[0])
-        # far-field row stays pinned: u[n] = 0
     else:
+        diag[0] = 1.0
+        upper[0] = 0.0
         load[0] = float(mms.u_exact(0.0, t1))
         load[n] = float(mms.u_exact(grid.far_length, t1))
         _, su, _ = mms_source(grid.faces(), t1, mms, params)
-        load[1:n] += dt * su[1:n]
+        b += dt * su[1:n]
     u1 = solve_tridiagonal(TriDiag(lower, diag, upper, load))
-    ux1 = (u1[1:] - u1[:-1]) / h
+    ux1 = strain_rate(u1, h)
 
     # temperature solve: conduction implicit, conductivities frozen at theta^n
     thn = s.theta
@@ -177,21 +212,33 @@ def step_imex(s, dt, grid, params, mms=None, floor=0.0):
         theta_ghost_new = float(mms.theta_exact(xg, t1))
         v_ghost = float(mms.v_exact(xg, t1))
     cond = face_conductance(thn, v1, params, h, theta_ghost_old, v_ghost)
-    work = (-gas_r * thn * ux1 + mu * ux1 * ux1) / v1
-    rr = dt / (cv * h)
-    lower2 = np.zeros(n)
-    upper2 = np.zeros(n)
-    lower2[1:] = -rr[1:] * cond[1:n]
-    upper2[:-1] = -rr[:-1] * cond[1:n]
-    diag2 = 1.0 + rr * (cond[:n] + cond[1:])
-    load2 = thn + dt * work / cv
+    # load2 = theta^n + dt*work/cv, work = (-R theta^n u_x + mu u_x^2)/v1
+    load2 = -gas_r * thn
+    load2 *= ux1
+    heat = mu * ux1
+    heat *= ux1
+    load2 += heat
+    load2 /= v1
+    load2 *= dt
+    load2 /= cv
+    load2 += thn
+    rr = cv * h
+    np.divide(dt, rr, out=rr)
+    nrr = np.negative(rr)
+    lower2 = np.empty(n)
+    upper2 = np.empty(n)
+    lower2[0] = upper2[-1] = 0.0
+    np.multiply(nrr[1:], cond[1:n], out=lower2[1:])
+    np.multiply(nrr[:-1], cond[1:n], out=upper2[:-1])
+    diag2 = np.add(cond[:n], cond[1:])
+    diag2 *= rr
+    diag2 += 1.0
     load2[-1] += rr[-1] * cond[n] * theta_ghost_new
     if mms is not None:
         _, _, sth = mms_source(grid.centers(), t1, mms, params)
-        load2 = load2 + dt * sth
+        load2 += dt * sth
     th1 = solve_tridiagonal(TriDiag(lower2, diag2, upper2, load2))
-    if not np.all(np.isfinite(th1)) or th1.min() <= floor:
-        raise PositivityViolation("theta", float(th1.min()))
+    _require_above("theta", th1, floor)
 
     return State(t1, v1, th1, u1)
 

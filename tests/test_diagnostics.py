@@ -267,6 +267,19 @@ def test_bounds_positive_part_literal():
     assert POSPART_THRESHOLD == 1.5
 
 
+@settings(deadline=None, max_examples=100)
+@given(seed=st.integers(0, 10 ** 6), threshold=st.floats(0.5, 3.0))
+def test_pospart_equals_elementwise_maximum(seed, threshold):
+    """pospart comes from the hottest cell alone; the elementwise maximum of
+    (theta - threshold)_+^2 must give the same float."""
+    grid = build_grid(10.0, 40)
+    s = equilibrium_state(grid)
+    s.theta = np.random.default_rng(seed).uniform(0.2, 4.0, grid.n_cells)
+    pos = np.maximum(s.theta - threshold, 0.0)
+    got = sample_bounds(s, grid, pos_threshold=threshold).pospart
+    assert got == float(np.max(pos * pos))
+
+
 def test_bounds_match_fsum_oracle():
     s, grid = _ref_state_and_grid()
     b = sample_bounds(s, grid)

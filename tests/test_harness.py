@@ -3,20 +3,25 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nslag import cli
 from nslag.cli import main as cli_main
-from nslag.core import ConfigError, ICSpec, Params
+from nslag.core import ConfigError, ICSpec, Params, build_grid, \
+    make_initial_data
+from nslag.diagnostics import sample_bounds, sample_energy
 from nslag.harness import (CONFIG_KEYS, SERIES_COLUMNS, SERIES_HEADER,
-                           RunConfig, acceptance_suite, config_from_dict, config_to_dict,
+                           THRESHOLDS, RunConfig, acceptance_suite,
+                           config_from_dict, config_to_dict,
                            default_config, load_config, mms_convergence,
                            read_series, run_simulation, sweep, write_config,
                            write_series, write_snapshot)
+from nslag.stepper import advance
 
 
 def _quick_cfg(tmp_path, **kw):
@@ -237,6 +242,50 @@ def test_mms_zero_amplitude_is_exact():
 def test_mms_requires_three_levels():
     with pytest.raises(ConfigError):
         mms_convergence(levels=2)
+
+
+@pytest.mark.parametrize("far_length", [50.0, 225.0])
+@pytest.mark.parametrize("beta", [0.5, 2.5])
+def test_run_records_match_chained_samples(tmp_path, far_length, beta):
+    """A run advances only the running integrals every step and fills the
+    full records at sample times.  Its series must equal, bit for bit,
+    sample_energy and sample_bounds chained with prev= through every
+    accepted step, on a uniform and on a graded grid."""
+    cfg = _quick_cfg(tmp_path, n_cells=100, t_final=5.0,
+                     far_length=far_length, params=Params(beta=beta))
+    run_simulation(cfg)
+    rows = read_series(cfg.series_path)
+
+    grid = build_grid(cfg.length, cfg.n_cells, cfg.far_length)
+    state = make_initial_data(grid, cfg.ic)
+    chain = [sample_energy(state, grid, cfg.params), sample_bounds(state, grid)]
+
+    def step(prev, new, dt):
+        chain[0] = sample_energy(new, grid, cfg.params, prev=chain[0])
+        chain[1] = sample_bounds(new, grid, prev=chain[1])
+
+    assert len(rows) == 11
+    for k, row in enumerate(rows):
+        if k:
+            state = advance(state, row["t"], grid, cfg.params, cfg.ctl,
+                            callbacks=(step,))
+        for rec in chain:
+            for name, value in asdict(rec).items():
+                assert row[name] == value, (row["t"], name)
+
+
+def test_cli_mms_reads_order_windows(monkeypatch, capsys):
+    """nslag mms judges the orders by THRESHOLDS' windows, as c02 does."""
+    canned = {"spatial": {"orders": [2.0, 2.0]},
+              "temporal": {"orders": [1.0, 1.0]}}
+    monkeypatch.setattr(cli, "mms_convergence",
+                        lambda levels, base_cells: canned)
+    assert cli_main(["mms"]) == 0
+    monkeypatch.setitem(THRESHOLDS, "spatial_order", (2.5, 3.0))
+    assert cli_main(["mms"]) == 1
+    monkeypatch.setitem(THRESHOLDS, "spatial_order", (1.9, 2.1))
+    monkeypatch.setitem(THRESHOLDS, "temporal_order", (0.5, 0.9))
+    assert cli_main(["mms"]) == 1
 
 
 def test_sweep_outputs_keyed_and_sorted(tmp_path):

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg.lapack import dgtsv
 
 from nslag.core import ConfigError, ICSpec, Params, State, build_grid, \
     equilibrium_state, make_initial_data, validate_state
+from nslag import stepper
 from nslag.model import MmsProfile
 from nslag.stepper import (PositivityViolation, StepControl, StepFailure,
                            TriDiag, advance, solve_tridiagonal, stable_dt,
@@ -49,6 +51,44 @@ def test_dominance_check_names_offending_row():
     sys = _tridiag([0, 2.0], [3.0, 1.0], [1.0, 0], [0, 0])
     with pytest.raises(ValueError, match="row 1"):
         sys.check_dominant()
+
+
+def _dominant_system(n=40, seed=3):
+    rng = np.random.default_rng(seed)
+    lower = rng.uniform(-1, 1, n)
+    upper = rng.uniform(-1, 1, n)
+    lower[0] = upper[-1] = 0.0
+    diag = np.abs(lower) + np.abs(upper) + rng.uniform(0.5, 2.0, n)
+    return _tridiag(lower, diag, upper, rng.uniform(-1, 1, n))
+
+
+def test_solve_leaves_system_untouched():
+    sys = _dominant_system()
+    before = [a.copy() for a in (sys.lower, sys.diag, sys.upper, sys.rhs)]
+    solve_tridiagonal(sys)
+    for was, now in zip(before, (sys.lower, sys.diag, sys.upper, sys.rhs)):
+        assert np.array_equal(was, now)
+
+
+def test_residual_guard_catches_perturbed_solution(monkeypatch):
+    def perturbed(dl, d, du, b):
+        du2, d2, du_out, x, info = dgtsv(dl, d, du, b)
+        x[len(x) // 2] += 1e-6
+        return du2, d2, du_out, x, info
+
+    monkeypatch.setattr(stepper, "dgtsv", perturbed)
+    with pytest.raises(ArithmeticError, match="lost accuracy"):
+        solve_tridiagonal(_dominant_system())
+
+
+def test_nonzero_gtsv_info_raises(monkeypatch):
+    def failing(dl, d, du, b):
+        du2, d2, du_out, x, _ = dgtsv(dl, d, du, b)
+        return du2, d2, du_out, x, 3
+
+    monkeypatch.setattr(stepper, "dgtsv", failing)
+    with pytest.raises(ArithmeticError, match="info 3"):
+        solve_tridiagonal(_dominant_system())
 
 
 def test_stable_dt_equilibrium_formula():
