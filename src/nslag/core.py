@@ -105,6 +105,15 @@ class Grid:
                                [0.5 * dx[-1]]))
 
     @cached_property
+    def dc(self):
+        """Center distances across faces 1..N.
+
+        m_i on interior faces, the last width h_{N-1} from the last center
+        to the far ghost's.
+        """
+        return np.concatenate((self.dm[1:-1], self.dx[-1:]))
+
+    @cached_property
     def far_windows(self):
         """Arrays of (first cell, cell count) of the far unit intervals."""
         counts = np.array(self.far_counts, dtype=int)

@@ -5,12 +5,18 @@ and decay the run reports check: the entropy-energy functional and its
 dissipation, field extrema and norms, positive-part maxima, running time
 integrals, unit-interval averages against the entropy band, and the probe
 machinery that reconstructs v from the wall-stress exponential.
+
+The functions a run calls every step write their temporaries in place and
+reduce with the ufuncs' reduce, the array methods' reduction without their
+Python wrapper; each keeps the operations and their order of the formula
+it states, so the floats are those of the formula.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -80,7 +86,8 @@ def energy_functional(s, grid, params):
     ent_v = s.v - np.log(s.v) - 1.0
     ent_th = s.theta - np.log(s.theta) - 1.0
     total = 0.5 * ubar * ubar + params.R * ent_v + params.cv * ent_th
-    return float(np.sum(grid.dx * total))
+    total *= grid.dx
+    return float(total.sum())
 
 
 def dissipation_functional(s, grid, params, ux=None):
@@ -93,14 +100,29 @@ def dissipation_functional(s, grid, params, ux=None):
     """
     h = grid.dx
     m = grid.dm[1:-1]
+    v, th = s.v, s.theta
     if ux is None:
         ux = strain_rate(s.u, h)
-    cell = params.mu * ux * ux / (s.v * s.theta)
-    thf = 0.5 * (s.theta[:-1] + s.theta[1:])
-    vf = 0.5 * (s.v[:-1] + s.v[1:])
-    dth = (s.theta[1:] - s.theta[:-1]) / m
-    face = params.kappa * thf ** params.beta * dth * dth / (vf * thf * thf)
-    return float(np.sum(h * cell)) + float(np.sum(m * face))
+    # cell = mu*ux*ux/(v*th) and face = kappa*thf**beta*dth*dth/(vf*thf*thf)
+    cell = params.mu * ux
+    cell *= ux
+    cell /= v * th
+    cell *= h
+    thf = np.add(th[:-1], th[1:])
+    thf *= 0.5
+    vf = np.add(v[:-1], v[1:])
+    vf *= 0.5
+    dth = np.subtract(th[1:], th[:-1])
+    dth /= m
+    face = thf ** params.beta
+    face *= params.kappa
+    face *= dth
+    face *= dth
+    vf *= thf
+    vf *= thf
+    face /= vf
+    face *= m
+    return float(np.add.reduce(cell)) + float(np.add.reduce(face))
 
 
 def _trapezoid(cum, dt, before, after):
@@ -110,13 +132,15 @@ def _trapezoid(cum, dt, before, after):
 
 def _norm2(weights, x):
     # weighted discrete L2 norm sqrt(sum(w * x^2))
-    return math.sqrt(float(np.sum(weights * x * x)))
+    wx2 = weights * x
+    wx2 *= x
+    return math.sqrt(float(np.add.reduce(wx2)))
 
 
 def _pospart(theta, threshold):
     # max over cells of (theta - threshold)_+^2; the map is monotone in
     # theta, and so is each rounding, so the hottest cell gives it exactly
-    pos = max(float(theta.max()) - threshold, 0.0)
+    pos = max(float(np.maximum.reduce(theta)) - threshold, 0.0)
     return pos * pos
 
 
@@ -238,12 +262,15 @@ def unit_interval_averages(s, grid):
     n_int = grid.n_resolved // k
     m = n_int * k
     out = np.empty((n_int + len(grid.far_counts), 2))
-    out[:n_int, 0] = s.v[:m].reshape(n_int, k).mean(axis=1)
-    out[:n_int, 1] = s.theta[:m].reshape(n_int, k).mean(axis=1)
+    # window sums, then one division by k: what mean(axis=1) does
+    np.add.reduce(s.v[:m].reshape(n_int, k), axis=1, out=out[:n_int, 0])
+    np.add.reduce(s.theta[:m].reshape(n_int, k), axis=1, out=out[:n_int, 1])
+    out[:n_int] /= k
     if grid.far_counts:
         starts, counts = grid.far_windows
-        out[n_int:, 0] = np.add.reduceat(s.v, starts) / counts
-        out[n_int:, 1] = np.add.reduceat(s.theta, starts) / counts
+        np.divide(np.add.reduceat(s.v, starts), counts, out=out[n_int:, 0])
+        np.divide(np.add.reduceat(s.theta, starts), counts,
+                  out=out[n_int:, 1])
     return out
 
 
@@ -256,7 +283,9 @@ class ReprProbe:
     from the current state.  The running integral grows like e^{R t}, so
     the probe is meant for moderate horizons (R*t well below 700).  seg
     is the face range from face fi to the face right of the last probe
-    cell, jrel each probe cell's offset in it.
+    cell, jrel each probe cell's offset in it.  last is the state of the
+    last update, last_sigma its face stress and last_theta its probe-cell
+    temperatures: the next update starts from that state and reuses them.
     """
 
     i: int
@@ -271,7 +300,10 @@ class ReprProbe:
     t: float
     logY_series: list
     seg: slice
-    jrel: np.ndarray
+    jrel: tuple
+    last: object = None
+    last_sigma: float = 0.0
+    last_theta: np.ndarray = None
 
 
 def make_repr_probe(s0, grid, i, n_points=5):
@@ -295,30 +327,30 @@ def make_repr_probe(s0, grid, i, n_points=5):
     return ReprProbe(i=i, xs=xs, cells=cells, fi=fi, v0=v0, u0=s0.u.copy(),
                      D=v0.copy(), Y=1.0, I=np.zeros(n_points), t=s0.t,
                      logY_series=[(s0.t, 0.0)],
-                     seg=slice(fi, int(cells.max()) + 2), jrel=cells - fi)
+                     seg=slice(fi, int(cells.max()) + 2),
+                     jrel=tuple((cells - fi).tolist()))
 
 
 def _sigma_at_face(s, fi, h, params):
-    # face value of the cell stress: mean of the two adjacent cells, on
-    # scalars (array slices cost more than the arithmetic here)
-    def cell_sigma(j):
-        return cell_stress((s.u[j + 1] - s.u[j]) / h, s.theta[j], s.v[j],
-                           params)
-
-    return 0.5 * (cell_sigma(fi - 1) + cell_sigma(fi))
+    # face value of the cell stress: mean of the two adjacent cells, in
+    # Python floats (array slices cost more than the arithmetic here)
+    ul, um, ur = s.u[fi - 1:fi + 2].tolist()
+    thl, thr = s.theta[fi - 1:fi + 1].tolist()
+    vl, vr = s.v[fi - 1:fi + 1].tolist()
+    return 0.5 * (cell_stress((um - ul) / h, thl, vl, params)
+                  + cell_stress((ur - um) / h, thr, vr, params))
 
 
 def _probe_d(p, s, grid):
     # D(x, t) = v0(x) * exp(int_i^x (u - u0) dy), trapezoid over faces plus
-    # a half-cell tail from the last face to the cell center
+    # a half-cell tail from the last face to the cell center; the few
+    # values are summed in order in Python floats, as cumsum sums them
     h = grid.h
-    w = s.u[p.seg] - p.u0[p.seg]
-    cum = np.concatenate(
-        ([0.0], np.cumsum(0.5 * h * (w[:-1] + w[1:]))))
-    wl = w[p.jrel]
-    wr = w[p.jrel + 1]
-    tail = 0.25 * h * (1.5 * wl + 0.5 * wr)
-    return p.v0 * np.exp(cum[p.jrel] + tail)
+    w = (s.u[p.seg] - p.u0[p.seg]).tolist()
+    cum = [0.0, *accumulate([0.5 * h * (a + b) for a, b in zip(w, w[1:])])]
+    qh = 0.25 * h
+    return p.v0 * np.exp([cum[j] + qh * (1.5 * w[j] + 0.5 * w[j + 1])
+                          for j in p.jrel])
 
 
 def update_repr_probe(p, s, s_prev, dt, grid, params):
@@ -327,15 +359,23 @@ def update_repr_probe(p, s, s_prev, dt, grid, params):
     Y picks up exp(dt * sigma_mid) with the stress averaged over the two
     time levels.  The integral of theta/(D Y) treats theta/D as constant
     over the step and Y as the exact exponential of sigma_mid, which keeps
-    the rest-state reconstruction exact up to roundoff.
+    the rest-state reconstruction exact up to roundoff.  s_prev's stress
+    and temperatures are taken from the last update when s_prev is the
+    state it reached, and evaluated otherwise.
     """
     if dt == 0.0:
         return p
     h = grid.h
-    s_mid = 0.5 * (_sigma_at_face(s_prev, p.fi, h, params)
-                   + _sigma_at_face(s, p.fi, h, params))
+    if s_prev is p.last:
+        sigma_prev, theta_prev = p.last_sigma, p.last_theta
+    else:
+        sigma_prev = _sigma_at_face(s_prev, p.fi, h, params)
+        theta_prev = s_prev.theta[p.cells]
+    sigma = _sigma_at_face(s, p.fi, h, params)
+    theta = s.theta[p.cells]
+    s_mid = 0.5 * (sigma_prev + sigma)
     d_new = _probe_d(p, s, grid)
-    th_mid = 0.5 * (s_prev.theta[p.cells] + s.theta[p.cells])
+    th_mid = 0.5 * (theta_prev + theta)
     d_mid = 0.5 * (p.D + d_new)
     if s_mid == 0.0:
         growth = dt
@@ -346,6 +386,7 @@ def update_repr_probe(p, s, s_prev, dt, grid, params):
     p.D = d_new
     p.t = s.t
     p.logY_series.append((s.t, math.log(p.Y)))
+    p.last, p.last_sigma, p.last_theta = s, sigma, theta
     return p
 
 
@@ -357,7 +398,7 @@ def reconstruct_v(p, s, params):
     """
     v_rec = p.D * p.Y * (1.0 + params.R * p.I)
     v_act = s.v[p.cells]
-    rel = float(np.max(np.abs(v_rec - v_act) / v_act))
+    rel = float((np.abs(v_rec - v_act) / v_act).max())
     return v_rec, v_act, rel
 
 
@@ -393,15 +434,18 @@ def sample_bounds(s, grid, prev=None, pos_threshold=POSPART_THRESHOLD,
                                  g2_ux ** 2)
             cum_pospart = _trapezoid(prev.cum_pospart, dt, prev.pospart,
                                      pospart)
-    dvx = (v[1:] - v[:-1]) / mi
-    dthx = (th[1:] - th[:-1]) / mi
+    dvx = np.subtract(v[1:], v[:-1])
+    dvx /= mi
+    dthx = np.subtract(th[1:], th[:-1])
+    dthx /= mi
     vm1 = v - 1.0
     thm1 = th - 1.0
+    # one absolute value per field serves its inf-norm and the far field
+    avm1, athm1, au = np.abs(vm1), np.abs(thm1), np.abs(u)
 
     j = grid.farfield_start
-    farfield = max(float(np.max(np.abs(vm1[j:]))),
-                   float(np.max(np.abs(thm1[j:]))),
-                   float(np.max(np.abs(u[j:]))))
+    farfield = max(float(avm1[j:].max()), float(athm1[j:].max()),
+                   float(au[j:].max()))
 
     return BoundsRecord(
         t=s.t,
@@ -410,9 +454,9 @@ def sample_bounds(s, grid, prev=None, pos_threshold=POSPART_THRESHOLD,
         n2_vm1=_norm2(h, vm1),
         n2_u=_norm2(wface, u),
         n2_thm1=_norm2(h, thm1),
-        ninf_vm1=float(np.max(np.abs(vm1))),
-        ninf_u=float(np.max(np.abs(u))),
-        ninf_thm1=float(np.max(np.abs(thm1))),
+        ninf_vm1=float(avm1.max()),
+        ninf_u=float(au.max()),
+        ninf_thm1=float(athm1.max()),
         g2_vx=_norm2(mi, dvx),
         g2_ux=g2_ux,
         g2_thx=_norm2(mi, dthx),

@@ -22,25 +22,31 @@ def strain_rate(u, h):
     return (u[1:] - u[:-1]) / h
 
 
-def face_conductance(theta, v, params, h, theta_ghost=1.0, v_ghost=1.0):
+def face_conductance(theta, v, params, d, theta_ghost=1.0, v_ghost=1.0):
     """Conduction coefficients kappa*mean(theta**beta)/(d*mean(v)) on faces 0..N.
 
-    h is the cell width, one scalar or one per cell.  Interior face i
-    averages the two adjacent cells, whose centers lie d = (h[i-1] + h[i])/2
-    apart.  The wall face 0 stays adiabatic (conductance 0).  Face N pairs
-    the last cell with a ghost cell d = h[N-1] beyond its center;
-    physically the ghost holds the far-field values (1, 1), verification
-    runs override them.  The heat flux through a face is its conductance
-    times the temperature jump.
+    d is the distance between the centers on either side of faces 1..N:
+    one scalar, the width h of a uniform grid, or one per face, the grid's
+    dc.  Interior face i averages the two adjacent cells.  The wall face 0
+    stays adiabatic (conductance 0).  Face N pairs the last cell with a
+    ghost cell one width beyond its center; physically the ghost holds the
+    far-field values (1, 1), verification runs override them.  The heat
+    flux through a face is its conductance times the temperature jump.
     """
     kt, beta = params.kappa, params.beta
-    h = np.broadcast_to(h, theta.shape)
+    n = theta.size
     thb = theta ** beta
-    cond = np.zeros(theta.size + 1)
-    cond[1:-1] = 0.5 * kt * (thb[:-1] + thb[1:]) \
-        / (0.5 * (h[:-1] + h[1:]) * 0.5 * (v[:-1] + v[1:]))
-    cond[-1] = 0.5 * kt * (thb[-1] + theta_ghost ** beta) \
-        / (h[-1] * 0.5 * (v[-1] + v_ghost))
+    cond = np.empty(n + 1)
+    cond[0] = 0.0
+    num = cond[1:]
+    np.add(thb[:-1], thb[1:], out=num[:-1])
+    num[-1] = thb[-1] + theta_ghost ** beta
+    num *= 0.5 * kt
+    den = np.empty(n)
+    np.add(v[:-1], v[1:], out=den[:-1])
+    den[-1] = v[-1] + v_ghost
+    den *= d * 0.5
+    num /= den
     return cond
 
 

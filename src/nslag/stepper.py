@@ -13,6 +13,8 @@ floor are rejected and retried with a halved step.
 Each system is assembled in place into the three diagonals and the load
 that LAPACK's gtsv takes, and solve_tridiagonal hands them to gtsv
 directly, between a dominance check before and a residual check after.
+Reductions call the ufuncs' reduce: the array methods' reduction without
+their Python wrapper.
 """
 
 from __future__ import annotations
@@ -78,12 +80,20 @@ class TriDiag:
     rhs: np.ndarray
 
     def check_dominant(self):
+        """Raise ValueError, naming the least dominant row, unless every
+        row is strictly dominant.
+
+        Returns the scratch array the check used, one value per row, for
+        the caller to overwrite.
+        """
         gap = np.abs(self.diag)
-        gap -= np.abs(self.lower)
-        gap -= np.abs(self.upper)
-        if not gap.min() > 0.0:
+        work = np.abs(self.lower)
+        gap -= work
+        gap -= np.abs(self.upper, out=work)
+        if not np.minimum.reduce(gap) > 0.0:
             k = int(np.argmin(gap))
             raise ValueError(f"tridiagonal row {k} is not strictly dominant")
+        return work
 
 
 def solve_tridiagonal(sys):
@@ -91,22 +101,22 @@ def solve_tridiagonal(sys):
 
     gtsv eliminates with partial pivoting; the system's arrays are left
     untouched.  A nonzero gtsv info raises ArithmeticError, and so does a
-    residual above 1e-12 * (|rhs|_inf + |x|_inf); under dominance the
-    elimination is stable and neither can trip.
+    residual that is not at most 1e-12 * (|rhs|_inf + |x|_inf), a NaN
+    included; under dominance and finite data the elimination is stable
+    and neither can trip.
     """
-    sys.check_dominant()
+    work = sys.check_dominant()
     lower, diag, upper, rhs = sys.lower, sys.diag, sys.upper, sys.rhs
     _, _, _, x, info = dgtsv(lower[1:], diag, upper[:-1], rhs)
     if info != 0:
         raise ArithmeticError(f"tridiagonal solve failed: gtsv info {info}")
     res = diag * x
     res -= rhs
-    off = lower[1:] * x[:-1]
-    res[1:] += off
-    np.multiply(upper[:-1], x[1:], out=off)
-    res[:-1] += off
-    bound = 1e-12 * (np.abs(rhs).max() + np.abs(x).max())
-    if np.abs(res, out=res).max() > bound:
+    res[1:] += np.multiply(lower[1:], x[:-1], out=work[1:])
+    res[:-1] += np.multiply(upper[:-1], x[1:], out=work[:-1])
+    bound = 1e-12 * (np.maximum.reduce(np.abs(rhs, out=work))
+                     + np.maximum.reduce(np.abs(x, out=work)))
+    if not np.maximum.reduce(np.abs(res, out=res)) <= bound:
         raise ArithmeticError("tridiagonal solve lost accuracy")
     return x
 
@@ -119,16 +129,18 @@ def stable_dt(s, grid, params, ctl):
     implicit, so no parabolic restriction enters.  Never returns less
     than dt_min.
     """
-    c = np.sqrt(params.R * (1.0 + params.R / params.cv) * s.theta)
-    dt = float(np.min((ctl.cfl_hyp * grid.dx) * (s.v / c)))
-    return max(dt, ctl.dt_min)
+    c = params.R * (1.0 + params.R / params.cv) * s.theta
+    np.sqrt(c, out=c)
+    np.divide(s.v, c, out=c)
+    c *= ctl.cfl_hyp * grid.dx
+    return max(float(np.minimum.reduce(c)), ctl.dt_min)
 
 
 def _require_above(name, x, floor):
     # positivity and finiteness in two reductions: a NaN propagates into the
     # minimum, +inf shows in the maximum
-    lo = x.min()
-    if not (lo > floor and x.max() < np.inf):
+    lo = np.minimum.reduce(x)
+    if not (lo > floor and np.maximum.reduce(x) < np.inf):
         raise PositivityViolation(name, float(lo))
 
 
@@ -211,7 +223,8 @@ def step_imex(s, dt, grid, params, mms=None, floor=0.0):
         theta_ghost_old = float(mms.theta_exact(xg, s.t))
         theta_ghost_new = float(mms.theta_exact(xg, t1))
         v_ghost = float(mms.v_exact(xg, t1))
-    cond = face_conductance(thn, v1, params, h, theta_ghost_old, v_ghost)
+    cond = face_conductance(thn, v1, params, grid.dc, theta_ghost_old,
+                            v_ghost)
     # load2 = theta^n + dt*work/cv, work = (-R theta^n u_x + mu u_x^2)/v1
     load2 = -gas_r * thn
     load2 *= ux1

@@ -212,6 +212,63 @@ def test_probe_equilibrium_closed_form():
     assert relerr <= 1e-12
 
 
+def _probe_run_states():
+    grid = build_grid(50.0, 400)
+    params = Params(beta=1.5)
+    spec = ICSpec(kind="bump", amp_v=0.3, amp_u=0.3, amp_theta=0.3,
+                  center=12.5, width=1.0, floor=0.1)
+    s0 = make_initial_data(grid, spec)
+    states = [s0]
+    for _ in range(3):
+        prev = states[-1]
+        states.append(step_imex(prev, stable_dt(prev, grid, params,
+                                                StepControl()), grid, params))
+    return grid, params, states
+
+
+def _same_probe(p, q):
+    assert p.Y == q.Y
+    assert np.array_equal(p.I, q.I)
+    assert np.array_equal(p.D, q.D)
+    assert p.logY_series == q.logY_series
+
+
+def test_probe_reuses_last_state_bit_for_bit():
+    """An update whose previous state is the probe's last one reuses its
+    stress and temperatures; passing an equal copy instead makes it
+    evaluate them, with the same bits."""
+    grid, params, (s0, s1, s2, s3) = _probe_run_states()
+    p = make_repr_probe(s0, grid, 12)
+    q = make_repr_probe(s0, grid, 12)
+    for prev, new in ((s0, s1), (s1, s2), (s2, s3)):
+        update_repr_probe(p, new, prev, new.t - prev.t, grid, params)
+        update_repr_probe(q, new, prev.copy(), new.t - prev.t, grid, params)
+    _same_probe(p, q)
+    assert p.Y != 1.0
+
+
+def test_probe_recomputes_for_another_previous_state():
+    """Given a previous state that is not its last one, the update
+    evaluates that state, as a probe that never saw the last one does."""
+    grid, params, (s0, s1, s2, _) = _probe_run_states()
+    p = make_repr_probe(s0, grid, 12)
+    update_repr_probe(p, s1, s0, s1.t - s0.t, grid, params)
+    other = s1.copy()
+    other.theta = other.theta * 1.01
+    other.u = other.u + 1e-3
+    nxt = step_imex(other, s2.t - s1.t, grid, params)
+    fresh = make_repr_probe(s0, grid, 12)
+    fresh.Y, fresh.I, fresh.D = p.Y, p.I.copy(), p.D.copy()
+    fresh.logY_series = list(p.logY_series)
+    update_repr_probe(p, nxt, other, nxt.t - other.t, grid, params)
+    update_repr_probe(fresh, nxt, other, nxt.t - other.t, grid, params)
+    _same_probe(p, fresh)
+    stale = make_repr_probe(s0, grid, 12)
+    update_repr_probe(stale, s1, s0, s1.t - s0.t, grid, params)
+    update_repr_probe(stale, nxt, s1, nxt.t - s1.t, grid, params)
+    assert stale.Y != p.Y
+
+
 def test_probe_zero_dt_is_identity():
     grid = build_grid(50.0, 200)
     s = equilibrium_state(grid)

@@ -10,17 +10,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nslag import cli
+from nslag import cli, harness
 from nslag.cli import main as cli_main
 from nslag.core import ConfigError, ICSpec, Params, build_grid, \
     make_initial_data
-from nslag.diagnostics import sample_bounds, sample_energy
+from nslag.diagnostics import (make_repr_probe, reconstruct_v, sample_bounds,
+                               sample_energy, update_repr_probe)
 from nslag.harness import (CONFIG_KEYS, SERIES_COLUMNS, SERIES_HEADER,
                            THRESHOLDS, RunConfig, acceptance_suite,
                            config_from_dict, config_to_dict,
                            default_config, load_config, mms_convergence,
                            read_series, run_simulation, sweep, write_config,
                            write_series, write_snapshot)
+from nslag.model import MmsProfile
 from nslag.stepper import advance
 
 
@@ -249,8 +251,9 @@ def test_mms_requires_three_levels():
 def test_run_records_match_chained_samples(tmp_path, far_length, beta):
     """A run advances only the running integrals every step and fills the
     full records at sample times.  Its series must equal, bit for bit,
-    sample_energy and sample_bounds chained with prev= through every
-    accepted step, on a uniform and on a graded grid."""
+    sample_energy and sample_bounds chained with prev= and the probe
+    advanced by update_repr_probe through every accepted step, on a
+    uniform and on a graded grid."""
     cfg = _quick_cfg(tmp_path, n_cells=100, t_final=5.0,
                      far_length=far_length, params=Params(beta=beta))
     run_simulation(cfg)
@@ -259,10 +262,12 @@ def test_run_records_match_chained_samples(tmp_path, far_length, beta):
     grid = build_grid(cfg.length, cfg.n_cells, cfg.far_length)
     state = make_initial_data(grid, cfg.ic)
     chain = [sample_energy(state, grid, cfg.params), sample_bounds(state, grid)]
+    probe = make_repr_probe(state, grid, cfg.resolved_probe())
 
     def step(prev, new, dt):
         chain[0] = sample_energy(new, grid, cfg.params, prev=chain[0])
         chain[1] = sample_bounds(new, grid, prev=chain[1])
+        update_repr_probe(probe, new, prev, dt, grid, cfg.params)
 
     assert len(rows) == 11
     for k, row in enumerate(rows):
@@ -272,6 +277,26 @@ def test_run_records_match_chained_samples(tmp_path, far_length, beta):
         for rec in chain:
             for name, value in asdict(rec).items():
                 assert row[name] == value, (row["t"], name)
+        assert row["Y_probe"] == probe.Y, row["t"]
+        _, _, relerr = reconstruct_v(probe, state, cfg.params)
+        assert row["repr_relerr"] == relerr, row["t"]
+
+
+def test_mms_run_looks_up_step_imex_every_step(monkeypatch):
+    """The MMS study steps through the harness module's step_imex, so a
+    wrapper there sees each of its steps."""
+    calls = []
+    inner = harness.step_imex
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "step_imex", counted)
+    state, _ = harness._mms_run(40, 0.03, 0.1, MmsProfile(), Params())
+    assert state.t == 0.1
+    assert len(calls) == 4
+    assert sum(calls) == pytest.approx(0.1, rel=1e-15)
 
 
 def test_cli_mms_reads_order_windows(monkeypatch, capsys):

@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -132,6 +133,39 @@ def test_heat_flux_antisymmetric_under_cell_swap(data):
     q = _heat_flux(State(0.0, v, th, np.zeros(n + 1)), grid, params)
     q2 = _heat_flux(State(0.0, v2, th2, np.zeros(n + 1)), grid, params)
     assert q2[i] == -q[i]
+
+
+def _width_conductance(theta, v, params, h, theta_ghost, v_ghost):
+    # the conductance written from the cell widths: the centers of cells
+    # i-1 and i lie (h[i-1] + h[i])/2 apart, the ghost's h[N-1] beyond
+    kt, beta = params.kappa, params.beta
+    h = np.broadcast_to(h, theta.shape)
+    thb = theta ** beta
+    cond = np.zeros(theta.size + 1)
+    cond[1:-1] = 0.5 * kt * (thb[:-1] + thb[1:]) \
+        / (0.5 * (h[:-1] + h[1:]) * 0.5 * (v[:-1] + v[1:]))
+    cond[-1] = 0.5 * kt * (thb[-1] + theta_ghost ** beta) \
+        / (h[-1] * 0.5 * (v[-1] + v_ghost))
+    return cond
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.5, 1.0, 2.5])
+@pytest.mark.parametrize("far_length", [None, 225.0])
+def test_conductance_geometry_matches_widths(beta, far_length):
+    """The grid's center distances give the same conductances, bit for
+    bit, as the widths they come from; so does a scalar width."""
+    grid = build_grid(50.0, 2000, far_length)
+    rng = np.random.default_rng(int(10 * beta))
+    params = Params(beta=beta, kappa=1.3)
+    for ghosts in ((1.0, 1.0), (1.7, 0.6)):
+        th = rng.uniform(0.2, 4.0, grid.n_cells)
+        v = rng.uniform(0.2, 4.0, grid.n_cells)
+        want = _width_conductance(th, v, params, grid.dx, *ghosts)
+        assert np.array_equal(face_conductance(th, v, params, grid.dc,
+                                               *ghosts), want)
+        if far_length is None:
+            assert np.array_equal(face_conductance(th, v, params, grid.h,
+                                                   *ghosts), want)
 
 
 def test_mms_sources_vanish_at_zero_amplitude():

@@ -91,6 +91,18 @@ def test_nonzero_gtsv_info_raises(monkeypatch):
         solve_tridiagonal(_dominant_system())
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("row", [0, 17, 39])
+def test_nonfinite_load_raises(bad, row):
+    """The residual guard fails closed: a NaN or an infinity in the load
+    makes max|res| <= bound false, and that must raise, not pass."""
+    sys = _dominant_system()
+    sys.rhs[row] = bad
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(ArithmeticError):
+            solve_tridiagonal(sys)
+
+
 def test_stable_dt_equilibrium_formula():
     grid = build_grid(50.0, 2000)
     ctl = StepControl(cfl_hyp=0.4)
@@ -266,6 +278,53 @@ def test_advance_underflow_raises_with_state():
         advance(s, 1.0, grid, Params(), ctl)
     assert err.value.state is not None
     assert err.value.dt < 1e-3
+
+
+def _counting_step_imex(monkeypatch, module):
+    # wrap step_imex at the name the caller looks up, as a profiler would
+    outcomes = []
+    inner = module.step_imex
+
+    def counted(*args, **kwargs):
+        try:
+            out = inner(*args, **kwargs)
+        except PositivityViolation:
+            outcomes.append("rejected")
+            raise
+        outcomes.append("accepted")
+        return out
+
+    monkeypatch.setattr(module, "step_imex", counted)
+    return outcomes
+
+
+def test_advance_looks_up_step_imex_every_step(monkeypatch):
+    """advance calls step_imex through the stepper module on every try, so
+    a wrapper there sees every accepted and every rejected step."""
+    outcomes = _counting_step_imex(monkeypatch, stepper)
+    grid = build_grid(50.0, 200)
+    spec = ICSpec(kind="bump", amp_v=0.2, amp_u=0.2, amp_theta=0.2,
+                  center=6.0, width=1.0, floor=0.1)
+    seen = []
+    advance(make_initial_data(grid, spec), 1.0, grid, Params(),
+            callbacks=(lambda prev, new, dt: seen.append(dt),))
+    assert len(seen) > 10
+    assert outcomes == ["accepted"] * len(seen)
+
+    # a compression near the floor: retries, some steps accepted, then
+    # underflow
+    outcomes.clear()
+    seen.clear()
+    grid = build_grid(12.0, 12)
+    s = equilibrium_state(grid)
+    s.v[:] = 1e-7
+    s.u = -10.0 * grid.faces()
+    s.u[-1] = 0.0
+    with pytest.raises(StepFailure):
+        advance(s, 1e-7, grid, Params(),
+                callbacks=(lambda prev, new, dt: seen.append(dt),))
+    assert outcomes.count("accepted") == len(seen) > 0
+    assert outcomes.count("rejected") > len(seen)
 
 
 def test_trajectories_deterministic():
