@@ -18,7 +18,7 @@ from .diagnostics import (BoundsRecord, EnergyRecord, JensenBand,
                           unit_interval_averages, update_repr_probe)
 from .harness import (RunConfig, RunReport, acceptance_suite, default_config,
                       load_config, mms_convergence, run_simulation, sweep,
-                      write_config, write_series, write_snapshot)
+                      write_config, write_snapshot)
 from .model import MmsProfile, cell_stress, face_conductance, mms_source
 from .stepper import (PositivityViolation, StepControl, StepFailure, TriDiag,
                       advance, solve_tridiagonal, stable_dt, step_imex)
@@ -35,7 +35,7 @@ __all__ = [
     "unit_interval_averages", "update_repr_probe",
     "RunConfig", "RunReport", "acceptance_suite", "default_config",
     "load_config", "mms_convergence", "run_simulation", "sweep",
-    "write_config", "write_series", "write_snapshot",
+    "write_config", "write_snapshot",
     "MmsProfile", "cell_stress", "face_conductance", "mms_source",
     "PositivityViolation", "StepControl", "StepFailure", "TriDiag",
     "advance", "solve_tridiagonal", "stable_dt", "step_imex",

@@ -26,6 +26,14 @@ def _load(args):
     return default_config()
 
 
+def _comma_list(text, convert, flag):
+    """Values of a comma-separated flag; a bad one is a ConfigError."""
+    try:
+        return [convert(x) for x in text.split(",") if x.strip()]
+    except ValueError:
+        raise ConfigError(f"{flag}: bad value in {text!r}") from None
+
+
 def _print_verdicts(verdicts):
     width = max(len(name) for name in verdicts)
     for name, v in verdicts.items():
@@ -45,7 +53,7 @@ def _cmd_run(args):
 
 def _cmd_sweep(args):
     cfg = _load(args)
-    betas = [float(b) for b in args.beta.split(",") if b.strip()]
+    betas = _comma_list(args.beta, float, "--beta")
     if not betas:
         raise ConfigError("--beta needs at least one value")
     reports = sweep(cfg, betas)
@@ -80,7 +88,7 @@ def _cmd_check(args):
     cfg = _load(args)
     criteria = None
     if args.criteria is not None:
-        criteria = [int(c) for c in args.criteria.split(",") if c.strip()]
+        criteria = _comma_list(args.criteria, int, "--criteria")
     report = acceptance_suite(cfg, criteria=criteria, out_path=args.out)
     if "warning" in report:
         print(f"warning: {report['warning']}")
@@ -143,7 +151,9 @@ def main(argv=None):
         print(f"diagnostics error: {exc}", file=sys.stderr)
         return 2
     except StepFailure as exc:
-        print(f"step failure at t = {exc.state.t}: {exc}", file=sys.stderr)
+        where = f"; state -> {exc.snapshot_path}" if exc.snapshot_path else ""
+        print(f"step failure at t = {exc.state.t}: {exc}{where}",
+              file=sys.stderr)
         return 1
 
 

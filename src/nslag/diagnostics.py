@@ -165,9 +165,10 @@ class RunningIntegrals:
 def running_integrals(s, grid, params, prev=None):
     """The integrands at the state's time, integrals advanced from prev.
 
-    This is what a run needs every step; sample_energy and sample_bounds
-    fill the full records from it at sample times.  All three integrands
-    share one evaluation of u_x.
+    The only place the time integrals advance: a run calls it every step,
+    and sample_energy and sample_bounds read the full records' integrands
+    and integrals from it at sample times.  All three integrands share one
+    evaluation of u_x.
     """
     ux = strain_rate(s.u, grid.dx)
     v = dissipation_functional(s, grid, params, ux)
@@ -183,20 +184,11 @@ def running_integrals(s, grid, params, prev=None):
         cum_pospart=_trapezoid(prev.cum_pospart, dt, prev.pospart, pospart))
 
 
-def sample_energy(s, grid, params, prev=None, running=None):
-    """EnergyRecord at the state's time.
-
-    V and cumV are taken from running, the RunningIntegrals at this state,
-    when given; otherwise V is evaluated and cumV advanced from prev by
-    trapezoid.
-    """
-    if running is not None:
-        v, cum = running.V, running.cumV
-    else:
-        v = dissipation_functional(s, grid, params)
-        cum = 0.0 if prev is None else _trapezoid(prev.cumV, s.t - prev.t,
-                                                  prev.V, v)
-    return EnergyRecord(s.t, energy_functional(s, grid, params), v, cum)
+def sample_energy(s, grid, params, running):
+    """EnergyRecord at the state's time; V and cumV are read from running,
+    the RunningIntegrals at this state."""
+    return EnergyRecord(s.t, energy_functional(s, grid, params), running.V,
+                        running.cumV)
 
 
 def _bisect(f, lo, hi):
@@ -402,13 +394,11 @@ def reconstruct_v(p, s, params):
     return v_rec, v_act, rel
 
 
-def sample_bounds(s, grid, prev=None, pos_threshold=POSPART_THRESHOLD,
-                  running=None):
-    """BoundsRecord at the state's time; running integrals advanced from prev.
+def sample_bounds(s, grid, running):
+    """BoundsRecord at the state's time.
 
-    With running, the RunningIntegrals at this state, g2_ux, pospart and
-    the two running integrals are taken from it instead (its pospart uses
-    POSPART_THRESHOLD).
+    g2_ux, pospart and the two running integrals are read from running,
+    the RunningIntegrals at this state.
 
     Gradient norms use one-sided differences at their natural stagger:
     v_x and theta_x on interior faces, u_x on cells; cells weigh h_j and
@@ -420,20 +410,6 @@ def sample_bounds(s, grid, prev=None, pos_threshold=POSPART_THRESHOLD,
     wface = grid.dm
     mi = wface[1:-1]
     v, th, u = s.v, s.theta, s.u
-    if running is not None:
-        g2_ux, pospart = running.g2_ux, running.pospart
-        cum_ux2, cum_pospart = running.cum_ux2, running.cum_pospart
-    else:
-        g2_ux = _norm2(h, strain_rate(u, h))
-        pospart = _pospart(th, pos_threshold)
-        if prev is None:
-            cum_ux2 = cum_pospart = 0.0
-        else:
-            dt = s.t - prev.t
-            cum_ux2 = _trapezoid(prev.cum_ux2, dt, prev.g2_ux ** 2,
-                                 g2_ux ** 2)
-            cum_pospart = _trapezoid(prev.cum_pospart, dt, prev.pospart,
-                                     pospart)
     dvx = np.subtract(v[1:], v[:-1])
     dvx /= mi
     dthx = np.subtract(th[1:], th[:-1])
@@ -458,11 +434,11 @@ def sample_bounds(s, grid, prev=None, pos_threshold=POSPART_THRESHOLD,
         ninf_u=float(au.max()),
         ninf_thm1=float(athm1.max()),
         g2_vx=_norm2(mi, dvx),
-        g2_ux=g2_ux,
+        g2_ux=running.g2_ux,
         g2_thx=_norm2(mi, dthx),
-        pospart=pospart,
-        cum_ux2=cum_ux2,
-        cum_pospart=cum_pospart,
+        pospart=running.pospart,
+        cum_ux2=running.cum_ux2,
+        cum_pospart=running.cum_pospart,
         farfield_dev=farfield,
     )
 

@@ -14,17 +14,17 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from operator import attrgetter
 
 import numpy as np
 
 from .core import ConfigError, ICSpec, Params, build_grid, make_initial_data
-from .diagnostics import (_ZERO_NORM, decay_report,
-                          dissipation_functional, energy_functional,
-                          entropy_roots, make_repr_probe, reconstruct_v,
-                          running_integrals, sample_bounds, sample_energy,
-                          unit_interval_averages, update_repr_probe)
+from .diagnostics import (_ratio, decay_report, dissipation_functional,
+                          energy_functional, entropy_roots, make_repr_probe,
+                          reconstruct_v, running_integrals, sample_bounds,
+                          sample_energy, unit_interval_averages,
+                          update_repr_probe)
 from .model import MmsProfile
 from .stepper import (StepControl, StepFailure, TriDiag, advance,
                       solve_tridiagonal, stable_dt, step_imex)
@@ -73,7 +73,6 @@ class RunConfig:
     probe_interval: int | None = None   # None: floor(length/4)
     series_path: str = "series.csv"
     report_path: str = "report.json"
-    snapshot_times: tuple = ()
 
     def resolved_probe(self):
         if self.probe_interval is None:
@@ -206,27 +205,15 @@ def _series_writer(fh):
     """Write the series header to fh; return a function writing one row.
 
     A row is a dict keyed by the schema columns; floats are written in
-    shortest round-trip form.
+    shortest round-trip form, and each row is flushed as it is written.
     """
     fh.write(SERIES_HEADER + "\n")
 
     def write_row(row):
         fh.write(",".join(_fmt(row[c]) for c in SERIES_COLUMNS) + "\n")
+        fh.flush()
 
     return write_row
-
-
-def write_series(rows, path):
-    """Write sample rows (dicts keyed by the schema columns) as CSV.
-
-    Rows must be nonempty.
-    """
-    if not rows:
-        raise ValueError("write_series needs at least one row")
-    with open(path, "w", encoding="utf-8") as fh:
-        write_row = _series_writer(fh)
-        for row in rows:
-            write_row(row)
 
 
 def read_series(path):
@@ -272,66 +259,105 @@ class RunReport:
         return all(v["pass"] for v in self.verdicts.values())
 
     def to_dict(self):
-        return {
-            "config": self.config,
-            "verdicts": self.verdicts,
-            "decay": self.decay,
-            "e0": self.e0,
-            "alpha1": self.alpha1,
-            "alpha2": self.alpha2,
-            "n_steps": self.n_steps,
-            "wall_seconds": self.wall_seconds,
-            "all_pass": self.all_pass,
-        }
+        return {**asdict(self), "all_pass": self.all_pass}
 
 
-def _verdict(passed, measured, threshold, note=None):
-    out = {"pass": bool(passed), "measured": measured, "threshold": threshold}
-    if note:
-        out["note"] = note
-    return out
+def _verdict(passed, measured, threshold):
+    return {"pass": bool(passed), "measured": measured, "threshold": threshold}
+
+
+def _at_most(measured, limit):
+    return _verdict(measured <= limit, measured, limit)
+
+
+def _ratio_at_most(ratio, limit):
+    # a ratio from diagnostics._ratio; of its labels only "identically
+    # zero" passes
+    if isinstance(ratio, str):
+        return _verdict(ratio == "identically zero", ratio, limit)
+    return _at_most(ratio, limit)
+
+
+def _run_verdicts(thr, band, decay, bounds_series, avg_min, avg_max,
+                  worst_repr):
+    """The ten run verdicts in report order, each with pass, measured value
+    and threshold.
+
+    band is the entropy band of E(0), decay the decay_report of the run,
+    avg_min and avg_max the extremes of its unit-interval averages and
+    worst_repr its largest reconstruction error.
+    """
+    slack = thr["jensen_slack"]
+    excursion = max(band.alpha1 - slack - avg_min,
+                    avg_max - band.alpha2 - slack)
+    # combined L2 norm of the three gradients, first and last sample
+    g_first, g_last = (math.sqrt(b.g2_vx ** 2 + b.g2_ux ** 2 + b.g2_thx ** 2)
+                       for b in (bounds_series[0], bounds_series[-1]))
+    slope = decay["y_slope"]
+    min_field = min(min(b.vmin for b in bounds_series),
+                    min(b.thmin for b in bounds_series))
+    return {
+        "energy_inequality": _at_most(
+            decay["energy_margin"],
+            thr["energy_margin_rel"] * band.e0 + thr["energy_margin_abs"]),
+        "jensen_band": {**_at_most(excursion, 0.0), "note":
+                        f"alpha1 = {band.alpha1}, alpha2 = {band.alpha2}"},
+        "representation": _at_most(worst_repr, thr["repr_tol"]),
+        "y_slope": _verdict(slope is not None and slope < 0.0, slope, 0.0),
+        "decay_u": _ratio_at_most(decay["ratios"]["ninf_u"],
+                                  thr["uinf_ratio"]),
+        "decay_grad": _ratio_at_most(_ratio(g_first, g_last),
+                                     thr["grad_ratio"]),
+        "positivity": _verdict(min_field > 0.0, min_field, 0.0),
+        "stabilization": _at_most(max(decay["extremum_drift"].values()),
+                                  thr["drift_tol"]),
+        "plateaus": _at_most(max(decay["plateau"].values()),
+                             thr["plateau_frac"]),
+        "farfield": _at_most(max(b.farfield_dev for b in bounds_series),
+                             thr["farfield_tol"]),
+    }
 
 
 class _RunAccumulator:
     """Diagnostics state threaded through the advance callbacks.
 
-    Every step advances the running integrals and the probe; the full
-    energy and bounds records are filled only at sample times, from the
-    integrands the last step computed.
+    Every step advances the running integrals and the probe.  At sample
+    times record() fills the full energy and bounds records from the
+    integrands the last step computed, writes their series row and keeps
+    what the verdicts read.
     """
 
-    def __init__(self, state0, grid, params, probe_i):
+    def __init__(self, state0, grid, params, probe_i, write_row):
         self.grid = grid
         self.params = params
+        self.write_row = write_row
         self.running = running_integrals(state0, grid, params)
         self.probe = make_repr_probe(state0, grid, probe_i)
         self.n_steps = 0
+        self.energy, self.bounds = [], []
+        self.avg_min, self.avg_max = math.inf, -math.inf
+        self.worst_repr = 0.0
 
     def __call__(self, prev, new, dt):
         self.n_steps += 1
         self.running = running_integrals(new, self.grid, self.params,
-                                         prev=self.running)
+                                         self.running)
         update_repr_probe(self.probe, new, prev, dt, self.grid, self.params)
 
-    def sample(self, state):
-        """(EnergyRecord, BoundsRecord) at the state the last step reached."""
-        return (sample_energy(state, self.grid, self.params,
-                              running=self.running),
-                sample_bounds(state, self.grid, running=self.running))
-
-
-def _series_row(acc, state, e, b):
-    _, _, relerr = reconstruct_v(acc.probe, state, acc.params)
-    return {
-        "t": state.t, "E": e.E, "V": e.V, "cumV": e.cumV,
-        "vmin": b.vmin, "vmax": b.vmax, "thmin": b.thmin, "thmax": b.thmax,
-        "n2_vm1": b.n2_vm1, "n2_u": b.n2_u, "n2_thm1": b.n2_thm1,
-        "ninf_vm1": b.ninf_vm1, "ninf_u": b.ninf_u, "ninf_thm1": b.ninf_thm1,
-        "g2_vx": b.g2_vx, "g2_ux": b.g2_ux, "g2_thx": b.g2_thx,
-        "pospart": b.pospart, "cum_ux2": b.cum_ux2,
-        "cum_pospart": b.cum_pospart, "Y_probe": acc.probe.Y,
-        "repr_relerr": relerr, "farfield_dev": b.farfield_dev,
-    }
+    def record(self, state):
+        """Sample the state the last step reached and write its row."""
+        e = sample_energy(state, self.grid, self.params, self.running)
+        b = sample_bounds(state, self.grid, self.running)
+        self.energy.append(e)
+        self.bounds.append(b)
+        averages = unit_interval_averages(state, self.grid)
+        self.avg_min = min(self.avg_min, float(averages.min()))
+        self.avg_max = max(self.avg_max, float(averages.max()))
+        _, _, relerr = reconstruct_v(self.probe, state, self.params)
+        self.worst_repr = max(self.worst_repr, relerr)
+        # vars, not asdict: asdict deep-copies, and rows can be many
+        self.write_row({**vars(e), **vars(b), "Y_probe": self.probe.Y,
+                        "repr_relerr": relerr})
 
 
 def _sample_times(t_final, sample_dt):
@@ -362,28 +388,10 @@ def run_simulation(cfg, thresholds=None):
     params = cfg.params
     state = make_initial_data(grid, cfg.ic)
     band = entropy_roots(energy_functional(state, grid, params))
-    acc = _RunAccumulator(state, grid, params, cfg.resolved_probe())
-    energy, bounds = acc.sample(state)
-    bounds_series = [bounds]
-    energy_series = [energy]
-
-    avg_min, avg_max = math.inf, -math.inf
-
-    def track_averages(st):
-        nonlocal avg_min, avg_max
-        averages = unit_interval_averages(st, grid)
-        avg_min = min(avg_min, float(averages.min()))
-        avg_max = max(avg_max, float(averages.max()))
-
-    track_averages(state)
-    snapshots = sorted(set(cfg.snapshot_times))
-
     with open(cfg.series_path, "w", encoding="utf-8") as fh:
-        write_row = _series_writer(fh)
-        row = _series_row(acc, state, energy, bounds)
-        write_row(row)
-        fh.flush()
-        worst_repr = row["repr_relerr"]
+        acc = _RunAccumulator(state, grid, params, cfg.resolved_probe(),
+                              _series_writer(fh))
+        acc.record(state)
         for t_next in _sample_times(cfg.t_final, cfg.sample_dt):
             try:
                 state = advance(state, t_next, grid, params, cfg.ctl,
@@ -393,86 +401,15 @@ def run_simulation(cfg, thresholds=None):
                 write_snapshot(exc.state, grid, snap)
                 exc.snapshot_path = snap
                 raise
-            energy, bounds = acc.sample(state)
-            bounds_series.append(bounds)
-            energy_series.append(energy)
-            track_averages(state)
-            row = _series_row(acc, state, energy, bounds)
-            write_row(row)
-            fh.flush()
-            worst_repr = max(worst_repr, row["repr_relerr"])
-            while snapshots and snapshots[0] <= state.t:
-                t_snap = snapshots.pop(0)
-                write_snapshot(state, grid,
-                               f"{cfg.report_path}.snapshot_t{t_snap:g}.txt")
+            acc.record(state)
 
-    decay = decay_report(bounds_series, energy_series,
-                         logy=acc.probe.logY_series)
-    e0 = energy_series[0].E
-
-    verdicts = {}
-    margin = decay["energy_margin"]
-    verdicts["energy_inequality"] = _verdict(
-        margin <= thr["energy_margin_rel"] * e0 + thr["energy_margin_abs"],
-        margin, thr["energy_margin_rel"] * e0 + thr["energy_margin_abs"])
-
-    excursion = max(band.alpha1 - thr["jensen_slack"] - avg_min,
-                    avg_max - band.alpha2 - thr["jensen_slack"])
-    verdicts["jensen_band"] = _verdict(
-        excursion <= 0.0, excursion, 0.0,
-        note=f"alpha1 = {band.alpha1}, alpha2 = {band.alpha2}")
-
-    verdicts["representation"] = _verdict(
-        worst_repr <= thr["repr_tol"], worst_repr, thr["repr_tol"])
-
-    slope = decay["y_slope"]
-    verdicts["y_slope"] = _verdict(
-        slope is not None and slope < 0.0, slope, 0.0)
-
-    ru = decay["ratios"]["ninf_u"]
-    if isinstance(ru, str):
-        verdicts["decay_u"] = _verdict(ru == "identically zero", ru,
-                                       thr["uinf_ratio"])
-    else:
-        verdicts["decay_u"] = _verdict(ru <= thr["uinf_ratio"], ru,
-                                       thr["uinf_ratio"])
-
-    g_first = math.sqrt(bounds_series[0].g2_vx ** 2
-                        + bounds_series[0].g2_ux ** 2
-                        + bounds_series[0].g2_thx ** 2)
-    g_last = math.sqrt(bounds_series[-1].g2_vx ** 2
-                       + bounds_series[-1].g2_ux ** 2
-                       + bounds_series[-1].g2_thx ** 2)
-    if g_first <= _ZERO_NORM:
-        verdicts["decay_grad"] = _verdict(
-            g_last <= _ZERO_NORM, "identically zero", thr["grad_ratio"])
-    else:
-        verdicts["decay_grad"] = _verdict(
-            g_last / g_first <= thr["grad_ratio"], g_last / g_first,
-            thr["grad_ratio"])
-
-    min_field = min(min(b.vmin for b in bounds_series),
-                    min(b.thmin for b in bounds_series))
-    verdicts["positivity"] = _verdict(min_field > 0.0, min_field, 0.0)
-
-    worst_drift = max(decay["extremum_drift"].values())
-    verdicts["stabilization"] = _verdict(
-        worst_drift <= thr["drift_tol"], worst_drift, thr["drift_tol"])
-
-    worst_plateau = max(decay["plateau"].values())
-    verdicts["plateaus"] = _verdict(
-        worst_plateau <= thr["plateau_frac"], worst_plateau,
-        thr["plateau_frac"])
-
-    worst_far = max(b.farfield_dev for b in bounds_series)
-    verdicts["farfield"] = _verdict(
-        worst_far <= thr["farfield_tol"], worst_far, thr["farfield_tol"])
-
+    decay = decay_report(acc.bounds, acc.energy, logy=acc.probe.logY_series)
     report = RunReport(
         config=config_to_dict(cfg),
-        verdicts=verdicts,
+        verdicts=_run_verdicts(thr, band, decay, acc.bounds, acc.avg_min,
+                               acc.avg_max, acc.worst_repr),
         decay=decay,
-        e0=e0,
+        e0=band.e0,
         alpha1=band.alpha1,
         alpha2=band.alpha2,
         n_steps=acc.n_steps,
@@ -587,7 +524,11 @@ def sweep(cfg, betas):
     """
     betas = sorted(set(float(b) for b in betas))
     cap = os.environ.get("NSLAG_THREADS")
-    workers = min(len(betas), int(cap) if cap else (os.cpu_count() or 1))
+    try:
+        workers = min(len(betas), int(cap) if cap else (os.cpu_count() or 1))
+    except ValueError:
+        raise ConfigError(
+            f"NSLAG_THREADS must be an integer, got {cap!r}") from None
     jobs = [(cfg, b) for b in betas]
     if workers <= 1:
         results = [_sweep_worker(job) for job in jobs]

@@ -27,24 +27,25 @@ from scipy.linalg.lapack import dgtsv
 from .core import ConfigError, State
 from .model import face_conductance, mms_source, strain_rate
 
+# an adaptive step is rejected when it leaves v or theta at or below this
+# floor, and retried with half the step at most MAX_RETRIES times
+POSITIVITY_FLOOR = 1e-8
+MAX_RETRIES = 20
+
 
 @dataclass(frozen=True)
 class StepControl:
-    """Step-size policy and positivity retry limits."""
+    """Step-size policy: acoustic CFL number and the smallest step."""
 
     cfl_hyp: float = 0.4
     dt_min: float = 1e-12
-    positivity_floor: float = 1e-8
-    max_retries: int = 20
 
     def __post_init__(self):
-        for name in ("cfl_hyp", "dt_min", "positivity_floor"):
+        for name in ("cfl_hyp", "dt_min"):
             if not getattr(self, name) > 0.0:
                 raise ConfigError(f"{name} must be positive")
         if self.cfl_hyp > 1.0:
             raise ConfigError("cfl_hyp must not exceed 1")
-        if self.max_retries < 1:
-            raise ConfigError("max_retries must be at least 1")
 
 
 class PositivityViolation(Exception):
@@ -63,6 +64,7 @@ class StepFailure(RuntimeError):
         super().__init__(msg)
         self.state = state
         self.dt = dt
+        self.snapshot_path = None   # set where the state is written out
 
 
 @dataclass
@@ -277,13 +279,13 @@ def advance(s, t_target, grid, params, ctl=None, callbacks=(), mms=None):
         while True:
             try:
                 new = step_imex(state, dt, grid, params, mms=mms,
-                                floor=ctl.positivity_floor)
+                                floor=POSITIVITY_FLOOR)
                 break
             except PositivityViolation as exc:
                 tries += 1
                 dt *= 0.5
                 hits_target = False
-                if tries > ctl.max_retries or dt < ctl.dt_min:
+                if tries > MAX_RETRIES or dt < ctl.dt_min:
                     raise StepFailure(
                         f"step size underflowed at t = {state.t} ({exc})",
                         state, dt) from exc

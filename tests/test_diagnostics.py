@@ -8,11 +8,13 @@ from hypothesis import strategies as st
 from nslag.core import ConfigError, DomainError, Grid, ICSpec, Params, \
     State, build_grid, equilibrium_state, make_initial_data
 from nslag.diagnostics import (POSPART_THRESHOLD, DiagnosticsError,
-                               BoundsRecord, EnergyRecord, decay_report,
-                               dissipation_functional, energy_functional,
-                               entropy_roots, make_repr_probe, reconstruct_v,
-                               sample_bounds, sample_energy,
-                               unit_interval_averages, update_repr_probe)
+                               BoundsRecord, EnergyRecord, _pospart,
+                               decay_report, dissipation_functional,
+                               energy_functional, entropy_roots,
+                               make_repr_probe, reconstruct_v,
+                               running_integrals, sample_bounds,
+                               sample_energy, unit_interval_averages,
+                               update_repr_probe)
 from nslag.stepper import StepControl, advance, stable_dt, step_imex
 from oracles import (fsum_bounds, fsum_dissipation, fsum_energy,
                      mp_entropy_roots, reference_state)
@@ -88,11 +90,14 @@ def test_dissipation_matches_fsum_oracle():
 
 def test_sample_energy_trapezoid_accumulation():
     s, grid = _ref_state_and_grid()
-    first = sample_energy(s, grid, REF_PARAMS)
+    run0 = running_integrals(s, grid, REF_PARAMS)
+    first = sample_energy(s, grid, REF_PARAMS, run0)
     assert first.cumV == 0.0
+    assert first.V == dissipation_functional(s, grid, REF_PARAMS)
     later = s.copy()
     later.t = 0.5
-    second = sample_energy(later, grid, REF_PARAMS, prev=first)
+    second = sample_energy(later, grid, REF_PARAMS,
+                           running_integrals(later, grid, REF_PARAMS, run0))
     assert abs(second.cumV - 0.5 * 0.5 * (first.V + second.V)) <= 1e-15
 
 
@@ -308,7 +313,8 @@ def test_probe_tracks_evolved_run():
 
 def test_bounds_equilibrium():
     grid = build_grid(10.0, 40)
-    b = sample_bounds(equilibrium_state(grid), grid)
+    s = equilibrium_state(grid)
+    b = sample_bounds(s, grid, running_integrals(s, grid, Params()))
     assert (b.vmin, b.vmax, b.thmin, b.thmax) == (1.0, 1.0, 1.0, 1.0)
     for name in ("n2_vm1", "n2_u", "n2_thm1", "ninf_vm1", "ninf_u",
                  "ninf_thm1", "g2_vx", "g2_ux", "g2_thx", "pospart",
@@ -320,7 +326,8 @@ def test_bounds_positive_part_literal():
     grid = build_grid(10.0, 40)
     s = equilibrium_state(grid)
     s.theta[:] = 2.0
-    assert sample_bounds(s, grid).pospart == 0.25
+    running = running_integrals(s, grid, Params())
+    assert sample_bounds(s, grid, running).pospart == 0.25
     assert POSPART_THRESHOLD == 1.5
 
 
@@ -333,13 +340,13 @@ def test_pospart_equals_elementwise_maximum(seed, threshold):
     s = equilibrium_state(grid)
     s.theta = np.random.default_rng(seed).uniform(0.2, 4.0, grid.n_cells)
     pos = np.maximum(s.theta - threshold, 0.0)
-    got = sample_bounds(s, grid, pos_threshold=threshold).pospart
+    got = _pospart(s.theta, threshold)
     assert got == float(np.max(pos * pos))
 
 
 def test_bounds_match_fsum_oracle():
     s, grid = _ref_state_and_grid()
-    b = sample_bounds(s, grid)
+    b = sample_bounds(s, grid, running_integrals(s, grid, REF_PARAMS))
     oracle = fsum_bounds(s.v, s.theta, s.u, grid.h)
     for name, want in oracle.items():
         assert abs(getattr(b, name) - want) <= 1e-12, name
@@ -347,12 +354,14 @@ def test_bounds_match_fsum_oracle():
 
 def test_bounds_running_integrals_trapezoid():
     s, grid = _ref_state_and_grid()
-    first = sample_bounds(s, grid)
+    run0 = running_integrals(s, grid, REF_PARAMS)
+    first = sample_bounds(s, grid, run0)
     assert first.cum_ux2 == 0.0 and first.cum_pospart == 0.0
     later = s.copy()
     later.t = 0.25
     later.theta = s.theta + 1.0     # lifts pospart above zero
-    second = sample_bounds(later, grid, prev=first)
+    second = sample_bounds(later, grid,
+                           running_integrals(later, grid, REF_PARAMS, run0))
     want_ux2 = 0.5 * 0.25 * (first.g2_ux ** 2 + second.g2_ux ** 2)
     want_pp = 0.5 * 0.25 * (first.pospart + second.pospart)
     assert abs(second.cum_ux2 - want_ux2) <= 1e-15
@@ -398,14 +407,16 @@ def test_decay_report_equilibrium_trajectory():
     params = Params(R=2.0)
     s = equilibrium_state(grid)
     p = make_repr_probe(s, grid, 3)
-    series = [sample_bounds(s, grid)]
-    energy = [sample_energy(s, grid, params)]
+    running = running_integrals(s, grid, params)
+    series = [sample_bounds(s, grid, running)]
+    energy = [sample_energy(s, grid, params, running)]
     state = s
     for _ in range(12):
         nxt = advance(state, state.t + 1.0, grid, params)
         update_repr_probe(p, nxt, state, nxt.t - state.t, grid, params)
-        series.append(sample_bounds(nxt, grid, prev=series[-1]))
-        energy.append(sample_energy(nxt, grid, params, prev=energy[-1]))
+        running = running_integrals(nxt, grid, params, running)
+        series.append(sample_bounds(nxt, grid, running))
+        energy.append(sample_energy(nxt, grid, params, running))
         state = nxt
     rep = decay_report(series, energy, logy=p.logY_series)
     for name, ratio in rep["ratios"].items():
@@ -433,10 +444,12 @@ def _energy_margin(n_cells):
     spec = ICSpec(kind="bump", amp_v=0.3, amp_u=0.3, amp_theta=0.3,
                   center=6.0, width=1.0, floor=0.1)
     s = make_initial_data(grid, spec)
-    recs = [sample_energy(s, grid, params)]
+    running = [running_integrals(s, grid, params)]
+    recs = [sample_energy(s, grid, params, running[0])]
 
     def cb(prev, new, dt):
-        recs.append(sample_energy(new, grid, params, prev=recs[-1]))
+        running[0] = running_integrals(new, grid, params, running[0])
+        recs.append(sample_energy(new, grid, params, running[0]))
 
     advance(s, 10.0, grid, params, StepControl(), callbacks=(cb,))
     e0 = recs[0].E

@@ -1,9 +1,12 @@
+import ast
+import importlib
 import json
 import math
 import os
 import subprocess
 import sys
 from dataclasses import asdict, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,16 +17,19 @@ from nslag import cli, harness
 from nslag.cli import main as cli_main
 from nslag.core import ConfigError, ICSpec, Params, build_grid, \
     make_initial_data
-from nslag.diagnostics import (make_repr_probe, reconstruct_v, sample_bounds,
+from nslag.diagnostics import (BoundsRecord, EnergyRecord, JensenBand,
+                               decay_report, dissipation_functional,
+                               make_repr_probe, reconstruct_v,
+                               running_integrals, sample_bounds,
                                sample_energy, update_repr_probe)
 from nslag.harness import (CONFIG_KEYS, SERIES_COLUMNS, SERIES_HEADER,
                            THRESHOLDS, RunConfig, acceptance_suite,
                            config_from_dict, config_to_dict,
                            default_config, load_config, mms_convergence,
                            read_series, run_simulation, sweep, write_config,
-                           write_series, write_snapshot)
+                           write_snapshot)
 from nslag.model import MmsProfile
-from nslag.stepper import advance
+from nslag.stepper import StepFailure, advance
 
 
 def _quick_cfg(tmp_path, **kw):
@@ -157,17 +163,15 @@ def test_write_series_round_trip(tmp_path):
                                          rng.standard_normal(23))}
             for _ in range(4)]
     path = tmp_path / "series.csv"
-    write_series(rows, str(path))
+    with open(path, "w", encoding="utf-8") as fh:
+        write_row = harness._series_writer(fh)
+        for row in rows:
+            write_row(row)
     lines = path.read_text().splitlines()
     assert lines[0] == SERIES_HEADER
     assert len(lines) == 5
     back = read_series(str(path))
     assert back == rows
-
-
-def test_write_series_rejects_empty(tmp_path):
-    with pytest.raises(ValueError):
-        write_series([], str(tmp_path / "none.csv"))
 
 
 def test_snapshot_blocks(tmp_path):
@@ -251,9 +255,10 @@ def test_mms_requires_three_levels():
 def test_run_records_match_chained_samples(tmp_path, far_length, beta):
     """A run advances only the running integrals every step and fills the
     full records at sample times.  Its series must equal, bit for bit,
-    sample_energy and sample_bounds chained with prev= and the probe
-    advanced by update_repr_probe through every accepted step, on a
-    uniform and on a graded grid."""
+    running_integrals chained through every accepted step, sample_energy
+    and sample_bounds read from it at the sample times, and the probe
+    advanced by update_repr_probe, on a uniform and on a graded grid.  The
+    chained dissipation must equal a fresh evaluation at every sample."""
     cfg = _quick_cfg(tmp_path, n_cells=100, t_final=5.0,
                      far_length=far_length, params=Params(beta=beta))
     run_simulation(cfg)
@@ -261,12 +266,11 @@ def test_run_records_match_chained_samples(tmp_path, far_length, beta):
 
     grid = build_grid(cfg.length, cfg.n_cells, cfg.far_length)
     state = make_initial_data(grid, cfg.ic)
-    chain = [sample_energy(state, grid, cfg.params), sample_bounds(state, grid)]
+    running = [running_integrals(state, grid, cfg.params)]
     probe = make_repr_probe(state, grid, cfg.resolved_probe())
 
     def step(prev, new, dt):
-        chain[0] = sample_energy(new, grid, cfg.params, prev=chain[0])
-        chain[1] = sample_bounds(new, grid, prev=chain[1])
+        running[0] = running_integrals(new, grid, cfg.params, running[0])
         update_repr_probe(probe, new, prev, dt, grid, cfg.params)
 
     assert len(rows) == 11
@@ -274,12 +278,57 @@ def test_run_records_match_chained_samples(tmp_path, far_length, beta):
         if k:
             state = advance(state, row["t"], grid, cfg.params, cfg.ctl,
                             callbacks=(step,))
-        for rec in chain:
+        assert running[0].V == dissipation_functional(state, grid,
+                                                      cfg.params), row["t"]
+        for rec in (sample_energy(state, grid, cfg.params, running[0]),
+                    sample_bounds(state, grid, running[0])):
             for name, value in asdict(rec).items():
                 assert row[name] == value, (row["t"], name)
         assert row["Y_probe"] == probe.Y, row["t"]
         _, _, relerr = reconstruct_v(probe, state, cfg.params)
         assert row["repr_relerr"] == relerr, row["t"]
+
+
+def _verdict_records(first, last):
+    # eleven samples over [0, 10]: ninf_u and each gradient norm read
+    # first at t = 0 and last after it; everything else is at rest
+    series = [BoundsRecord(
+        t=float(k), vmin=1.0, vmax=1.0, thmin=1.0, thmax=1.0,
+        n2_vm1=0.0, n2_u=0.0, n2_thm1=0.0, ninf_vm1=0.0,
+        ninf_u=x, ninf_thm1=0.0, g2_vx=x, g2_ux=x, g2_thx=x, pospart=0.0,
+        cum_ux2=0.0, cum_pospart=0.0, farfield_dev=0.0)
+        for k, x in enumerate([first] + [last] * 10)]
+    energy = [EnergyRecord(t=rec.t, E=0.0, V=0.0, cumV=0.0)
+              for rec in series]
+    return series, decay_report(series, energy)
+
+
+@pytest.mark.parametrize("first, last, measured, passed", [
+    (0.0, 0.0, "identically zero", True),
+    (0.0, 0.5, "undefined (initial zero)", False),
+    (1.0, 0.05, 0.05, True),
+    (1.0, 0.5, 0.5, False),
+])
+def test_run_verdicts_decay_ratios(first, last, measured, passed):
+    """decay_u and decay_grad label a zero initial norm the same way: a
+    final norm that is zero too passes as "identically zero", any other
+    fails as "undefined (initial zero)"; otherwise the ratio is judged."""
+    series, decay = _verdict_records(first, last)
+    verdicts = harness._run_verdicts(THRESHOLDS, JensenBand(0.0, 1.0, 1.0),
+                                     decay, series, 1.0, 1.0, 0.0)
+    assert list(verdicts) == [
+        "energy_inequality", "jensen_band", "representation", "y_slope",
+        "decay_u", "decay_grad", "positivity", "stabilization", "plateaus",
+        "farfield"]
+    for name, limit in (("decay_u", THRESHOLDS["uinf_ratio"]),
+                        ("decay_grad", THRESHOLDS["grad_ratio"])):
+        v = verdicts[name]
+        assert v["pass"] is passed, name
+        assert v["threshold"] == limit, name
+        if isinstance(measured, str):
+            assert v["measured"] == measured, name
+        else:
+            assert v["measured"] == pytest.approx(measured, rel=1e-12), name
 
 
 def test_mms_run_looks_up_step_imex_every_step(monkeypatch):
@@ -405,11 +454,8 @@ def test_cli_reports_diagnostics_error(tmp_path, capsys):
 def test_cli_sweep_aggregate(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("NSLAG_THREADS", "1")
     monkeypatch.chdir(tmp_path)
-    cfg_path = tmp_path / "q.cfg"
-    cfg_path.write_text(
-        "grid.cells = 100\nic.kind = equilibrium\nrun.t_final = 6\n"
-        f"out.series = {tmp_path}/s.csv\nout.report = {tmp_path}/r.json\n")
-    code = cli_main(["sweep", "--config", str(cfg_path), "--beta", "0.5,1",
+    code = cli_main(["sweep", "--config", _tiny_config_file(tmp_path),
+                     "--beta", "0.5,1",
                      "--out", str(tmp_path / "agg.json")])
     assert code == 0
     agg = json.loads((tmp_path / "agg.json").read_text())
@@ -431,3 +477,65 @@ def test_cli_entry_point_installed(tmp_path):
     assert proc.returncode == 0
     assert (config_to_dict(load_config(str(tmp_path / "d.cfg")))
             == config_to_dict(default_config()))
+
+
+def _tiny_config_file(tmp_path):
+    path = tmp_path / "tiny.cfg"
+    path.write_text(
+        "grid.cells = 100\nic.kind = equilibrium\nrun.t_final = 6\n"
+        f"out.series = {tmp_path}/s.csv\nout.report = {tmp_path}/r.json\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["check", "--criteria", "x"], "--criteria"),
+    (["check", "--criteria", "1,,2.5"], "--criteria"),
+    (["sweep", "--beta", "0.5,abc"], "--beta"),
+])
+def test_cli_bad_list_value_exit_two(tmp_path, capsys, argv, flag):
+    """A malformed comma list is a configuration error: exit 2, one line
+    naming the flag."""
+    code = cli_main(argv + ["--config", _tiny_config_file(tmp_path),
+                            "--out", str(tmp_path / "out.json")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and flag in err
+
+
+def test_cli_bad_thread_count_exit_two(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("NSLAG_THREADS", "two")
+    code = cli_main(["sweep", "--config", _tiny_config_file(tmp_path),
+                     "--beta", "0.5,1", "--out", str(tmp_path / "agg.json")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "NSLAG_THREADS" in err
+
+
+def test_cli_step_failure_names_snapshot(tmp_path, monkeypatch, capsys):
+    """A step failure exits 1 and names the snapshot of the failed state,
+    which the run wrote."""
+    def fail(state, t_target, *args, **kwargs):
+        raise StepFailure("step size underflowed", state, 1e-13)
+
+    monkeypatch.setattr(harness, "advance", fail)
+    assert cli_main(["run", "--config", _tiny_config_file(tmp_path)]) == 1
+    snap = f"{tmp_path}/r.json.failed_state.txt"
+    assert snap in capsys.readouterr().err
+    assert os.path.exists(snap)
+
+
+def test_benchmark_hook_names_resolve():
+    """Every (module, attribute) that the benchmark's span tracer wraps
+    resolves on nslag; the list is read from perfbench/spans.py, not
+    imported."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    targets = next(ast.literal_eval(node.value) for node in tree.body
+                   if isinstance(node, ast.Assign)
+                   and any(getattr(t, "id", None) == "TARGETS"
+                           for t in node.targets))
+    sites = [site for _, group in targets for site in group]
+    assert sites
+    for mod, attr in sites:
+        module = importlib.import_module(f"nslag.{mod}")
+        assert callable(getattr(module, attr, None)), (mod, attr)
