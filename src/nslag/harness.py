@@ -638,16 +638,15 @@ def _criterion_tridiag(suite):
     worst = 0.0
     for _ in range(20):
         n = 50
-        lower = rng.uniform(-1.0, 1.0, n)
-        upper = rng.uniform(-1.0, 1.0, n)
-        lower[0] = upper[-1] = 0.0
-        diag = np.abs(lower) + np.abs(upper) + rng.uniform(0.5, 2.0, n)
+        # symmetric, strictly dominant, positive diagonal: what the
+        # stepper assembles
+        off = rng.uniform(-1.0, 1.0, n - 1)
+        diag = rng.uniform(0.5, 2.0, n)
+        diag[:-1] += np.abs(off)
+        diag[1:] += np.abs(off)
         rhs = rng.uniform(-1.0, 1.0, n)
-        x = solve_tridiagonal(TriDiag(lower, diag, upper, rhs.copy()))
-        dense = np.zeros((n, n))
-        dense[np.arange(n), np.arange(n)] = diag
-        dense[np.arange(1, n), np.arange(n - 1)] = lower[1:]
-        dense[np.arange(n - 1), np.arange(1, n)] = upper[:-1]
+        x = solve_tridiagonal(TriDiag(diag, off, rhs))
+        dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
         worst = max(worst, float(np.max(np.abs(x - np.linalg.solve(dense, rhs)))))
     grid = build_grid(20.0, 200)
     s = _frozen_state(grid)

@@ -5,14 +5,20 @@ then solves a tridiagonal system for the new velocity (viscosity implicit
 on the fresh v, pressure gradient explicit at the old temperature), then a
 tridiagonal system for the new temperature (conduction implicit with face
 conductivities frozen at the old temperature, compression work and viscous
-heating explicit with the fresh strain rate).  Both matrices are strictly
-diagonally dominant for every positive state and step size, so the linear
-solves cannot break down.  Steps that drive v or theta to the positivity
-floor are rejected and retried with a halved step.
+heating explicit with the fresh strain rate).  Steps that drive v or theta
+to the positivity floor are rejected and retried with a halved step.
 
-Each system is assembled in place into the three diagonals and the load
-that LAPACK's gtsv takes, and solve_tridiagonal hands them to gtsv
-directly, between a dominance check before and a residual check after.
+Viscosity and conduction are in divergence form, so weighting each row by
+its control mass (dm_i/dt for a face velocity, cv*h_j/dt for a cell
+temperature) makes the matrix symmetric: two neighbours couple through the
+one cell (velocity) or face (temperature) coefficient between them.  Each
+diagonal is its weight plus its positive couplings, so both matrices are
+strictly diagonally dominant with a positive diagonal, hence symmetric
+positive definite, for every positive state and step size, and the linear
+solves cannot break down.  Each system is assembled into the diagonal,
+off-diagonal and load that LAPACK's ptsv takes (LDL^T, no pivoting), and
+solve_tridiagonal hands them to ptsv between a dominance check before and
+a residual check after.
 Reductions call the ufuncs' reduce: the array methods' reduction without
 their Python wrapper.
 """
@@ -22,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
+from scipy.linalg.lapack import dptsv
 
 from .core import ConfigError, State
 from .model import face_conductance, mms_source, strain_rate
@@ -66,56 +72,61 @@ class StepFailure(RuntimeError):
         self.dt = dt
         self.snapshot_path = None   # set where the state is written out
 
+    def __reduce__(self):
+        # args holds only the message; rebuild from all three, then restore
+        # the attributes (snapshot_path included) from __dict__
+        return type(self), (self.args[0], self.state, self.dt), self.__dict__
+
 
 @dataclass
 class TriDiag:
-    """Tridiagonal system; lower[k] multiplies x[k-1], upper[k] x[k+1].
+    """Symmetric tridiagonal system: diag[k], off[k] couples x[k] and x[k+1].
 
-    lower[0] and upper[-1] are structural zeros, so lower[1:], diag and
-    upper[:-1] are gtsv's dl, d and du.  Assembly must produce strict
-    diagonal dominance; solve_tridiagonal checks it.
+    These are ptsv's d and e.  Assembly must produce a positive diagonal
+    and strict diagonal dominance, hence a positive-definite matrix;
+    solve_tridiagonal checks it.
     """
 
-    lower: np.ndarray
     diag: np.ndarray
-    upper: np.ndarray
+    off: np.ndarray
     rhs: np.ndarray
 
     def check_dominant(self):
         """Raise ValueError, naming the least dominant row, unless every
-        row is strictly dominant.
+        row's diagonal exceeds the sum of its off-diagonal magnitudes.
 
-        Returns the scratch array the check used, one value per row, for
-        the caller to overwrite.
+        A non-positive diagonal fails.  Returns the scratch array the check
+        used, one value per row, for the caller to overwrite.
         """
-        gap = np.abs(self.diag)
-        work = np.abs(self.lower)
-        gap -= work
-        gap -= np.abs(self.upper, out=work)
+        gap = self.diag.copy()
+        mag = np.abs(self.off)
+        gap[:-1] -= mag
+        gap[1:] -= mag
         if not np.minimum.reduce(gap) > 0.0:
             k = int(np.argmin(gap))
             raise ValueError(f"tridiagonal row {k} is not strictly dominant")
-        return work
+        return gap
 
 
 def solve_tridiagonal(sys):
-    """Solve a strictly dominant tridiagonal system with LAPACK gtsv.
+    """Solve a symmetric strictly dominant tridiagonal system with LAPACK ptsv.
 
-    gtsv eliminates with partial pivoting; the system's arrays are left
-    untouched.  A nonzero gtsv info raises ArithmeticError, and so does a
+    ptsv factors LDL^T without pivoting; the system's arrays are left
+    untouched.  A nonzero ptsv info raises ArithmeticError, and so does a
     residual that is not at most 1e-12 * (|rhs|_inf + |x|_inf), a NaN
-    included; under dominance and finite data the elimination is stable
-    and neither can trip.
+    included; a positive diagonal and dominance make the matrix positive
+    definite, so under finite data neither can trip.
     """
     work = sys.check_dominant()
-    lower, diag, upper, rhs = sys.lower, sys.diag, sys.upper, sys.rhs
-    _, _, _, x, info = dgtsv(lower[1:], diag, upper[:-1], rhs)
+    diag, off, rhs = sys.diag, sys.off, sys.rhs
+    _, _, x, info = dptsv(diag, off, rhs)
     if info != 0:
-        raise ArithmeticError(f"tridiagonal solve failed: gtsv info {info}")
+        raise ArithmeticError(f"tridiagonal solve failed: ptsv info {info}")
     res = diag * x
     res -= rhs
-    res[1:] += np.multiply(lower[1:], x[:-1], out=work[1:])
-    res[:-1] += np.multiply(upper[:-1], x[1:], out=work[:-1])
+    band = work[:-1]
+    res[:-1] += np.multiply(off, x[1:], out=band)
+    res[1:] += np.multiply(off, x[:-1], out=band)
     bound = 1e-12 * (np.maximum.reduce(np.abs(rhs, out=work))
                      + np.maximum.reduce(np.abs(x, out=work)))
     if not np.maximum.reduce(np.abs(res, out=res)) <= bound:
@@ -150,10 +161,10 @@ def step_imex(s, dt, grid, params, mms=None, floor=0.0):
     """One first-order step of size dt; raises PositivityViolation on failure.
 
     Update order v -> u -> theta, each substep on the freshest fields.  In
-    verification mode (mms set) the two velocity rows are pinned to exact
-    traces, the far ghost takes exact values and the forcing enters the
-    loads: Sv at the old time (forward part), Su and Stheta at the new time
-    (backward parts).
+    verification mode (mms set) both end velocities are exact traces and
+    leave the velocity system, the far ghost takes exact values and the
+    forcing enters the loads: Sv at the old time (forward part), Su and
+    Stheta at the new time (backward parts).
     """
     if not dt > 0.0:
         raise ConfigError(f"step size must be positive, got {dt}")
@@ -171,51 +182,48 @@ def step_imex(s, dt, grid, params, mms=None, floor=0.0):
         v1 += dt * sv
     _require_above("v", v1, floor)
 
-    # velocity solve: viscosity implicit on v1, pressure explicit at theta^n;
-    # face rows are divided by their control mass, a half cell at the wall;
-    # rows 1..n-1 are written in place; (-r)*a is -(r*a) exactly
+    # velocity solve: viscosity implicit on v1, pressure explicit at theta^n.
+    # Row i, weighted by its control mass w_i = dm_i/dt, with a = mu/(h v1):
+    #   (w_i + a_{i-1} + a_i) u_i - a_{i-1} u_{i-1} - a_i u_{i+1}
+    #       = w_i u_i - (pe_i - pe_{i-1});
+    # the wall row has no a_{-1} and pe_{-1} = R (prescribed stress -R), and
+    # the pinned u[n] = 0 drops out of the last row
     a = h * v1
     np.divide(mu, a, out=a)
-    pe = gas_r * s.theta
-    pe /= v1
-    r = dt / grid.dm
-    ri = r[1:n]
-    nri = np.negative(ri)
-    lower = np.empty(n + 1)
-    diag = np.empty(n + 1)
-    upper = np.empty(n + 1)
-    load = np.empty(n + 1)
-    np.multiply(nri, a[:-1], out=lower[1:n])
-    np.multiply(nri, a[1:], out=upper[1:n])
-    d = diag[1:n]
-    np.add(a[:-1], a[1:], out=d)
-    d *= ri
-    d += 1.0
-    b = load[1:n]
-    np.subtract(pe[1:], pe[:-1], out=b)
-    b *= ri
-    np.subtract(s.u[1:n], b, out=b)
-    lower[0] = upper[n] = 0.0
-    # far-field row stays pinned: u[n] = 0, or its exact trace under mms
-    lower[n] = load[n] = 0.0
-    diag[n] = 1.0
+    pe = np.empty(n + 1)
+    pe[0] = gas_r
+    np.multiply(gas_r, s.theta, out=pe[1:])
+    pe[1:] /= v1
+    w = grid.dm[:n] / dt
+    load = s.u[:n] * w
+    load -= np.subtract(pe[1:], pe[:-1])
+    diag = w
+    diag += a
+    diag[1:] += a[:-1]
+    off = np.negative(a[:-1])
+    u1 = np.empty(n + 1)
     if mms is None:
-        # wall row: half-cell closure against the prescribed stress -R
-        ra = r[0] * a[0]
-        diag[0] = 1.0 + ra
-        upper[0] = -ra
-        load[0] = s.u[0] + r[0] * (gas_r - pe[0])
+        u1[n] = 0.0
+        u1[:n] = solve_tridiagonal(TriDiag(diag, off, load))
     else:
-        diag[0] = 1.0
-        upper[0] = 0.0
-        load[0] = float(mms.u_exact(0.0, t1))
-        load[n] = float(mms.u_exact(grid.far_length, t1))
+        # both end velocities are exact traces: rows 1..n-1 remain, and the
+        # couplings to the ends move into their loads
+        u1[0] = float(mms.u_exact(0.0, t1))
+        u1[n] = float(mms.u_exact(grid.far_length, t1))
         _, su, _ = mms_source(grid.faces(), t1, mms, params)
-        b += dt * su[1:n]
-    u1 = solve_tridiagonal(TriDiag(lower, diag, upper, load))
+        b = load[1:]
+        b += grid.dm[1:n] * su[1:n]
+        b[0] += a[0] * u1[0]
+        b[-1] += a[-1] * u1[n]
+        u1[1:n] = solve_tridiagonal(TriDiag(diag[1:], off[1:], b))
     ux1 = strain_rate(u1, h)
 
-    # temperature solve: conduction implicit, conductivities frozen at theta^n
+    # temperature solve: conduction implicit, conductivities c frozen at
+    # theta^n.  Row j, weighted by its heat capacity q_j = cv h_j/dt:
+    #   (q_j + c_j + c_{j+1}) th_j - c_j th_{j-1} - c_{j+1} th_{j+1}
+    #       = q_j th^n_j + h_j (mu u_x - R th^n) u_x / v1;
+    # c_0 = 0 at the adiabatic wall, and the far ghost's term moves to the
+    # last load
     thn = s.theta
     theta_ghost_old = 1.0
     theta_ghost_new = 1.0
@@ -227,32 +235,21 @@ def step_imex(s, dt, grid, params, mms=None, floor=0.0):
         v_ghost = float(mms.v_exact(xg, t1))
     cond = face_conductance(thn, v1, params, grid.dc, theta_ghost_old,
                             v_ghost)
-    # load2 = theta^n + dt*work/cv, work = (-R theta^n u_x + mu u_x^2)/v1
-    load2 = -gas_r * thn
+    q = h * (cv / dt)
+    load2 = mu * ux1
+    load2 -= gas_r * thn
     load2 *= ux1
-    heat = mu * ux1
-    heat *= ux1
-    load2 += heat
     load2 /= v1
-    load2 *= dt
-    load2 /= cv
-    load2 += thn
-    rr = cv * h
-    np.divide(dt, rr, out=rr)
-    nrr = np.negative(rr)
-    lower2 = np.empty(n)
-    upper2 = np.empty(n)
-    lower2[0] = upper2[-1] = 0.0
-    np.multiply(nrr[1:], cond[1:n], out=lower2[1:])
-    np.multiply(nrr[:-1], cond[1:n], out=upper2[:-1])
-    diag2 = np.add(cond[:n], cond[1:])
-    diag2 *= rr
-    diag2 += 1.0
-    load2[-1] += rr[-1] * cond[n] * theta_ghost_new
+    load2 *= h
+    load2 += q * thn
+    load2[-1] += cond[n] * theta_ghost_new
     if mms is not None:
         _, _, sth = mms_source(grid.centers(), t1, mms, params)
-        load2 += dt * sth
-    th1 = solve_tridiagonal(TriDiag(lower2, diag2, upper2, load2))
+        sth *= cv * h
+        load2 += sth
+    diag2 = np.add(cond[:n], cond[1:])
+    diag2 += q
+    th1 = solve_tridiagonal(TriDiag(diag2, np.negative(cond[1:n]), load2))
     _require_above("theta", th1, floor)
 
     return State(t1, v1, th1, u1)

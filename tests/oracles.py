@@ -48,6 +48,68 @@ def dense_solve(lower, diag, upper, rhs):
     return np.array(x)
 
 
+def dense_step(v, theta, u, h, dt, mu, kappa, beta, R, cv, forced=None):
+    """One implicit-explicit step, each system solved by dense_solve.
+
+    The rows are assembled one by one in the row-scaled form: a velocity
+    row divided by its control mass over dt, a temperature row by cv*h_j
+    over dt, the pinned end velocities kept as identity rows.  h holds the
+    cell widths.  forced, for a verification step, holds the forcing (sv
+    on cells at the old time, su on faces and sth on cells at the new
+    time), the exact end velocities u_wall and u_far and the far ghost's
+    theta_ghost_old, theta_ghost_new and v_ghost.  Returns (v1, u1, theta1).
+    """
+    f = forced or {}
+    n = len(v)
+    dm = [0.5 * h[0]] + [0.5 * (h[i - 1] + h[i]) for i in range(1, n)] \
+        + [0.5 * h[n - 1]]
+    v1 = [v[j] + dt * (u[j + 1] - u[j]) / h[j] for j in range(n)]
+    if forced is not None:
+        v1 = [v1[j] + dt * f["sv"][j] for j in range(n)]
+    a = [mu / (h[j] * v1[j]) for j in range(n)]
+    pe = [R * theta[j] / v1[j] for j in range(n)]
+
+    lower, diag, upper, rhs = [0.0] * (n + 1), [1.0] * (n + 1), \
+        [0.0] * (n + 1), [0.0] * (n + 1)
+    for i in range(1, n):
+        r = dt / dm[i]
+        lower[i], upper[i] = -r * a[i - 1], -r * a[i]
+        diag[i] = 1.0 + r * (a[i - 1] + a[i])
+        rhs[i] = u[i] - r * (pe[i] - pe[i - 1])
+        if forced is not None:
+            rhs[i] += dt * f["su"][i]
+    if forced is None:
+        r = dt / dm[0]
+        diag[0], upper[0] = 1.0 + r * a[0], -r * a[0]
+        rhs[0] = u[0] + r * (R - pe[0])
+    else:
+        rhs[0], rhs[n] = f["u_wall"], f["u_far"]
+    u1 = dense_solve(lower, diag, upper, rhs)
+
+    tg_old = f.get("theta_ghost_old", 1.0)
+    tg_new = f.get("theta_ghost_new", 1.0)
+    vg = f.get("v_ghost", 1.0)
+    cond = [0.0] * (n + 1)
+    for i in range(1, n + 1):
+        th_r, v_r, d = (theta[i], v1[i], 0.5 * (h[i - 1] + h[i])) if i < n \
+            else (tg_old, vg, h[n - 1])
+        cond[i] = (kappa * 0.5 * (theta[i - 1] ** beta + th_r ** beta)
+                   / (d * 0.5 * (v1[i - 1] + v_r)))
+    lower, diag, upper, rhs = [0.0] * n, [0.0] * n, [0.0] * n, [0.0] * n
+    for j in range(n):
+        r = dt / (cv * h[j])
+        ux = (u1[j + 1] - u1[j]) / h[j]
+        lower[j] = -r * cond[j]
+        upper[j] = -r * cond[j + 1]
+        diag[j] = 1.0 + r * (cond[j] + cond[j + 1])
+        rhs[j] = theta[j] + dt * (-R * theta[j] * ux + mu * ux * ux) \
+            / (v1[j] * cv)
+        if forced is not None:
+            rhs[j] += dt * f["sth"][j]
+    rhs[n - 1] += dt / (cv * h[n - 1]) * cond[n] * tg_new
+    return np.array(v1), u1, dense_solve(lower, diag, upper, rhs)
+
+
 def fsum_energy(v, theta, u, h, R, cv):
     terms = []
     for j in range(len(v) - 1, -1, -1):

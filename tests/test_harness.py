@@ -2,6 +2,7 @@ import ast
 import importlib
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -384,6 +385,25 @@ def test_sweep_order_independent(tmp_path, monkeypatch):
     monkeypatch.setenv("NSLAG_THREADS", "2")
     parallel = {b: strip(r) for b, r in sweep(cfg, [0.5, 1.0]).items()}
     assert serial == parallel
+
+
+def _fail_step(state, t_target, *args, **kwargs):
+    raise StepFailure("step size underflowed", state, 1e-13)
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="the patched advance reaches workers by fork")
+def test_parallel_sweep_step_failure_reaches_caller(tmp_path, monkeypatch):
+    """A worker's StepFailure crosses the process pool intact: the caller
+    gets the failure with its snapshot path, not BrokenProcessPool."""
+    cfg = _quick_cfg(tmp_path, n_cells=100, t_final=6.0)
+    monkeypatch.setattr(harness, "advance", _fail_step)
+    monkeypatch.setenv("NSLAG_THREADS", "2")
+    with pytest.raises(StepFailure) as err:
+        sweep(cfg, [1.0, 0.5])
+    snap = str(tmp_path / "report_beta0.5.json.failed_state.txt")
+    assert err.value.snapshot_path == snap and os.path.exists(snap)
+    assert err.value.dt == 1e-13 and err.value.state.t == 0.0
 
 
 def test_acceptance_empty_criteria_vacuous(tmp_path):

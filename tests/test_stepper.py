@@ -1,92 +1,97 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg.lapack import dgtsv
+from scipy.linalg.lapack import dptsv
 
 from nslag.core import ConfigError, ICSpec, Params, State, build_grid, \
     equilibrium_state, make_initial_data, validate_state
 from nslag import stepper
-from nslag.model import MmsProfile
+from nslag.model import MmsProfile, mms_source
 from nslag.stepper import (PositivityViolation, StepControl, StepFailure,
                            TriDiag, advance, solve_tridiagonal, stable_dt,
                            step_imex)
-from oracles import dense_solve
+from oracles import dense_solve, dense_step
 
 
-def _tridiag(lower, diag, upper, rhs):
-    return TriDiag(np.asarray(lower, float), np.asarray(diag, float),
-                   np.asarray(upper, float), np.asarray(rhs, float))
+def _tridiag(diag, off, rhs):
+    return TriDiag(np.asarray(diag, float), np.asarray(off, float),
+                   np.asarray(rhs, float))
+
+
+def _dominant_system(n=40, seed=3):
+    # symmetric, strictly dominant, positive diagonal: what step_imex builds
+    rng = np.random.default_rng(seed)
+    off = rng.uniform(-1, 1, n - 1)
+    diag = rng.uniform(0.5, 2.0, n)
+    diag[:-1] += np.abs(off)
+    diag[1:] += np.abs(off)
+    return _tridiag(diag, off, rng.uniform(-1, 1, n))
 
 
 def test_solve_identity():
     rhs = np.array([3.0, -1.0, 2.5])
-    sys = _tridiag([0, 0, 0], [1, 1, 1], [0, 0, 0], rhs)
+    sys = _tridiag([1, 1, 1], [0, 0], rhs)
     np.testing.assert_array_equal(solve_tridiagonal(sys), rhs)
 
 
 def test_solve_two_by_two():
-    sys = _tridiag([0, 1], [2, 2], [1, 0], [3, 3])
+    sys = _tridiag([2, 2], [1], [3, 3])
     np.testing.assert_allclose(solve_tridiagonal(sys), [1.0, 1.0],
                                rtol=1e-14)
 
 
 def test_solve_matches_dense_oracle():
-    rng = np.random.default_rng(42)
-    for _ in range(10):
-        n = 50
-        lower = rng.uniform(-1, 1, n)
-        upper = rng.uniform(-1, 1, n)
-        lower[0] = upper[-1] = 0.0
-        diag = np.abs(lower) + np.abs(upper) + rng.uniform(0.5, 2.0, n)
-        rhs = rng.uniform(-1, 1, n)
-        x = solve_tridiagonal(_tridiag(lower, diag, upper, rhs))
-        ref = dense_solve(lower, diag, upper, rhs)
+    for seed in range(10):
+        sys = _dominant_system(n=50, seed=seed)
+        x = solve_tridiagonal(sys)
+        # off is both bands: lower[0] and upper[-1] are unused
+        ref = dense_solve(np.concatenate(([0.0], sys.off)), sys.diag,
+                          np.concatenate((sys.off, [0.0])), sys.rhs)
         assert np.max(np.abs(x - ref)) <= 1e-10
 
 
 def test_dominance_check_names_offending_row():
-    sys = _tridiag([0, 2.0], [3.0, 1.0], [1.0, 0], [0, 0])
+    sys = _tridiag([3.0, 1.0], [2.0], [0, 0])
     with pytest.raises(ValueError, match="row 1"):
         sys.check_dominant()
 
 
-def _dominant_system(n=40, seed=3):
-    rng = np.random.default_rng(seed)
-    lower = rng.uniform(-1, 1, n)
-    upper = rng.uniform(-1, 1, n)
-    lower[0] = upper[-1] = 0.0
-    diag = np.abs(lower) + np.abs(upper) + rng.uniform(0.5, 2.0, n)
-    return _tridiag(lower, diag, upper, rng.uniform(-1, 1, n))
+def test_dominance_check_rejects_negative_diagonal():
+    """|diag| would dominate row 0, but ptsv needs a positive diagonal."""
+    sys = _tridiag([-5.0, 3.0], [1.0], [1.0, 1.0])
+    with pytest.raises(ValueError, match="row 0"):
+        solve_tridiagonal(sys)
 
 
 def test_solve_leaves_system_untouched():
     sys = _dominant_system()
-    before = [a.copy() for a in (sys.lower, sys.diag, sys.upper, sys.rhs)]
+    before = [a.copy() for a in (sys.diag, sys.off, sys.rhs)]
     solve_tridiagonal(sys)
-    for was, now in zip(before, (sys.lower, sys.diag, sys.upper, sys.rhs)):
+    for was, now in zip(before, (sys.diag, sys.off, sys.rhs)):
         assert np.array_equal(was, now)
 
 
 def test_residual_guard_catches_perturbed_solution(monkeypatch):
-    def perturbed(dl, d, du, b):
-        du2, d2, du_out, x, info = dgtsv(dl, d, du, b)
+    def perturbed(d, e, b):
+        d2, e2, x, info = dptsv(d, e, b)
         x[len(x) // 2] += 1e-6
-        return du2, d2, du_out, x, info
+        return d2, e2, x, info
 
-    monkeypatch.setattr(stepper, "dgtsv", perturbed)
+    monkeypatch.setattr(stepper, "dptsv", perturbed)
     with pytest.raises(ArithmeticError, match="lost accuracy"):
         solve_tridiagonal(_dominant_system())
 
 
-def test_nonzero_gtsv_info_raises(monkeypatch):
-    def failing(dl, d, du, b):
-        du2, d2, du_out, x, _ = dgtsv(dl, d, du, b)
-        return du2, d2, du_out, x, 3
+def test_nonzero_ptsv_info_raises(monkeypatch):
+    def failing(d, e, b):
+        d2, e2, x, _ = dptsv(d, e, b)
+        return d2, e2, x, 3
 
-    monkeypatch.setattr(stepper, "dgtsv", failing)
+    monkeypatch.setattr(stepper, "dptsv", failing)
     with pytest.raises(ArithmeticError, match="info 3"):
         solve_tridiagonal(_dominant_system())
 
@@ -160,6 +165,53 @@ def test_step_conduction_maximum_principle():
         assert np.array_equal(out.v, s.v)
         assert out.theta.max() <= max(s.theta.max(), 1.0) + 1e-13
         assert out.theta.min() >= min(s.theta.min(), 1.0) - 1e-13
+
+
+class _MovingEndsProfile(MmsProfile):
+    """The manufactured profile with both end velocities off zero, so their
+    couplings into the loads of rows 1 and n-1 show in a step."""
+
+    def u_exact(self, x, t):
+        return super().u_exact(x, t) + 0.05
+
+
+@pytest.mark.parametrize("forced", [False, True])
+@pytest.mark.parametrize("beta", [0.0, 0.5, 1.0, 2.5])
+@pytest.mark.parametrize("graded", [False, True])
+def test_step_matches_dense_row_scaled_oracle(graded, beta, forced):
+    """step_imex solves each system weighted by its control masses; the
+    dense reference assembles the same step row-scaled by dt over them.
+    The two agree to roundoff, so a wrong weight on any row, the wall and
+    far rows included, fails.  The graded grid has the default lengths
+    and far zone at a tenth of the cells."""
+    grid = (build_grid(50.0, 200, far_length=225.0) if graded
+            else build_grid(20.0, 80))
+    params = Params(beta=beta)
+    xc, xf = grid.centers(), grid.faces()
+    s = State(0.3, 1.0 + 0.3 * np.sin(xc), 1.1 + 0.2 * np.cos(xc),
+              0.25 * np.sin(3.0 * xf))
+    s.u[-1] = 0.0
+    dt = 0.05
+    t1 = s.t + dt
+    prof = data = None
+    if forced:
+        prof = _MovingEndsProfile(amp=0.1, length=grid.far_length)
+        xg = grid.far_length + 0.5 * grid.dx[-1]
+        data = {"sv": mms_source(xc, s.t, prof, params)[0].tolist(),
+                "su": mms_source(xf, t1, prof, params)[1].tolist(),
+                "sth": mms_source(xc, t1, prof, params)[2].tolist(),
+                "u_wall": float(prof.u_exact(0.0, t1)),
+                "u_far": float(prof.u_exact(grid.far_length, t1)),
+                "theta_ghost_old": float(prof.theta_exact(xg, s.t)),
+                "theta_ghost_new": float(prof.theta_exact(xg, t1)),
+                "v_ghost": float(prof.v_exact(xg, t1))}
+    out = step_imex(s, dt, grid, params, mms=prof)
+    refs = dense_step(s.v.tolist(), s.theta.tolist(), s.u.tolist(),
+                      grid.dx.tolist(), dt, params.mu, params.kappa, beta,
+                      params.R, params.cv, forced=data)
+    for got, ref in zip((out.v, out.u, out.theta), refs):
+        np.testing.assert_allclose(got, ref, rtol=1e-12,
+                                   atol=1e-12 * np.max(np.abs(ref)))
 
 
 def test_step_telescoping_volume_update():
@@ -278,6 +330,18 @@ def test_advance_underflow_raises_with_state():
         advance(s, 1.0, grid, Params(), ctl)
     assert err.value.state is not None
     assert err.value.dt < 1e-3
+
+
+def test_step_failure_survives_pickling():
+    """A sweep worker's failure is pickled back to the caller whole."""
+    grid = build_grid(12.0, 12)
+    exc = StepFailure("step size underflowed", equilibrium_state(grid), 1e-13)
+    exc.snapshot_path = "report.json.failed_state.txt"
+    back = pickle.loads(pickle.dumps(exc))
+    assert type(back) is StepFailure and str(back) == str(exc)
+    assert np.array_equal(back.state.v, exc.state.v) and back.state.t == 0.0
+    assert back.dt == 1e-13
+    assert back.snapshot_path == "report.json.failed_state.txt"
 
 
 def _counting_step_imex(monkeypatch, module):
