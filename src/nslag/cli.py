@@ -21,9 +21,7 @@ from .stepper import StepFailure
 
 
 def _load(args):
-    if args.config:
-        return load_config(args.config)
-    return default_config()
+    return load_config(args.config) if args.config else default_config()
 
 
 def _comma_list(text, convert, flag):

@@ -97,6 +97,13 @@ class Grid:
         return np.concatenate([np.full(self.n_resolved, self.h),
                                np.repeat(1.0 / counts, counts)])
 
+    def scaled_dx(self, factor):
+        """factor*dx, computed once per factor and kept with the grid."""
+        memo = self.__dict__.setdefault("_scaled_dx", {})
+        if factor not in memo:
+            memo[factor] = factor * self.dx
+        return memo[factor]
+
     @cached_property
     def dm(self):
         """Face control masses: (h_{i-1} + h_i)/2, half a cell at both ends."""

@@ -162,15 +162,15 @@ class RunningIntegrals:
     cum_pospart: float = 0.0
 
 
-def running_integrals(s, grid, params, prev=None):
+def running_integrals(s, grid, params, prev=None, ux=None):
     """The integrands at the state's time, integrals advanced from prev.
 
     The only place the time integrals advance: a run calls it every step,
     and sample_energy and sample_bounds read the full records' integrands
     and integrals from it at sample times.  All three integrands share one
-    evaluation of u_x.
+    u_x: ux, the state's strain rates, computed when not passed in.
     """
-    ux = strain_rate(s.u, grid.dx)
+    ux = strain_rate(s.u, grid.dx) if ux is None else ux
     v = dissipation_functional(s, grid, params, ux)
     g2_ux = _norm2(grid.dx, ux)
     pospart = _pospart(s.theta, POSPART_THRESHOLD)
@@ -519,8 +519,7 @@ def decay_report(series, energy, logy=None):
     if logy is not None:
         pts = [(t, ly) for t, ly in logy if t >= half]
         if len(pts) >= 2:
-            tt = np.array([p[0] for p in pts])
-            yy = np.array([p[1] for p in pts])
+            tt, yy = np.array(pts).T
             y_slope = float(np.polyfit(tt, yy, 1)[0])
 
     return {

@@ -19,13 +19,14 @@ from operator import attrgetter
 
 import numpy as np
 
-from .core import ConfigError, ICSpec, Params, build_grid, make_initial_data
+from .core import (ConfigError, ICSpec, Params, State, build_grid,
+                   equilibrium_state, make_initial_data)
 from .diagnostics import (_ratio, decay_report, dissipation_functional,
                           energy_functional, entropy_roots, make_repr_probe,
                           reconstruct_v, running_integrals, sample_bounds,
                           sample_energy, unit_interval_averages,
                           update_repr_probe)
-from .model import MmsProfile
+from .model import MmsProfile, strain_rate
 from .stepper import (StepControl, StepFailure, TriDiag, advance,
                       solve_tridiagonal, stable_dt, step_imex)
 
@@ -113,8 +114,8 @@ def default_config():
 
 
 def _validate_config(cfg):
-    if not cfg.t_final > 0.0:
-        raise ConfigError(f"run.t_final must be positive, got {cfg.t_final}")
+    if not 0.0 < cfg.t_final < math.inf:
+        raise ConfigError(f"run.t_final must be positive and finite, got {cfg.t_final}")
     if not cfg.sample_dt > 0.0:
         raise ConfigError(f"run.sample_dt must be positive, got {cfg.sample_dt}")
     if not cfg.length > 0.0:
@@ -319,29 +320,31 @@ def _run_verdicts(thr, band, decay, bounds_series, avg_min, avg_max,
 
 
 class _RunAccumulator:
-    """Diagnostics state threaded through the advance callbacks.
+    """Diagnostics state threaded through advance as its on_step.
 
-    Every step advances the running integrals and the probe.  At sample
-    times record() fills the full energy and bounds records from the
-    integrands the last step computed, writes their series row and keeps
-    what the verdicts read.
+    Every step advances the probe and the running integrals, on the strain
+    rate it handed on (ux keeps it for the next advance).  At sample times
+    record() fills the full energy and bounds records from the integrands
+    the last step computed, writes their row and keeps what verdicts read.
     """
 
     def __init__(self, state0, grid, params, probe_i, write_row):
         self.grid = grid
         self.params = params
         self.write_row = write_row
-        self.running = running_integrals(state0, grid, params)
+        self.ux = strain_rate(state0.u, grid.dx)
+        self.running = running_integrals(state0, grid, params, ux=self.ux)
         self.probe = make_repr_probe(state0, grid, probe_i)
         self.n_steps = 0
         self.energy, self.bounds = [], []
         self.avg_min, self.avg_max = math.inf, -math.inf
         self.worst_repr = 0.0
 
-    def __call__(self, prev, new, dt):
+    def __call__(self, prev, new, dt, ux):
         self.n_steps += 1
+        self.ux = ux
         self.running = running_integrals(new, self.grid, self.params,
-                                         self.running)
+                                         self.running, ux)
         update_repr_probe(self.probe, new, prev, dt, self.grid, self.params)
 
     def record(self, state):
@@ -379,9 +382,7 @@ def run_simulation(cfg, thresholds=None):
     re-raised after the offending state is written next to the report.
     """
     _validate_config(cfg)
-    thr = dict(THRESHOLDS)
-    if thresholds:
-        thr.update(thresholds)
+    thr = {**THRESHOLDS, **(thresholds or {})}
     wall0 = time.perf_counter()
 
     grid = build_grid(cfg.length, cfg.n_cells, cfg.far_length)
@@ -395,7 +396,7 @@ def run_simulation(cfg, thresholds=None):
         for t_next in _sample_times(cfg.t_final, cfg.sample_dt):
             try:
                 state = advance(state, t_next, grid, params, cfg.ctl,
-                                callbacks=(acc,))
+                                ux=acc.ux, on_step=acc)
             except StepFailure as exc:
                 snap = cfg.report_path + ".failed_state.txt"
                 write_snapshot(exc.state, grid, snap)
@@ -433,7 +434,6 @@ def _l2_distance(a, b, grid):
 
 
 def _mms_state(grid, prof, t):
-    from .core import State
     return State(t, np.asarray(prof.v_exact(grid.centers(), t)),
                  np.asarray(prof.theta_exact(grid.centers(), t)),
                  np.asarray(prof.u_exact(grid.faces(), t)))
@@ -441,11 +441,11 @@ def _mms_state(grid, prof, t):
 
 def _mms_run(n_cells, dt, t_end, prof, params):
     grid = build_grid(prof.length, n_cells)
-    state = _mms_state(grid, prof, 0.0)
+    state, ux = _mms_state(grid, prof, 0.0), None
     while state.t < t_end:
         step = min(dt, t_end - state.t)
         hits = step >= t_end - state.t
-        state = step_imex(state, step, grid, params, mms=prof)
+        state, ux = step_imex(state, step, grid, params, mms=prof, ux=ux)
         if hits:
             state.t = t_end
     return state, grid
@@ -460,8 +460,9 @@ def mms_convergence(levels=3, base_cells=100, amp=0.1, length=20.0,
     successive step halvings compared pairwise (Richardson differences at
     one grid cancel the spatial error exactly), giving the first-order rate.
     """
-    if levels < 3:
-        raise ConfigError(f"need at least 3 refinement levels, got {levels}")
+    if levels < 3 or base_cells < 4:
+        raise ConfigError(f"need at least 3 refinement levels and 4 base "
+                          f"cells, got {levels} and {base_cells}")
     if params is None:
         params = Params()
     prof = MmsProfile(amp=amp, length=length)
@@ -569,7 +570,6 @@ def _fsum_quadrature(s, grid, params):
 
 
 def _frozen_state(grid, seed=2024):
-    from .core import State
     rng = np.random.default_rng(seed)
     n = grid.n_cells
     v = 1.0 + 0.4 * np.sin(grid.centers()) + 0.05 * rng.standard_normal(n)
@@ -591,15 +591,13 @@ class _Suite:
 
 
 def _criterion_equilibrium(suite):
-    from .core import equilibrium_state
     grid = build_grid(50.0, 500)
-    params = Params()
-    ctl = StepControl()
-    state = equilibrium_state(grid)
+    params, ctl = Params(), StepControl()
+    state, ux = equilibrium_state(grid), None
     t0 = time.perf_counter()
     for _ in range(10_000):
         dt = stable_dt(state, grid, params, ctl)
-        state = step_imex(state, dt, grid, params)
+        state, ux = step_imex(state, dt, grid, params, ux=ux)
     seconds = time.perf_counter() - t0
     dev = max(float(np.max(np.abs(state.v - 1.0))),
               float(np.max(np.abs(state.theta - 1.0))),

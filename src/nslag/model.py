@@ -12,7 +12,9 @@ verification runs.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -41,12 +43,12 @@ def face_conductance(theta, v, params, d, theta_ghost=1.0, v_ghost=1.0):
     num = cond[1:]
     np.add(thb[:-1], thb[1:], out=num[:-1])
     num[-1] = thb[-1] + theta_ghost ** beta
-    num *= 0.5 * kt
+    num *= kt
     den = np.empty(n)
     np.add(v[:-1], v[1:], out=den[:-1])
     den[-1] = v[-1] + v_ghost
-    den *= d * 0.5
-    num /= den
+    den *= d
+    num /= den   # the means' halves cancel exactly: scaling by 1/2 is exact
     return cond
 
 
@@ -80,50 +82,58 @@ class MmsProfile:
     def theta_exact(self, x, t):
         return 1.0 + self.amp * math.exp(-t) * np.cos(2.0 * np.pi * np.asarray(x) / self.length)
 
-    def u_t(self, x, t):
-        return -self.amp * math.exp(-t) * np.sin(np.pi * np.asarray(x) / self.length)
+
+_Trig = namedtuple("_Trig", "c1 s1 c2 s2")   # cos, sin of pi x/L, 2 pi x/L
 
 
-def mms_source(x, t, prof, params):
+def _trig(x, prof):
+    k1, k2 = math.pi / prof.length, 2.0 * math.pi / prof.length
+    x = np.asarray(x, dtype=float)
+    return _Trig(np.cos(k1 * x), np.sin(k1 * x), np.cos(k2 * x), np.sin(k2 * x))
+
+
+@lru_cache(maxsize=8)
+def mms_tables(grid, prof):
+    """Read-only trig tables of prof at the grid's centers and faces, made
+    once per value of the frozen, hashable grid and profile."""
+    tables = _trig(grid.centers(), prof), _trig(grid.faces(), prof)
+    for arr in tables[0] + tables[1]:
+        arr.flags.writeable = False
+    return tables
+
+
+def mms_source(x, t, prof, params, term=None):
     """Forcing that makes the manufactured profile an exact solution.
 
-    Returns (Sv, Su, Stheta) at the points x: the time derivative of each
-    exact field minus the continuous operator applied to the exact fields,
-    with Stheta normalized to temperature-rate units (already divided by cv).
+    Returns (Sv, Su, Stheta) at the points x, or at their mms_tables entry:
+    the time derivative of each exact field minus the continuous operator
+    applied to the exact fields, Stheta divided by cv.  With term 0, 1 or
+    2 only that entry is evaluated and returned.
     """
-    a = prof.amp
-    length = prof.length
-    k1 = math.pi / length
-    k2 = 2.0 * math.pi / length
-    e = a * math.exp(-t)
-    x = np.asarray(x, dtype=float)
-    c1 = np.cos(k1 * x)
-    s1 = np.sin(k1 * x)
-    c2 = np.cos(k2 * x)
-    s2 = np.sin(k2 * x)
-
-    v = 1.0 + e * c1
-    v_x = -e * k1 * s1
-    v_t = -e * c1
-    u_x = e * k1 * c1
-    u_xx = -e * k1 * k1 * s1
-    u_t = -e * s1
-    th = 1.0 + e * c2
-    th_x = -e * k2 * s2
-    th_xx = -e * k2 * k2 * c2
-    th_t = -e * c2
-
+    tab = x if isinstance(x, _Trig) else _trig(x, prof)
+    if term is None:
+        return tuple(mms_source(tab, t, prof, params, k) for k in range(3))
+    c1, s1, c2, s2 = tab
+    k1, k2 = math.pi / prof.length, 2.0 * math.pi / prof.length
+    e = prof.amp * math.exp(-t)
     mu, kt, beta, gas_r, cv = params.mu, params.kappa, params.beta, params.R, params.cv
 
-    sv = v_t - u_x
-
-    p_x = gas_r * (th_x * v - th * v_x) / (v * v)
-    visc_x = mu * (u_xx * v - u_x * v_x) / (v * v)
-    su = u_t + p_x - visc_x
-
+    u_x = e * k1 * c1
+    if term == 0:
+        return -e * c1 - u_x   # v_t - u_x
+    v = 1.0 + e * c1
+    v_x = -e * k1 * s1
+    th = 1.0 + e * c2
+    th_x = -e * k2 * s2
+    if term == 1:
+        u_xx = -e * k1 * k1 * s1
+        u_t = -e * s1
+        p_x = gas_r * (th_x * v - th * v_x) / (v * v)
+        visc_x = mu * (u_xx * v - u_x * v_x) / (v * v)
+        return u_t + p_x - visc_x
+    th_xx = -e * k2 * k2 * c2
+    th_t = -e * c2
     kap = kt * th ** beta
     kap_x = kt * beta * th ** (beta - 1.0) * th_x
     flux_x = (kap_x * th_x + kap * th_xx) / v - kap * th_x * v_x / (v * v)
-    sth = th_t - (-gas_r * th * u_x / v + flux_x + mu * u_x * u_x / v) / cv
-
-    return sv, su, sth
+    return th_t - (-gas_r * th * u_x / v + flux_x + mu * u_x * u_x / v) / cv

@@ -5,7 +5,8 @@ then solves a tridiagonal system for the new velocity (viscosity implicit
 on the fresh v, pressure gradient explicit at the old temperature), then a
 tridiagonal system for the new temperature (conduction implicit with face
 conductivities frozen at the old temperature, compression work and viscous
-heating explicit with the fresh strain rate).  Steps that drive v or theta
+heating explicit with the fresh strain rate), which the step returns for
+the running integrals and the next step's v.  Steps that drive v or theta
 to the positivity floor are rejected and retried with a halved step.
 
 Viscosity and conduction are in divergence form, so weighting each row by
@@ -20,7 +21,9 @@ off-diagonal and load that LAPACK's ptsv takes (LDL^T, no pivoting), and
 solve_tridiagonal hands them to ptsv between a dominance check before and
 a residual check after.
 Reductions call the ufuncs' reduce: the array methods' reduction without
-their Python wrapper.
+their Python wrapper.  At 2210 cells a step costs about 339 us on a 2-vCPU
+KVM guest: each solve about 70, the rest of step_imex about 92, and under
+mms its three forcing terms about 28 each at c02's sizes (BENCH_8.json).
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ import numpy as np
 from scipy.linalg.lapack import dptsv
 
 from .core import ConfigError, State
-from .model import face_conductance, mms_source, strain_rate
+from .model import face_conductance, mms_source, mms_tables, strain_rate
 
 # an adaptive step is rejected when it leaves v or theta at or below this
 # floor, and retried with half the step at most MAX_RETRIES times
@@ -145,7 +148,7 @@ def stable_dt(s, grid, params, ctl):
     c = params.R * (1.0 + params.R / params.cv) * s.theta
     np.sqrt(c, out=c)
     np.divide(s.v, c, out=c)
-    c *= ctl.cfl_hyp * grid.dx
+    c *= grid.scaled_dx(ctl.cfl_hyp)
     return max(float(np.minimum.reduce(c)), ctl.dt_min)
 
 
@@ -157,14 +160,15 @@ def _require_above(name, x, floor):
         raise PositivityViolation(name, float(lo))
 
 
-def step_imex(s, dt, grid, params, mms=None, floor=0.0):
+def step_imex(s, dt, grid, params, mms=None, floor=0.0, ux=None):
     """One first-order step of size dt; raises PositivityViolation on failure.
 
     Update order v -> u -> theta, each substep on the freshest fields.  In
     verification mode (mms set) both end velocities are exact traces and
     leave the velocity system, the far ghost takes exact values and the
     forcing enters the loads: Sv at the old time (forward part), Su and
-    Stheta at the new time (backward parts).
+    Stheta at the new time (backward parts).  ux, the strain rate of s.u,
+    is computed when not passed in; returns the new state and its own.
     """
     if not dt > 0.0:
         raise ConfigError(f"step size must be positive, got {dt}")
@@ -173,13 +177,11 @@ def step_imex(s, dt, grid, params, mms=None, floor=0.0):
     mu, gas_r, cv = params.mu, params.R, params.cv
     t1 = s.t + dt
 
-    # v1 = v + dt*u_x, built in the strain rate's buffer
-    v1 = strain_rate(s.u, h)
-    v1 *= dt
+    v1 = np.multiply(strain_rate(s.u, h) if ux is None else ux, dt)
     v1 += s.v
     if mms is not None:
-        sv, _, _ = mms_source(grid.centers(), s.t, mms, params)
-        v1 += dt * sv
+        at_centers, at_faces = mms_tables(grid, mms)
+        v1 += dt * mms_source(at_centers, s.t, mms, params, 0)
     _require_above("v", v1, floor)
 
     # velocity solve: viscosity implicit on v1, pressure explicit at theta^n.
@@ -192,8 +194,8 @@ def step_imex(s, dt, grid, params, mms=None, floor=0.0):
     np.divide(mu, a, out=a)
     pe = np.empty(n + 1)
     pe[0] = gas_r
-    np.multiply(gas_r, s.theta, out=pe[1:])
-    pe[1:] /= v1
+    r_th = gas_r * s.theta   # shared with the temperature load
+    np.divide(r_th, v1, out=pe[1:])
     w = grid.dm[:n] / dt
     load = s.u[:n] * w
     load -= np.subtract(pe[1:], pe[:-1])
@@ -210,7 +212,7 @@ def step_imex(s, dt, grid, params, mms=None, floor=0.0):
         # couplings to the ends move into their loads
         u1[0] = float(mms.u_exact(0.0, t1))
         u1[n] = float(mms.u_exact(grid.far_length, t1))
-        _, su, _ = mms_source(grid.faces(), t1, mms, params)
+        su = mms_source(at_faces, t1, mms, params, 1)
         b = load[1:]
         b += grid.dm[1:n] * su[1:n]
         b[0] += a[0] * u1[0]
@@ -225,9 +227,7 @@ def step_imex(s, dt, grid, params, mms=None, floor=0.0):
     # c_0 = 0 at the adiabatic wall, and the far ghost's term moves to the
     # last load
     thn = s.theta
-    theta_ghost_old = 1.0
-    theta_ghost_new = 1.0
-    v_ghost = 1.0
+    theta_ghost_old = theta_ghost_new = v_ghost = 1.0
     if mms is not None:
         xg = grid.far_length + 0.5 * h[-1]
         theta_ghost_old = float(mms.theta_exact(xg, s.t))
@@ -237,14 +237,14 @@ def step_imex(s, dt, grid, params, mms=None, floor=0.0):
                             v_ghost)
     q = h * (cv / dt)
     load2 = mu * ux1
-    load2 -= gas_r * thn
+    load2 -= r_th
     load2 *= ux1
     load2 /= v1
     load2 *= h
     load2 += q * thn
     load2[-1] += cond[n] * theta_ghost_new
     if mms is not None:
-        _, _, sth = mms_source(grid.centers(), t1, mms, params)
+        sth = mms_source(at_centers, t1, mms, params, 2)
         sth *= cv * h
         load2 += sth
     diag2 = np.add(cond[:n], cond[1:])
@@ -252,16 +252,19 @@ def step_imex(s, dt, grid, params, mms=None, floor=0.0):
     th1 = solve_tridiagonal(TriDiag(diag2, np.negative(cond[1:n]), load2))
     _require_above("theta", th1, floor)
 
-    return State(t1, v1, th1, u1)
+    return State(t1, v1, th1, u1), ux1
 
 
-def advance(s, t_target, grid, params, ctl=None, callbacks=(), mms=None):
+def advance(s, t_target, grid, params, ctl=None, callbacks=(), mms=None,
+            ux=None, on_step=None):
     """March the state to t_target with adaptive steps and positivity retries.
 
     The last step is truncated to land on t_target exactly.  After every
-    accepted step each callback is invoked as cb(prev_state, new_state, dt);
-    callbacks must not mutate either state.  Step-size underflow during
-    retries raises StepFailure with the last good state attached.
+    accepted step each callback is invoked as cb(prev_state, new_state, dt),
+    then on_step as on_step(prev_state, new_state, dt, new_ux); none may
+    mutate its arguments.  ux, the strain rate of s.u, is computed when not
+    passed in; each step hands its own, new_ux, to the next.  Step-size
+    underflow raises StepFailure with the last good state attached.
     """
     if ctl is None:
         ctl = StepControl()
@@ -275,8 +278,8 @@ def advance(s, t_target, grid, params, ctl=None, callbacks=(), mms=None):
         tries = 0
         while True:
             try:
-                new = step_imex(state, dt, grid, params, mms=mms,
-                                floor=POSITIVITY_FLOOR)
+                new, new_ux = step_imex(state, dt, grid, params, mms=mms,
+                                        floor=POSITIVITY_FLOOR, ux=ux)
                 break
             except PositivityViolation as exc:
                 tries += 1
@@ -290,5 +293,7 @@ def advance(s, t_target, grid, params, ctl=None, callbacks=(), mms=None):
             new.t = t_target  # land exactly, no roundoff creep
         for cb in callbacks:
             cb(state, new, dt)
-        state = new
+        if on_step is not None:
+            on_step(state, new, dt, new_ux)
+        state, ux = new, new_ux
     return state

@@ -227,7 +227,7 @@ def _probe_run_states():
     for _ in range(3):
         prev = states[-1]
         states.append(step_imex(prev, stable_dt(prev, grid, params,
-                                                StepControl()), grid, params))
+                                                StepControl()), grid, params)[0])
     return grid, params, states
 
 
@@ -261,7 +261,7 @@ def test_probe_recomputes_for_another_previous_state():
     other = s1.copy()
     other.theta = other.theta * 1.01
     other.u = other.u + 1e-3
-    nxt = step_imex(other, s2.t - s1.t, grid, params)
+    nxt, _ = step_imex(other, s2.t - s1.t, grid, params)
     fresh = make_repr_probe(s0, grid, 12)
     fresh.Y, fresh.I, fresh.D = p.Y, p.I.copy(), p.D.copy()
     fresh.logY_series = list(p.logY_series)

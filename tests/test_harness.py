@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nslag import cli, harness
+from nslag import cli, diagnostics, harness, stepper
 from nslag.cli import main as cli_main
 from nslag.core import ConfigError, ICSpec, Params, build_grid, \
     make_initial_data
@@ -29,7 +29,7 @@ from nslag.harness import (CONFIG_KEYS, SERIES_COLUMNS, SERIES_HEADER,
                            default_config, load_config, mms_convergence,
                            read_series, run_simulation, sweep, write_config,
                            write_snapshot)
-from nslag.model import MmsProfile
+from nslag.model import MmsProfile, strain_rate
 from nslag.stepper import StepFailure, advance
 
 
@@ -116,6 +116,16 @@ def test_config_rejects_bad_far_length():
 def test_config_rejects_nonpositive_horizon():
     with pytest.raises(ConfigError, match=r"t_final"):
         config_from_dict({"run.t_final": 0.0})
+
+
+def test_config_rejects_infinite_horizon(tmp_path, capsys):
+    with pytest.raises(ConfigError, match=r"run\.t_final"):
+        config_from_dict({"run.t_final": math.inf})
+    cfg_path = tmp_path / "inf.cfg"
+    cfg_path.write_text("run.t_final = inf\n")
+    assert cli_main(["run", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "run.t_final" in err
 
 
 config_floats = st.floats(0.1, 10.0).filter(lambda x: x != 1.0)
@@ -249,6 +259,52 @@ def test_mms_zero_amplitude_is_exact():
 def test_mms_requires_three_levels():
     with pytest.raises(ConfigError):
         mms_convergence(levels=2)
+
+
+def test_cli_mms_rejects_too_few_cells(capsys):
+    assert cli_main(["mms", "--cells", "0"]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+
+
+def _short_default_cfg(tmp_path):
+    # the default run cut to its first time unit, ten samples after t = 0
+    return replace(default_config(), t_final=1.0, sample_dt=0.1,
+                   series_path=str(tmp_path / "series.csv"),
+                   report_path=str(tmp_path / "report.json"))
+
+
+def test_run_hands_step_strain_rate_to_running_integrals(tmp_path,
+                                                         monkeypatch):
+    """The running integrals get each state's strain rate handed in, bit
+    for bit the strain rate of its velocity."""
+    seen = []
+    inner = harness.running_integrals
+
+    def checked(s, grid, params, prev=None, ux=None):
+        seen.append(ux is not None and ux.tobytes()
+                    == strain_rate(s.u, grid.dx).tobytes())
+        return inner(s, grid, params, prev, ux)
+
+    monkeypatch.setattr(harness, "running_integrals", checked)
+    report = run_simulation(_short_default_cfg(tmp_path))
+    assert report.n_steps > 100
+    assert seen == [True] * (report.n_steps + 1)
+
+
+def test_run_evaluates_strain_rate_once_per_step(tmp_path, monkeypatch):
+    """One strain rate per accepted step, plus the initial state's: the
+    step's own reaches the running integrals and the next step."""
+    calls = []
+
+    def counted(u, h):
+        calls.append(h)
+        return strain_rate(u, h)
+
+    for module in (stepper, diagnostics, harness):
+        monkeypatch.setattr(module, "strain_rate", counted)
+    report = run_simulation(_short_default_cfg(tmp_path))
+    assert report.n_steps > 100
+    assert len(calls) == report.n_steps + 1
 
 
 @pytest.mark.parametrize("far_length", [50.0, 225.0])
@@ -487,6 +543,18 @@ def test_cli_check_subset_exit_zero(tmp_path, capsys):
     assert cli_main(["check", "--criteria", "10",
                      "--out", str(tmp_path / "a.json")]) == 0
     assert "c10_oracle_agreement" in capsys.readouterr().out
+
+
+def test_python_m_nslag_runs_the_cli(tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "nslag", "write-config",
+         str(tmp_path / "d.cfg")],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    assert (config_to_dict(load_config(str(tmp_path / "d.cfg")))
+            == config_to_dict(default_config()))
 
 
 def test_cli_entry_point_installed(tmp_path):

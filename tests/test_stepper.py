@@ -10,7 +10,7 @@ from scipy.linalg.lapack import dptsv
 from nslag.core import ConfigError, ICSpec, Params, State, build_grid, \
     equilibrium_state, make_initial_data, validate_state
 from nslag import stepper
-from nslag.model import MmsProfile, mms_source
+from nslag.model import MmsProfile, mms_source, mms_tables, strain_rate
 from nslag.stepper import (PositivityViolation, StepControl, StepFailure,
                            TriDiag, advance, solve_tridiagonal, stable_dt,
                            step_imex)
@@ -141,7 +141,7 @@ def test_step_preserves_equilibrium():
     params = Params(R=1.4, cv=1.6, beta=2.0)
     s = equilibrium_state(grid)
     for dt in (1e-4, 1e-2, 0.5):
-        out = step_imex(s, dt, grid, params)
+        out, _ = step_imex(s, dt, grid, params)
         assert np.max(np.abs(out.v - 1.0)) <= 1e-14
         assert np.max(np.abs(out.theta - 1.0)) <= 1e-14
         assert np.max(np.abs(out.u)) <= 1e-14
@@ -160,7 +160,7 @@ def test_step_conduction_maximum_principle():
     prof = 1.0 + 0.8 * np.exp(-((xc - 8.0) / 2.0) ** 2)
     s = State(0.0, prof.copy(), prof.copy(), np.zeros(161))
     for dt in (0.01, 0.3, 5.0):
-        out = step_imex(s, dt, grid, params)
+        out, _ = step_imex(s, dt, grid, params)
         assert np.array_equal(out.u, np.zeros(161))
         assert np.array_equal(out.v, s.v)
         assert out.theta.max() <= max(s.theta.max(), 1.0) + 1e-13
@@ -173,6 +173,53 @@ class _MovingEndsProfile(MmsProfile):
 
     def u_exact(self, x, t):
         return super().u_exact(x, t) + 0.05
+
+
+@pytest.mark.parametrize("profile", [MmsProfile, _MovingEndsProfile])
+@pytest.mark.parametrize("beta", [0.5, 1.0, 2.5])
+@pytest.mark.parametrize("graded", [False, True])
+def test_mms_source_terms_match_full_tuple(graded, beta, profile):
+    """Each forcing term evaluated alone on the grid's cached tables is bit
+    for bit the matching entry of the three-term tuple at the points."""
+    grid = (build_grid(50.0, 200, far_length=225.0) if graded
+            else build_grid(20.0, 80))
+    prof = profile(amp=0.1, length=grid.far_length)
+    params = Params(beta=beta)
+    at_centers, at_faces = mms_tables(grid, prof)
+    for tables, x in ((at_centers, grid.centers()), (at_faces, grid.faces())):
+        for t in (0.0, 0.37):
+            full = mms_source(x, t, prof, params)
+            for k in range(3):
+                alone = mms_source(tables, t, prof, params, k)
+                assert alone.tobytes() == full[k].tobytes(), (k, t)
+
+
+def test_mms_tables_cached_by_value():
+    """Equal grids and profiles built apart share one read-only entry."""
+    tables = mms_tables(build_grid(20.0, 80), MmsProfile(amp=0.2))
+    assert mms_tables(build_grid(20.0, 80), MmsProfile(amp=0.2)) is tables
+    assert mms_tables(build_grid(20.0, 80), MmsProfile(amp=0.3)) is not tables
+    assert not any(arr.flags.writeable for part in tables for arr in part)
+
+
+def test_step_hands_on_its_strain_rate():
+    """step_imex returns the strain rate of the new velocity bit for bit;
+    fed back as ux it gives the same step and is left unchanged."""
+    grid = build_grid(50.0, 200, far_length=225.0)
+    spec = ICSpec(kind="bump", amp_v=0.2, amp_u=0.2, amp_theta=0.2,
+                  center=6.0, width=1.0, floor=0.1)
+    s = make_initial_data(grid, spec)
+    params = Params(beta=2.5)
+    dt = stable_dt(s, grid, params, StepControl())
+    out, ux1 = step_imex(s, dt, grid, params)
+    assert ux1.tobytes() == strain_rate(out.u, grid.dx).tobytes()
+    ux0 = strain_rate(s.u, grid.dx)
+    kept = ux0.copy()
+    again, ux1_again = step_imex(s, dt, grid, params, ux=ux0)
+    assert np.array_equal(ux0, kept)
+    for a, b in ((out.v, again.v), (out.u, again.u),
+                 (out.theta, again.theta), (ux1, ux1_again)):
+        assert a.tobytes() == b.tobytes()
 
 
 @pytest.mark.parametrize("forced", [False, True])
@@ -205,7 +252,7 @@ def test_step_matches_dense_row_scaled_oracle(graded, beta, forced):
                 "theta_ghost_old": float(prof.theta_exact(xg, s.t)),
                 "theta_ghost_new": float(prof.theta_exact(xg, t1)),
                 "v_ghost": float(prof.v_exact(xg, t1))}
-    out = step_imex(s, dt, grid, params, mms=prof)
+    out, _ = step_imex(s, dt, grid, params, mms=prof)
     refs = dense_step(s.v.tolist(), s.theta.tolist(), s.u.tolist(),
                       grid.dx.tolist(), dt, params.mu, params.kappa, beta,
                       params.R, params.cv, forced=data)
@@ -220,7 +267,7 @@ def test_step_telescoping_volume_update():
     s.u = 0.3 * np.cos(grid.faces())
     s.u[-1] = 0.0
     dt = 0.01
-    out = step_imex(s, dt, grid, Params())
+    out, _ = step_imex(s, dt, grid, Params())
     change = grid.h * math.fsum((out.v - s.v).tolist())
     assert abs(change - (-dt * s.u[0])) <= 1e-15
 
@@ -275,7 +322,7 @@ def test_graded_grid_keeps_rest_state():
     ctl = StepControl()
     s = equilibrium_state(grid)
     for _ in range(2000):
-        s = step_imex(s, stable_dt(s, grid, params, ctl), grid, params)
+        s, _ = step_imex(s, stable_dt(s, grid, params, ctl), grid, params)
     assert np.max(np.abs(s.v - 1.0)) <= 1e-12
     assert np.max(np.abs(s.theta - 1.0)) <= 1e-12
     assert np.max(np.abs(s.u)) <= 1e-12
@@ -415,7 +462,7 @@ def test_step_keeps_positive_states_positive_or_signals(seed, dt):
               rng.uniform(0.5, 2.0, n),
               np.concatenate([rng.uniform(-1.0, 1.0, n), [0.0]]))
     try:
-        out = step_imex(s, dt, grid, Params())
+        out, _ = step_imex(s, dt, grid, Params())
     except PositivityViolation:
         return
     assert np.all(out.v > 0) and np.all(out.theta > 0)
@@ -435,7 +482,7 @@ def _mms_error(n, dt_factor, t_end=0.5):
     while s.t < t_end:
         step = min(dt, t_end - s.t)
         last = step >= t_end - s.t
-        s = step_imex(s, step, grid, params, mms=prof)
+        s, _ = step_imex(s, step, grid, params, mms=prof)
         if last:
             s.t = t_end
     ev = s.v - prof.v_exact(xc, t_end)
