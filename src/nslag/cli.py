@@ -15,8 +15,8 @@ import sys
 from .core import ConfigError
 from .diagnostics import DiagnosticsError
 from .harness import (acceptance_suite, default_config, load_config,
-                      mms_convergence, mms_orders_pass, run_simulation,
-                      sweep, write_config)
+                      mms_convergence, mms_orders_pass, require_out_dir,
+                      run_simulation, sweep, write_config)
 from .stepper import StepFailure
 
 
@@ -141,6 +141,8 @@ def main(argv=None):
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
+        if getattr(args, "out", None):
+            require_out_dir("--out", args.out)
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

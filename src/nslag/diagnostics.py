@@ -15,6 +15,7 @@ it states, so the floats are those of the formula.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -278,6 +279,7 @@ class ReprProbe:
     cell, jrel each probe cell's offset in it.  last is the state of the
     last update, last_sigma its face stress and last_theta its probe-cell
     temperatures: the next update starts from that state and reuses them.
+    logY_t and logY are float columns of (t, ln Y), one value per update.
     """
 
     i: int
@@ -290,7 +292,8 @@ class ReprProbe:
     Y: float
     I: np.ndarray
     t: float
-    logY_series: list
+    logY_t: array
+    logY: array
     seg: slice
     jrel: tuple
     last: object = None
@@ -318,7 +321,7 @@ def make_repr_probe(s0, grid, i, n_points=5):
     v0 = s0.v[cells].copy()
     return ReprProbe(i=i, xs=xs, cells=cells, fi=fi, v0=v0, u0=s0.u.copy(),
                      D=v0.copy(), Y=1.0, I=np.zeros(n_points), t=s0.t,
-                     logY_series=[(s0.t, 0.0)],
+                     logY_t=array("d", [s0.t]), logY=array("d", [0.0]),
                      seg=slice(fi, int(cells.max()) + 2),
                      jrel=tuple((cells - fi).tolist()))
 
@@ -377,7 +380,8 @@ def update_repr_probe(p, s, s_prev, dt, grid, params):
     p.Y *= math.exp(s_mid * dt)
     p.D = d_new
     p.t = s.t
-    p.logY_series.append((s.t, math.log(p.Y)))
+    p.logY_t.append(s.t)
+    p.logY.append(math.log(p.Y))
     p.last, p.last_sigma, p.last_theta = s, sigma, theta
     return p
 
@@ -459,55 +463,49 @@ def _ratio(first, last):
     return last / first
 
 
-def decay_report(series, energy, logy=None):
+def decay_report(series, logy=None):
     """Long-time summary of a sampled trajectory.
 
-    Needs at least 10 bounds samples spanning at least half the run.
-    Reports final/initial norm ratios, the least-squares slope of ln Y over
-    the second half (when a log-Y series is supplied), the worst energy
-    inequality margin max_t (E + cumV - E(0)), the fraction of each running
-    integral accumulated after half time, and the relative drift of each
-    extremum between the window means over [T/4, T/2] and [T/2, T].
+    series maps series column names to float columns, logy (optional) is
+    the columns (t, ln Y).  Needs at least 10 samples spanning at least
+    half the run.  Reports final/initial norm ratios, the least-squares
+    slope of ln Y over the second half, the worst energy inequality margin
+    max_t (E + cumV - E(0)), the fraction of each running integral
+    accumulated after half time, and the relative drift of each extremum
+    between the window means over [T/4, T/2] and [T/2, T].
     """
-    if len(series) < 10:
-        raise DiagnosticsError(f"need at least 10 samples, got {len(series)}")
-    t_end = series[-1].t
-    if series[-1].t - series[0].t < 0.5 * t_end:
+    ts = np.asarray(series["t"])
+    if len(ts) < 10:
+        raise DiagnosticsError(f"need at least 10 samples, got {len(ts)}")
+    t_end = float(ts[-1])
+    if t_end - ts[0] < 0.5 * t_end:
         raise DiagnosticsError("samples span less than half the run")
-    if len(energy) < 2:
-        raise DiagnosticsError("need at least 2 energy samples")
 
-    ratios = {name: _ratio(getattr(series[0], name), getattr(series[-1], name))
+    ratios = {name: _ratio(series[name][0], series[name][-1])
               for name in _NORM_FIELDS}
 
-    e0 = energy[0].E
-    margin = max(rec.E + rec.cumV - e0 for rec in energy)
-
-    ts = np.array([rec.t for rec in series])
+    e0 = series["E"][0]
+    margin = max(e + cum - e0 for e, cum in zip(series["E"], series["cumV"]))
     half = 0.5 * t_end
 
-    def plateau(tgrid, values):
+    def plateau(name):
         # totals below the floor are rounding residue, not accumulation
+        values = np.asarray(series[name])
         total = values[-1]
         if total <= 1e-20:
             return 0.0
-        at_half = float(np.interp(half, tgrid, values))
+        at_half = float(np.interp(half, ts, values))
         return (total - at_half) / total
 
-    ets = np.array([rec.t for rec in energy])
-    plateaus = {
-        "cumV": plateau(ets, np.array([rec.cumV for rec in energy])),
-        "cum_ux2": plateau(ts, np.array([rec.cum_ux2 for rec in series])),
-        "cum_pospart": plateau(
-            ts, np.array([rec.cum_pospart for rec in series])),
-    }
+    plateaus = {name: plateau(name)
+                for name in ("cumV", "cum_ux2", "cum_pospart")}
 
     quarter = 0.25 * t_end
     win1 = (ts >= quarter) & (ts <= half)
     win2 = ts >= half
     drift = {}
     for name in ("vmin", "vmax", "thmin", "thmax"):
-        vals = np.array([getattr(rec, name) for rec in series])
+        vals = np.asarray(series[name])
         m1 = float(vals[win1].mean()) if win1.any() else float("nan")
         m2 = float(vals[win2].mean()) if win2.any() else float("nan")
         if m1 == 0.0:
@@ -517,13 +515,13 @@ def decay_report(series, energy, logy=None):
 
     y_slope = None
     if logy is not None:
-        pts = [(t, ly) for t, ly in logy if t >= half]
-        if len(pts) >= 2:
-            tt, yy = np.array(pts).T
-            y_slope = float(np.polyfit(tt, yy, 1)[0])
+        tt, yy = (np.asarray(col) for col in logy)
+        late = tt >= half
+        if np.count_nonzero(late) >= 2:
+            y_slope = float(np.polyfit(tt[late], yy[late], 1)[0])
 
     return {
-        "n_samples": len(series),
+        "n_samples": len(ts),
         "t_final": t_end,
         "ratios": ratios,
         "y_slope": y_slope,

@@ -13,6 +13,7 @@ import json
 import math
 import os
 import time
+from array import array
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from operator import attrgetter
@@ -113,6 +114,12 @@ def default_config():
     return RunConfig()
 
 
+def require_out_dir(name, path):
+    """Raise ConfigError unless the directory path is written into exists."""
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise ConfigError(f"{name} = {path}: its directory does not exist")
+
+
 def _validate_config(cfg):
     if not 0.0 < cfg.t_final < math.inf:
         raise ConfigError(f"run.t_final must be positive and finite, got {cfg.t_final}")
@@ -136,6 +143,8 @@ def _validate_config(cfg):
     i = cfg.resolved_probe()
     if not (1 <= i and i + 1 <= cfg.length - 1):
         raise ConfigError(f"probe.interval = {i} too close to a boundary")
+    require_out_dir("out.series", cfg.series_path)
+    require_out_dir("out.report", cfg.report_path)
     return cfg
 
 
@@ -205,13 +214,13 @@ def _fmt(x):
 def _series_writer(fh):
     """Write the series header to fh; return a function writing one row.
 
-    A row is a dict keyed by the schema columns; floats are written in
+    A row is the schema columns' values in order; floats are written in
     shortest round-trip form, and each row is flushed as it is written.
     """
     fh.write(SERIES_HEADER + "\n")
 
-    def write_row(row):
-        fh.write(",".join(_fmt(row[c]) for c in SERIES_COLUMNS) + "\n")
+    def write_row(values):
+        fh.write(",".join(map(_fmt, values)) + "\n")
         fh.flush()
 
     return write_row
@@ -224,8 +233,11 @@ def read_series(path):
         if header != SERIES_HEADER:
             raise ConfigError(f"{path}: unexpected series header")
         rows = []
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             parts = line.strip().split(",")
+            if len(parts) != len(SERIES_COLUMNS):
+                raise ConfigError(f"{path}:{lineno}: {len(parts)} fields, "
+                                  f"the header has {len(SERIES_COLUMNS)}")
             rows.append({c: float(x) for c, x in zip(SERIES_COLUMNS, parts)})
     return rows
 
@@ -279,24 +291,23 @@ def _ratio_at_most(ratio, limit):
     return _at_most(ratio, limit)
 
 
-def _run_verdicts(thr, band, decay, bounds_series, avg_min, avg_max,
-                  worst_repr):
+def _run_verdicts(thr, band, decay, series, avg_min, avg_max, worst_repr):
     """The ten run verdicts in report order, each with pass, measured value
     and threshold.
 
     band is the entropy band of E(0), decay the decay_report of the run,
-    avg_min and avg_max the extremes of its unit-interval averages and
-    worst_repr its largest reconstruction error.
+    series its {column name: float column}, avg_min and avg_max the
+    extremes of its unit-interval averages and worst_repr its largest
+    reconstruction error.
     """
     slack = thr["jensen_slack"]
     excursion = max(band.alpha1 - slack - avg_min,
                     avg_max - band.alpha2 - slack)
     # combined L2 norm of the three gradients, first and last sample
-    g_first, g_last = (math.sqrt(b.g2_vx ** 2 + b.g2_ux ** 2 + b.g2_thx ** 2)
-                       for b in (bounds_series[0], bounds_series[-1]))
+    g_first, g_last = (math.sqrt(sum(series[c][k] ** 2 for c in (
+        "g2_vx", "g2_ux", "g2_thx"))) for k in (0, -1))
     slope = decay["y_slope"]
-    min_field = min(min(b.vmin for b in bounds_series),
-                    min(b.thmin for b in bounds_series))
+    min_field = min(min(series["vmin"]), min(series["thmin"]))
     return {
         "energy_inequality": _at_most(
             decay["energy_margin"],
@@ -314,9 +325,14 @@ def _run_verdicts(thr, band, decay, bounds_series, avg_min, avg_max,
                                   thr["drift_tol"]),
         "plateaus": _at_most(max(decay["plateau"].values()),
                              thr["plateau_frac"]),
-        "farfield": _at_most(max(b.farfield_dev for b in bounds_series),
+        "farfield": _at_most(max(series["farfield_dev"]),
                              thr["farfield_tol"]),
     }
+
+
+# the series values of an energy and a bounds record, in schema order
+_ENERGY_VALUES = attrgetter(*SERIES_COLUMNS[:4])
+_BOUNDS_VALUES = attrgetter(*SERIES_COLUMNS[4:20])
 
 
 class _RunAccumulator:
@@ -325,7 +341,8 @@ class _RunAccumulator:
     Every step advances the probe and the running integrals, on the strain
     rate it handed on (ux keeps it for the next advance).  At sample times
     record() fills the full energy and bounds records from the integrands
-    the last step computed, writes their row and keeps what verdicts read.
+    the last step computed, appends their values to series (a float column
+    per schema column) and writes them as the sample's row.
     """
 
     def __init__(self, state0, grid, params, probe_i, write_row):
@@ -336,7 +353,7 @@ class _RunAccumulator:
         self.running = running_integrals(state0, grid, params, ux=self.ux)
         self.probe = make_repr_probe(state0, grid, probe_i)
         self.n_steps = 0
-        self.energy, self.bounds = [], []
+        self.series = {c: array("d") for c in SERIES_COLUMNS}
         self.avg_min, self.avg_max = math.inf, -math.inf
         self.worst_repr = 0.0
 
@@ -351,26 +368,24 @@ class _RunAccumulator:
         """Sample the state the last step reached and write its row."""
         e = sample_energy(state, self.grid, self.params, self.running)
         b = sample_bounds(state, self.grid, self.running)
-        self.energy.append(e)
-        self.bounds.append(b)
         averages = unit_interval_averages(state, self.grid)
         self.avg_min = min(self.avg_min, float(averages.min()))
         self.avg_max = max(self.avg_max, float(averages.max()))
         _, _, relerr = reconstruct_v(self.probe, state, self.params)
         self.worst_repr = max(self.worst_repr, relerr)
-        # vars, not asdict: asdict deep-copies, and rows can be many
-        self.write_row({**vars(e), **vars(b), "Y_probe": self.probe.Y,
-                        "repr_relerr": relerr})
+        values = (*_ENERGY_VALUES(e), *_BOUNDS_VALUES(b), self.probe.Y,
+                  relerr, b.farfield_dev)
+        for column, x in zip(self.series.values(), values):
+            column.append(x)
+        self.write_row(values)
 
 
 def _sample_times(t_final, sample_dt):
     n = int(math.floor(t_final / sample_dt + 1e-9))
-    times = [k * sample_dt for k in range(1, n + 1)]
-    if not times or times[-1] < t_final:
-        times.append(t_final)
-    else:
-        times[-1] = t_final
-    return times
+    yield from (k * sample_dt for k in range(1, n))
+    if n >= 1 and n * sample_dt < t_final:
+        yield n * sample_dt
+    yield t_final
 
 
 def run_simulation(cfg, thresholds=None):
@@ -404,10 +419,10 @@ def run_simulation(cfg, thresholds=None):
                 raise
             acc.record(state)
 
-    decay = decay_report(acc.bounds, acc.energy, logy=acc.probe.logY_series)
+    decay = decay_report(acc.series, logy=(acc.probe.logY_t, acc.probe.logY))
     report = RunReport(
         config=config_to_dict(cfg),
-        verdicts=_run_verdicts(thr, band, decay, acc.bounds, acc.avg_min,
+        verdicts=_run_verdicts(thr, band, decay, acc.series, acc.avg_min,
                                acc.avg_max, acc.worst_repr),
         decay=decay,
         e0=band.e0,
@@ -463,8 +478,7 @@ def mms_convergence(levels=3, base_cells=100, amp=0.1, length=20.0,
     if levels < 3 or base_cells < 4:
         raise ConfigError(f"need at least 3 refinement levels and 4 base "
                           f"cells, got {levels} and {base_cells}")
-    if params is None:
-        params = Params()
+    params = Params() if params is None else params
     prof = MmsProfile(amp=amp, length=length)
 
     cells = [base_cells * 2 ** k for k in range(levels)]
@@ -758,8 +772,7 @@ def acceptance_suite(cfg=None, criteria=None, overrides=None, out_path=None):
     time plus the shared run charged to it: the beta sweep to c03, the
     equilibrium diagnostics run to c07.
     """
-    if cfg is None:
-        cfg = default_config()
+    cfg = default_config() if cfg is None else cfg
     thr = dict(THRESHOLDS)
     if overrides:
         unknown = set(overrides) - set(thr)

@@ -185,13 +185,14 @@ def step_imex(s, dt, grid, params, mms=None, floor=0.0, ux=None):
     _require_above("v", v1, floor)
 
     # velocity solve: viscosity implicit on v1, pressure explicit at theta^n.
-    # Row i, weighted by its control mass w_i = dm_i/dt, with a = mu/(h v1):
-    #   (w_i + a_{i-1} + a_i) u_i - a_{i-1} u_{i-1} - a_i u_{i+1}
+    # Row i, weighted by its control mass w_i = dm_i/dt, with the negated
+    # couplings a = -mu/(h v1), which are the off-diagonal:
+    #   (w_i - a_{i-1} - a_i) u_i + a_{i-1} u_{i-1} + a_i u_{i+1}
     #       = w_i u_i - (pe_i - pe_{i-1});
     # the wall row has no a_{-1} and pe_{-1} = R (prescribed stress -R), and
     # the pinned u[n] = 0 drops out of the last row
     a = h * v1
-    np.divide(mu, a, out=a)
+    np.divide(-mu, a, out=a)
     pe = np.empty(n + 1)
     pe[0] = gas_r
     r_th = gas_r * s.theta   # shared with the temperature load
@@ -200,9 +201,9 @@ def step_imex(s, dt, grid, params, mms=None, floor=0.0, ux=None):
     load = s.u[:n] * w
     load -= np.subtract(pe[1:], pe[:-1])
     diag = w
-    diag += a
-    diag[1:] += a[:-1]
-    off = np.negative(a[:-1])
+    diag -= a
+    diag[1:] -= a[:-1]
+    off = a[:-1]
     u1 = np.empty(n + 1)
     if mms is None:
         u1[n] = 0.0
@@ -215,8 +216,8 @@ def step_imex(s, dt, grid, params, mms=None, floor=0.0, ux=None):
         su = mms_source(at_faces, t1, mms, params, 1)
         b = load[1:]
         b += grid.dm[1:n] * su[1:n]
-        b[0] += a[0] * u1[0]
-        b[-1] += a[-1] * u1[n]
+        b[0] -= a[0] * u1[0]
+        b[-1] -= a[-1] * u1[n]
         u1[1:n] = solve_tridiagonal(TriDiag(diag[1:], off[1:], b))
     ux1 = strain_rate(u1, h)
 
@@ -266,8 +267,7 @@ def advance(s, t_target, grid, params, ctl=None, callbacks=(), mms=None,
     passed in; each step hands its own, new_ux, to the next.  Step-size
     underflow raises StepFailure with the last good state attached.
     """
-    if ctl is None:
-        ctl = StepControl()
+    ctl = StepControl() if ctl is None else ctl
     if t_target < s.t:
         raise ConfigError(f"t_target {t_target} lies before current time {s.t}")
     state = s

@@ -1,4 +1,6 @@
 import math
+from array import array
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -8,8 +10,7 @@ from hypothesis import strategies as st
 from nslag.core import ConfigError, DomainError, Grid, ICSpec, Params, \
     State, build_grid, equilibrium_state, make_initial_data
 from nslag.diagnostics import (POSPART_THRESHOLD, DiagnosticsError,
-                               BoundsRecord, EnergyRecord, _pospart,
-                               decay_report, dissipation_functional,
+                               _pospart, decay_report, dissipation_functional,
                                energy_functional, entropy_roots,
                                make_repr_probe, reconstruct_v,
                                running_integrals, sample_bounds,
@@ -235,7 +236,8 @@ def _same_probe(p, q):
     assert p.Y == q.Y
     assert np.array_equal(p.I, q.I)
     assert np.array_equal(p.D, q.D)
-    assert p.logY_series == q.logY_series
+    assert p.logY_t == q.logY_t
+    assert p.logY == q.logY
 
 
 def test_probe_reuses_last_state_bit_for_bit():
@@ -264,7 +266,7 @@ def test_probe_recomputes_for_another_previous_state():
     nxt, _ = step_imex(other, s2.t - s1.t, grid, params)
     fresh = make_repr_probe(s0, grid, 12)
     fresh.Y, fresh.I, fresh.D = p.Y, p.I.copy(), p.D.copy()
-    fresh.logY_series = list(p.logY_series)
+    fresh.logY_t, fresh.logY = array("d", p.logY_t), array("d", p.logY)
     update_repr_probe(p, nxt, other, nxt.t - other.t, grid, params)
     update_repr_probe(fresh, nxt, other, nxt.t - other.t, grid, params)
     _same_probe(p, fresh)
@@ -369,25 +371,25 @@ def test_bounds_running_integrals_trapezoid():
 
 
 def _synthetic_series(t_end=20.0, n=41, rate=0.1):
-    series, energy = [], []
-    for k in range(n):
-        t = t_end * k / (n - 1)
-        amp = math.exp(-rate * t)
-        series.append(BoundsRecord(
-            t=t, vmin=0.8, vmax=1.2, thmin=0.9, thmax=1.1,
-            n2_vm1=amp, n2_u=amp, n2_thm1=amp,
-            ninf_vm1=amp, ninf_u=amp, ninf_thm1=amp,
-            g2_vx=amp, g2_ux=amp, g2_thx=amp,
-            pospart=0.0, cum_ux2=1.0 - amp, cum_pospart=0.0,
-            farfield_dev=0.0))
-        energy.append(EnergyRecord(t=t, E=amp, V=0.0, cumV=1.0 - amp))
-    return series, energy
+    # series columns of an exponential decay at the given rate
+    t = [t_end * k / (n - 1) for k in range(n)]
+    amp = [math.exp(-rate * x) for x in t]
+    rest = [0.0] * n
+    series = {"t": t, "E": amp, "V": rest, "cumV": [1.0 - a for a in amp],
+              "vmin": [0.8] * n, "vmax": [1.2] * n, "thmin": [0.9] * n,
+              "thmax": [1.1] * n, "pospart": rest,
+              "cum_ux2": [1.0 - a for a in amp], "cum_pospart": rest,
+              "farfield_dev": rest}
+    for name in ("n2_vm1", "n2_u", "n2_thm1", "ninf_vm1", "ninf_u",
+                 "ninf_thm1", "g2_vx", "g2_ux", "g2_thx"):
+        series[name] = amp
+    return series
 
 
 def test_decay_report_synthetic_exponential():
-    series, energy = _synthetic_series()
-    logy = [(rec.t, -0.7 * rec.t) for rec in series]
-    rep = decay_report(series, energy, logy=logy)
+    series = _synthetic_series()
+    logy = (series["t"], [-0.7 * t for t in series["t"]])
+    rep = decay_report(series, logy=logy)
     want = math.exp(-0.1 * 20.0)
     for name, ratio in rep["ratios"].items():
         assert abs(ratio - want) <= 0.01 * want, name
@@ -408,17 +410,24 @@ def test_decay_report_equilibrium_trajectory():
     s = equilibrium_state(grid)
     p = make_repr_probe(s, grid, 3)
     running = running_integrals(s, grid, params)
-    series = [sample_bounds(s, grid, running)]
-    energy = [sample_energy(s, grid, params, running)]
+    series = {}
+
+    def sample(state):
+        # append the state's energy and bounds values to their columns
+        row = {**asdict(sample_energy(state, grid, params, running)),
+               **asdict(sample_bounds(state, grid, running))}
+        for name, value in row.items():
+            series.setdefault(name, array("d")).append(value)
+
+    sample(s)
     state = s
     for _ in range(12):
         nxt = advance(state, state.t + 1.0, grid, params)
         update_repr_probe(p, nxt, state, nxt.t - state.t, grid, params)
         running = running_integrals(nxt, grid, params, running)
-        series.append(sample_bounds(nxt, grid, running))
-        energy.append(sample_energy(nxt, grid, params, running))
+        sample(nxt)
         state = nxt
-    rep = decay_report(series, energy, logy=p.logY_series)
+    rep = decay_report(series, logy=(p.logY_t, p.logY))
     for name, ratio in rep["ratios"].items():
         assert ratio == "identically zero", name
     assert abs(rep["energy_margin"]) <= 1e-20
@@ -426,16 +435,17 @@ def test_decay_report_equilibrium_trajectory():
 
 
 def test_decay_report_rejects_short_series():
-    series, energy = _synthetic_series(n=3)
+    series = _synthetic_series(n=3)
     with pytest.raises(DiagnosticsError):
-        decay_report(series, energy)
+        decay_report(series)
 
 
 def test_decay_report_rejects_narrow_span():
-    series, energy = _synthetic_series()
-    late = [rec for rec in series if rec.t > 12.0]
+    series = _synthetic_series()
+    keep = [k for k, t in enumerate(series["t"]) if t > 12.0]
+    late = {name: [col[k] for k in keep] for name, col in series.items()}
     with pytest.raises(DiagnosticsError):
-        decay_report(late, energy)
+        decay_report(late)
 
 
 def _energy_margin(n_cells):

@@ -6,6 +6,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -18,11 +19,11 @@ from nslag import cli, diagnostics, harness, stepper
 from nslag.cli import main as cli_main
 from nslag.core import ConfigError, ICSpec, Params, build_grid, \
     make_initial_data
-from nslag.diagnostics import (BoundsRecord, EnergyRecord, JensenBand,
-                               decay_report, dissipation_functional,
-                               make_repr_probe, reconstruct_v,
-                               running_integrals, sample_bounds,
-                               sample_energy, update_repr_probe)
+from nslag.diagnostics import (JensenBand, decay_report,
+                               dissipation_functional, make_repr_probe,
+                               reconstruct_v, running_integrals,
+                               sample_bounds, sample_energy,
+                               update_repr_probe)
 from nslag.harness import (CONFIG_KEYS, SERIES_COLUMNS, SERIES_HEADER,
                            THRESHOLDS, RunConfig, acceptance_suite,
                            config_from_dict, config_to_dict,
@@ -177,12 +178,25 @@ def test_write_series_round_trip(tmp_path):
     with open(path, "w", encoding="utf-8") as fh:
         write_row = harness._series_writer(fh)
         for row in rows:
-            write_row(row)
+            write_row(row.values())
     lines = path.read_text().splitlines()
     assert lines[0] == SERIES_HEADER
     assert len(lines) == 5
     back = read_series(str(path))
     assert back == rows
+
+
+@pytest.mark.parametrize("n_fields", [22, 25])
+def test_read_series_rejects_wrong_field_count(tmp_path, n_fields):
+    """A row with more or fewer fields than the header is an error naming
+    the file and line, not a row with missing or dropped columns."""
+    path = tmp_path / "series.csv"
+    path.write_text(f"{SERIES_HEADER}\n{','.join(['1.0'] * 23)}\n"
+                    f"{','.join(['2.0'] * n_fields)}\n")
+    with pytest.raises(ConfigError,
+                       match=f"series.csv:3: {n_fields} fields, the header "
+                             f"has 23"):
+        read_series(str(path))
 
 
 def test_snapshot_blocks(tmp_path):
@@ -264,6 +278,62 @@ def test_mms_requires_three_levels():
 def test_cli_mms_rejects_too_few_cells(capsys):
     assert cli_main(["mms", "--cells", "0"]) == 2
     assert capsys.readouterr().err.startswith("config error:")
+
+
+@pytest.mark.parametrize("key", ["out.series", "out.report"])
+def test_cli_run_rejects_output_in_missing_directory(tmp_path, capsys, key):
+    target = tmp_path / "missing" / "out.txt"
+    paths = {"out.series": tmp_path / "series.csv",
+             "out.report": tmp_path / "report.json", key: target}
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in paths.items()))
+    assert cli_main(["run", "--config", str(cfg)]) == 2
+    out = capsys.readouterr()
+    assert out.err.startswith(f"config error: {key} = {target}")
+    assert out.out == ""
+    assert sorted(tmp_path.iterdir()) == [cfg]
+
+
+@pytest.mark.parametrize("argv", [["mms", "--cells", "8"],
+                                  ["check", "--criteria", "10"]])
+def test_cli_out_in_missing_directory_fails_before_work(tmp_path, capsys,
+                                                        argv):
+    """--out in a missing directory is a config error before the study or
+    criterion runs: nothing is printed and no file is written."""
+    target = tmp_path / "missing" / "out.json"
+    assert cli_main([*argv, "--out", str(target)]) == 2
+    out = capsys.readouterr()
+    assert out.err.startswith(f"config error: --out = {target}")
+    assert out.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_run_history_keeps_eight_bytes_per_value(tmp_path, monkeypatch):
+    """A run keeps its history as float columns: when decay_report starts,
+    the memory the run holds is at most 8 bytes per series value of each
+    sample and per (t, ln Y) value of each step, with a quarter more for
+    the columns' spare capacity and 64 KiB for its fixed state (grid,
+    fields, probe, open file).  Records kept per sample need about 1 KB."""
+    cfg = _quick_cfg(tmp_path, n_cells=100, sample_dt=0.01, t_final=20.0)
+    run_simulation(replace(cfg, t_final=0.5))   # imports and caches warm
+    held = []
+    inner = harness.decay_report
+
+    def measured(*args, **kwargs):
+        held.append(tracemalloc.get_traced_memory()[0])
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "decay_report", measured)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        report = run_simulation(cfg)
+    finally:
+        tracemalloc.stop()
+    n_samples = report.decay["n_samples"]
+    assert n_samples == 2001 and report.n_steps >= 2000
+    values = len(SERIES_COLUMNS) * n_samples + 2 * report.n_steps
+    assert held[0] - base <= 1.25 * 8 * values + 65536
 
 
 def _short_default_cfg(tmp_path):
@@ -349,15 +419,13 @@ def test_run_records_match_chained_samples(tmp_path, far_length, beta):
 def _verdict_records(first, last):
     # eleven samples over [0, 10]: ninf_u and each gradient norm read
     # first at t = 0 and last after it; everything else is at rest
-    series = [BoundsRecord(
-        t=float(k), vmin=1.0, vmax=1.0, thmin=1.0, thmax=1.0,
-        n2_vm1=0.0, n2_u=0.0, n2_thm1=0.0, ninf_vm1=0.0,
-        ninf_u=x, ninf_thm1=0.0, g2_vx=x, g2_ux=x, g2_thx=x, pospart=0.0,
-        cum_ux2=0.0, cum_pospart=0.0, farfield_dev=0.0)
-        for k, x in enumerate([first] + [last] * 10)]
-    energy = [EnergyRecord(t=rec.t, E=0.0, V=0.0, cumV=0.0)
-              for rec in series]
-    return series, decay_report(series, energy)
+    series = {name: [0.0] * 11 for name in SERIES_COLUMNS}
+    series["t"] = [float(k) for k in range(11)]
+    for name in ("vmin", "vmax", "thmin", "thmax"):
+        series[name] = [1.0] * 11
+    for name in ("ninf_u", "g2_vx", "g2_ux", "g2_thx"):
+        series[name] = [first] + [last] * 10
+    return series, decay_report(series)
 
 
 @pytest.mark.parametrize("first, last, measured, passed", [
