@@ -20,8 +20,8 @@ from .harness import (RunConfig, RunReport, acceptance_suite, default_config,
                       load_config, mms_convergence, run_simulation, sweep,
                       write_config, write_snapshot)
 from .model import MmsProfile, cell_stress, face_conductance, mms_source
-from .stepper import (PositivityViolation, StepControl, StepFailure, TriDiag,
-                      advance, solve_tridiagonal, stable_dt, step_imex)
+from .stepper import (PositivityViolation, StepControl, StepFailure, advance,
+                      check_dominant, solve_tridiagonal, stable_dt, step_imex)
 
 __version__ = "0.1.0"
 
@@ -37,7 +37,7 @@ __all__ = [
     "load_config", "mms_convergence", "run_simulation", "sweep",
     "write_config", "write_snapshot",
     "MmsProfile", "cell_stress", "face_conductance", "mms_source",
-    "PositivityViolation", "StepControl", "StepFailure", "TriDiag",
-    "advance", "solve_tridiagonal", "stable_dt", "step_imex",
+    "PositivityViolation", "StepControl", "StepFailure", "advance",
+    "check_dominant", "solve_tridiagonal", "stable_dt", "step_imex",
     "__version__",
 ]

@@ -132,7 +132,8 @@ def build_parser():
     p = sub.add_parser("write-config",
                        help="write the default config to a file")
     p.add_argument("path")
-    p.set_defaults(func=lambda a: (write_config(default_config(), a.path),
+    p.set_defaults(func=lambda a: (require_out_dir("path", a.path),
+                                   write_config(default_config(), a.path),
                                    print(f"defaults -> {a.path}"), 0)[-1])
     return ap
 

@@ -68,6 +68,15 @@ class Grid:
         """Number of cells in the resolved zone (0, length)."""
         return self.n_cells - sum(self.far_counts)
 
+    @cached_property
+    def unit_cells(self):
+        """Cells per unit interval, 1/h; ConfigError unless h divides 1."""
+        k = round(1.0 / self.h)
+        if k < 1 or abs(k * self.h - 1.0) > 1e-9:
+            raise ConfigError(
+                f"cell size {self.h} does not divide the unit mass interval")
+        return k
+
     @property
     def far_length(self):
         """Mass depth of the last face, where the rest state is pinned."""
@@ -154,25 +163,21 @@ def build_grid(length, n_cells, far_length=None):
     if n_cells < 4:
         raise ConfigError(f"need at least 4 cells, got {n_cells}")
     length = float(length)
-    h = length / n_cells
+    grid = Grid(length, n_cells, length / n_cells)
     if far_length is None:
-        return Grid(length, n_cells, h)
+        return grid
     gap = float(far_length) - length
     n_far = round(gap)
     if gap < 0.0 or abs(gap - n_far) > 1e-9:
         raise ConfigError(
             f"far length {far_length} must exceed the grid length {length} "
             f"by a whole number of mass units")
-    k = round(1.0 / h)
-    if n_far and (k < 1 or abs(k * h - 1.0) > 1e-9):
-        raise ConfigError(
-            f"cell size {h} does not divide the unit mass interval, so no "
-            f"far zone can be graded from it")
+    k = grid.unit_cells if n_far else None
     counts = []
     for _ in range(n_far):
         k = -(-k // 2)
         counts.append(k)
-    return Grid(length, n_cells + sum(counts), h, tuple(counts))
+    return Grid(length, n_cells + sum(counts), grid.h, tuple(counts))
 
 
 @dataclass

@@ -248,10 +248,7 @@ def unit_interval_averages(s, grid):
     """
     if grid.length < 2.0:
         raise ConfigError("unit-interval averages need length >= 2")
-    k = round(1.0 / grid.h)
-    if k < 1 or abs(k * grid.h - 1.0) > 1e-9:
-        raise ConfigError(
-            f"cell size {grid.h} does not divide the unit mass interval")
+    k = grid.unit_cells
     n_int = grid.n_resolved // k
     m = n_int * k
     out = np.empty((n_int + len(grid.far_counts), 2))
@@ -267,19 +264,24 @@ def unit_interval_averages(s, grid):
     return out
 
 
+# Y decays like e^{-R t} and I grows like e^{R t}: once Y falls below
+# 2^-512, both are rescaled by that exact power of two
+_RESCALE_BITS = 512
+
+
 @dataclass
 class ReprProbe:
     """Reconstruction probe over one unit mass interval [i, i+1].
 
     Carries the wall-of-interval stress exponential Y, the accumulated
     time integral I per probe point, and the spatial factor D recomputed
-    from the current state.  The running integral grows like e^{R t}, so
-    the probe is meant for moderate horizons (R*t well below 700).  seg
-    is the face range from face fi to the face right of the last probe
-    cell, jrel each probe cell's offset in it.  last is the state of the
-    last update, last_sigma its face stress and last_theta its probe-cell
-    temperatures: the next update starts from that state and reuses them.
-    logY_t and logY are float columns of (t, ln Y), one value per update.
+    from the current state.  The true values are Y * 2^Y_exp and
+    I * 2^-Y_exp, which keeps both in range at any horizon.  seg is the
+    face range from face fi to the face right of the last probe cell,
+    jrel each probe cell's offset in it.  sigma and theta are the face
+    stress and probe-cell temperatures of the state the probe last
+    reached.  logY_t and logY are float columns of (t, ln Y), one value
+    per update.
     """
 
     i: int
@@ -296,26 +298,24 @@ class ReprProbe:
     logY: array
     seg: slice
     jrel: tuple
-    last: object = None
-    last_sigma: float = 0.0
-    last_theta: np.ndarray = None
+    sigma: float
+    theta: np.ndarray
+    Y_exp: int = 0
 
 
-def make_repr_probe(s0, grid, i, n_points=5):
+def make_repr_probe(s0, grid, params, i, n_points=5):
     """Probe over [i, i+1] with n_points interior sample points.
 
     The interval must sit at least one mass unit away from both ends of the
-    resolved zone (0, length), where cells are uniform, and i must land on
-    a grid face.
+    resolved zone (0, length), where cells are uniform, and the cell size
+    must divide the unit interval.
     """
     i = int(i)
     if not (1 <= i and i + 1 <= grid.length - 1):
         raise ConfigError(
             f"probe interval [{i}, {i + 1}] must keep one mass unit of "
             f"clearance inside (0, {grid.length})")
-    fi = round(i / grid.h)
-    if abs(fi * grid.h - i) > 1e-9:
-        raise ConfigError(f"probe base {i} does not land on a grid face")
+    fi = i * grid.unit_cells
     xs = i + (np.arange(n_points) + 0.5) / n_points
     cells = np.minimum((xs / grid.h).astype(int), grid.n_cells - 1)
     v0 = s0.v[cells].copy()
@@ -323,7 +323,9 @@ def make_repr_probe(s0, grid, i, n_points=5):
                      D=v0.copy(), Y=1.0, I=np.zeros(n_points), t=s0.t,
                      logY_t=array("d", [s0.t]), logY=array("d", [0.0]),
                      seg=slice(fi, int(cells.max()) + 2),
-                     jrel=tuple((cells - fi).tolist()))
+                     jrel=tuple((cells - fi).tolist()),
+                     sigma=_sigma_at_face(s0, fi, grid.h, params),
+                     theta=s0.theta[cells])
 
 
 def _sigma_at_face(s, fi, h, params):
@@ -348,29 +350,22 @@ def _probe_d(p, s, grid):
                           for j in p.jrel])
 
 
-def update_repr_probe(p, s, s_prev, dt, grid, params):
-    """Advance the probe across one accepted step; mutates and returns p.
+def update_repr_probe(p, s, dt, grid, params):
+    """Advance the probe from the state it last reached to s, dt later;
+    mutates and returns p.
 
     Y picks up exp(dt * sigma_mid) with the stress averaged over the two
     time levels.  The integral of theta/(D Y) treats theta/D as constant
     over the step and Y as the exact exponential of sigma_mid, which keeps
-    the rest-state reconstruction exact up to roundoff.  s_prev's stress
-    and temperatures are taken from the last update when s_prev is the
-    state it reached, and evaluated otherwise.
+    the rest-state reconstruction exact up to roundoff.
     """
     if dt == 0.0:
         return p
-    h = grid.h
-    if s_prev is p.last:
-        sigma_prev, theta_prev = p.last_sigma, p.last_theta
-    else:
-        sigma_prev = _sigma_at_face(s_prev, p.fi, h, params)
-        theta_prev = s_prev.theta[p.cells]
-    sigma = _sigma_at_face(s, p.fi, h, params)
+    sigma = _sigma_at_face(s, p.fi, grid.h, params)
     theta = s.theta[p.cells]
-    s_mid = 0.5 * (sigma_prev + sigma)
+    s_mid = 0.5 * (p.sigma + sigma)
     d_new = _probe_d(p, s, grid)
-    th_mid = 0.5 * (theta_prev + theta)
+    th_mid = 0.5 * (p.theta + theta)
     d_mid = 0.5 * (p.D + d_new)
     if s_mid == 0.0:
         growth = dt
@@ -378,21 +373,25 @@ def update_repr_probe(p, s, s_prev, dt, grid, params):
         growth = -math.expm1(-s_mid * dt) / s_mid
     p.I += th_mid / d_mid * (growth / p.Y)
     p.Y *= math.exp(s_mid * dt)
+    if p.Y < math.ldexp(1.0, -_RESCALE_BITS):
+        p.Y = math.ldexp(p.Y, _RESCALE_BITS)
+        p.I = np.ldexp(p.I, -_RESCALE_BITS)
+        p.Y_exp -= _RESCALE_BITS
     p.D = d_new
     p.t = s.t
     p.logY_t.append(s.t)
-    p.logY.append(math.log(p.Y))
-    p.last, p.last_sigma, p.last_theta = s, sigma, theta
+    p.logY.append(math.log(p.Y) + p.Y_exp * math.log(2.0))
+    p.sigma, p.theta = sigma, theta
     return p
 
 
 def reconstruct_v(p, s, params):
     """Reconstruct v at the probe points and report the worst relative error.
 
-    v_rec = D * Y * (1 + R * I); the probe must have been updated through
-    the state's time (D is taken from the last update).
+    v_rec = D * Y * (1 + R * I) in true values; the probe must have been
+    updated through the state's time (D is taken from the last update).
     """
-    v_rec = p.D * p.Y * (1.0 + params.R * p.I)
+    v_rec = p.D * p.Y * (math.ldexp(1.0, p.Y_exp) + params.R * p.I)
     v_act = s.v[p.cells]
     rel = float((np.abs(v_rec - v_act) / v_act).max())
     return v_rec, v_act, rel

@@ -28,8 +28,8 @@ from .diagnostics import (_ratio, decay_report, dissipation_functional,
                           sample_energy, unit_interval_averages,
                           update_repr_probe)
 from .model import MmsProfile, strain_rate
-from .stepper import (StepControl, StepFailure, TriDiag, advance,
-                      solve_tridiagonal, stable_dt, step_imex)
+from .stepper import (StepControl, StepFailure, advance, solve_tridiagonal,
+                      stable_dt, step_imex)
 
 SERIES_HEADER = ("t,E,V,cumV,vmin,vmax,thmin,thmax,n2_vm1,n2_u,n2_thm1,"
                  "ninf_vm1,ninf_u,ninf_thm1,g2_vx,g2_ux,g2_thx,pospart,"
@@ -129,12 +129,11 @@ def _validate_config(cfg):
         raise ConfigError(f"grid.length must be positive, got {cfg.length}")
     if cfg.n_cells < 4:
         raise ConfigError(f"grid.cells must be at least 4, got {cfg.n_cells}")
-    grid = build_grid(cfg.length, cfg.n_cells)
-    k = round(1.0 / grid.h)
-    if k < 1 or abs(k * grid.h - 1.0) > 1e-9:
-        raise ConfigError(
-            f"grid.cells = {cfg.n_cells} on grid.length = {cfg.length} gives "
-            f"h = {grid.h}, which does not divide the unit mass interval")
+    try:
+        build_grid(cfg.length, cfg.n_cells).unit_cells
+    except ConfigError as exc:
+        raise ConfigError(f"grid.cells = {cfg.n_cells} on grid.length = "
+                          f"{cfg.length}: {exc}") from None
     gap = cfg.far_length - cfg.length
     if gap < 0.0 or abs(gap - round(gap)) > 1e-9:
         raise ConfigError(
@@ -351,7 +350,7 @@ class _RunAccumulator:
         self.write_row = write_row
         self.ux = strain_rate(state0.u, grid.dx)
         self.running = running_integrals(state0, grid, params, ux=self.ux)
-        self.probe = make_repr_probe(state0, grid, probe_i)
+        self.probe = make_repr_probe(state0, grid, params, probe_i)
         self.n_steps = 0
         self.series = {c: array("d") for c in SERIES_COLUMNS}
         self.avg_min, self.avg_max = math.inf, -math.inf
@@ -362,7 +361,7 @@ class _RunAccumulator:
         self.ux = ux
         self.running = running_integrals(new, self.grid, self.params,
                                          self.running, ux)
-        update_repr_probe(self.probe, new, prev, dt, self.grid, self.params)
+        update_repr_probe(self.probe, new, dt, self.grid, self.params)
 
     def record(self, state):
         """Sample the state the last step reached and write its row."""
@@ -373,8 +372,9 @@ class _RunAccumulator:
         self.avg_max = max(self.avg_max, float(averages.max()))
         _, _, relerr = reconstruct_v(self.probe, state, self.params)
         self.worst_repr = max(self.worst_repr, relerr)
-        values = (*_ENERGY_VALUES(e), *_BOUNDS_VALUES(b), self.probe.Y,
-                  relerr, b.farfield_dev)
+        values = (*_ENERGY_VALUES(e), *_BOUNDS_VALUES(b),
+                  math.ldexp(self.probe.Y, self.probe.Y_exp), relerr,
+                  b.farfield_dev)
         for column, x in zip(self.series.values(), values):
             column.append(x)
         self.write_row(values)
@@ -657,7 +657,7 @@ def _criterion_tridiag(suite):
         diag[:-1] += np.abs(off)
         diag[1:] += np.abs(off)
         rhs = rng.uniform(-1.0, 1.0, n)
-        x = solve_tridiagonal(TriDiag(diag, off, rhs))
+        x = solve_tridiagonal(diag, off, rhs)
         dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
         worst = max(worst, float(np.max(np.abs(x - np.linalg.solve(dense, rhs)))))
     grid = build_grid(20.0, 200)

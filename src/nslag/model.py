@@ -102,18 +102,14 @@ def mms_tables(grid, prof):
     return tables
 
 
-def mms_source(x, t, prof, params, term=None):
+def mms_source(x, t, prof, params, term):
     """Forcing that makes the manufactured profile an exact solution.
 
-    Returns (Sv, Su, Stheta) at the points x, or at their mms_tables entry:
-    the time derivative of each exact field minus the continuous operator
-    applied to the exact fields, Stheta divided by cv.  With term 0, 1 or
-    2 only that entry is evaluated and returned.
+    Returns term 0, 1 or 2 of (Sv, Su, Stheta) at the points x, or at their
+    mms_tables entry: the time derivative of that exact field minus the
+    continuous operator applied to the exact fields, Stheta divided by cv.
     """
-    tab = x if isinstance(x, _Trig) else _trig(x, prof)
-    if term is None:
-        return tuple(mms_source(tab, t, prof, params, k) for k in range(3))
-    c1, s1, c2, s2 = tab
+    c1, s1, c2, s2 = x if isinstance(x, _Trig) else _trig(x, prof)
     k1, k2 = math.pi / prof.length, 2.0 * math.pi / prof.length
     e = prof.amp * math.exp(-t)
     mu, kt, beta, gas_r, cv = params.mu, params.kappa, params.beta, params.R, params.cv

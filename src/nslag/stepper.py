@@ -81,47 +81,33 @@ class StepFailure(RuntimeError):
         return type(self), (self.args[0], self.state, self.dt), self.__dict__
 
 
-@dataclass
-class TriDiag:
-    """Symmetric tridiagonal system: diag[k], off[k] couples x[k] and x[k+1].
-
-    These are ptsv's d and e.  Assembly must produce a positive diagonal
-    and strict diagonal dominance, hence a positive-definite matrix;
-    solve_tridiagonal checks it.
+def check_dominant(diag, off):
+    """Raise ValueError, naming the least dominant row, unless every row's
+    diagonal diag[k] exceeds the magnitudes of its couplings off[k-1] and
+    off[k] (ptsv's d and e); a non-positive diagonal fails.  Returns the
+    check's scratch array, one value per row, for the caller to overwrite.
     """
-
-    diag: np.ndarray
-    off: np.ndarray
-    rhs: np.ndarray
-
-    def check_dominant(self):
-        """Raise ValueError, naming the least dominant row, unless every
-        row's diagonal exceeds the sum of its off-diagonal magnitudes.
-
-        A non-positive diagonal fails.  Returns the scratch array the check
-        used, one value per row, for the caller to overwrite.
-        """
-        gap = self.diag.copy()
-        mag = np.abs(self.off)
-        gap[:-1] -= mag
-        gap[1:] -= mag
-        if not np.minimum.reduce(gap) > 0.0:
-            k = int(np.argmin(gap))
-            raise ValueError(f"tridiagonal row {k} is not strictly dominant")
-        return gap
+    gap = diag.copy()
+    mag = np.abs(off)
+    gap[:-1] -= mag
+    gap[1:] -= mag
+    if not np.minimum.reduce(gap) > 0.0:
+        k = int(np.argmin(gap))
+        raise ValueError(f"tridiagonal row {k} is not strictly dominant")
+    return gap
 
 
-def solve_tridiagonal(sys):
+def solve_tridiagonal(diag, off, rhs):
     """Solve a symmetric strictly dominant tridiagonal system with LAPACK ptsv.
 
-    ptsv factors LDL^T without pivoting; the system's arrays are left
-    untouched.  A nonzero ptsv info raises ArithmeticError, and so does a
-    residual that is not at most 1e-12 * (|rhs|_inf + |x|_inf), a NaN
-    included; a positive diagonal and dominance make the matrix positive
-    definite, so under finite data neither can trip.
+    Assembly must give a positive diagonal and strict dominance, hence a
+    positive-definite matrix; check_dominant verifies it first.  ptsv
+    factors LDL^T without pivoting; the arrays are left untouched.  A
+    nonzero ptsv info raises ArithmeticError, and so does a residual that
+    is not at most 1e-12 * (|rhs|_inf + |x|_inf), a NaN included; under
+    finite data neither can trip.
     """
-    work = sys.check_dominant()
-    diag, off, rhs = sys.diag, sys.off, sys.rhs
+    work = check_dominant(diag, off)
     _, _, x, info = dptsv(diag, off, rhs)
     if info != 0:
         raise ArithmeticError(f"tridiagonal solve failed: ptsv info {info}")
@@ -207,7 +193,7 @@ def step_imex(s, dt, grid, params, mms=None, floor=0.0, ux=None):
     u1 = np.empty(n + 1)
     if mms is None:
         u1[n] = 0.0
-        u1[:n] = solve_tridiagonal(TriDiag(diag, off, load))
+        u1[:n] = solve_tridiagonal(diag, off, load)
     else:
         # both end velocities are exact traces: rows 1..n-1 remain, and the
         # couplings to the ends move into their loads
@@ -218,7 +204,7 @@ def step_imex(s, dt, grid, params, mms=None, floor=0.0, ux=None):
         b += grid.dm[1:n] * su[1:n]
         b[0] -= a[0] * u1[0]
         b[-1] -= a[-1] * u1[n]
-        u1[1:n] = solve_tridiagonal(TriDiag(diag[1:], off[1:], b))
+        u1[1:n] = solve_tridiagonal(diag[1:], off[1:], b)
     ux1 = strain_rate(u1, h)
 
     # temperature solve: conduction implicit, conductivities c frozen at
@@ -250,22 +236,21 @@ def step_imex(s, dt, grid, params, mms=None, floor=0.0, ux=None):
         load2 += sth
     diag2 = np.add(cond[:n], cond[1:])
     diag2 += q
-    th1 = solve_tridiagonal(TriDiag(diag2, np.negative(cond[1:n]), load2))
+    th1 = solve_tridiagonal(diag2, np.negative(cond[1:n]), load2)
     _require_above("theta", th1, floor)
 
     return State(t1, v1, th1, u1), ux1
 
 
-def advance(s, t_target, grid, params, ctl=None, callbacks=(), mms=None,
-            ux=None, on_step=None):
+def advance(s, t_target, grid, params, ctl=None, ux=None, on_step=None):
     """March the state to t_target with adaptive steps and positivity retries.
 
     The last step is truncated to land on t_target exactly.  After every
-    accepted step each callback is invoked as cb(prev_state, new_state, dt),
-    then on_step as on_step(prev_state, new_state, dt, new_ux); none may
-    mutate its arguments.  ux, the strain rate of s.u, is computed when not
-    passed in; each step hands its own, new_ux, to the next.  Step-size
-    underflow raises StepFailure with the last good state attached.
+    accepted step on_step, when given, is called as on_step(prev_state,
+    new_state, dt, new_ux); it must not mutate its arguments.  ux, the
+    strain rate of s.u, is computed when not passed in; each step hands
+    its own, new_ux, to the next.  Step-size underflow raises StepFailure
+    with the last good state attached.
     """
     ctl = StepControl() if ctl is None else ctl
     if t_target < s.t:
@@ -278,7 +263,7 @@ def advance(s, t_target, grid, params, ctl=None, callbacks=(), mms=None,
         tries = 0
         while True:
             try:
-                new, new_ux = step_imex(state, dt, grid, params, mms=mms,
+                new, new_ux = step_imex(state, dt, grid, params,
                                         floor=POSITIVITY_FLOOR, ux=ux)
                 break
             except PositivityViolation as exc:
@@ -291,8 +276,6 @@ def advance(s, t_target, grid, params, ctl=None, callbacks=(), mms=None,
                         state, dt) from exc
         if hits_target:
             new.t = t_target  # land exactly, no roundoff creep
-        for cb in callbacks:
-            cb(state, new, dt)
         if on_step is not None:
             on_step(state, new, dt, new_ux)
         state, ux = new, new_ux

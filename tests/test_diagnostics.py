@@ -16,7 +16,7 @@ from nslag.diagnostics import (POSPART_THRESHOLD, DiagnosticsError,
                                running_integrals, sample_bounds,
                                sample_energy, unit_interval_averages,
                                update_repr_probe)
-from nslag.stepper import StepControl, advance, stable_dt, step_imex
+from nslag.stepper import StepControl, advance
 from oracles import (fsum_bounds, fsum_dissipation, fsum_energy,
                      mp_entropy_roots, reference_state)
 
@@ -186,14 +186,27 @@ def test_unit_averages_require_compatible_grid():
         unit_interval_averages(equilibrium_state(grid), grid)
 
 
+def test_unit_interval_check_shared_by_averages_and_probe():
+    """A cell size that does not divide the unit interval is rejected by
+    the grid's one check, with one error for both callers."""
+    grid = build_grid(50.0, 120)
+    s = equilibrium_state(grid)
+    with pytest.raises(ConfigError) as averages:
+        unit_interval_averages(s, grid)
+    with pytest.raises(ConfigError) as probe:
+        make_repr_probe(s, grid, Params(), 12)
+    assert str(averages.value) == str(probe.value)
+    assert "does not divide the unit mass interval" in str(probe.value)
+
+
 def test_probe_placement_validation():
     grid = build_grid(50.0, 200)
     s = equilibrium_state(grid)
-    make_repr_probe(s, grid, 12)
+    make_repr_probe(s, grid, Params(), 12)
     with pytest.raises(ConfigError):
-        make_repr_probe(s, grid, 0)
+        make_repr_probe(s, grid, Params(), 0)
     with pytest.raises(ConfigError):
-        make_repr_probe(s, grid, 49)
+        make_repr_probe(s, grid, Params(), 49)
 
 
 def test_probe_equilibrium_closed_form():
@@ -201,13 +214,13 @@ def test_probe_equilibrium_closed_form():
     grid = build_grid(50.0, 200)
     params = Params(R=1.7)
     s = equilibrium_state(grid)
-    p = make_repr_probe(s, grid, 12)
+    p = make_repr_probe(s, grid, params, 12)
     dt, steps = 0.05, 40
     state = s
     for _ in range(steps):
         nxt = state.copy()
         nxt.t = state.t + dt
-        update_repr_probe(p, nxt, state, dt, grid, params)
+        update_repr_probe(p, nxt, dt, grid, params)
         state = nxt
     t = steps * dt
     assert abs(p.Y - math.exp(-params.R * t)) <= 1e-13
@@ -218,70 +231,12 @@ def test_probe_equilibrium_closed_form():
     assert relerr <= 1e-12
 
 
-def _probe_run_states():
-    grid = build_grid(50.0, 400)
-    params = Params(beta=1.5)
-    spec = ICSpec(kind="bump", amp_v=0.3, amp_u=0.3, amp_theta=0.3,
-                  center=12.5, width=1.0, floor=0.1)
-    s0 = make_initial_data(grid, spec)
-    states = [s0]
-    for _ in range(3):
-        prev = states[-1]
-        states.append(step_imex(prev, stable_dt(prev, grid, params,
-                                                StepControl()), grid, params)[0])
-    return grid, params, states
-
-
-def _same_probe(p, q):
-    assert p.Y == q.Y
-    assert np.array_equal(p.I, q.I)
-    assert np.array_equal(p.D, q.D)
-    assert p.logY_t == q.logY_t
-    assert p.logY == q.logY
-
-
-def test_probe_reuses_last_state_bit_for_bit():
-    """An update whose previous state is the probe's last one reuses its
-    stress and temperatures; passing an equal copy instead makes it
-    evaluate them, with the same bits."""
-    grid, params, (s0, s1, s2, s3) = _probe_run_states()
-    p = make_repr_probe(s0, grid, 12)
-    q = make_repr_probe(s0, grid, 12)
-    for prev, new in ((s0, s1), (s1, s2), (s2, s3)):
-        update_repr_probe(p, new, prev, new.t - prev.t, grid, params)
-        update_repr_probe(q, new, prev.copy(), new.t - prev.t, grid, params)
-    _same_probe(p, q)
-    assert p.Y != 1.0
-
-
-def test_probe_recomputes_for_another_previous_state():
-    """Given a previous state that is not its last one, the update
-    evaluates that state, as a probe that never saw the last one does."""
-    grid, params, (s0, s1, s2, _) = _probe_run_states()
-    p = make_repr_probe(s0, grid, 12)
-    update_repr_probe(p, s1, s0, s1.t - s0.t, grid, params)
-    other = s1.copy()
-    other.theta = other.theta * 1.01
-    other.u = other.u + 1e-3
-    nxt, _ = step_imex(other, s2.t - s1.t, grid, params)
-    fresh = make_repr_probe(s0, grid, 12)
-    fresh.Y, fresh.I, fresh.D = p.Y, p.I.copy(), p.D.copy()
-    fresh.logY_t, fresh.logY = array("d", p.logY_t), array("d", p.logY)
-    update_repr_probe(p, nxt, other, nxt.t - other.t, grid, params)
-    update_repr_probe(fresh, nxt, other, nxt.t - other.t, grid, params)
-    _same_probe(p, fresh)
-    stale = make_repr_probe(s0, grid, 12)
-    update_repr_probe(stale, s1, s0, s1.t - s0.t, grid, params)
-    update_repr_probe(stale, nxt, s1, nxt.t - s1.t, grid, params)
-    assert stale.Y != p.Y
-
-
 def test_probe_zero_dt_is_identity():
     grid = build_grid(50.0, 200)
     s = equilibrium_state(grid)
-    p = make_repr_probe(s, grid, 12)
+    p = make_repr_probe(s, grid, Params(), 12)
     y0, i0 = p.Y, p.I.copy()
-    update_repr_probe(p, s, s, 0.0, grid, Params())
+    update_repr_probe(p, s, 0.0, grid, Params())
     assert p.Y == y0
     assert np.array_equal(p.I, i0)
 
@@ -291,7 +246,7 @@ def test_probe_initial_reconstruction_exact():
     spec = ICSpec(kind="bump", amp_v=0.25, amp_theta=0.2, center=6.0,
                   width=1.0, floor=0.1)
     s = make_initial_data(grid, spec)
-    p = make_repr_probe(s, grid, 12)
+    p = make_repr_probe(s, grid, Params(), 12)
     v_rec, v_act, relerr = reconstruct_v(p, s, Params())
     np.testing.assert_allclose(v_rec, v_act, rtol=1e-14)
     assert relerr <= 1e-14
@@ -303,12 +258,12 @@ def test_probe_tracks_evolved_run():
     spec = ICSpec(kind="bump", amp_v=0.3, amp_u=0.3, amp_theta=0.3,
                   center=6.0, width=1.0, floor=0.1)
     s = make_initial_data(grid, spec)
-    p = make_repr_probe(s, grid, 12)
+    p = make_repr_probe(s, grid, params, 12)
 
-    def cb(prev, new, dt):
-        update_repr_probe(p, new, prev, dt, grid, params)
+    def cb(prev, new, dt, ux):
+        update_repr_probe(p, new, dt, grid, params)
 
-    out = advance(s, 5.0, grid, params, StepControl(), callbacks=(cb,))
+    out = advance(s, 5.0, grid, params, StepControl(), on_step=cb)
     _, _, relerr = reconstruct_v(p, out, params)
     assert relerr <= 0.05
 
@@ -408,7 +363,7 @@ def test_decay_report_equilibrium_trajectory():
     grid = build_grid(10.0, 40)
     params = Params(R=2.0)
     s = equilibrium_state(grid)
-    p = make_repr_probe(s, grid, 3)
+    p = make_repr_probe(s, grid, params, 3)
     running = running_integrals(s, grid, params)
     series = {}
 
@@ -423,7 +378,7 @@ def test_decay_report_equilibrium_trajectory():
     state = s
     for _ in range(12):
         nxt = advance(state, state.t + 1.0, grid, params)
-        update_repr_probe(p, nxt, state, nxt.t - state.t, grid, params)
+        update_repr_probe(p, nxt, nxt.t - state.t, grid, params)
         running = running_integrals(nxt, grid, params, running)
         sample(nxt)
         state = nxt
@@ -457,11 +412,11 @@ def _energy_margin(n_cells):
     running = [running_integrals(s, grid, params)]
     recs = [sample_energy(s, grid, params, running[0])]
 
-    def cb(prev, new, dt):
+    def cb(prev, new, dt, ux):
         running[0] = running_integrals(new, grid, params, running[0])
         recs.append(sample_energy(new, grid, params, running[0]))
 
-    advance(s, 10.0, grid, params, StepControl(), callbacks=(cb,))
+    advance(s, 10.0, grid, params, StepControl(), on_step=cb)
     e0 = recs[0].E
     return max(r.E + r.cumV - e0 for r in recs)
 

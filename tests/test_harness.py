@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -308,6 +309,33 @@ def test_cli_out_in_missing_directory_fails_before_work(tmp_path, capsys,
     assert list(tmp_path.iterdir()) == []
 
 
+def test_cli_write_config_rejects_missing_directory(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.cfg"
+    assert cli_main(["write-config", str(target)]) == 2
+    out = capsys.readouterr()
+    assert out.err.startswith(f"config error: path = {target}")
+    assert out.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_probe_stays_finite_at_long_horizon(tmp_path):
+    """The probe's Y decays like e^{-R t} and its integral I grows like
+    e^{R t}; past R t = 709 neither fits a float.  At T = 1000 the run
+    must warn of nothing, read the representation error of the T = 700
+    run (whose worst sample comes early) and keep ln Y's slope at -R."""
+    reports = {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for t_final in (700.0, 1000.0):
+            reports[t_final] = run_simulation(_quick_cfg(
+                tmp_path, n_cells=100, t_final=t_final, sample_dt=2.0,
+                ic=default_config().ic))
+    late, ref = reports[1000.0], reports[700.0]
+    assert (late.verdicts["representation"]["measured"]
+            == ref.verdicts["representation"]["measured"])
+    assert abs(late.decay["y_slope"] + late.config["physics.R"]) <= 1e-3
+
+
 def test_run_history_keeps_eight_bytes_per_value(tmp_path, monkeypatch):
     """A run keeps its history as float columns: when decay_report starts,
     the memory the run holds is at most 8 bytes per series value of each
@@ -394,17 +422,17 @@ def test_run_records_match_chained_samples(tmp_path, far_length, beta):
     grid = build_grid(cfg.length, cfg.n_cells, cfg.far_length)
     state = make_initial_data(grid, cfg.ic)
     running = [running_integrals(state, grid, cfg.params)]
-    probe = make_repr_probe(state, grid, cfg.resolved_probe())
+    probe = make_repr_probe(state, grid, cfg.params, cfg.resolved_probe())
 
-    def step(prev, new, dt):
+    def step(prev, new, dt, ux):
         running[0] = running_integrals(new, grid, cfg.params, running[0])
-        update_repr_probe(probe, new, prev, dt, grid, cfg.params)
+        update_repr_probe(probe, new, dt, grid, cfg.params)
 
     assert len(rows) == 11
     for k, row in enumerate(rows):
         if k:
             state = advance(state, row["t"], grid, cfg.params, cfg.ctl,
-                            callbacks=(step,))
+                            on_step=step)
         assert running[0].V == dissipation_functional(state, grid,
                                                       cfg.params), row["t"]
         for rec in (sample_energy(state, grid, cfg.params, running[0]),

@@ -168,17 +168,22 @@ def test_conductance_geometry_matches_widths(beta, far_length):
                                                    *ghosts), want)
 
 
+def _sources(x, t, prof, params):
+    # the three forcing terms (Sv, Su, Stheta) at the points x
+    return [mms_source(x, t, prof, params, k) for k in range(3)]
+
+
 def test_mms_sources_vanish_at_zero_amplitude():
     prof = MmsProfile(amp=0.0, length=20.0)
     x = np.linspace(0.0, 20.0, 11)
-    for term in mms_source(x, 0.7, prof, Params()):
+    for term in _sources(x, 0.7, prof, Params()):
         np.testing.assert_allclose(term, 0.0, atol=0)
 
 
 def test_mms_sources_decay_in_time():
     prof = MmsProfile(amp=0.1, length=20.0)
     x = np.linspace(0.0, 20.0, 11)
-    late = mms_source(x, 40.0, prof, Params())
+    late = _sources(x, 40.0, prof, Params())
     assert max(np.max(np.abs(term)) for term in late) < 1e-15
 
 
@@ -186,7 +191,7 @@ def test_mms_source_frozen_spot_values():
     prof = MmsProfile(amp=0.1, length=20.0)
     for (tag, xv, tv), expected in MMS_FROZEN.items():
         params = Params(**GENERAL) if tag == "general" else Params()
-        got = mms_source(xv, tv, prof, params)
+        got = _sources(xv, tv, prof, params)
         for g, e in zip(got, expected):
             assert abs(float(g) - e) <= 1e-12
 
@@ -194,7 +199,7 @@ def test_mms_source_frozen_spot_values():
 def test_mms_source_matches_symbolic_oracle():
     """Independent sympy differentiation agrees at the midpoint spot."""
     prof = MmsProfile(amp=0.1, length=20.0)
-    got = mms_source(10.0, 0.0, prof, Params())
+    got = _sources(10.0, 0.0, prof, Params())
     want = sympy_mms_sources(10.0, 0.0, 0.1, 20.0, 1, 1, 1, 1, 1)
     for g, w in zip(got, want):
         assert abs(float(g) - w) <= 1e-12

@@ -12,14 +12,14 @@ from nslag.core import ConfigError, ICSpec, Params, State, build_grid, \
 from nslag import stepper
 from nslag.model import MmsProfile, mms_source, mms_tables, strain_rate
 from nslag.stepper import (PositivityViolation, StepControl, StepFailure,
-                           TriDiag, advance, solve_tridiagonal, stable_dt,
-                           step_imex)
+                           advance, check_dominant, solve_tridiagonal,
+                           stable_dt, step_imex)
 from oracles import dense_solve, dense_step
 
 
 def _tridiag(diag, off, rhs):
-    return TriDiag(np.asarray(diag, float), np.asarray(off, float),
-                   np.asarray(rhs, float))
+    # (diag, off, rhs) as solve_tridiagonal takes them
+    return tuple(np.asarray(x, float) for x in (diag, off, rhs))
 
 
 def _dominant_system(n=40, seed=3):
@@ -35,43 +35,43 @@ def _dominant_system(n=40, seed=3):
 def test_solve_identity():
     rhs = np.array([3.0, -1.0, 2.5])
     sys = _tridiag([1, 1, 1], [0, 0], rhs)
-    np.testing.assert_array_equal(solve_tridiagonal(sys), rhs)
+    np.testing.assert_array_equal(solve_tridiagonal(*sys), rhs)
 
 
 def test_solve_two_by_two():
     sys = _tridiag([2, 2], [1], [3, 3])
-    np.testing.assert_allclose(solve_tridiagonal(sys), [1.0, 1.0],
+    np.testing.assert_allclose(solve_tridiagonal(*sys), [1.0, 1.0],
                                rtol=1e-14)
 
 
 def test_solve_matches_dense_oracle():
     for seed in range(10):
-        sys = _dominant_system(n=50, seed=seed)
-        x = solve_tridiagonal(sys)
+        diag, off, rhs = _dominant_system(n=50, seed=seed)
+        x = solve_tridiagonal(diag, off, rhs)
         # off is both bands: lower[0] and upper[-1] are unused
-        ref = dense_solve(np.concatenate(([0.0], sys.off)), sys.diag,
-                          np.concatenate((sys.off, [0.0])), sys.rhs)
+        ref = dense_solve(np.concatenate(([0.0], off)), diag,
+                          np.concatenate((off, [0.0])), rhs)
         assert np.max(np.abs(x - ref)) <= 1e-10
 
 
 def test_dominance_check_names_offending_row():
-    sys = _tridiag([3.0, 1.0], [2.0], [0, 0])
+    diag, off, _ = _tridiag([3.0, 1.0], [2.0], [0, 0])
     with pytest.raises(ValueError, match="row 1"):
-        sys.check_dominant()
+        check_dominant(diag, off)
 
 
 def test_dominance_check_rejects_negative_diagonal():
     """|diag| would dominate row 0, but ptsv needs a positive diagonal."""
     sys = _tridiag([-5.0, 3.0], [1.0], [1.0, 1.0])
     with pytest.raises(ValueError, match="row 0"):
-        solve_tridiagonal(sys)
+        solve_tridiagonal(*sys)
 
 
 def test_solve_leaves_system_untouched():
     sys = _dominant_system()
-    before = [a.copy() for a in (sys.diag, sys.off, sys.rhs)]
-    solve_tridiagonal(sys)
-    for was, now in zip(before, (sys.diag, sys.off, sys.rhs)):
+    before = [a.copy() for a in sys]
+    solve_tridiagonal(*sys)
+    for was, now in zip(before, sys):
         assert np.array_equal(was, now)
 
 
@@ -83,7 +83,7 @@ def test_residual_guard_catches_perturbed_solution(monkeypatch):
 
     monkeypatch.setattr(stepper, "dptsv", perturbed)
     with pytest.raises(ArithmeticError, match="lost accuracy"):
-        solve_tridiagonal(_dominant_system())
+        solve_tridiagonal(*_dominant_system())
 
 
 def test_nonzero_ptsv_info_raises(monkeypatch):
@@ -93,7 +93,7 @@ def test_nonzero_ptsv_info_raises(monkeypatch):
 
     monkeypatch.setattr(stepper, "dptsv", failing)
     with pytest.raises(ArithmeticError, match="info 3"):
-        solve_tridiagonal(_dominant_system())
+        solve_tridiagonal(*_dominant_system())
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -102,10 +102,10 @@ def test_nonfinite_load_raises(bad, row):
     """The residual guard fails closed: a NaN or an infinity in the load
     makes max|res| <= bound false, and that must raise, not pass."""
     sys = _dominant_system()
-    sys.rhs[row] = bad
+    sys[2][row] = bad
     with np.errstate(invalid="ignore"):
         with pytest.raises(ArithmeticError):
-            solve_tridiagonal(sys)
+            solve_tridiagonal(*sys)
 
 
 def test_stable_dt_equilibrium_formula():
@@ -179,8 +179,8 @@ class _MovingEndsProfile(MmsProfile):
 @pytest.mark.parametrize("beta", [0.5, 1.0, 2.5])
 @pytest.mark.parametrize("graded", [False, True])
 def test_mms_source_terms_match_full_tuple(graded, beta, profile):
-    """Each forcing term evaluated alone on the grid's cached tables is bit
-    for bit the matching entry of the three-term tuple at the points."""
+    """Each forcing term evaluated on the grid's cached tables is bit for
+    bit the same term evaluated at the points."""
     grid = (build_grid(50.0, 200, far_length=225.0) if graded
             else build_grid(20.0, 80))
     prof = profile(amp=0.1, length=grid.far_length)
@@ -188,10 +188,10 @@ def test_mms_source_terms_match_full_tuple(graded, beta, profile):
     at_centers, at_faces = mms_tables(grid, prof)
     for tables, x in ((at_centers, grid.centers()), (at_faces, grid.faces())):
         for t in (0.0, 0.37):
-            full = mms_source(x, t, prof, params)
             for k in range(3):
                 alone = mms_source(tables, t, prof, params, k)
-                assert alone.tobytes() == full[k].tobytes(), (k, t)
+                at_x = mms_source(x, t, prof, params, k)
+                assert alone.tobytes() == at_x.tobytes(), (k, t)
 
 
 def test_mms_tables_cached_by_value():
@@ -244,9 +244,9 @@ def test_step_matches_dense_row_scaled_oracle(graded, beta, forced):
     if forced:
         prof = _MovingEndsProfile(amp=0.1, length=grid.far_length)
         xg = grid.far_length + 0.5 * grid.dx[-1]
-        data = {"sv": mms_source(xc, s.t, prof, params)[0].tolist(),
-                "su": mms_source(xf, t1, prof, params)[1].tolist(),
-                "sth": mms_source(xc, t1, prof, params)[2].tolist(),
+        data = {"sv": mms_source(xc, s.t, prof, params, 0).tolist(),
+                "su": mms_source(xf, t1, prof, params, 1).tolist(),
+                "sth": mms_source(xc, t1, prof, params, 2).tolist(),
                 "u_wall": float(prof.u_exact(0.0, t1)),
                 "u_far": float(prof.u_exact(grid.far_length, t1)),
                 "theta_ghost_old": float(prof.theta_exact(xg, s.t)),
@@ -292,7 +292,7 @@ def test_advance_degenerate_interval():
     s = equilibrium_state(grid)
     calls = []
     out = advance(s, 0.0, grid, Params(),
-                  callbacks=(lambda a, b, dt: calls.append(dt),))
+                  on_step=lambda a, b, dt, ux: calls.append(dt))
     assert out.t == 0.0 and not calls
     assert np.array_equal(out.v, s.v)
 
@@ -358,8 +358,8 @@ def test_advance_lands_exactly_and_reports_steps():
     grid = build_grid(50.0, 200)
     seen = []
     out = advance(equilibrium_state(grid), 0.1, grid, Params(),
-                  callbacks=(lambda prev, new, dt: seen.append((prev.t,
-                                                                new.t, dt)),))
+                  on_step=lambda prev, new, dt, ux: seen.append((prev.t,
+                                                                 new.t, dt)))
     assert out.t == 0.1
     assert seen[-1][1] == 0.1
     for prev_t, new_t, dt in seen:
@@ -418,7 +418,7 @@ def test_advance_looks_up_step_imex_every_step(monkeypatch):
                   center=6.0, width=1.0, floor=0.1)
     seen = []
     advance(make_initial_data(grid, spec), 1.0, grid, Params(),
-            callbacks=(lambda prev, new, dt: seen.append(dt),))
+            on_step=lambda prev, new, dt, ux: seen.append(dt))
     assert len(seen) > 10
     assert outcomes == ["accepted"] * len(seen)
 
@@ -433,7 +433,7 @@ def test_advance_looks_up_step_imex_every_step(monkeypatch):
     s.u[-1] = 0.0
     with pytest.raises(StepFailure):
         advance(s, 1e-7, grid, Params(),
-                callbacks=(lambda prev, new, dt: seen.append(dt),))
+                on_step=lambda prev, new, dt, ux: seen.append(dt))
     assert outcomes.count("accepted") == len(seen) > 0
     assert outcomes.count("rejected") > len(seen)
 
