@@ -10,6 +10,7 @@ prescribed (outer pressure condition), face N carries the far-field state
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -42,10 +43,11 @@ class Params:
     def __post_init__(self):
         for name in ("mu", "kappa", "R", "cv"):
             val = getattr(self, name)
-            if not val > 0.0:
-                raise ConfigError(f"{name} must be positive, got {val}")
-        if self.beta < 0.0:
-            raise ConfigError(f"beta must be nonnegative, got {self.beta}")
+            if not 0.0 < val < math.inf:
+                raise ConfigError(f"{name} must be positive and finite, got {val}")
+        if not 0.0 <= self.beta < math.inf:
+            raise ConfigError(
+                f"beta must be nonnegative and finite, got {self.beta}")
 
 
 @dataclass(frozen=True)

@@ -284,8 +284,6 @@ class ReprProbe:
     per update.
     """
 
-    i: int
-    xs: np.ndarray
     cells: np.ndarray
     fi: int
     v0: np.ndarray
@@ -293,7 +291,6 @@ class ReprProbe:
     D: np.ndarray
     Y: float
     I: np.ndarray
-    t: float
     logY_t: array
     logY: array
     seg: slice
@@ -319,8 +316,8 @@ def make_repr_probe(s0, grid, params, i, n_points=5):
     xs = i + (np.arange(n_points) + 0.5) / n_points
     cells = np.minimum((xs / grid.h).astype(int), grid.n_cells - 1)
     v0 = s0.v[cells].copy()
-    return ReprProbe(i=i, xs=xs, cells=cells, fi=fi, v0=v0, u0=s0.u.copy(),
-                     D=v0.copy(), Y=1.0, I=np.zeros(n_points), t=s0.t,
+    return ReprProbe(cells=cells, fi=fi, v0=v0, u0=s0.u.copy(),
+                     D=v0.copy(), Y=1.0, I=np.zeros(n_points),
                      logY_t=array("d", [s0.t]), logY=array("d", [0.0]),
                      seg=slice(fi, int(cells.max()) + 2),
                      jrel=tuple((cells - fi).tolist()),
@@ -378,7 +375,6 @@ def update_repr_probe(p, s, dt, grid, params):
         p.I = np.ldexp(p.I, -_RESCALE_BITS)
         p.Y_exp -= _RESCALE_BITS
     p.D = d_new
-    p.t = s.t
     p.logY_t.append(s.t)
     p.logY.append(math.log(p.Y) + p.Y_exp * math.log(2.0))
     p.sigma, p.theta = sigma, theta

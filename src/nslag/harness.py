@@ -14,7 +14,6 @@ import math
 import os
 import time
 from array import array
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from operator import attrgetter
 
@@ -548,6 +547,8 @@ def sweep(cfg, betas):
     if workers <= 1:
         results = [_sweep_worker(job) for job in jobs]
     else:
+        # imported here so a serial run never loads the pool machinery
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_worker, jobs))
     return dict(sorted(results, key=lambda kv: kv[0]))

@@ -21,20 +21,44 @@ off-diagonal and load that LAPACK's ptsv takes (LDL^T, no pivoting), and
 solve_tridiagonal hands them to ptsv between a dominance check before and
 a residual check after.
 Reductions call the ufuncs' reduce: the array methods' reduction without
-their Python wrapper.  At 2210 cells a step costs about 339 us on a 2-vCPU
-KVM guest: each solve about 70, the rest of step_imex about 92, and under
-mms its three forcing terms about 28 each at c02's sizes (BENCH_8.json).
+their Python wrapper.  ptsv comes from scipy's LAPACK extension module,
+loaded on its own: importing it through scipy.linalg would first run that
+package's __init__, which loads much of scipy for routines nslag never
+calls.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dptsv
 
 from .core import ConfigError, State
 from .model import face_conductance, mms_source, mms_tables, strain_rate
+
+
+def _load_flapack():
+    """scipy.linalg._flapack, the extension module behind scipy.linalg.lapack,
+    loaded without running scipy.linalg's __init__.  It is registered under
+    its own name, so a later import of scipy.linalg reuses it."""
+    name = "scipy.linalg._flapack"
+    if name not in sys.modules:
+        where = importlib.util.find_spec("scipy.linalg").submodule_search_locations
+        spec = importlib.machinery.PathFinder.find_spec(name, where)
+        if spec is None:
+            raise ImportError(f"no module named {name!r}", name=name)
+        sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+    return sys.modules[name]
+
+
+# looked up at call time by solve_tridiagonal, so it can be wrapped or
+# replaced as a module attribute
+dptsv = _load_flapack().dptsv
 
 # an adaptive step is rejected when it leaves v or theta at or below this
 # floor, and retried with half the step at most MAX_RETRIES times
@@ -51,8 +75,8 @@ class StepControl:
 
     def __post_init__(self):
         for name in ("cfl_hyp", "dt_min"):
-            if not getattr(self, name) > 0.0:
-                raise ConfigError(f"{name} must be positive")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be positive and finite")
         if self.cfl_hyp > 1.0:
             raise ConfigError("cfl_hyp must not exceed 1")
 
@@ -104,8 +128,9 @@ def solve_tridiagonal(diag, off, rhs):
     positive-definite matrix; check_dominant verifies it first.  ptsv
     factors LDL^T without pivoting; the arrays are left untouched.  A
     nonzero ptsv info raises ArithmeticError, and so does a residual that
-    is not at most 1e-12 * (|rhs|_inf + |x|_inf), a NaN included; under
-    finite data neither can trip.
+    is not at most 1e-12 * (|rhs|_inf + |x|_inf) plus the smallest normal
+    float, a NaN included; under finite data neither can trip.  The
+    absolute term admits subnormal data, whose rounding error is absolute.
     """
     work = check_dominant(diag, off)
     _, _, x, info = dptsv(diag, off, rhs)
@@ -118,6 +143,7 @@ def solve_tridiagonal(diag, off, rhs):
     res[1:] += np.multiply(off, x[:-1], out=band)
     bound = 1e-12 * (np.maximum.reduce(np.abs(rhs, out=work))
                      + np.maximum.reduce(np.abs(x, out=work)))
+    bound += sys.float_info.min
     if not np.maximum.reduce(np.abs(res, out=res)) <= bound:
         raise ArithmeticError("tridiagonal solve lost accuracy")
     return x

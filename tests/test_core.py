@@ -80,7 +80,9 @@ def test_params_defaults():
 
 def test_params_rejects_nonpositive():
     for kw in ({"mu": 0.0}, {"kappa": -1.0}, {"R": 0.0}, {"cv": -2.0},
-               {"beta": -0.5}):
+               {"beta": -0.5}, {"beta": math.nan}, {"beta": math.inf},
+               {"mu": math.inf}, {"cv": math.inf}, {"kappa": math.nan},
+               {"R": math.inf}):
         with pytest.raises(ConfigError):
             Params(**kw)
 

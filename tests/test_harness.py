@@ -612,6 +612,18 @@ def test_cli_unknown_key_exit_two(tmp_path, capsys):
     assert "grid.cellz" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line, name", [("physics.beta = nan", "beta"),
+                                        ("ctl.dt_min = inf", "dt_min")])
+def test_cli_non_finite_constant_exit_two(tmp_path, capsys, line, name):
+    """A non-finite constant is a configuration error: exit 2, one line
+    naming it, before any step is taken."""
+    cfg_path = tmp_path / "bad.cfg"
+    cfg_path.write_text(f"{line}\n")
+    assert cli_main(["run", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and name in err and "finite" in err
+
+
 def test_cli_reports_diagnostics_error(tmp_path, capsys):
     """Too few samples for the decay report: exit 2, named as such."""
     cfg_path = tmp_path / "short.cfg"
@@ -651,6 +663,24 @@ def test_python_m_nslag_runs_the_cli(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert (config_to_dict(load_config(str(tmp_path / "d.cfg")))
             == config_to_dict(default_config()))
+
+
+def test_cli_import_loads_neither_scipy_linalg_nor_process_pool():
+    """Importing the CLI loads LAPACK's extension module without
+    scipy.linalg's package, and no process pool; a later import of
+    scipy.linalg.lapack reuses the same module."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys\n"
+        "import nslag.cli, nslag.stepper\n"
+        "assert 'scipy.linalg' not in sys.modules\n"
+        "assert 'concurrent.futures' not in sys.modules\n"
+        "import scipy.linalg.lapack\n"
+        "assert scipy.linalg.lapack.dptsv is nslag.stepper.dptsv\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_cli_entry_point_installed(tmp_path):

@@ -38,6 +38,15 @@ def test_solve_identity():
     np.testing.assert_array_equal(solve_tridiagonal(*sys), rhs)
 
 
+def test_solve_accepts_subnormal_load():
+    """A load below the normal float range solves: its rounding error is
+    absolute, so the residual guard's relative bound alone would trip."""
+    diag, off, _ = _dominant_system()
+    rhs = np.full(diag.size, 5e-324)
+    x = solve_tridiagonal(diag, off, rhs)
+    assert np.all(np.isfinite(x)) and np.max(np.abs(x)) <= 1e-320
+
+
 def test_solve_two_by_two():
     sys = _tridiag([2, 2], [1], [3, 3])
     np.testing.assert_allclose(solve_tridiagonal(*sys), [1.0, 1.0],
@@ -468,6 +477,36 @@ def test_step_keeps_positive_states_positive_or_signals(seed, dt):
     assert np.all(out.v > 0) and np.all(out.theta > 0)
     assert np.all(np.isfinite(out.v)) and np.all(np.isfinite(out.theta))
     assert np.all(np.isfinite(out.u)) and out.u[-1] == 0.0
+
+
+ic_amps = st.floats(-0.85, 0.85)    # 1 - |amp| stays above ICSpec's floor 0.1
+
+
+@settings(deadline=None, max_examples=30)
+@given(n=st.integers(12, 96),
+       cfl=st.floats(0.0, 1.0, exclude_min=True),
+       beta=st.floats(0.0, 3.0),
+       amp_v=ic_amps, amp_u=st.floats(-1.5, 1.5), amp_theta=ic_amps,
+       kind=st.sampled_from(["bump", "packet"]))
+def test_advance_keeps_states_valid_or_fails_with_one(n, cfl, beta, amp_v,
+                                                      amp_u, amp_theta, kind):
+    """advance, at any admitted cell count, CFL number, beta and initial
+    data, returns a valid state or raises StepFailure carrying one."""
+    grid = build_grid(24.0, n)
+    params = Params(beta=beta)
+    ctl = StepControl(cfl_hyp=cfl)
+    spec = ICSpec(kind=kind, amp_v=amp_v, amp_u=amp_u, amp_theta=amp_theta,
+                  center=4.0, width=0.75, floor=0.1)
+    s = make_initial_data(grid, spec)
+    t_target = 100 * stable_dt(s, grid, params, ctl)   # about 100 steps
+    try:
+        out = advance(s, t_target, grid, params, ctl)
+    except StepFailure as exc:
+        out = exc.state
+        assert out.t < t_target
+    else:
+        assert out.t == t_target
+    assert validate_state(out) is None
 
 
 def _mms_error(n, dt_factor, t_end=0.5):
