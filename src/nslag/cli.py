@@ -2,21 +2,19 @@
 
 Subcommands: run (one trajectory), sweep (one config across conductivity
 exponents), mms (convergence study), check (acceptance suite).  Exit code
-0 on success, 1 when a verdict fails, 2 on configuration errors and on
-diagnostics errors (too few samples for the decay report).
+0 on success, 1 when a verdict fails, 2 on configuration errors (too
+sparse a sampling for the decay report among them).
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .core import ConfigError
-from .diagnostics import DiagnosticsError
 from .harness import (acceptance_suite, default_config, load_config,
                       mms_convergence, mms_orders_pass, require_out_dir,
-                      run_simulation, sweep, write_config)
+                      run_simulation, sweep, write_config, write_json)
 from .stepper import StepFailure
 
 
@@ -55,18 +53,13 @@ def _cmd_sweep(args):
     if not betas:
         raise ConfigError("--beta needs at least one value")
     reports = sweep(cfg, betas)
-    aggregate = {f"{b:g}": r.to_dict() for b, r in reports.items()}
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(aggregate, fh, indent=2)
-        fh.write("\n")
-    ok = True
+    write_json({f"{b:g}": r.to_dict() for b, r in reports.items()}, args.out)
     for b, r in reports.items():
         mark = "pass" if r.all_pass else "FAIL"
-        ok = ok and r.all_pass
         print(f"beta = {b:g}: {mark} ({r.n_steps} steps, "
               f"{r.wall_seconds:.1f} s)")
     print(f"aggregate -> {args.out}")
-    return 0 if ok else 1
+    return 0 if all(r.all_pass for r in reports.values()) else 1
 
 
 def _cmd_mms(args):
@@ -76,9 +69,7 @@ def _cmd_mms(args):
     print("temporal orders:",
           ["%.3f" % p for p in report["temporal"]["orders"]])
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
+        write_json(report, args.out)
     return 0 if mms_orders_pass(report) else 1
 
 
@@ -147,9 +138,6 @@ def main(argv=None):
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except DiagnosticsError as exc:
-        print(f"diagnostics error: {exc}", file=sys.stderr)
         return 2
     except StepFailure as exc:
         where = f"; state -> {exc.snapshot_path}" if exc.snapshot_path else ""

@@ -32,6 +32,8 @@ class DiagnosticsError(RuntimeError):
 # positive-part threshold for the (theta - 3/2)_+^2 monitor
 POSPART_THRESHOLD = 1.5
 
+MIN_SAMPLES = 10   # fewest samples decay_report accepts
+
 
 @dataclass
 class EnergyRecord:
@@ -300,18 +302,23 @@ class ReprProbe:
     Y_exp: int = 0
 
 
+def check_probe_interval(i, length):
+    """Raise ConfigError unless [i, i+1] lies one mass unit inside
+    (0, length)."""
+    if not (1 <= i and i + 1 <= length - 1):
+        raise ConfigError(
+            f"probe interval [{i}, {i + 1}] must keep one mass unit of "
+            f"clearance inside (0, {length})")
+
+
 def make_repr_probe(s0, grid, params, i, n_points=5):
     """Probe over [i, i+1] with n_points interior sample points.
 
-    The interval must sit at least one mass unit away from both ends of the
-    resolved zone (0, length), where cells are uniform, and the cell size
-    must divide the unit interval.
+    The interval must pass check_probe_interval, where cells are uniform,
+    and the cell size must divide the unit interval.
     """
     i = int(i)
-    if not (1 <= i and i + 1 <= grid.length - 1):
-        raise ConfigError(
-            f"probe interval [{i}, {i + 1}] must keep one mass unit of "
-            f"clearance inside (0, {grid.length})")
+    check_probe_interval(i, grid.length)
     fi = i * grid.unit_cells
     xs = i + (np.arange(n_points) + 0.5) / n_points
     cells = np.minimum((xs / grid.h).astype(int), grid.n_cells - 1)
@@ -462,16 +469,17 @@ def decay_report(series, logy=None):
     """Long-time summary of a sampled trajectory.
 
     series maps series column names to float columns, logy (optional) is
-    the columns (t, ln Y).  Needs at least 10 samples spanning at least
-    half the run.  Reports final/initial norm ratios, the least-squares
+    the columns (t, ln Y).  Needs at least MIN_SAMPLES samples spanning at
+    least half the run.  Reports final/initial norm ratios, the least-squares
     slope of ln Y over the second half, the worst energy inequality margin
     max_t (E + cumV - E(0)), the fraction of each running integral
     accumulated after half time, and the relative drift of each extremum
     between the window means over [T/4, T/2] and [T/2, T].
     """
     ts = np.asarray(series["t"])
-    if len(ts) < 10:
-        raise DiagnosticsError(f"need at least 10 samples, got {len(ts)}")
+    if len(ts) < MIN_SAMPLES:
+        raise DiagnosticsError(
+            f"need at least {MIN_SAMPLES} samples, got {len(ts)}")
     t_end = float(ts[-1])
     if t_end - ts[0] < 0.5 * t_end:
         raise DiagnosticsError("samples span less than half the run")

@@ -14,14 +14,17 @@ import math
 import os
 import time
 from array import array
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
+from itertools import islice
 from operator import attrgetter
 
 import numpy as np
 
 from .core import (ConfigError, ICSpec, Params, State, build_grid,
                    equilibrium_state, make_initial_data)
-from .diagnostics import (_ratio, decay_report, dissipation_functional,
+from .diagnostics import (MIN_SAMPLES, _ratio, check_probe_interval,
+                          decay_report, dissipation_functional,
                           energy_functional, entropy_roots, make_repr_probe,
                           reconstruct_v, running_integrals, sample_bounds,
                           sample_energy, unit_interval_averages,
@@ -35,7 +38,8 @@ SERIES_HEADER = ("t,E,V,cumV,vmin,vmax,thmin,thmax,n2_vm1,n2_u,n2_thm1,"
                  "cum_ux2,cum_pospart,Y_probe,repr_relerr,farfield_dev")
 SERIES_COLUMNS = SERIES_HEADER.split(",")
 
-# verdict thresholds used by run reports and the acceptance suite
+# the one source of every verdict's limit: run reports, the acceptance
+# suite and nslag mms read it when they judge
 THRESHOLDS = {
     "energy_margin_rel": 0.02,    # margin allowance as a fraction of E(0)
     "energy_margin_abs": 1e-6,
@@ -119,49 +123,54 @@ def require_out_dir(name, path):
         raise ConfigError(f"{name} = {path}: its directory does not exist")
 
 
+@contextmanager
+def _naming(what):
+    """Prefix what to the message of a ConfigError raised inside."""
+    try:
+        yield
+    except ConfigError as exc:
+        raise ConfigError(f"{what}: {exc}") from None
+
+
 def _validate_config(cfg):
+    """Check what Params and StepControl do not, before a file is opened."""
     if not 0.0 < cfg.t_final < math.inf:
         raise ConfigError(f"run.t_final must be positive and finite, got {cfg.t_final}")
     if not cfg.sample_dt > 0.0:
         raise ConfigError(f"run.sample_dt must be positive, got {cfg.sample_dt}")
-    if not cfg.length > 0.0:
-        raise ConfigError(f"grid.length must be positive, got {cfg.length}")
-    if cfg.n_cells < 4:
-        raise ConfigError(f"grid.cells must be at least 4, got {cfg.n_cells}")
-    try:
-        build_grid(cfg.length, cfg.n_cells).unit_cells
-    except ConfigError as exc:
-        raise ConfigError(f"grid.cells = {cfg.n_cells} on grid.length = "
-                          f"{cfg.length}: {exc}") from None
-    gap = cfg.far_length - cfg.length
-    if gap < 0.0 or abs(gap - round(gap)) > 1e-9:
-        raise ConfigError(
-            f"grid.far_length = {cfg.far_length} must lie a whole number of "
-            f"mass units (0 or more) beyond grid.length = {cfg.length}")
+    # the initial sample and the sample times after it, up to MIN_SAMPLES
+    n = 1 + sum(1 for _ in islice(_sample_times(cfg.t_final, cfg.sample_dt),
+                                  MIN_SAMPLES - 1))
+    if n < MIN_SAMPLES:
+        raise ConfigError(f"run.sample_dt = {cfg.sample_dt} gives {n} samples "
+                          f"over run.t_final = {cfg.t_final}; the decay "
+                          f"report needs at least {MIN_SAMPLES}")
+    with _naming(f"grid.length = {cfg.length}, grid.cells = {cfg.n_cells}, "
+                 f"grid.far_length = {cfg.far_length}"):
+        build_grid(cfg.length, cfg.n_cells, cfg.far_length).unit_cells
     i = cfg.resolved_probe()
-    if not (1 <= i and i + 1 <= cfg.length - 1):
-        raise ConfigError(f"probe.interval = {i} too close to a boundary")
+    with _naming(f"probe.interval = {i}"):
+        check_probe_interval(i, cfg.length)
     require_out_dir("out.series", cfg.series_path)
     require_out_dir("out.report", cfg.report_path)
     return cfg
 
 
 def config_from_dict(values):
-    """Build a validated RunConfig from {config key: typed value}."""
-    unknown = set(values) - set(CONFIG_KEYS)
-    if unknown:
-        raise ConfigError(f"unknown config key {sorted(unknown)[0]!r}")
-    base = default_config()
-    changes = {}   # {section attribute, "" for RunConfig itself: {field: value}}
-    for key, (path, _) in CONFIG_KEYS.items():
-        if key in values:
-            section, _, attr = path.rpartition(".")
-            changes.setdefault(section, {})[attr] = values[key]
-    top = changes.pop("", {})
-    # Params and StepControl validate themselves when rebuilt
-    for section, fields in changes.items():
-        top[section] = replace(getattr(base, section), **fields)
-    return _validate_config(replace(base, **top))
+    """Build a validated RunConfig from {config key: typed value}.
+
+    The values are set one key at a time, so an error names its key.
+    """
+    cfg = default_config()
+    for key, value in values.items():
+        if key not in CONFIG_KEYS:
+            raise ConfigError(f"unknown config key {key!r}")
+        section, _, attr = CONFIG_KEYS[key][0].rpartition(".")
+        with _naming(f"{key} = {value}"):
+            if section:   # Params and StepControl check themselves here
+                value = replace(getattr(cfg, section), **{attr: value})
+            cfg = replace(cfg, **{section or attr: value})
+    return _validate_config(cfg)
 
 
 def load_config(path):
@@ -203,6 +212,12 @@ def write_config(cfg, path):
     with open(path, "w", encoding="utf-8") as fh:
         for key, value in config_to_dict(cfg).items():
             fh.write(f"{key} = {value}\n")
+
+
+def write_json(obj, path):
+    """Write obj to path as JSON indented by two, with a final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(obj, indent=2) + "\n")
 
 
 def _fmt(x):
@@ -289,15 +304,16 @@ def _ratio_at_most(ratio, limit):
     return _at_most(ratio, limit)
 
 
-def _run_verdicts(thr, band, decay, series, avg_min, avg_max, worst_repr):
+def _run_verdicts(band, decay, series, avg_min, avg_max, worst_repr):
     """The ten run verdicts in report order, each with pass, measured value
     and threshold.
 
     band is the entropy band of E(0), decay the decay_report of the run,
     series its {column name: float column}, avg_min and avg_max the
     extremes of its unit-interval averages and worst_repr its largest
-    reconstruction error.
+    reconstruction error.  The limits are THRESHOLDS'.
     """
+    thr = THRESHOLDS
     slack = thr["jensen_slack"]
     excursion = max(band.alpha1 - slack - avg_min,
                     avg_max - band.alpha2 - slack)
@@ -387,7 +403,7 @@ def _sample_times(t_final, sample_dt):
     yield t_final
 
 
-def run_simulation(cfg, thresholds=None):
+def run_simulation(cfg):
     """Run one configured trajectory and evaluate every standing verdict.
 
     Samples diagnostics on the sample_dt cadence (running integrals and the
@@ -396,7 +412,6 @@ def run_simulation(cfg, thresholds=None):
     re-raised after the offending state is written next to the report.
     """
     _validate_config(cfg)
-    thr = {**THRESHOLDS, **(thresholds or {})}
     wall0 = time.perf_counter()
 
     grid = build_grid(cfg.length, cfg.n_cells, cfg.far_length)
@@ -421,7 +436,7 @@ def run_simulation(cfg, thresholds=None):
     decay = decay_report(acc.series, logy=(acc.probe.logY_t, acc.probe.logY))
     report = RunReport(
         config=config_to_dict(cfg),
-        verdicts=_run_verdicts(thr, band, decay, acc.series, acc.avg_min,
+        verdicts=_run_verdicts(band, decay, acc.series, acc.avg_min,
                                acc.avg_max, acc.worst_repr),
         decay=decay,
         e0=band.e0,
@@ -430,9 +445,7 @@ def run_simulation(cfg, thresholds=None):
         n_steps=acc.n_steps,
         wall_seconds=time.perf_counter() - wall0,
     )
-    with open(cfg.report_path, "w", encoding="utf-8") as fh:
-        json.dump(report.to_dict(), fh, indent=2)
-        fh.write("\n")
+    write_json(report.to_dict(), cfg.report_path)
     return report
 
 
@@ -597,10 +610,9 @@ def _frozen_state(grid, seed=2024):
 
 @dataclass
 class _Suite:
-    """What the criteria read: config, thresholds and the shared runs."""
+    """What the criteria read besides THRESHOLDS: config and shared runs."""
 
     cfg: RunConfig
-    thr: dict
     runs: dict = field(default_factory=dict)   # {beta: RunReport} of the sweep
     eq: RunReport | None = None                # equilibrium diagnostics run
 
@@ -617,19 +629,15 @@ def _criterion_equilibrium(suite):
     dev = max(float(np.max(np.abs(state.v - 1.0))),
               float(np.max(np.abs(state.theta - 1.0))),
               float(np.max(np.abs(state.u))))
-    limit = suite.thr["equilibrium_dev"]
+    limit = THRESHOLDS["equilibrium_dev"]
     return dev <= limit and seconds < 5.0, dev, limit
 
 
-def mms_orders_pass(report, thresholds=None):
-    """Whether an mms_convergence report has orders, all inside their windows.
-
-    The windows are thresholds' "spatial_order" and "temporal_order",
-    THRESHOLDS' when thresholds is None.
-    """
-    thr = THRESHOLDS if thresholds is None else thresholds
-    lo_s, hi_s = thr["spatial_order"]
-    lo_t, hi_t = thr["temporal_order"]
+def mms_orders_pass(report):
+    """Whether an mms_convergence report has orders, all inside their
+    windows, THRESHOLDS' "spatial_order" and "temporal_order"."""
+    lo_s, hi_s = THRESHOLDS["spatial_order"]
+    lo_t, hi_t = THRESHOLDS["temporal_order"]
     sp = report["spatial"]["orders"]
     tm = report["temporal"]["orders"]
     return bool(sp and all(lo_s <= p <= hi_s for p in sp)
@@ -640,13 +648,13 @@ def _criterion_mms(suite):
     report = mms_convergence(levels=3, base_cells=100)
     measured = {"spatial": report["spatial"]["orders"],
                 "temporal": report["temporal"]["orders"]}
-    return mms_orders_pass(report, suite.thr), measured, \
-        {"spatial": list(suite.thr["spatial_order"]),
-         "temporal": list(suite.thr["temporal_order"])}
+    return mms_orders_pass(report), measured, \
+        {"spatial": list(THRESHOLDS["spatial_order"]),
+         "temporal": list(THRESHOLDS["temporal_order"])}
 
 
 def _criterion_tridiag(suite):
-    thr = suite.thr
+    thr = THRESHOLDS
     rng = np.random.default_rng(7)
     worst = 0.0
     for _ in range(20):
@@ -688,7 +696,7 @@ def _criterion_energy(suite):
 def _criterion_stabilization(suite):
     ok, drift = _rollup(suite.runs, "stabilization")
     ok = ok and _rollup(suite.runs, "positivity")[0]
-    return ok, drift, suite.thr["drift_tol"]
+    return ok, drift, THRESHOLDS["drift_tol"]
 
 
 def _criterion_decay(suite):
@@ -696,7 +704,7 @@ def _criterion_decay(suite):
     ok_grad, grad = _rollup(suite.runs, "decay_grad")
     measured = {b: {"u": u[b], "grad": grad[b]} for b in u}
     return ok_u and ok_grad, measured, \
-        {"u": suite.thr["uinf_ratio"], "grad": suite.thr["grad_ratio"]}
+        {"u": THRESHOLDS["uinf_ratio"], "grad": THRESHOLDS["grad_ratio"]}
 
 
 def _criterion_jensen(suite):
@@ -706,7 +714,7 @@ def _criterion_jensen(suite):
             resid = max(resid, abs(alpha - math.log(alpha) - 1.0 - r.e0))
     ok, measured = _rollup(suite.runs, "jensen_band")
     measured["root_residual"] = resid
-    limit = suite.thr["root_residual"]
+    limit = THRESHOLDS["root_residual"]
     return ok and resid <= limit, measured, \
         {"excursion": 0.0, "root_residual": limit}
 
@@ -715,16 +723,16 @@ def _criterion_representation(suite):
     ok, measured = _rollup(suite.runs, "representation")
     eq_err = suite.eq.verdicts["representation"]["measured"]
     measured["equilibrium"] = eq_err
-    limit = suite.thr["repr_tol_equilibrium"]
+    limit = THRESHOLDS["repr_tol_equilibrium"]
     return ok and eq_err <= limit, measured, \
-        {"runs": suite.thr["repr_tol"], "equilibrium": limit}
+        {"runs": THRESHOLDS["repr_tol"], "equilibrium": limit}
 
 
 def _criterion_y_decay(suite):
     ok, measured = _rollup(suite.runs, "y_slope")
     eq_slope = suite.eq.decay["y_slope"]
     measured["equilibrium_slope"] = eq_slope
-    limit = suite.thr["yslope_eq_tol"]
+    limit = THRESHOLDS["yslope_eq_tol"]
     return ok and abs(eq_slope + suite.cfg.params.R) <= limit, measured, \
         {"sign": 0.0, "equilibrium": limit}
 
@@ -742,17 +750,17 @@ _CRITERIA = (
     (8, "y_decay", _criterion_y_decay),
     (9, "integrability_plateaus",
      lambda suite: (*_rollup(suite.runs, "plateaus"),
-                    suite.thr["plateau_frac"])),
+                    THRESHOLDS["plateau_frac"])),
     (10, "oracle_agreement", _criterion_tridiag),
     (11, "farfield_fidelity",
      lambda suite: (*_rollup(suite.runs, "farfield"),
-                    suite.thr["farfield_tol"])),
+                    THRESHOLDS["farfield_tol"])),
 )
 _NEEDS_SWEEP = {3, 4, 5, 6, 7, 8, 9, 11}
 _NEEDS_EQUILIBRIUM_RUN = {7, 8}
 
 
-def _equilibrium_diag_run(cfg, thr):
+def _equilibrium_diag_run(cfg):
     run_cfg = replace(
         cfg,
         n_cells=500,
@@ -760,26 +768,21 @@ def _equilibrium_diag_run(cfg, thr):
         t_final=10.0,
         series_path=_keyed_path(cfg.series_path, "equilibrium"),
         report_path=_keyed_path(cfg.report_path, "equilibrium"))
-    return run_simulation(run_cfg, thresholds=thr)
+    return run_simulation(run_cfg)
 
 
-def acceptance_suite(cfg=None, criteria=None, overrides=None, out_path=None):
+def acceptance_suite(cfg=None, criteria=None, out_path=None):
     """Execute the standing acceptance criteria and write one aggregate JSON.
 
     criteria selects a subset by number (1..11); an explicit empty list is a
-    vacuous pass with a warning.  overrides patches threshold values by
-    name.  Returns the aggregate report dict; "all_pass" says whether every
-    executed criterion passed.  A criterion's seconds are its own running
-    time plus the shared run charged to it: the beta sweep to c03, the
-    equilibrium diagnostics run to c07.
+    vacuous pass with a warning.  Every criterion and the run verdicts it
+    rolls up read their limits from THRESHOLDS.  Returns the aggregate
+    report dict; "all_pass" says whether every executed criterion passed.
+    A criterion's seconds are its own running time plus the shared run
+    charged to it: the beta sweep to c03, the equilibrium diagnostics run
+    to c07.
     """
     cfg = default_config() if cfg is None else cfg
-    thr = dict(THRESHOLDS)
-    if overrides:
-        unknown = set(overrides) - set(thr)
-        if unknown:
-            raise ConfigError(f"unknown threshold {sorted(unknown)[0]!r}")
-        thr.update(overrides)
     numbers = {num for num, _, _ in _CRITERIA}
     wanted = numbers if criteria is None else {int(c) for c in criteria}
     bad = sorted(wanted - numbers)
@@ -790,7 +793,7 @@ def acceptance_suite(cfg=None, criteria=None, overrides=None, out_path=None):
     if not wanted:
         report["warning"] = "empty criterion list: vacuous pass"
 
-    suite = _Suite(cfg, thr)
+    suite = _Suite(cfg)
     charged = {}
     if wanted & _NEEDS_SWEEP:
         t0 = time.perf_counter()
@@ -798,7 +801,7 @@ def acceptance_suite(cfg=None, criteria=None, overrides=None, out_path=None):
         charged[3] = time.perf_counter() - t0
     if wanted & _NEEDS_EQUILIBRIUM_RUN:
         t0 = time.perf_counter()
-        suite.eq = _equilibrium_diag_run(cfg, thr)
+        suite.eq = _equilibrium_diag_run(cfg)
         charged[7] = time.perf_counter() - t0
 
     for num, name, evaluate in _CRITERIA:
@@ -814,7 +817,5 @@ def acceptance_suite(cfg=None, criteria=None, overrides=None, out_path=None):
             report["all_pass"] = False
 
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
+        write_json(report, out_path)
     return report

@@ -19,7 +19,7 @@ from dataclasses import replace
 
 import pytest
 
-from nslag.harness import acceptance_suite, default_config
+from nslag.harness import THRESHOLDS, acceptance_suite, default_config
 
 
 @pytest.fixture(scope="module")
@@ -82,3 +82,17 @@ def test_c10_oracle_agreement(report):
 
 def test_c11_farfield_fidelity(report):
     _check(report, "c11_farfield_fidelity")
+
+
+def test_criteria_report_table_thresholds(report):
+    """The criteria that roll up one run verdict report the THRESHOLDS
+    entry that verdict applied."""
+    expected = {
+        "c04_bound_stabilization": THRESHOLDS["drift_tol"],
+        "c05_norm_decay": {"u": THRESHOLDS["uinf_ratio"],
+                           "grad": THRESHOLDS["grad_ratio"]},
+        "c09_integrability_plateaus": THRESHOLDS["plateau_frac"],
+        "c11_farfield_fidelity": THRESHOLDS["farfield_tol"],
+    }
+    for key, threshold in expected.items():
+        assert report["criteria"][key]["threshold"] == threshold, key

@@ -1,0 +1,33 @@
+"""The README's configuration table against the code it documents."""
+
+from pathlib import Path
+
+from nslag.harness import CONFIG_KEYS, default_config, write_config
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _config_table():
+    # [(key, default)] of the rows under "## Configuration"
+    section = README.read_text(encoding="utf-8").split(
+        "\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+    rows = []
+    for line in section.splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if line.startswith("| `") and len(cells) == 3:
+            rows.append((cells[0].strip("`"), cells[1].strip("`")))
+    return rows
+
+
+def test_readme_config_table_matches_defaults(tmp_path):
+    """The table lists every config key, in CONFIG_KEYS order, with the
+    default write-config writes; probe.interval's default is given by its
+    rule, floor(L/4)."""
+    path = tmp_path / "defaults.cfg"
+    write_config(default_config(), str(path))
+    written = [tuple(line.split(" = ", 1))
+               for line in path.read_text().splitlines()]
+    written = [(k, "floor(L/4)" if k == "probe.interval" else v)
+               for k, v in written]
+    assert [k for k, _ in written] == list(CONFIG_KEYS)
+    assert _config_table() == written

@@ -120,6 +120,18 @@ def test_config_rejects_nonpositive_horizon():
         config_from_dict({"run.t_final": 0.0})
 
 
+def test_config_requires_enough_samples():
+    """The run must take at least the decay report's MIN_SAMPLES samples,
+    the initial one included; the count stops there, so a tiny cadence is
+    cheap to check."""
+    n = diagnostics.MIN_SAMPLES
+    assert config_from_dict({"run.t_final": n - 1.0, "run.sample_dt": 1.0})
+    with pytest.raises(ConfigError, match=rf"run\.sample_dt = 1\.0 gives "
+                                          rf"{n - 1} samples"):
+        config_from_dict({"run.t_final": n - 2.0, "run.sample_dt": 1.0})
+    assert config_from_dict({"run.sample_dt": 1e-9}).sample_dt == 1e-9
+
+
 def test_config_rejects_infinite_horizon(tmp_path, capsys):
     with pytest.raises(ConfigError, match=r"run\.t_final"):
         config_from_dict({"run.t_final": math.inf})
@@ -467,8 +479,8 @@ def test_run_verdicts_decay_ratios(first, last, measured, passed):
     final norm that is zero too passes as "identically zero", any other
     fails as "undefined (initial zero)"; otherwise the ratio is judged."""
     series, decay = _verdict_records(first, last)
-    verdicts = harness._run_verdicts(THRESHOLDS, JensenBand(0.0, 1.0, 1.0),
-                                     decay, series, 1.0, 1.0, 0.0)
+    verdicts = harness._run_verdicts(JensenBand(0.0, 1.0, 1.0), decay,
+                                     series, 1.0, 1.0, 0.0)
     assert list(verdicts) == [
         "energy_inequality", "jensen_band", "representation", "y_slope",
         "decay_u", "decay_grad", "positivity", "stabilization", "plateaus",
@@ -570,11 +582,6 @@ def test_acceptance_unknown_criterion():
         acceptance_suite(criteria=[12])
 
 
-def test_acceptance_unknown_threshold():
-    with pytest.raises(ConfigError):
-        acceptance_suite(criteria=[10], overrides={"bogus": 1.0})
-
-
 def test_acceptance_single_cheap_criterion(tmp_path):
     report = acceptance_suite(criteria=[10],
                               out_path=str(tmp_path / "acc.json"))
@@ -584,15 +591,18 @@ def test_acceptance_single_cheap_criterion(tmp_path):
     assert entry["measured"]["quadrature"] <= 1e-12
 
 
-def test_acceptance_zero_thresholds_force_failure(tmp_path):
-    """Tightening the energy allowance to zero must flip the verdict."""
+def test_acceptance_patched_threshold_turns_c11_red(tmp_path, monkeypatch):
+    """The sweep's run verdicts and c11 read THRESHOLDS when they judge: a
+    far-field tolerance of zero turns c11 red, and it reports that zero.
+    At the default tolerance this sweep passes c11 at about 2e-15."""
+    monkeypatch.setitem(THRESHOLDS, "farfield_tol", 0.0)
+    monkeypatch.setenv("NSLAG_THREADS", "1")
     cfg = _quick_cfg(tmp_path, n_cells=250, t_final=10.0)
-    report = acceptance_suite(
-        cfg, criteria=[3],
-        overrides={"energy_margin_rel": 0.0, "energy_margin_abs": 0.0},
-        out_path=str(tmp_path / "acc.json"))
-    assert not report["all_pass"]
-    assert not report["criteria"]["c03_energy_inequality"]["pass"]
+    report = acceptance_suite(cfg, criteria=[11])
+    entry = report["criteria"]["c11_farfield_fidelity"]
+    assert not report["all_pass"] and not entry["pass"]
+    assert entry["threshold"] == 0.0
+    assert all(0.0 < dev < 1e-12 for dev in entry["measured"].values())
 
 
 def test_cli_run_equilibrium_exit_zero(tmp_path, capsys):
@@ -612,27 +622,38 @@ def test_cli_unknown_key_exit_two(tmp_path, capsys):
     assert "grid.cellz" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("line, name", [("physics.beta = nan", "beta"),
-                                        ("ctl.dt_min = inf", "dt_min")])
-def test_cli_non_finite_constant_exit_two(tmp_path, capsys, line, name):
-    """A non-finite constant is a configuration error: exit 2, one line
-    naming it, before any step is taken."""
+@pytest.mark.parametrize("line", [
+    "physics.beta = nan", "ctl.dt_min = inf", "ctl.cfl_hyp = 2",
+    "grid.cells = 3", "grid.far_length = 50.5", "probe.interval = 0"])
+def test_cli_non_finite_constant_exit_two(tmp_path, capsys, line):
+    """A bad value, a non-finite constant among them, is a configuration
+    error: exit 2, one line naming its config key, before any file is
+    written."""
+    key = line.partition(" = ")[0]
     cfg_path = tmp_path / "bad.cfg"
-    cfg_path.write_text(f"{line}\n")
+    cfg_path.write_text(f"{line}\nout.series = {tmp_path}/s.csv\n"
+                        f"out.report = {tmp_path}/r.json\n")
     assert cli_main(["run", "--config", str(cfg_path)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error:") and name in err and "finite" in err
+    assert err.startswith("config error:") and f"{key} = " in err
+    assert err.count("\n") == 1
+    assert sorted(tmp_path.iterdir()) == [cfg_path]
 
 
 def test_cli_reports_diagnostics_error(tmp_path, capsys):
-    """Too few samples for the decay report: exit 2, named as such."""
+    """Too few samples for the decay report is a configuration error,
+    found before the run: exit 2 naming the sampling keys, no series and
+    no report written."""
     cfg_path = tmp_path / "short.cfg"
     cfg_path.write_text(
         "grid.cells = 100\nrun.t_final = 1\nrun.sample_dt = 0.5\n"
         f"out.series = {tmp_path}/s.csv\nout.report = {tmp_path}/r.json\n")
     assert cli_main(["run", "--config", str(cfg_path)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("diagnostics error: need at least 10 samples")
+    assert err.startswith("config error: run.sample_dt = 0.5 gives 3 "
+                          "samples over run.t_final = 1.0")
+    assert f"at least {diagnostics.MIN_SAMPLES}" in err
+    assert sorted(tmp_path.iterdir()) == [cfg_path]
 
 
 def test_cli_sweep_aggregate(tmp_path, monkeypatch, capsys):
