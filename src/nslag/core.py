@@ -273,8 +273,9 @@ def equilibrium_state(grid):
 def make_initial_data(grid, spec):
     """Generate initial data from an ICSpec, enforcing positivity floors.
 
-    Perturbations must fit inside (0, length/2) so the far boundary starts
-    on the exact far-field state.
+    The perturbation's support must end inside (0, length/2]: it reaches
+    into the domain, and the far boundary starts on the exact far-field
+    state.
     """
     if not spec.floor > 0.0:
         raise ConfigError(f"ic floor must be positive, got {spec.floor}")
@@ -295,10 +296,13 @@ def make_initial_data(grid, spec):
             raise ConfigError(
                 f"{name} = {amp} drives the field minimum to {1.0 - abs(amp)}, "
                 f"below the floor {spec.floor}")
-    if spec.center + reach > 0.5 * grid.length:
+    # a NaN or infinite center fails too
+    if not 0.0 < spec.center + reach <= 0.5 * grid.length:
         raise ConfigError(
-            f"perturbation support ends at {spec.center + reach}, past half "
-            f"the domain length {grid.length}; enlarge the grid or shrink the ic")
+            f"ic.center = {spec.center}: the perturbation support ends at "
+            f"{spec.center + reach}, outside (0, {0.5 * grid.length}], so it "
+            f"misses the domain or passes its midpoint; move the ic or "
+            f"resize the grid")
     phi_c = profile(grid.centers(), spec.center, spec.width)
     phi_f = profile(grid.faces(), spec.center, spec.width)
     v = 1.0 + spec.amp_v * phi_c

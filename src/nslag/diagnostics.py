@@ -269,6 +269,7 @@ def unit_interval_averages(s, grid):
 # Y decays like e^{-R t} and I grows like e^{R t}: once Y falls below
 # 2^-512, both are rescaled by that exact power of two
 _RESCALE_BITS = 512
+PROBE_POINTS = 5   # sample points of the probe, equally spaced in [i, i+1]
 
 
 @dataclass
@@ -311,8 +312,8 @@ def check_probe_interval(i, length):
             f"clearance inside (0, {length})")
 
 
-def make_repr_probe(s0, grid, params, i, n_points=5):
-    """Probe over [i, i+1] with n_points interior sample points.
+def make_repr_probe(s0, grid, params, i):
+    """Probe over [i, i+1] at PROBE_POINTS interior sample points.
 
     The interval must pass check_probe_interval, where cells are uniform,
     and the cell size must divide the unit interval.
@@ -320,11 +321,11 @@ def make_repr_probe(s0, grid, params, i, n_points=5):
     i = int(i)
     check_probe_interval(i, grid.length)
     fi = i * grid.unit_cells
-    xs = i + (np.arange(n_points) + 0.5) / n_points
+    xs = i + (np.arange(PROBE_POINTS) + 0.5) / PROBE_POINTS
     cells = np.minimum((xs / grid.h).astype(int), grid.n_cells - 1)
     v0 = s0.v[cells].copy()
     return ReprProbe(cells=cells, fi=fi, v0=v0, u0=s0.u.copy(),
-                     D=v0.copy(), Y=1.0, I=np.zeros(n_points),
+                     D=v0.copy(), Y=1.0, I=np.zeros(PROBE_POINTS),
                      logY_t=array("d", [s0.t]), logY=array("d", [0.0]),
                      seg=slice(fi, int(cells.max()) + 2),
                      jrel=tuple((cells - fi).tolist()),

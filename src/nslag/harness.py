@@ -16,6 +16,7 @@ import time
 from array import array
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
+from functools import cached_property
 from itertools import islice
 from operator import attrgetter
 
@@ -136,8 +137,9 @@ def _validate_config(cfg):
     """Check what Params and StepControl do not, before a file is opened."""
     if not 0.0 < cfg.t_final < math.inf:
         raise ConfigError(f"run.t_final must be positive and finite, got {cfg.t_final}")
-    if not cfg.sample_dt > 0.0:
-        raise ConfigError(f"run.sample_dt must be positive, got {cfg.sample_dt}")
+    if not (cfg.sample_dt > 0.0 and cfg.t_final / cfg.sample_dt < math.inf):
+        raise ConfigError(f"run.sample_dt must be positive and run.t_final / "
+                          f"run.sample_dt finite, got {cfg.sample_dt}")
     # the initial sample and the sample times after it, up to MIN_SAMPLES
     n = 1 + sum(1 for _ in islice(_sample_times(cfg.t_final, cfg.sample_dt),
                                   MIN_SAMPLES - 1))
@@ -478,9 +480,13 @@ def _mms_run(n_cells, dt, t_end, prof, params):
     return state, grid
 
 
-def mms_convergence(levels=3, base_cells=100, amp=0.1, length=20.0,
-                    t_end=0.5, params=None):
-    """Manufactured-solution convergence study.
+def _ratios_orders(errs):
+    ratios = [a / b for a, b in zip(errs, errs[1:])]
+    return ratios, [math.log2(rho) for rho in ratios]
+
+
+def mms_convergence(levels=3, base_cells=100):
+    """Manufactured-solution convergence study of MmsProfile() to t = 0.5.
 
     Spatial: cells = base * 2^k with the step tied to h^2, so the measured
     order isolates the second-order stencils.  Temporal: fixed fine grid,
@@ -490,57 +496,41 @@ def mms_convergence(levels=3, base_cells=100, amp=0.1, length=20.0,
     if levels < 3 or base_cells < 4:
         raise ConfigError(f"need at least 3 refinement levels and 4 base "
                           f"cells, got {levels} and {base_cells}")
-    params = Params() if params is None else params
-    prof = MmsProfile(amp=amp, length=length)
+    params, prof, t_end = Params(), MmsProfile(), 0.5
 
     cells = [base_cells * 2 ** k for k in range(levels)]
     errors = []
     for n in cells:
-        h = length / n
+        h = prof.length / n
         state, grid = _mms_run(n, 0.2 * h * h, t_end, prof, params)
         errors.append(_l2_distance(state, _mms_state(grid, prof, state.t),
                                    grid))
-    exact = all(e < 1e-14 for e in errors)
-    if exact:
-        sp_ratios, sp_orders = [], []
-    else:
-        sp_ratios = [errors[k] / errors[k + 1] for k in range(levels - 1)]
-        sp_orders = [math.log2(rho) for rho in sp_ratios]
+    sp_ratios, sp_orders = _ratios_orders(errors)
 
     n_t = 16 * base_cells // 2
     dts = [4e-3, 2e-3, 1e-3, 5e-4]
     finals = [_mms_run(n_t, dt, t_end, prof, params)[0] for dt in dts]
-    grid_t = build_grid(length, n_t)
+    grid_t = build_grid(prof.length, n_t)
     diffs = [_l2_distance(a, b, grid_t)
              for a, b in zip(finals[:-1], finals[1:])]
-    if exact and all(d < 1e-14 for d in diffs):
-        tm_ratios, tm_orders = [], []
-    else:
-        tm_ratios = [diffs[k] / diffs[k + 1] for k in range(len(diffs) - 1)]
-        tm_orders = [math.log2(rho) for rho in tm_ratios]
+    tm_ratios, tm_orders = _ratios_orders(diffs)
 
     return {
         "spatial": {"cells": cells, "errors": errors,
                     "ratios": sp_ratios, "orders": sp_orders},
         "temporal": {"cells": n_t, "dts": dts, "diffs": diffs,
                      "ratios": tm_ratios, "orders": tm_orders},
-        "exact": exact,
     }
 
 
-def _keyed_path(path, tag):
-    root, ext = os.path.splitext(path)
-    return f"{root}_{tag}{ext}"
-
-
-def _sweep_worker(args):
-    cfg, beta = args
-    run_cfg = replace(
-        cfg,
-        params=replace(cfg.params, beta=beta),
-        series_path=_keyed_path(cfg.series_path, f"beta{beta:g}"),
-        report_path=_keyed_path(cfg.report_path, f"beta{beta:g}"))
-    return beta, run_simulation(run_cfg)
+def _keyed_run(cfg, tag, **changes):
+    """run_simulation on cfg with changes, its series and report paths
+    keyed by tag: series.csv becomes series_<tag>.csv."""
+    keyed = {}
+    for attr in ("series_path", "report_path"):
+        root, ext = os.path.splitext(getattr(cfg, attr))
+        keyed[attr] = f"{root}_{tag}{ext}"
+    return run_simulation(replace(cfg, **changes, **keyed))
 
 
 def sweep(cfg, betas):
@@ -556,15 +546,16 @@ def sweep(cfg, betas):
     except ValueError:
         raise ConfigError(
             f"NSLAG_THREADS must be an integer, got {cap!r}") from None
-    jobs = [(cfg, b) for b in betas]
+    cfgs = [replace(cfg, params=replace(cfg.params, beta=b)) for b in betas]
+    tags = [f"beta{b:g}" for b in betas]
     if workers <= 1:
-        results = [_sweep_worker(job) for job in jobs]
+        reports = list(map(_keyed_run, cfgs, tags))
     else:
         # imported here so a serial run never loads the pool machinery
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_worker, jobs))
-    return dict(sorted(results, key=lambda kv: kv[0]))
+            reports = list(pool.map(_keyed_run, cfgs, tags))
+    return dict(zip(betas, reports))
 
 
 # ---------------------------------------------------------------------------
@@ -610,11 +601,21 @@ def _frozen_state(grid, seed=2024):
 
 @dataclass
 class _Suite:
-    """What the criteria read besides THRESHOLDS: config and shared runs."""
+    """What the criteria read besides THRESHOLDS: the config and the shared
+    runs, each made when a criterion first reads it."""
 
     cfg: RunConfig
-    runs: dict = field(default_factory=dict)   # {beta: RunReport} of the sweep
-    eq: RunReport | None = None                # equilibrium diagnostics run
+
+    @cached_property
+    def runs(self):
+        """{beta: RunReport} of the beta sweep."""
+        return sweep(self.cfg, [0.5, 1.0, 2.5])
+
+    @cached_property
+    def eq(self):
+        """RunReport of the equilibrium diagnostics run."""
+        return _keyed_run(self.cfg, "equilibrium", n_cells=500,
+                          ic=ICSpec(kind="equilibrium"), t_final=10.0)
 
 
 def _criterion_equilibrium(suite):
@@ -634,14 +635,12 @@ def _criterion_equilibrium(suite):
 
 
 def mms_orders_pass(report):
-    """Whether an mms_convergence report has orders, all inside their
+    """Whether an mms_convergence report's orders all lie inside their
     windows, THRESHOLDS' "spatial_order" and "temporal_order"."""
     lo_s, hi_s = THRESHOLDS["spatial_order"]
     lo_t, hi_t = THRESHOLDS["temporal_order"]
-    sp = report["spatial"]["orders"]
-    tm = report["temporal"]["orders"]
-    return bool(sp and all(lo_s <= p <= hi_s for p in sp)
-                and tm and all(lo_t <= p <= hi_t for p in tm))
+    return (all(lo_s <= p <= hi_s for p in report["spatial"]["orders"])
+            and all(lo_t <= p <= hi_t for p in report["temporal"]["orders"]))
 
 
 def _criterion_mms(suite):
@@ -756,19 +755,6 @@ _CRITERIA = (
      lambda suite: (*_rollup(suite.runs, "farfield"),
                     THRESHOLDS["farfield_tol"])),
 )
-_NEEDS_SWEEP = {3, 4, 5, 6, 7, 8, 9, 11}
-_NEEDS_EQUILIBRIUM_RUN = {7, 8}
-
-
-def _equilibrium_diag_run(cfg):
-    run_cfg = replace(
-        cfg,
-        n_cells=500,
-        ic=ICSpec(kind="equilibrium"),
-        t_final=10.0,
-        series_path=_keyed_path(cfg.series_path, "equilibrium"),
-        report_path=_keyed_path(cfg.report_path, "equilibrium"))
-    return run_simulation(run_cfg)
 
 
 def acceptance_suite(cfg=None, criteria=None, out_path=None):
@@ -778,9 +764,9 @@ def acceptance_suite(cfg=None, criteria=None, out_path=None):
     vacuous pass with a warning.  Every criterion and the run verdicts it
     rolls up read their limits from THRESHOLDS.  Returns the aggregate
     report dict; "all_pass" says whether every executed criterion passed.
-    A criterion's seconds are its own running time plus the shared run
-    charged to it: the beta sweep to c03, the equilibrium diagnostics run
-    to c07.
+    A criterion's seconds are its running time, which includes any shared
+    run it is the first to read: in the full suite the beta sweep falls to
+    c03 and the equilibrium diagnostics run to c07.
     """
     cfg = default_config() if cfg is None else cfg
     numbers = {num for num, _, _ in _CRITERIA}
@@ -794,22 +780,12 @@ def acceptance_suite(cfg=None, criteria=None, out_path=None):
         report["warning"] = "empty criterion list: vacuous pass"
 
     suite = _Suite(cfg)
-    charged = {}
-    if wanted & _NEEDS_SWEEP:
-        t0 = time.perf_counter()
-        suite.runs = sweep(cfg, [0.5, 1.0, 2.5])
-        charged[3] = time.perf_counter() - t0
-    if wanted & _NEEDS_EQUILIBRIUM_RUN:
-        t0 = time.perf_counter()
-        suite.eq = _equilibrium_diag_run(cfg)
-        charged[7] = time.perf_counter() - t0
-
     for num, name, evaluate in _CRITERIA:
         if num not in wanted:
             continue
         t0 = time.perf_counter()
         passed, measured, threshold = evaluate(suite)
-        seconds = time.perf_counter() - t0 + charged.get(num, 0.0)
+        seconds = time.perf_counter() - t0
         report["criteria"][f"c{num:02d}_{name}"] = {
             "pass": bool(passed), "measured": measured,
             "threshold": threshold, "seconds": round(seconds, 3)}

@@ -12,7 +12,6 @@ verification runs.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -83,13 +82,11 @@ class MmsProfile:
         return 1.0 + self.amp * math.exp(-t) * np.cos(2.0 * np.pi * np.asarray(x) / self.length)
 
 
-_Trig = namedtuple("_Trig", "c1 s1 c2 s2")   # cos, sin of pi x/L, 2 pi x/L
-
-
 def _trig(x, prof):
+    # (cos, sin) of pi x/L, then of 2 pi x/L: what mms_source reads of x
     k1, k2 = math.pi / prof.length, 2.0 * math.pi / prof.length
     x = np.asarray(x, dtype=float)
-    return _Trig(np.cos(k1 * x), np.sin(k1 * x), np.cos(k2 * x), np.sin(k2 * x))
+    return np.cos(k1 * x), np.sin(k1 * x), np.cos(k2 * x), np.sin(k2 * x)
 
 
 @lru_cache(maxsize=8)
@@ -102,14 +99,15 @@ def mms_tables(grid, prof):
     return tables
 
 
-def mms_source(x, t, prof, params, term):
+def mms_source(trig, t, prof, params, term):
     """Forcing that makes the manufactured profile an exact solution.
 
-    Returns term 0, 1 or 2 of (Sv, Su, Stheta) at the points x, or at their
-    mms_tables entry: the time derivative of that exact field minus the
-    continuous operator applied to the exact fields, Stheta divided by cv.
+    Returns term 0, 1 or 2 of (Sv, Su, Stheta) at the points whose trig
+    values, _trig(x, prof) or an mms_tables entry, trig holds: the time
+    derivative of that exact field minus the continuous operator applied
+    to the exact fields, Stheta divided by cv.
     """
-    c1, s1, c2, s2 = x if isinstance(x, _Trig) else _trig(x, prof)
+    c1, s1, c2, s2 = trig
     k1, k2 = math.pi / prof.length, 2.0 * math.pi / prof.length
     e = prof.amp * math.exp(-t)
     mu, kt, beta, gas_r, cv = params.mu, params.kappa, params.beta, params.R, params.cv

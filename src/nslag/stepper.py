@@ -60,8 +60,8 @@ def _load_flapack():
 # replaced as a module attribute
 dptsv = _load_flapack().dptsv
 
-# an adaptive step is rejected when it leaves v or theta at or below this
-# floor, and retried with half the step at most MAX_RETRIES times
+# a step fails when it leaves v or theta at or below this floor; advance
+# retries it with half the step at most MAX_RETRIES times
 POSITIVITY_FLOOR = 1e-8
 MAX_RETRIES = 20
 
@@ -164,16 +164,17 @@ def stable_dt(s, grid, params, ctl):
     return max(float(np.minimum.reduce(c)), ctl.dt_min)
 
 
-def _require_above(name, x, floor):
+def _require_above_floor(name, x):
     # positivity and finiteness in two reductions: a NaN propagates into the
     # minimum, +inf shows in the maximum
     lo = np.minimum.reduce(x)
-    if not (lo > floor and np.maximum.reduce(x) < np.inf):
+    if not (lo > POSITIVITY_FLOOR and np.maximum.reduce(x) < np.inf):
         raise PositivityViolation(name, float(lo))
 
 
-def step_imex(s, dt, grid, params, mms=None, floor=0.0, ux=None):
-    """One first-order step of size dt; raises PositivityViolation on failure.
+def step_imex(s, dt, grid, params, mms=None, ux=None):
+    """One first-order step of size dt; raises PositivityViolation when v or
+    theta does not stay finite and above POSITIVITY_FLOOR.
 
     Update order v -> u -> theta, each substep on the freshest fields.  In
     verification mode (mms set) both end velocities are exact traces and
@@ -194,7 +195,7 @@ def step_imex(s, dt, grid, params, mms=None, floor=0.0, ux=None):
     if mms is not None:
         at_centers, at_faces = mms_tables(grid, mms)
         v1 += dt * mms_source(at_centers, s.t, mms, params, 0)
-    _require_above("v", v1, floor)
+    _require_above_floor("v", v1)
 
     # velocity solve: viscosity implicit on v1, pressure explicit at theta^n.
     # Row i, weighted by its control mass w_i = dm_i/dt, with the negated
@@ -263,7 +264,7 @@ def step_imex(s, dt, grid, params, mms=None, floor=0.0, ux=None):
     diag2 = np.add(cond[:n], cond[1:])
     diag2 += q
     th1 = solve_tridiagonal(diag2, np.negative(cond[1:n]), load2)
-    _require_above("theta", th1, floor)
+    _require_above_floor("theta", th1)
 
     return State(t1, v1, th1, u1), ux1
 
@@ -289,8 +290,7 @@ def advance(s, t_target, grid, params, ctl=None, ux=None, on_step=None):
         tries = 0
         while True:
             try:
-                new, new_ux = step_imex(state, dt, grid, params,
-                                        floor=POSITIVITY_FLOOR, ux=ux)
+                new, new_ux = step_imex(state, dt, grid, params, ux=ux)
                 break
             except PositivityViolation as exc:
                 tries += 1

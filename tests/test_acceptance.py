@@ -15,6 +15,7 @@ the wave reaches and reflects off that wall, and the deviation is near
 2.8e-2.
 """
 
+import json
 from dataclasses import replace
 
 import pytest
@@ -23,8 +24,12 @@ from nslag.harness import THRESHOLDS, acceptance_suite, default_config
 
 
 @pytest.fixture(scope="module")
-def report(tmp_path_factory):
-    root = tmp_path_factory.mktemp("acceptance")
+def root(tmp_path_factory):
+    return tmp_path_factory.mktemp("acceptance")
+
+
+@pytest.fixture(scope="module")
+def report(root):
     cfg = replace(default_config(),
                   series_path=str(root / "series.csv"),
                   report_path=str(root / "report.json"))
@@ -96,3 +101,21 @@ def test_criteria_report_table_thresholds(report):
     }
     for key, threshold in expected.items():
         assert report["criteria"][key]["threshold"] == threshold, key
+
+
+def test_shared_runs_charged_to_their_first_readers(report, root):
+    """The beta sweep's time counts in c03's seconds and the equilibrium
+    run's in c07's: the first criteria to read them.  The later readers
+    take less than any one run.  Seconds are rounded to the millisecond."""
+    walls = {p.stem: json.loads(p.read_text())["wall_seconds"]
+             for p in root.glob("report_*.json")}
+    eq = walls.pop("report_equilibrium")
+    assert len(walls) == 3
+    seconds = {k: v["seconds"] for k, v in report["criteria"].items()}
+    # the sweep's runs may share the CPUs, so it takes at least the longest
+    assert seconds["c03_energy_inequality"] >= max(walls.values()) - 5e-4
+    assert seconds["c07_representation"] >= eq - 5e-4
+    for key in ("c04_bound_stabilization", "c05_norm_decay",
+                "c06_jensen_band", "c08_y_decay",
+                "c09_integrability_plateaus", "c11_farfield_fidelity"):
+        assert seconds[key] < min(walls.values()), key

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -181,6 +182,21 @@ def test_ic_must_decay_before_midpoint():
     with pytest.raises(ConfigError):
         make_initial_data(grid, ICSpec(kind="bump", amp_v=0.1, center=26.0,
                                        width=1.0, floor=0.1))
+
+
+@pytest.mark.parametrize("kind", ["bump", "packet"])
+@pytest.mark.parametrize("center", [math.nan, -math.inf, -5.0])
+def test_ic_center_must_reach_into_domain(kind, center):
+    """A center that is not finite, or whose support ends left of the wall,
+    would start the run from the exact rest state; it is refused by name.
+    A support that just reaches in is kept."""
+    grid = build_grid(50.0, 200)
+    spec = ICSpec(kind=kind, amp_v=0.1, center=center, width=1.0, floor=0.1)
+    with pytest.raises(ConfigError, match=r"ic\.center"):
+        make_initial_data(grid, spec)
+    reach = 1.0 if kind == "bump" else 4.0
+    s = make_initial_data(grid, replace(spec, center=0.5 - reach))
+    assert np.any(s.v != 1.0)
 
 
 def test_unknown_ic_kind_rejected():

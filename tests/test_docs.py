@@ -1,16 +1,23 @@
-"""The README's configuration table against the code it documents."""
+"""The README's configuration table and criteria list against the code
+they document."""
 
+import re
 from pathlib import Path
 
-from nslag.harness import CONFIG_KEYS, default_config, write_config
+from nslag.harness import _CRITERIA, CONFIG_KEYS, default_config, write_config
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
+def _section(title):
+    # the README's text under "## title", up to the next such heading
+    return README.read_text(encoding="utf-8").split(
+        f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
+
+
 def _config_table():
     # [(key, default)] of the rows under "## Configuration"
-    section = README.read_text(encoding="utf-8").split(
-        "\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+    section = _section("Configuration")
     rows = []
     for line in section.splitlines():
         cells = [c.strip() for c in line.strip().strip("|").split("|")]
@@ -31,3 +38,12 @@ def test_readme_config_table_matches_defaults(tmp_path):
                for k, v in written]
     assert [k for k, _ in written] == list(CONFIG_KEYS)
     assert _config_table() == written
+
+
+def test_readme_criteria_list_matches_suite():
+    """The numbered list under "## Acceptance criteria" names every
+    criterion of the suite, in order, by its report key."""
+    items = re.findall(r"^(\d+)\. `(c\d\d_\w+)`",
+                       _section("Acceptance criteria"), re.MULTILINE)
+    assert items == [(str(num), f"c{num:02d}_{name}")
+                     for num, name, _ in _CRITERIA]

@@ -142,6 +142,20 @@ def test_config_rejects_infinite_horizon(tmp_path, capsys):
     assert err.startswith("config error:") and "run.t_final" in err
 
 
+def test_cli_rejects_sample_count_overflow(tmp_path, capsys):
+    """A cadence so fine that run.t_final / run.sample_dt overflows to inf
+    is a config error naming run.sample_dt, found before any file is
+    written."""
+    cfg_path = tmp_path / "fine.cfg"
+    cfg_path.write_text(
+        f"run.sample_dt = 1e-320\nout.series = {tmp_path}/s.csv\n"
+        f"out.report = {tmp_path}/r.json\n")
+    assert cli_main(["run", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "run.sample_dt" in err
+    assert sorted(tmp_path.iterdir()) == [cfg_path]
+
+
 config_floats = st.floats(0.1, 10.0).filter(lambda x: x != 1.0)
 
 # a value other than the default for every config key; grid.length 100
@@ -274,13 +288,6 @@ def test_far_length_at_length_is_the_wall_run(tmp_path):
 def test_run_simulation_rejects_zero_horizon(tmp_path):
     with pytest.raises(ConfigError):
         run_simulation(_quick_cfg(tmp_path, t_final=0.0))
-
-
-def test_mms_zero_amplitude_is_exact():
-    report = mms_convergence(levels=3, base_cells=50, amp=0.0, t_end=0.1)
-    assert report["exact"]
-    assert report["spatial"]["orders"] == []
-    assert all(e < 1e-14 for e in report["spatial"]["errors"])
 
 
 def test_mms_requires_three_levels():
@@ -589,6 +596,23 @@ def test_acceptance_single_cheap_criterion(tmp_path):
     assert entry["pass"]
     assert entry["measured"]["tridiag"] <= 1e-10
     assert entry["measured"]["quadrature"] <= 1e-12
+
+
+def test_acceptance_subset_charges_sweep_to_its_first_reader(tmp_path,
+                                                            monkeypatch):
+    """The beta sweep is made when a criterion first reads it, and its time
+    counts in that criterion's seconds, here c04's; the equilibrium run,
+    which c04 does not read, is not made."""
+    monkeypatch.setenv("NSLAG_THREADS", "1")
+    cfg = _quick_cfg(tmp_path, n_cells=100, t_final=6.0)
+    report = acceptance_suite(cfg, criteria=[4])
+    walls = [json.loads(p.read_text())["wall_seconds"]
+             for p in tmp_path.glob("report_beta*.json")]
+    assert len(walls) == 3
+    # seconds are rounded to the millisecond
+    assert report["criteria"]["c04_bound_stabilization"]["seconds"] \
+        >= sum(walls) - 5e-4
+    assert not (tmp_path / "report_equilibrium.json").exists()
 
 
 def test_acceptance_patched_threshold_turns_c11_red(tmp_path, monkeypatch):

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nslag.core import Grid, Params, State, build_grid, equilibrium_state
-from nslag.model import MmsProfile, cell_stress, face_conductance, mms_source
+from nslag.model import (MmsProfile, _trig, cell_stress, face_conductance,
+                         mms_source)
 from nslag.stepper import step_imex
 from oracles import sympy_mms_sources
 
@@ -170,7 +171,8 @@ def test_conductance_geometry_matches_widths(beta, far_length):
 
 def _sources(x, t, prof, params):
     # the three forcing terms (Sv, Su, Stheta) at the points x
-    return [mms_source(x, t, prof, params, k) for k in range(3)]
+    trig = _trig(x, prof)
+    return [mms_source(trig, t, prof, params, k) for k in range(3)]
 
 
 def test_mms_sources_vanish_at_zero_amplitude():

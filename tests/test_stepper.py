@@ -10,7 +10,8 @@ from scipy.linalg.lapack import dptsv
 from nslag.core import ConfigError, ICSpec, Params, State, build_grid, \
     equilibrium_state, make_initial_data, validate_state
 from nslag import stepper
-from nslag.model import MmsProfile, mms_source, mms_tables, strain_rate
+from nslag.model import (MmsProfile, _trig, mms_source, mms_tables,
+                         strain_rate)
 from nslag.stepper import (PositivityViolation, StepControl, StepFailure,
                            advance, check_dominant, solve_tridiagonal,
                            stable_dt, step_imex)
@@ -199,8 +200,21 @@ def test_mms_source_terms_match_full_tuple(graded, beta, profile):
         for t in (0.0, 0.37):
             for k in range(3):
                 alone = mms_source(tables, t, prof, params, k)
-                at_x = mms_source(x, t, prof, params, k)
+                at_x = mms_source(_trig(x, prof), t, prof, params, k)
                 assert alone.tobytes() == at_x.tobytes(), (k, t)
+
+
+def test_step_zero_amplitude_mms_stays_at_rest():
+    """At amplitude zero the manufactured solution is the rest state and
+    every forcing term vanishes: forced steps from rest stay at rest."""
+    grid = build_grid(20.0, 80)
+    prof = MmsProfile(amp=0.0)
+    s, ux = equilibrium_state(grid), None
+    for dt in (1e-3, 0.05, 0.5):
+        s, ux = step_imex(s, dt, grid, Params(), mms=prof, ux=ux)
+    assert s.t == pytest.approx(0.551, rel=1e-15)
+    for dev in (s.v - 1.0, s.u, s.theta - 1.0):
+        assert np.max(np.abs(dev)) <= 1e-14
 
 
 def test_mms_tables_cached_by_value():
@@ -253,9 +267,10 @@ def test_step_matches_dense_row_scaled_oracle(graded, beta, forced):
     if forced:
         prof = _MovingEndsProfile(amp=0.1, length=grid.far_length)
         xg = grid.far_length + 0.5 * grid.dx[-1]
-        data = {"sv": mms_source(xc, s.t, prof, params, 0).tolist(),
-                "su": mms_source(xf, t1, prof, params, 1).tolist(),
-                "sth": mms_source(xc, t1, prof, params, 2).tolist(),
+        tc, tf = _trig(xc, prof), _trig(xf, prof)
+        data = {"sv": mms_source(tc, s.t, prof, params, 0).tolist(),
+                "su": mms_source(tf, t1, prof, params, 1).tolist(),
+                "sth": mms_source(tc, t1, prof, params, 2).tolist(),
                 "u_wall": float(prof.u_exact(0.0, t1)),
                 "u_far": float(prof.u_exact(grid.far_length, t1)),
                 "theta_ghost_old": float(prof.theta_exact(xg, s.t)),
