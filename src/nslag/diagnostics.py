@@ -15,6 +15,7 @@ it states, so the floats are those of the formula.
 from __future__ import annotations
 
 import math
+import sys
 from array import array
 from dataclasses import dataclass
 from itertools import accumulate
@@ -213,10 +214,11 @@ def entropy_roots(e0):
 
     Bisection runs to machine precision of the bracket so the residual
     stays below 1e-12 even for roots near zero, where the function is
-    steep.  e0 = 0 returns the double root (1, 1).
+    steep.  e0 = 0 returns the double root (1, 1).  A lower root below
+    the normal float range (e0 above about 707) is a DomainError.
     """
     e0 = float(e0)
-    if e0 < 0.0:
+    if not e0 >= 0.0:
         raise DomainError(f"entropy level must be nonnegative, got {e0}")
     if e0 == 0.0:
         return JensenBand(0.0, 1.0, 1.0)
@@ -227,7 +229,11 @@ def entropy_roots(e0):
     lo = 0.5
     while f(lo) <= 0.0:
         lo *= 0.5
-    alpha1 = _bisect(f, lo, 1.0)
+        if lo < sys.float_info.min:
+            raise DomainError(f"entropy level {e0} puts the lower root "
+                              f"below the normal float range")
+    # the last halving brackets the root: f(lo) > 0 >= f(2 lo)
+    alpha1 = _bisect(f, lo, min(2.0 * lo, 1.0))
     hi = 2.0
     while f(hi) <= 0.0:
         hi *= 2.0

@@ -534,28 +534,20 @@ def _keyed_run(cfg, tag, **changes):
 
 
 def sweep(cfg, betas):
-    """Run one config across conductivity exponents; order-independent output.
+    """Run one config across conductivity exponents, in turn, in this
+    process.  Returns {beta: RunReport} sorted by beta.
 
-    Parallelism is capped by the NSLAG_THREADS environment variable (or the
-    CPU count).  Returns {beta: RunReport} sorted by beta.
+    Each run's files are tagged beta<b:g>; two exponents with one tag are
+    a ConfigError, raised before any run.
     """
     betas = sorted(set(float(b) for b in betas))
-    cap = os.environ.get("NSLAG_THREADS")
-    try:
-        workers = min(len(betas), int(cap) if cap else (os.cpu_count() or 1))
-    except ValueError:
-        raise ConfigError(
-            f"NSLAG_THREADS must be an integer, got {cap!r}") from None
-    cfgs = [replace(cfg, params=replace(cfg.params, beta=b)) for b in betas]
-    tags = [f"beta{b:g}" for b in betas]
-    if workers <= 1:
-        reports = list(map(_keyed_run, cfgs, tags))
-    else:
-        # imported here so a serial run never loads the pool machinery
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(_keyed_run, cfgs, tags))
-    return dict(zip(betas, reports))
+    for a, b in zip(betas, betas[1:]):
+        if f"{a:g}" == f"{b:g}":
+            raise ConfigError(f"--beta values {a!r} and {b!r} share the "
+                              f"file tag beta{b:g}")
+    return {b: _keyed_run(cfg, f"beta{b:g}",
+                          params=replace(cfg.params, beta=b))
+            for b in betas}
 
 
 # ---------------------------------------------------------------------------

@@ -99,11 +99,6 @@ class StepFailure(RuntimeError):
         self.dt = dt
         self.snapshot_path = None   # set where the state is written out
 
-    def __reduce__(self):
-        # args holds only the message; rebuild from all three, then restore
-        # the attributes (snapshot_path included) from __dict__
-        return type(self), (self.args[0], self.state, self.dt), self.__dict__
-
 
 def check_dominant(diag, off):
     """Raise ValueError, naming the least dominant row, unless every row's

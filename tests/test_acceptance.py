@@ -105,15 +105,15 @@ def test_criteria_report_table_thresholds(report):
 
 def test_shared_runs_charged_to_their_first_readers(report, root):
     """The beta sweep's time counts in c03's seconds and the equilibrium
-    run's in c07's: the first criteria to read them.  The later readers
-    take less than any one run.  Seconds are rounded to the millisecond."""
+    run's in c07's: the first criteria to read them.  The sweep makes its
+    runs in turn, so c03 takes at least their sum.  The later readers take
+    less than any one run.  Seconds are rounded to the millisecond."""
     walls = {p.stem: json.loads(p.read_text())["wall_seconds"]
              for p in root.glob("report_*.json")}
     eq = walls.pop("report_equilibrium")
     assert len(walls) == 3
     seconds = {k: v["seconds"] for k, v in report["criteria"].items()}
-    # the sweep's runs may share the CPUs, so it takes at least the longest
-    assert seconds["c03_energy_inequality"] >= max(walls.values()) - 5e-4
+    assert seconds["c03_energy_inequality"] >= sum(walls.values()) - 5e-4
     assert seconds["c07_representation"] >= eq - 5e-4
     for key in ("c04_bound_stabilization", "c05_norm_decay",
                 "c06_jensen_band", "c08_y_decay",

@@ -2,6 +2,7 @@ import math
 from array import array
 from dataclasses import asdict
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -125,6 +126,26 @@ def test_entropy_roots_match_mpmath_oracle():
 def test_entropy_roots_reject_negative():
     with pytest.raises(DomainError):
         entropy_roots(-0.1)
+
+
+def test_entropy_roots_resolve_large_levels():
+    """Up to e0 = 700 (lower root near 4e-305) both roots solve the
+    equation to 1e-12, the residual taken at 50 digits."""
+    for e0 in np.geomspace(1e-3, 700.0, 60):
+        band = entropy_roots(e0)
+        assert band.alpha1 <= 1.0 <= band.alpha2
+        for root in (band.alpha1, band.alpha2):
+            with mp.workdps(50):
+                res = mp.mpf(root) - mp.log(root) - 1 - mp.mpf(float(e0))
+            assert abs(res) <= 1e-12, (e0, root)
+
+
+@pytest.mark.parametrize("e0", [707.5, 744.0, 1e4, math.inf, math.nan])
+def test_entropy_roots_beyond_float_range(e0):
+    """A lower root below the normal floats, or no level at all, is a
+    DomainError naming the level, not a residual or log failure."""
+    with pytest.raises(DomainError, match=str(e0)):
+        entropy_roots(e0)
 
 
 @given(e0=st.floats(1e-8, 50.0))

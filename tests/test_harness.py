@@ -2,7 +2,6 @@ import ast
 import importlib
 import json
 import math
-import multiprocessing
 import os
 import subprocess
 import sys
@@ -544,37 +543,34 @@ def test_sweep_outputs_keyed_and_sorted(tmp_path):
         assert reports[beta].config["physics.beta"] == beta
 
 
-def test_sweep_order_independent(tmp_path, monkeypatch):
-    def strip(report):
-        d = report.to_dict()
-        d.pop("wall_seconds")
-        return d
+def test_sweep_order_independent(tmp_path):
+    """The input order of the exponents changes neither the reports nor
+    the files: each run is keyed by its own beta."""
+    def outputs(order):
+        reports = sweep(cfg, order)
+        files = {p.name: p.read_text() for p in tmp_path.glob("series_*")}
+        return [{**r.to_dict(), "wall_seconds": None}
+                for r in reports.values()], files
 
     cfg = _quick_cfg(tmp_path, n_cells=100, t_final=6.0)
-    monkeypatch.setenv("NSLAG_THREADS", "1")
-    serial = {b: strip(r) for b, r in sweep(cfg, [1.0, 0.5]).items()}
-    monkeypatch.setenv("NSLAG_THREADS", "2")
-    parallel = {b: strip(r) for b, r in sweep(cfg, [0.5, 1.0]).items()}
-    assert serial == parallel
+    assert outputs([1.0, 0.5]) == outputs([0.5, 1.0, 0.5])
 
 
 def _fail_step(state, t_target, *args, **kwargs):
     raise StepFailure("step size underflowed", state, 1e-13)
 
 
-@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
-                    reason="the patched advance reaches workers by fork")
-def test_parallel_sweep_step_failure_reaches_caller(tmp_path, monkeypatch):
-    """A worker's StepFailure crosses the process pool intact: the caller
-    gets the failure with its snapshot path, not BrokenProcessPool."""
+def test_sweep_step_failure_reaches_caller(tmp_path, monkeypatch):
+    """A run's StepFailure ends the sweep at the first exponent and reaches
+    the caller with its snapshot path, the last good state and dt."""
     cfg = _quick_cfg(tmp_path, n_cells=100, t_final=6.0)
     monkeypatch.setattr(harness, "advance", _fail_step)
-    monkeypatch.setenv("NSLAG_THREADS", "2")
     with pytest.raises(StepFailure) as err:
         sweep(cfg, [1.0, 0.5])
     snap = str(tmp_path / "report_beta0.5.json.failed_state.txt")
     assert err.value.snapshot_path == snap and os.path.exists(snap)
     assert err.value.dt == 1e-13 and err.value.state.t == 0.0
+    assert not list(tmp_path.glob("*beta1*"))
 
 
 def test_acceptance_empty_criteria_vacuous(tmp_path):
@@ -598,12 +594,10 @@ def test_acceptance_single_cheap_criterion(tmp_path):
     assert entry["measured"]["quadrature"] <= 1e-12
 
 
-def test_acceptance_subset_charges_sweep_to_its_first_reader(tmp_path,
-                                                            monkeypatch):
+def test_acceptance_subset_charges_sweep_to_its_first_reader(tmp_path):
     """The beta sweep is made when a criterion first reads it, and its time
     counts in that criterion's seconds, here c04's; the equilibrium run,
     which c04 does not read, is not made."""
-    monkeypatch.setenv("NSLAG_THREADS", "1")
     cfg = _quick_cfg(tmp_path, n_cells=100, t_final=6.0)
     report = acceptance_suite(cfg, criteria=[4])
     walls = [json.loads(p.read_text())["wall_seconds"]
@@ -620,7 +614,6 @@ def test_acceptance_patched_threshold_turns_c11_red(tmp_path, monkeypatch):
     far-field tolerance of zero turns c11 red, and it reports that zero.
     At the default tolerance this sweep passes c11 at about 2e-15."""
     monkeypatch.setitem(THRESHOLDS, "farfield_tol", 0.0)
-    monkeypatch.setenv("NSLAG_THREADS", "1")
     cfg = _quick_cfg(tmp_path, n_cells=250, t_final=10.0)
     report = acceptance_suite(cfg, criteria=[11])
     entry = report["criteria"]["c11_farfield_fidelity"]
@@ -637,6 +630,20 @@ def test_cli_run_equilibrium_exit_zero(tmp_path, capsys):
     assert cli_main(["run", "--config", str(cfg_path)]) == 0
     out = capsys.readouterr().out
     assert "pass" in out and "FAIL" not in out
+
+
+def test_cli_run_large_initial_energy(tmp_path):
+    """ic.amp_u = 20 passes validation and gives E(0) of about 125, whose
+    lower entropy root is about 1e-55: the run judges its verdicts and
+    writes its series and report."""
+    cfg_path = tmp_path / "hot.cfg"
+    cfg_path.write_text(
+        "grid.cells = 100\nrun.t_final = 6\nic.amp_u = 20\n"
+        f"out.series = {tmp_path}/s.csv\nout.report = {tmp_path}/r.json\n")
+    assert cli_main(["run", "--config", str(cfg_path)]) in (0, 1)
+    report = json.loads((tmp_path / "r.json").read_text())
+    assert report["e0"] > 100.0 and 0.0 < report["alpha1"] < 1e-50
+    assert (tmp_path / "s.csv").exists()
 
 
 def test_cli_unknown_key_exit_two(tmp_path, capsys):
@@ -681,7 +688,6 @@ def test_cli_reports_diagnostics_error(tmp_path, capsys):
 
 
 def test_cli_sweep_aggregate(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("NSLAG_THREADS", "1")
     monkeypatch.chdir(tmp_path)
     code = cli_main(["sweep", "--config", _tiny_config_file(tmp_path),
                      "--beta", "0.5,1",
@@ -710,22 +716,29 @@ def test_python_m_nslag_runs_the_cli(tmp_path):
             == config_to_dict(default_config()))
 
 
-def test_cli_import_loads_neither_scipy_linalg_nor_process_pool():
+def test_cli_import_loads_neither_scipy_linalg_nor_process_pool(tmp_path):
     """Importing the CLI loads LAPACK's extension module without
-    scipy.linalg's package, and no process pool; a later import of
-    scipy.linalg.lapack reuses the same module."""
+    scipy.linalg's package; a later import of scipy.linalg.lapack reuses
+    the same module.  A two-exponent sweep runs in the one process and
+    loads no process pool, whatever NSLAG_THREADS says."""
     src = Path(__file__).resolve().parents[1] / "src"
+    cfg_path = _tiny_config_file(tmp_path)
     code = (
         "import sys\n"
         "import nslag.cli, nslag.stepper\n"
         "assert 'scipy.linalg' not in sys.modules\n"
-        "assert 'concurrent.futures' not in sys.modules\n"
+        f"assert nslag.cli.main(['sweep', '--config', {cfg_path!r}, "
+        f"'--beta', '0.5,1', '--out', {str(tmp_path / 'agg.json')!r}]) == 0\n"
+        "for name in ('concurrent.futures', 'multiprocessing'):\n"
+        "    assert name not in sys.modules, name\n"
         "import scipy.linalg.lapack\n"
         "assert scipy.linalg.lapack.dptsv is nslag.stepper.dptsv\n")
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True,
-        env={**os.environ, "PYTHONPATH": str(src)})
+        env={**os.environ, "PYTHONPATH": str(src), "NSLAG_THREADS": "2"})
     assert proc.returncode == 0, proc.stderr
+    for beta in ("0.5", "1"):
+        assert (tmp_path / f"r_beta{beta}.json").exists()
 
 
 def test_cli_entry_point_installed(tmp_path):
@@ -761,13 +774,18 @@ def test_cli_bad_list_value_exit_two(tmp_path, capsys, argv, flag):
     assert err.startswith("config error:") and flag in err
 
 
-def test_cli_bad_thread_count_exit_two(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("NSLAG_THREADS", "two")
-    code = cli_main(["sweep", "--config", _tiny_config_file(tmp_path),
-                     "--beta", "0.5,1", "--out", str(tmp_path / "agg.json")])
+def test_cli_sweep_rejects_shared_tag(tmp_path, capsys):
+    """Two exponents that print alike would write one series, one report
+    and one aggregate key: exit 2 naming --beta and both values, before
+    any file is written."""
+    cfg_path = _tiny_config_file(tmp_path)
+    code = cli_main(["sweep", "--config", cfg_path, "--beta", "1,1.0000001",
+                     "--out", str(tmp_path / "agg.json")])
     assert code == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error:") and "NSLAG_THREADS" in err
+    assert err.startswith("config error: --beta")
+    assert "1.0 " in err and "1.0000001" in err
+    assert [str(p) for p in tmp_path.iterdir()] == [cfg_path]
 
 
 def test_cli_step_failure_names_snapshot(tmp_path, monkeypatch, capsys):

@@ -1,5 +1,4 @@
 import math
-import pickle
 
 import numpy as np
 import pytest
@@ -401,18 +400,6 @@ def test_advance_underflow_raises_with_state():
         advance(s, 1.0, grid, Params(), ctl)
     assert err.value.state is not None
     assert err.value.dt < 1e-3
-
-
-def test_step_failure_survives_pickling():
-    """A sweep worker's failure is pickled back to the caller whole."""
-    grid = build_grid(12.0, 12)
-    exc = StepFailure("step size underflowed", equilibrium_state(grid), 1e-13)
-    exc.snapshot_path = "report.json.failed_state.txt"
-    back = pickle.loads(pickle.dumps(exc))
-    assert type(back) is StepFailure and str(back) == str(exc)
-    assert np.array_equal(back.state.v, exc.state.v) and back.state.t == 0.0
-    assert back.dt == 1e-13
-    assert back.snapshot_path == "report.json.failed_state.txt"
 
 
 def _counting_step_imex(monkeypatch, module):
