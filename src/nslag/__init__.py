@@ -11,8 +11,7 @@ the volume along particle paths, and norm decay.
 from .core import (ConfigError, DomainError, Grid, ICSpec, Params, State,
                    Violation, build_grid, equilibrium_state,
                    make_initial_data, validate_state)
-from .diagnostics import (BoundsRecord, EnergyRecord, JensenBand,
-                          decay_report, dissipation_functional,
+from .diagnostics import (JensenBand, decay_report, dissipation_functional,
                           energy_functional, entropy_roots, make_repr_probe,
                           reconstruct_v, sample_bounds, sample_energy,
                           unit_interval_averages, update_repr_probe)
@@ -29,9 +28,9 @@ __all__ = [
     "ConfigError", "DomainError", "Grid", "ICSpec", "Params", "State",
     "Violation", "build_grid", "equilibrium_state", "make_initial_data",
     "validate_state",
-    "BoundsRecord", "EnergyRecord", "JensenBand", "decay_report",
-    "dissipation_functional", "energy_functional", "entropy_roots",
-    "make_repr_probe", "reconstruct_v", "sample_bounds", "sample_energy",
+    "JensenBand", "decay_report", "dissipation_functional",
+    "energy_functional", "entropy_roots", "make_repr_probe",
+    "reconstruct_v", "sample_bounds", "sample_energy",
     "unit_interval_averages", "update_repr_probe",
     "RunConfig", "RunReport", "acceptance_suite", "default_config",
     "load_config", "mms_convergence", "run_simulation", "sweep",

@@ -34,40 +34,7 @@ class DiagnosticsError(RuntimeError):
 POSPART_THRESHOLD = 1.5
 
 MIN_SAMPLES = 10   # fewest samples decay_report accepts
-
-
-@dataclass
-class EnergyRecord:
-    """Energy E, instantaneous dissipation V, running integral of V."""
-
-    t: float
-    E: float
-    V: float
-    cumV: float
-
-
-@dataclass
-class BoundsRecord:
-    """Extrema, norms, positive-part maxima and running integrals at one time."""
-
-    t: float
-    vmin: float
-    vmax: float
-    thmin: float
-    thmax: float
-    n2_vm1: float
-    n2_u: float
-    n2_thm1: float
-    ninf_vm1: float
-    ninf_u: float
-    ninf_thm1: float
-    g2_vx: float
-    g2_ux: float
-    g2_thx: float
-    pospart: float
-    cum_ux2: float
-    cum_pospart: float
-    farfield_dev: float
+MAX_SAMPLES = 10 ** 6   # most samples a run may take, one series row each
 
 
 @dataclass(frozen=True)
@@ -170,8 +137,8 @@ def running_integrals(s, grid, params, prev=None, ux=None):
     """The integrands at the state's time, integrals advanced from prev.
 
     The only place the time integrals advance: a run calls it every step,
-    and sample_energy and sample_bounds read the full records' integrands
-    and integrals from it at sample times.  All three integrands share one
+    and sample_energy and sample_bounds read their integrands and
+    integrals from it at sample times.  All three integrands share one
     u_x: ux, the state's strain rates, computed when not passed in.
     """
     ux = strain_rate(s.u, grid.dx) if ux is None else ux
@@ -189,10 +156,10 @@ def running_integrals(s, grid, params, prev=None, ux=None):
 
 
 def sample_energy(s, grid, params, running):
-    """EnergyRecord at the state's time; V and cumV are read from running,
-    the RunningIntegrals at this state."""
-    return EnergyRecord(s.t, energy_functional(s, grid, params), running.V,
-                        running.cumV)
+    """Series columns t, E, V and cumV at the state's time; V and cumV are
+    read from running, the RunningIntegrals at this state."""
+    return {"t": s.t, "E": energy_functional(s, grid, params),
+            "V": running.V, "cumV": running.cumV}
 
 
 def _bisect(f, lo, hi):
@@ -408,7 +375,8 @@ def reconstruct_v(p, s, params):
 
 
 def sample_bounds(s, grid, running):
-    """BoundsRecord at the state's time.
+    """Series columns vmin through cum_pospart, and farfield_dev, at the
+    state's time.
 
     g2_ux, pospart and the two running integrals are read from running,
     the RunningIntegrals at this state.
@@ -431,29 +399,21 @@ def sample_bounds(s, grid, running):
     thm1 = th - 1.0
     # one absolute value per field serves its inf-norm and the far field
     avm1, athm1, au = np.abs(vm1), np.abs(thm1), np.abs(u)
-
     j = grid.farfield_start
-    farfield = max(float(avm1[j:].max()), float(athm1[j:].max()),
-                   float(au[j:].max()))
-
-    return BoundsRecord(
-        t=s.t,
-        vmin=float(v.min()), vmax=float(v.max()),
-        thmin=float(th.min()), thmax=float(th.max()),
-        n2_vm1=_norm2(h, vm1),
-        n2_u=_norm2(wface, u),
-        n2_thm1=_norm2(h, thm1),
-        ninf_vm1=float(avm1.max()),
-        ninf_u=float(au.max()),
-        ninf_thm1=float(athm1.max()),
-        g2_vx=_norm2(mi, dvx),
-        g2_ux=running.g2_ux,
-        g2_thx=_norm2(mi, dthx),
-        pospart=running.pospart,
-        cum_ux2=running.cum_ux2,
-        cum_pospart=running.cum_pospart,
-        farfield_dev=farfield,
-    )
+    return {
+        "vmin": float(v.min()), "vmax": float(v.max()),
+        "thmin": float(th.min()), "thmax": float(th.max()),
+        "n2_vm1": _norm2(h, vm1), "n2_u": _norm2(wface, u),
+        "n2_thm1": _norm2(h, thm1),
+        "ninf_vm1": float(avm1.max()), "ninf_u": float(au.max()),
+        "ninf_thm1": float(athm1.max()),
+        "g2_vx": _norm2(mi, dvx), "g2_ux": running.g2_ux,
+        "g2_thx": _norm2(mi, dthx),
+        "pospart": running.pospart, "cum_ux2": running.cum_ux2,
+        "cum_pospart": running.cum_pospart,
+        "farfield_dev": max(float(avm1[j:].max()), float(athm1[j:].max()),
+                            float(au[j:].max())),
+    }
 
 
 _NORM_FIELDS = ("n2_vm1", "n2_u", "n2_thm1", "ninf_vm1", "ninf_u",

@@ -16,7 +16,9 @@ import numpy as np
 def dense_solve(lower, diag, upper, rhs):
     """Gaussian elimination with partial pivoting on the dense matrix.
 
-    Band convention matches TriDiag: lower[0] and upper[-1] are unused.
+    Row k reads lower[k], diag[k] and upper[k] as its entries in columns
+    k - 1, k and k + 1, so lower[0] and upper[-1] are unused and all three
+    bands have length n.
     """
     n = len(diag)
     a = [[0.0] * n for _ in range(n)]

@@ -91,8 +91,16 @@ def test_c11_farfield_fidelity(report):
 
 def test_criteria_report_table_thresholds(report):
     """The criteria that roll up one run verdict report the THRESHOLDS
-    entry that verdict applied."""
+    entry that verdict applied, and the wall-clock gates of c01 and c03
+    report theirs beside what they measured."""
+    c01 = report["criteria"]["c01_equilibrium"]
+    assert set(c01["measured"]) == {"deviation", "seconds"}
+    c03 = report["criteria"]["c03_energy_inequality"]
+    assert c03["threshold"]["wall_seconds"] == THRESHOLDS["run_seconds"]
+    assert 0.0 < c03["measured"]["wall_seconds"] <= c03["seconds"]
     expected = {
+        "c01_equilibrium": {"deviation": THRESHOLDS["equilibrium_dev"],
+                            "seconds": THRESHOLDS["equilibrium_seconds"]},
         "c04_bound_stabilization": THRESHOLDS["drift_tol"],
         "c05_norm_decay": {"u": THRESHOLDS["uinf_ratio"],
                            "grad": THRESHOLDS["grad_ratio"]},

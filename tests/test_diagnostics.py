@@ -1,6 +1,5 @@
 import math
 from array import array
-from dataclasses import asdict
 
 import mpmath as mp
 import numpy as np
@@ -94,13 +93,14 @@ def test_sample_energy_trapezoid_accumulation():
     s, grid = _ref_state_and_grid()
     run0 = running_integrals(s, grid, REF_PARAMS)
     first = sample_energy(s, grid, REF_PARAMS, run0)
-    assert first.cumV == 0.0
-    assert first.V == dissipation_functional(s, grid, REF_PARAMS)
+    assert first["cumV"] == 0.0
+    assert first["V"] == dissipation_functional(s, grid, REF_PARAMS)
     later = s.copy()
     later.t = 0.5
     second = sample_energy(later, grid, REF_PARAMS,
                            running_integrals(later, grid, REF_PARAMS, run0))
-    assert abs(second.cumV - 0.5 * 0.5 * (first.V + second.V)) <= 1e-15
+    assert abs(second["cumV"] - 0.5 * 0.5 * (first["V"] + second["V"])) \
+        <= 1e-15
 
 
 def test_entropy_roots_at_zero():
@@ -293,11 +293,11 @@ def test_bounds_equilibrium():
     grid = build_grid(10.0, 40)
     s = equilibrium_state(grid)
     b = sample_bounds(s, grid, running_integrals(s, grid, Params()))
-    assert (b.vmin, b.vmax, b.thmin, b.thmax) == (1.0, 1.0, 1.0, 1.0)
+    assert (b["vmin"], b["vmax"], b["thmin"], b["thmax"]) == (1.0,) * 4
     for name in ("n2_vm1", "n2_u", "n2_thm1", "ninf_vm1", "ninf_u",
                  "ninf_thm1", "g2_vx", "g2_ux", "g2_thx", "pospart",
                  "farfield_dev"):
-        assert getattr(b, name) == 0.0
+        assert b[name] == 0.0
 
 
 def test_bounds_positive_part_literal():
@@ -305,7 +305,7 @@ def test_bounds_positive_part_literal():
     s = equilibrium_state(grid)
     s.theta[:] = 2.0
     running = running_integrals(s, grid, Params())
-    assert sample_bounds(s, grid, running).pospart == 0.25
+    assert sample_bounds(s, grid, running)["pospart"] == 0.25
     assert POSPART_THRESHOLD == 1.5
 
 
@@ -327,23 +327,23 @@ def test_bounds_match_fsum_oracle():
     b = sample_bounds(s, grid, running_integrals(s, grid, REF_PARAMS))
     oracle = fsum_bounds(s.v, s.theta, s.u, grid.h)
     for name, want in oracle.items():
-        assert abs(getattr(b, name) - want) <= 1e-12, name
+        assert abs(b[name] - want) <= 1e-12, name
 
 
 def test_bounds_running_integrals_trapezoid():
     s, grid = _ref_state_and_grid()
     run0 = running_integrals(s, grid, REF_PARAMS)
     first = sample_bounds(s, grid, run0)
-    assert first.cum_ux2 == 0.0 and first.cum_pospart == 0.0
+    assert first["cum_ux2"] == 0.0 and first["cum_pospart"] == 0.0
     later = s.copy()
     later.t = 0.25
     later.theta = s.theta + 1.0     # lifts pospart above zero
     second = sample_bounds(later, grid,
                            running_integrals(later, grid, REF_PARAMS, run0))
-    want_ux2 = 0.5 * 0.25 * (first.g2_ux ** 2 + second.g2_ux ** 2)
-    want_pp = 0.5 * 0.25 * (first.pospart + second.pospart)
-    assert abs(second.cum_ux2 - want_ux2) <= 1e-15
-    assert abs(second.cum_pospart - want_pp) <= 1e-15
+    want_ux2 = 0.5 * 0.25 * (first["g2_ux"] ** 2 + second["g2_ux"] ** 2)
+    want_pp = 0.5 * 0.25 * (first["pospart"] + second["pospart"])
+    assert abs(second["cum_ux2"] - want_ux2) <= 1e-15
+    assert abs(second["cum_pospart"] - want_pp) <= 1e-15
 
 
 def _synthetic_series(t_end=20.0, n=41, rate=0.1):
@@ -390,8 +390,8 @@ def test_decay_report_equilibrium_trajectory():
 
     def sample(state):
         # append the state's energy and bounds values to their columns
-        row = {**asdict(sample_energy(state, grid, params, running)),
-               **asdict(sample_bounds(state, grid, running))}
+        row = {**sample_energy(state, grid, params, running),
+               **sample_bounds(state, grid, running)}
         for name, value in row.items():
             series.setdefault(name, array("d")).append(value)
 
@@ -438,8 +438,8 @@ def _energy_margin(n_cells):
         recs.append(sample_energy(new, grid, params, running[0]))
 
     advance(s, 10.0, grid, params, StepControl(), on_step=cb)
-    e0 = recs[0].E
-    return max(r.E + r.cumV - e0 for r in recs)
+    e0 = recs[0]["E"]
+    return max(r["E"] + r["cumV"] - e0 for r in recs)
 
 
 def test_energy_dissipation_identity_first_order():

@@ -1,5 +1,4 @@
-import ast
-import importlib
+import importlib.util
 import json
 import math
 import os
@@ -7,7 +6,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
-from dataclasses import asdict, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -120,15 +119,24 @@ def test_config_rejects_nonpositive_horizon():
 
 
 def test_config_requires_enough_samples():
-    """The run must take at least the decay report's MIN_SAMPLES samples,
-    the initial one included; the count stops there, so a tiny cadence is
-    cheap to check."""
+    """The run must take at least the decay report's MIN_SAMPLES samples
+    and at most MAX_SAMPLES, the initial one included.  The count is
+    computed, not iterated, so a tiny cadence is cheap to reject."""
     n = diagnostics.MIN_SAMPLES
     assert config_from_dict({"run.t_final": n - 1.0, "run.sample_dt": 1.0})
     with pytest.raises(ConfigError, match=rf"run\.sample_dt = 1\.0 gives "
                                           rf"{n - 1} samples"):
         config_from_dict({"run.t_final": n - 2.0, "run.sample_dt": 1.0})
-    assert config_from_dict({"run.sample_dt": 1e-9}).sample_dt == 1e-9
+    cap = diagnostics.MAX_SAMPLES
+    assert config_from_dict({"run.t_final": cap - 1.0, "run.sample_dt": 1.0})
+    with pytest.raises(ConfigError, match=rf"gives {cap + 1} samples .* "
+                                          rf"at most {cap}"):
+        config_from_dict({"run.t_final": float(cap), "run.sample_dt": 1.0})
+    assert config_from_dict({"run.sample_dt": 0.01}).sample_dt == 0.01
+    for dt in (1e-9, 1e-300):
+        with pytest.raises(ConfigError, match=rf"run\.sample_dt = {dt} gives"
+                                              rf" \d+ samples"):
+            config_from_dict({"run.sample_dt": dt})
 
 
 def test_config_rejects_infinite_horizon(tmp_path, capsys):
@@ -426,15 +434,17 @@ def test_run_evaluates_strain_rate_once_per_step(tmp_path, monkeypatch):
 @pytest.mark.parametrize("far_length", [50.0, 225.0])
 @pytest.mark.parametrize("beta", [0.5, 2.5])
 def test_run_records_match_chained_samples(tmp_path, far_length, beta):
-    """A run advances only the running integrals every step and fills the
-    full records at sample times.  Its series must equal, bit for bit,
-    running_integrals chained through every accepted step, sample_energy
-    and sample_bounds read from it at the sample times, and the probe
-    advanced by update_repr_probe, on a uniform and on a graded grid.  The
-    chained dissipation must equal a fresh evaluation at every sample."""
+    """A run advances only the running integrals every step and evaluates
+    the full row at sample times.  Each row of its series must equal, key
+    for key and bit for bit, running_integrals chained through every
+    accepted step, sample_energy and sample_bounds read from it at the
+    sample times, and the probe advanced by update_repr_probe, on a uniform
+    and on a graded grid.  The chained dissipation must equal a fresh
+    evaluation at every sample, and the representation verdict must judge
+    the series' largest reconstruction error."""
     cfg = _quick_cfg(tmp_path, n_cells=100, t_final=5.0,
                      far_length=far_length, params=Params(beta=beta))
-    run_simulation(cfg)
+    report = run_simulation(cfg)
     rows = read_series(cfg.series_path)
 
     grid = build_grid(cfg.length, cfg.n_cells, cfg.far_length)
@@ -453,13 +463,16 @@ def test_run_records_match_chained_samples(tmp_path, far_length, beta):
                             on_step=step)
         assert running[0].V == dissipation_functional(state, grid,
                                                       cfg.params), row["t"]
-        for rec in (sample_energy(state, grid, cfg.params, running[0]),
-                    sample_bounds(state, grid, running[0])):
-            for name, value in asdict(rec).items():
-                assert row[name] == value, (row["t"], name)
-        assert row["Y_probe"] == probe.Y, row["t"]
         _, _, relerr = reconstruct_v(probe, state, cfg.params)
-        assert row["repr_relerr"] == relerr, row["t"]
+        chained = {**sample_energy(state, grid, cfg.params, running[0]),
+                   **sample_bounds(state, grid, running[0]),
+                   "Y_probe": math.ldexp(probe.Y, probe.Y_exp),
+                   "repr_relerr": relerr}
+        assert sorted(chained) == sorted(row)
+        for name, value in row.items():
+            assert chained[name] == value, (row["t"], name)
+    assert report.verdicts["representation"]["measured"] == max(
+        row["repr_relerr"] for row in rows)
 
 
 def _verdict_records(first, last):
@@ -486,7 +499,7 @@ def test_run_verdicts_decay_ratios(first, last, measured, passed):
     fails as "undefined (initial zero)"; otherwise the ratio is judged."""
     series, decay = _verdict_records(first, last)
     verdicts = harness._run_verdicts(JensenBand(0.0, 1.0, 1.0), decay,
-                                     series, 1.0, 1.0, 0.0)
+                                     series, 1.0, 1.0)
     assert list(verdicts) == [
         "energy_inequality", "jensen_band", "representation", "y_slope",
         "decay_u", "decay_grad", "positivity", "stabilization", "plateaus",
@@ -646,6 +659,26 @@ def test_cli_run_large_initial_energy(tmp_path):
     assert (tmp_path / "s.csv").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["run"], ["sweep", "--beta", "0.5,1"], ["check", "--criteria", "3"]])
+def test_cli_initial_energy_beyond_float_range_exit_two(tmp_path, capsys,
+                                                        argv):
+    """ic.amp_u = 60 gives E(0) of about 1125, whose lower entropy root is
+    below the normal floats: a configuration error naming the entropy
+    level, raised before the series file is opened, so no series or
+    report is written."""
+    cfg_path = tmp_path / "hot.cfg"
+    cfg_path.write_text(
+        "grid.cells = 100\nic.amp_u = 60\n"
+        f"out.series = {tmp_path}/s.csv\nout.report = {tmp_path}/r.json\n")
+    out = ["--out", str(tmp_path / "out.json")] if argv[0] != "run" else []
+    assert cli_main([*argv, "--config", str(cfg_path), *out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "entropy level 11" in err
+    assert err.count("\n") == 1
+    assert sorted(tmp_path.iterdir()) == [cfg_path]
+
+
 def test_cli_unknown_key_exit_two(tmp_path, capsys):
     cfg_path = tmp_path / "bad.cfg"
     cfg_path.write_text("grid.cellz = 5\n")
@@ -801,18 +834,31 @@ def test_cli_step_failure_names_snapshot(tmp_path, monkeypatch, capsys):
     assert os.path.exists(snap)
 
 
-def test_benchmark_hook_names_resolve():
-    """Every (module, attribute) that the benchmark's span tracer wraps
-    resolves on nslag; the list is read from perfbench/spans.py, not
-    imported."""
+def test_benchmark_hook_names_resolve(tmp_path, monkeypatch):
+    """perfbench/spans.py, loaded by path, wraps nslag at every (module,
+    attribute) it lists, and each resolves to a callable.  Installed, its
+    tracer records one span per series row for each per-sample evaluator,
+    which record() must call through nslag.harness.  Every wrapped name is
+    restored afterwards."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
     path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
-    tree = ast.parse(path.read_text(encoding="utf-8"))
-    targets = next(ast.literal_eval(node.value) for node in tree.body
-                   if isinstance(node, ast.Assign)
-                   and any(getattr(t, "id", None) == "TARGETS"
-                           for t in node.targets))
-    sites = [site for _, group in targets for site in group]
-    assert sites
-    for mod, attr in sites:
-        module = importlib.import_module(f"nslag.{mod}")
-        assert callable(getattr(module, attr, None)), (mod, attr)
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    modules = {name: importlib.import_module(f"nslag.{name}")
+               for name in ("cli", "harness", "stepper")}
+    for _, sites in spans.TARGETS:
+        for mod, attr in sites:
+            fn = getattr(modules[mod], attr, None)
+            assert callable(fn), (mod, attr)
+            monkeypatch.setattr(modules[mod], attr, fn)
+    tracer = spans.Tracer()
+    tracer.install(modules)
+    cfg = _quick_cfg(tmp_path, n_cells=100, t_final=5.0)
+    harness.run_simulation(cfg)
+    rows = len(read_series(cfg.series_path))
+    totals = tracer.totals(tracer.records())
+    for name in ("sample_energy", "sample_bounds", "unit_interval_averages",
+                 "reconstruct_v"):
+        calls, ok, _, _ = totals[f"diagnostics.{name}"]
+        assert calls == ok == rows, name
