@@ -12,22 +12,26 @@ import argparse
 import sys
 
 from .core import ConfigError
-from .harness import (acceptance_suite, default_config, load_config,
+from .harness import (RunConfig, acceptance_suite, load_config,
                       mms_convergence, mms_orders_pass, require_out_dir,
                       run_simulation, sweep, write_config, write_json)
 from .stepper import StepFailure
 
 
 def _load(args):
-    return load_config(args.config) if args.config else default_config()
+    return load_config(args.config) if args.config else RunConfig()
 
 
 def _comma_list(text, convert, flag):
-    """Values of a comma-separated flag; a bad one is a ConfigError."""
+    """Values of a comma-separated flag; a bad one, or none, is a
+    ConfigError."""
     try:
-        return [convert(x) for x in text.split(",") if x.strip()]
+        values = [convert(x) for x in text.split(",") if x.strip()]
     except ValueError:
         raise ConfigError(f"{flag}: bad value in {text!r}") from None
+    if not values:
+        raise ConfigError(f"{flag} needs at least one value")
+    return values
 
 
 def _print_verdicts(verdicts):
@@ -49,10 +53,7 @@ def _cmd_run(args):
 
 def _cmd_sweep(args):
     cfg = _load(args)
-    betas = _comma_list(args.beta, float, "--beta")
-    if not betas:
-        raise ConfigError("--beta needs at least one value")
-    reports = sweep(cfg, betas)
+    reports = sweep(cfg, _comma_list(args.beta, float, "--beta"))
     write_json({f"{b:g}": r.to_dict() for b, r in reports.items()}, args.out)
     for b, r in reports.items():
         mark = "pass" if r.all_pass else "FAIL"
@@ -79,8 +80,6 @@ def _cmd_check(args):
     if args.criteria is not None:
         criteria = _comma_list(args.criteria, int, "--criteria")
     report = acceptance_suite(cfg, criteria=criteria, out_path=args.out)
-    if "warning" in report:
-        print(f"warning: {report['warning']}")
     for name, v in report["criteria"].items():
         mark = "pass" if v["pass"] else "FAIL"
         print(f"  {name:<28} {mark}  ({v['seconds']} s)")
@@ -124,7 +123,7 @@ def build_parser():
                        help="write the default config to a file")
     p.add_argument("path")
     p.set_defaults(func=lambda a: (require_out_dir("path", a.path),
-                                   write_config(default_config(), a.path),
+                                   write_config(RunConfig(), a.path),
                                    print(f"defaults -> {a.path}"), 0)[-1])
     return ap
 

@@ -116,10 +116,6 @@ CONFIG_KEYS = {
 }
 
 
-def default_config():
-    return RunConfig()
-
-
 def require_out_dir(name, path):
     """Raise ConfigError unless the directory path is written into exists."""
     if not os.path.isdir(os.path.dirname(path) or "."):
@@ -165,7 +161,7 @@ def config_from_dict(values):
 
     The values are set one key at a time, so an error names its key.
     """
-    cfg = default_config()
+    cfg = RunConfig()
     for key, value in values.items():
         if key not in CONFIG_KEYS:
             raise ConfigError(f"unknown config key {key!r}")
@@ -756,24 +752,23 @@ _CRITERIA = (
 def acceptance_suite(cfg=None, criteria=None, out_path=None):
     """Execute the standing acceptance criteria and write one aggregate JSON.
 
-    criteria selects a subset by number (1..11); an explicit empty list is a
-    vacuous pass with a warning.  Every criterion and the run verdicts it
-    rolls up read their limits from THRESHOLDS.  Returns the aggregate
-    report dict; "all_pass" says whether every executed criterion passed.
+    criteria selects a nonempty subset by number (1..11).  Every criterion
+    and the run verdicts it rolls up read their limits from THRESHOLDS.
+    Returns the aggregate report dict; "all_pass" says whether every
+    executed criterion passed.
     A criterion's seconds are its running time, which includes any shared
     run it is the first to read: in the full suite the beta sweep falls to
     c03 and the equilibrium diagnostics run to c07.
     """
-    cfg = default_config() if cfg is None else cfg
+    cfg = RunConfig() if cfg is None else cfg
     numbers = {num for num, _, _ in _CRITERIA}
     wanted = numbers if criteria is None else {int(c) for c in criteria}
     bad = sorted(wanted - numbers)
-    if bad:
-        raise ConfigError(f"no such criterion {bad[0]}")
+    if bad or not wanted:
+        raise ConfigError(f"no such criterion {bad[0]}" if bad
+                          else "no criterion selected")
 
     report = {"criteria": {}, "all_pass": True}
-    if not wanted:
-        report["warning"] = "empty criterion list: vacuous pass"
 
     suite = _Suite(cfg)
     for num, name, evaluate in _CRITERIA:

@@ -112,6 +112,13 @@ def dense_step(v, theta, u, h, dt, mu, kappa, beta, R, cv, forced=None):
     return np.array(v1), u1, dense_solve(lower, diag, upper, rhs)
 
 
+def admissible(s):
+    """True when every entry of the state is finite, v and theta are
+    positive and the far-field velocity u[N] is pinned to zero."""
+    return (all(np.isfinite(a).all() for a in (s.v, s.theta, s.u))
+            and s.v.min() > 0.0 and s.theta.min() > 0.0 and s.u[-1] == 0.0)
+
+
 def fsum_energy(v, theta, u, h, R, cv):
     terms = []
     for j in range(len(v) - 1, -1, -1):

@@ -20,7 +20,7 @@ from dataclasses import replace
 
 import pytest
 
-from nslag.harness import THRESHOLDS, acceptance_suite, default_config
+from nslag.harness import THRESHOLDS, RunConfig, acceptance_suite
 
 
 @pytest.fixture(scope="module")
@@ -30,7 +30,7 @@ def root(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def report(root):
-    cfg = replace(default_config(),
+    cfg = replace(RunConfig(),
                   series_path=str(root / "series.csv"),
                   report_path=str(root / "report.json"))
     return acceptance_suite(cfg, out_path=str(root / "acceptance.json"))

@@ -4,7 +4,7 @@ they document."""
 import re
 from pathlib import Path
 
-from nslag.harness import _CRITERIA, CONFIG_KEYS, default_config, write_config
+from nslag.harness import _CRITERIA, CONFIG_KEYS, RunConfig, write_config
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -31,7 +31,7 @@ def test_readme_config_table_matches_defaults(tmp_path):
     default write-config writes; probe.interval's default is given by its
     rule, floor(L/4)."""
     path = tmp_path / "defaults.cfg"
-    write_config(default_config(), str(path))
+    write_config(RunConfig(), str(path))
     written = [tuple(line.split(" = ", 1))
                for line in path.read_text().splitlines()]
     written = [(k, "floor(L/4)" if k == "probe.interval" else v)

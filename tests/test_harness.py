@@ -25,10 +25,9 @@ from nslag.diagnostics import (JensenBand, decay_report,
                                update_repr_probe)
 from nslag.harness import (CONFIG_KEYS, SERIES_COLUMNS, SERIES_HEADER,
                            THRESHOLDS, RunConfig, acceptance_suite,
-                           config_from_dict, config_to_dict,
-                           default_config, load_config, mms_convergence,
-                           read_series, run_simulation, sweep, write_config,
-                           write_snapshot)
+                           config_from_dict, config_to_dict, load_config,
+                           mms_convergence, read_series, run_simulation,
+                           sweep, write_config, write_snapshot)
 from nslag.model import MmsProfile, strain_rate
 from nslag.stepper import StepFailure, advance
 
@@ -41,11 +40,11 @@ def _quick_cfg(tmp_path, **kw):
         series_path=str(tmp_path / "series.csv"),
         report_path=str(tmp_path / "report.json"))
     base.update(kw)
-    return replace(default_config(), **base)
+    return replace(RunConfig(), **base)
 
 
 def test_default_config_values():
-    cfg = default_config()
+    cfg = RunConfig()
     assert cfg.params == Params()
     assert (cfg.length, cfg.n_cells) == (50.0, 2000)
     assert cfg.ic.kind == "bump"
@@ -59,7 +58,7 @@ def test_minimal_file_takes_defaults(tmp_path):
     path = tmp_path / "one.cfg"
     path.write_text("physics.beta = 1\n")
     cfg = load_config(str(path))
-    assert cfg == default_config()
+    assert cfg == RunConfig()
 
 
 def test_load_config_reports_line_numbers(tmp_path):
@@ -93,7 +92,7 @@ def test_load_config_rejects_bad_value(tmp_path):
 def test_config_round_trip(tmp_path):
     first = tmp_path / "a.cfg"
     second = tmp_path / "b.cfg"
-    write_config(default_config(), str(first))
+    write_config(RunConfig(), str(first))
     cfg = load_config(str(first))
     write_config(cfg, str(second))
     assert first.read_text() == second.read_text()
@@ -188,7 +187,7 @@ def test_config_dict_round_trip(beta, mu, amp, cells):
     values = dict(NON_DEFAULT)
     values.update({"physics.beta": beta, "physics.mu": mu, "ic.amp_u": amp,
                    "grid.cells": cells})
-    defaults = config_to_dict(default_config())
+    defaults = config_to_dict(RunConfig())
     assert all(values[key] != defaults[key] for key in CONFIG_KEYS)
     flat = config_to_dict(config_from_dict(values))
     assert flat == values
@@ -282,7 +281,7 @@ def test_far_length_at_length_is_the_wall_run(tmp_path):
     the bump's wave arrives and reflects: the default run then takes the
     14,396 steps it took before the far zone existed and its far field
     reads about 2.77e-2, red against the 1e-4 tolerance."""
-    cfg = replace(default_config(), far_length=50.0,
+    cfg = replace(RunConfig(), far_length=50.0,
                   series_path=str(tmp_path / "series.csv"),
                   report_path=str(tmp_path / "report.json"))
     report = run_simulation(cfg)
@@ -355,7 +354,7 @@ def test_probe_stays_finite_at_long_horizon(tmp_path):
         for t_final in (700.0, 1000.0):
             reports[t_final] = run_simulation(_quick_cfg(
                 tmp_path, n_cells=100, t_final=t_final, sample_dt=2.0,
-                ic=default_config().ic))
+                ic=RunConfig().ic))
     late, ref = reports[1000.0], reports[700.0]
     assert (late.verdicts["representation"]["measured"]
             == ref.verdicts["representation"]["measured"])
@@ -392,7 +391,7 @@ def test_run_history_keeps_eight_bytes_per_value(tmp_path, monkeypatch):
 
 def _short_default_cfg(tmp_path):
     # the default run cut to its first time unit, ten samples after t = 0
-    return replace(default_config(), t_final=1.0, sample_dt=0.1,
+    return replace(RunConfig(), t_final=1.0, sample_dt=0.1,
                    series_path=str(tmp_path / "series.csv"),
                    report_path=str(tmp_path / "report.json"))
 
@@ -587,10 +586,12 @@ def test_sweep_step_failure_reaches_caller(tmp_path, monkeypatch):
 
 
 def test_acceptance_empty_criteria_vacuous(tmp_path):
+    """An empty criterion list would pass vacuously: it is refused before
+    any report is written."""
     out = tmp_path / "acc.json"
-    report = acceptance_suite(criteria=[], out_path=str(out))
-    assert report["all_pass"] and "warning" in report
-    assert json.loads(out.read_text())["criteria"] == {}
+    with pytest.raises(ConfigError):
+        acceptance_suite(criteria=[], out_path=str(out))
+    assert not out.exists()
 
 
 def test_acceptance_unknown_criterion():
@@ -688,7 +689,8 @@ def test_cli_unknown_key_exit_two(tmp_path, capsys):
 
 @pytest.mark.parametrize("line", [
     "physics.beta = nan", "ctl.dt_min = inf", "ctl.cfl_hyp = 2",
-    "grid.cells = 3", "grid.far_length = 50.5", "probe.interval = 0"])
+    "grid.cells = 3", "grid.far_length = 50.5", "probe.interval = 0",
+    "ic.amp_u = inf"])
 def test_cli_non_finite_constant_exit_two(tmp_path, capsys, line):
     """A bad value, a non-finite constant among them, is a configuration
     error: exit 2, one line naming its config key, before any file is
@@ -746,7 +748,7 @@ def test_python_m_nslag_runs_the_cli(tmp_path):
         env={**os.environ, "PYTHONPATH": str(src)})
     assert proc.returncode == 0, proc.stderr
     assert (config_to_dict(load_config(str(tmp_path / "d.cfg")))
-            == config_to_dict(default_config()))
+            == config_to_dict(RunConfig()))
 
 
 def test_cli_import_loads_neither_scipy_linalg_nor_process_pool(tmp_path):
@@ -781,7 +783,7 @@ def test_cli_entry_point_installed(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert (config_to_dict(load_config(str(tmp_path / "d.cfg")))
-            == config_to_dict(default_config()))
+            == config_to_dict(RunConfig()))
 
 
 def _tiny_config_file(tmp_path):
@@ -796,10 +798,12 @@ def _tiny_config_file(tmp_path):
     (["check", "--criteria", "x"], "--criteria"),
     (["check", "--criteria", "1,,2.5"], "--criteria"),
     (["sweep", "--beta", "0.5,abc"], "--beta"),
+    (["check", "--criteria", ""], "--criteria"),
+    (["sweep", "--beta", ","], "--beta"),
 ])
 def test_cli_bad_list_value_exit_two(tmp_path, capsys, argv, flag):
-    """A malformed comma list is a configuration error: exit 2, one line
-    naming the flag."""
+    """A malformed or empty comma list is a configuration error: exit 2,
+    one line naming the flag."""
     code = cli_main(argv + ["--config", _tiny_config_file(tmp_path),
                             "--out", str(tmp_path / "out.json")])
     assert code == 2
@@ -862,3 +866,24 @@ def test_benchmark_hook_names_resolve(tmp_path, monkeypatch):
                  "reconstruct_v"):
         calls, ok, _, _ = totals[f"diagnostics.{name}"]
         assert calls == ok == rows, name
+
+
+def test_benchmark_set_up_resolves(tmp_path, monkeypatch):
+    """perfbench/child.py, loaded by path, imports nslag and builds a
+    workload's inputs outside the tracer: its set_up returns the three
+    modules it wraps and a positive set-up time."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    monkeypatch.setattr(sys, "path", [str(bench), *sys.path])
+    for name in ("spans", "workloads"):
+        monkeypatch.delitem(sys.modules, name, raising=False)
+    monkeypatch.chdir(tmp_path)
+    spec = importlib.util.spec_from_file_location("perfbench_child",
+                                                  bench / "child.py")
+    child = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(child)
+    modules, _, seconds = child.set_up({
+        "workload": "bump_default", "seed": 0, "tiny": True,
+        "src": str(bench.parent / "src")})
+    assert modules == {"cli": cli, "harness": harness, "stepper": stepper}
+    assert seconds > 0.0
