@@ -242,10 +242,11 @@ def make_initial_data(grid, spec):
 
     The perturbation's support must end inside (0, length/2]: it reaches
     into the domain, and the far boundary starts on the exact far-field
-    state.
+    state.  An error names the config key of the value it refuses.
     """
     if not spec.floor > 0.0:
-        raise ConfigError(f"ic floor must be positive, got {spec.floor}")
+        raise ConfigError(f"ic.floor = {spec.floor}: the floor must be "
+                          f"positive")
     if spec.kind == "equilibrium":
         return equilibrium_state(grid)
     if spec.kind == "bump":
@@ -255,9 +256,11 @@ def make_initial_data(grid, spec):
         profile = _packet_profile
         reach = 4.0 * spec.width  # gaussian tail below 1e-7 of peak
     else:
-        raise ConfigError(f"unknown ic kind {spec.kind!r}")
+        raise ConfigError(f"ic.kind = {spec.kind}: unknown kind, expected "
+                          f"equilibrium, bump or packet")
     if not spec.width > 0.0:
-        raise ConfigError(f"ic width must be positive, got {spec.width}")
+        raise ConfigError(f"ic.width = {spec.width}: the width must be "
+                          f"positive")
     for name in ("amp_v", "amp_u", "amp_theta"):
         amp = getattr(spec, name)
         if not math.isfinite(amp):
@@ -265,8 +268,8 @@ def make_initial_data(grid, spec):
     for name, amp in (("amp_v", spec.amp_v), ("amp_theta", spec.amp_theta)):
         if 1.0 - abs(amp) < spec.floor:
             raise ConfigError(
-                f"{name} = {amp} drives the field minimum to {1.0 - abs(amp)}, "
-                f"below the floor {spec.floor}")
+                f"ic.{name} = {amp}: drives the field minimum to "
+                f"{1.0 - abs(amp)}, below the floor {spec.floor}")
     # a NaN or infinite center fails too
     if not 0.0 < spec.center + reach <= 0.5 * grid.length:
         raise ConfigError(

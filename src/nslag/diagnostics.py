@@ -426,17 +426,17 @@ def _ratio(first, last):
     return last / first
 
 
-def decay_report(series, logy=None):
+def decay_report(series, logy):
     """Long-time summary of a sampled trajectory.
 
-    series maps series column names to float columns, logy (optional) is
-    the columns (t, ln Y).  The samples span [0, T], at least MIN_SAMPLES
-    of them, as harness._validate_config enforces before a run.  Reports
-    final/initial norm ratios, the least-squares slope of ln Y over the
-    second half, the worst energy inequality margin max_t (E + cumV - E(0)),
-    the fraction of each running integral accumulated after half time, and
-    the relative drift of each extremum between the window means over
-    [T/4, T/2] and [T/2, T].
+    series maps series column names to float columns, logy is the columns
+    (t, ln Y).  The samples span [0, T], at least MIN_SAMPLES of them, as
+    harness._validate_config enforces before a run, so at least two probe
+    times lie in the second half.  Reports final/initial norm ratios, the
+    least-squares slope of ln Y over the second half, the worst energy
+    inequality margin max_t (E + cumV - E(0)), the fraction of each running
+    integral accumulated after half time, and the relative drift of each
+    extremum between the window means over [T/4, T/2] and [T/2, T].
     """
     ts = np.asarray(series["t"])
     t_end = float(ts[-1])
@@ -473,12 +473,9 @@ def decay_report(series, logy=None):
         else:
             drift[name] = abs(m2 - m1) / abs(m1)
 
-    y_slope = None
-    if logy is not None:
-        tt, yy = (np.asarray(col) for col in logy)
-        late = tt >= half
-        if np.count_nonzero(late) >= 2:
-            y_slope = float(np.polyfit(tt[late], yy[late], 1)[0])
+    tt, yy = (np.asarray(col) for col in logy)
+    late = tt >= half
+    y_slope = float(np.polyfit(tt[late], yy[late], 1)[0])
 
     return {
         "n_samples": len(ts),

@@ -147,7 +147,9 @@ def _validate_config(cfg):
                 if n < MIN_SAMPLES else f"a run takes at most {MAX_SAMPLES}"))
     with _naming(f"grid.length = {cfg.length}, grid.cells = {cfg.n_cells}, "
                  f"grid.far_length = {cfg.far_length}"):
-        build_grid(cfg.length, cfg.n_cells, cfg.far_length).unit_cells
+        grid = build_grid(cfg.length, cfg.n_cells, cfg.far_length)
+        grid.unit_cells
+    make_initial_data(grid, cfg.ic)
     i = cfg.resolved_probe()
     with _naming(f"probe.interval = {i}"):
         check_probe_interval(i, cfg.length)
@@ -329,7 +331,7 @@ def _run_verdicts(band, decay, series, avg_min, avg_max):
                         f"alpha1 = {band.alpha1}, alpha2 = {band.alpha2}"},
         "representation": _at_most(max(series["repr_relerr"]),
                                    thr["repr_tol"]),
-        "y_slope": _verdict(slope is not None and slope < 0.0, slope, 0.0),
+        "y_slope": _verdict(slope < 0.0, slope, 0.0),
         "decay_u": _ratio_at_most(decay["ratios"]["ninf_u"],
                                   thr["uinf_ratio"]),
         "decay_grad": _ratio_at_most(_ratio(g_first, g_last),

@@ -5,8 +5,8 @@ j+1, so the strain rate of cell j is (u[j+1] - u[j])/h_j and interior face
 i separates cells i-1 and i.  The wall face 0 carries the prescribed
 stress -R (the outer pressure equals R) and zero heat flux; face N is
 closed with the far-field ghost state (1, 1) for (v, theta) and a pinned
-velocity u[N] = 0.  Also the manufactured solution and its forcing for
-verification runs.
+velocity u[N] = 0.  Also the manufactured solution, which meets these
+closures, and the forcing that verification runs add.
 """
 
 from __future__ import annotations
@@ -23,16 +23,16 @@ def strain_rate(u, h):
     return (u[1:] - u[:-1]) / h
 
 
-def face_conductance(theta, v, params, d, theta_ghost=1.0, v_ghost=1.0):
+def face_conductance(theta, v, params, d):
     """Conduction coefficients kappa*mean(theta**beta)/(d*mean(v)) on faces 0..N.
 
     d is the distance between the centers on either side of faces 1..N:
     one scalar, the width h of a uniform grid, or one per face, the grid's
     dc.  Interior face i averages the two adjacent cells.  The wall face 0
     stays adiabatic (conductance 0).  Face N pairs the last cell with a
-    ghost cell one width beyond its center; physically the ghost holds the
-    far-field values (1, 1), verification runs override them.  The heat
-    flux through a face is its conductance times the temperature jump.
+    ghost cell one width beyond its center that holds the far-field values
+    (1, 1).  The heat flux through a face is its conductance times the
+    temperature jump.
     """
     kt, beta = params.kappa, params.beta
     n = theta.size
@@ -41,11 +41,11 @@ def face_conductance(theta, v, params, d, theta_ghost=1.0, v_ghost=1.0):
     cond[0] = 0.0
     num = cond[1:]
     np.add(thb[:-1], thb[1:], out=num[:-1])
-    num[-1] = thb[-1] + theta_ghost ** beta
+    num[-1] = thb[-1] + 1.0
     num *= kt
     den = np.empty(n)
     np.add(v[:-1], v[1:], out=den[:-1])
-    den[-1] = v[-1] + v_ghost
+    den[-1] = v[-1] + 1.0
     den *= d
     num /= den   # the means' halves cancel exactly: scaling by 1/2 is exact
     return cond
@@ -60,74 +60,77 @@ def cell_stress(ux, theta, v, params):
 class MmsProfile:
     """Manufactured solution: a decaying smooth perturbation of (1, 0, 1).
 
-    v = 1 + a e^{-t} cos(pi x / L)
-    u =     a e^{-t} sin(pi x / L)
-    theta = 1 + a e^{-t} cos(2 pi x / L)
+    With q = (1 + cos(pi x / L))/2:
+    v = 1 + a e^-t q^4,  u = a e^-t sin^2(pi x/L),  theta = 1 + a e^-t q^2
 
-    u vanishes at x = 0 and x = L and theta_x vanishes at x = 0, so the
-    verification boundary closures reduce to exact Dirichlet traces plus an
-    exact far ghost for the heat flux.
+    It meets the production closures: at x = 0, u_x = 0 and theta = v, so
+    the wall stress is -R, and theta_x = 0; at x = L, u = 0, and theta - 1
+    and v - 1 vanish to fourth and eighth order, so the far ghost (1, 1)
+    is exact to O(h^4).
     """
 
     amp: float = 0.1
     length: float = 20.0
 
+    def _q(self, x):
+        return 0.5 * (1.0 + np.cos(np.pi * np.asarray(x) / self.length))
+
     def v_exact(self, x, t):
-        return 1.0 + self.amp * math.exp(-t) * np.cos(np.pi * np.asarray(x) / self.length)
+        return 1.0 + self.amp * math.exp(-t) * self._q(x) ** 4
 
     def u_exact(self, x, t):
-        return self.amp * math.exp(-t) * np.sin(np.pi * np.asarray(x) / self.length)
+        return self.amp * math.exp(-t) * np.sin(np.pi * np.asarray(x) / self.length) ** 2
 
     def theta_exact(self, x, t):
-        return 1.0 + self.amp * math.exp(-t) * np.cos(2.0 * np.pi * np.asarray(x) / self.length)
+        return 1.0 + self.amp * math.exp(-t) * self._q(x) ** 2
 
 
-def _trig(x, prof):
-    # (cos, sin) of pi x/L, then of 2 pi x/L: what mms_source reads of x
-    k1, k2 = math.pi / prof.length, 2.0 * math.pi / prof.length
-    x = np.asarray(x, dtype=float)
-    return np.cos(k1 * x), np.sin(k1 * x), np.cos(k2 * x), np.sin(k2 * x)
+def _factors(x, prof):
+    # the profile's time-independent factors at x, in the order mms_source
+    # unpacks them; with e = a e^{-t}: v - 1 = e q4, theta - 1 = e q2,
+    # u = e s2, u_x = e ux, u_xx = e uxx, v_x = -e vx, theta_x = -e thx,
+    # theta_xx = e thxx, and v_t - u_x = -e sv
+    k = math.pi / prof.length
+    kx = k * np.asarray(x, dtype=float)
+    c, s = np.cos(kx), np.sin(kx)
+    q = 0.5 * (1.0 + c)
+    q2, s2, ux = q * q, s * s, 2.0 * k * s * c
+    vx, thx = 2.0 * k * q2 * q * s, k * q * s
+    return (q2, q2 * q2, s2, q2 * q2 + ux, ux, vx, thx,
+            2.0 * k * k * (c * c - s2), k * k * (0.5 * s2 - q * c),
+            ux * vx, thx * thx, thx * vx, ux * ux)
 
 
 @lru_cache(maxsize=8)
 def mms_tables(grid, prof):
-    """Read-only trig tables of prof at the grid's centers and faces, made
-    once per value of the frozen, hashable grid and profile."""
-    tables = _trig(grid.centers(), prof), _trig(grid.faces(), prof)
+    """Read-only factor tables of prof at the grid's centers and faces,
+    made once per value of the frozen, hashable grid and profile."""
+    tables = _factors(grid.centers(), prof), _factors(grid.faces(), prof)
     for arr in tables[0] + tables[1]:
         arr.flags.writeable = False
     return tables
 
 
-def mms_source(trig, t, prof, params, term):
+def mms_source(factors, t, prof, params, term):
     """Forcing that makes the manufactured profile an exact solution.
 
-    Returns term 0, 1 or 2 of (Sv, Su, Stheta) at the points whose trig
-    values, _trig(x, prof) or an mms_tables entry, trig holds: the time
+    Returns term 0, 1 or 2 of (Sv, Su, Stheta) at the points whose
+    factors, _factors(x, prof) or an mms_tables entry, are given: the time
     derivative of that exact field minus the continuous operator applied
     to the exact fields, Stheta divided by cv.
     """
-    c1, s1, c2, s2 = trig
-    k1, k2 = math.pi / prof.length, 2.0 * math.pi / prof.length
+    q2, q4, s2, sv, ux, vx, thx, uxx, thxx, uxvx, thx2, thxvx, ux2 = factors
     e = prof.amp * math.exp(-t)
-    mu, kt, beta, gas_r, cv = params.mu, params.kappa, params.beta, params.R, params.cv
-
-    u_x = e * k1 * c1
     if term == 0:
-        return -e * c1 - u_x   # v_t - u_x
-    v = 1.0 + e * c1
-    v_x = -e * k1 * s1
-    th = 1.0 + e * c2
-    th_x = -e * k2 * s2
-    if term == 1:
-        u_xx = -e * k1 * k1 * s1
-        u_t = -e * s1
-        p_x = gas_r * (th_x * v - th * v_x) / (v * v)
-        visc_x = mu * (u_xx * v - u_x * v_x) / (v * v)
-        return u_t + p_x - visc_x
-    th_xx = -e * k2 * k2 * c2
-    th_t = -e * c2
-    kap = kt * th ** beta
-    kap_x = kt * beta * th ** (beta - 1.0) * th_x
-    flux_x = (kap_x * th_x + kap * th_xx) / v - kap * th_x * v_x / (v * v)
-    return th_t - (-gas_r * th * u_x / v + flux_x + mu * u_x * u_x / v) / cv
+        return sv * -e
+    mu, gas_r, beta = params.mu, params.R, params.beta
+    v, th = e * q4 + 1.0, e * q2 + 1.0
+    if term == 1:   # u_t + (R theta/v)_x - (mu u_x/v)_x
+        return e * ((gas_r * (th * vx - thx * v) - mu * (uxx * v + e * uxvx))
+                    / (v * v) - s2)
+    # theta_t - (-R theta u_x/v + (kappa theta^beta theta_x/v)_x
+    # + mu u_x^2/v)/cv, the flux term as v/e times its derivative
+    flux = params.kappa * th ** (beta - 1.0) \
+        * (th * thxx + beta * e * thx2 - e * th * thxvx / v)
+    return -e * ((flux + mu * e * ux2 - gas_r * th * ux) / (params.cv * v)
+                 + q2)

@@ -172,11 +172,11 @@ def step_imex(s, dt, grid, params, mms=None, ux=None):
     theta does not stay finite and above POSITIVITY_FLOOR.
 
     Update order v -> u -> theta, each substep on the freshest fields.  In
-    verification mode (mms set) both end velocities are exact traces and
-    leave the velocity system, the far ghost takes exact values and the
-    forcing enters the loads: Sv at the old time (forward part), Su and
-    Stheta at the new time (backward parts).  ux, the strain rate of s.u,
-    is computed when not passed in; returns the new state and its own.
+    verification mode (mms set, a manufactured profile that meets the
+    boundary closures) the forcing enters the loads: Sv at the old time
+    (forward part), Su and Stheta at the new time (backward parts).  ux,
+    the strain rate of s.u, is computed when not passed in; returns the
+    new state and its own.
     """
     if not dt > 0.0:
         raise ConfigError(f"step size must be positive, got {dt}")
@@ -211,39 +211,22 @@ def step_imex(s, dt, grid, params, mms=None, ux=None):
     diag = w
     diag -= a
     diag[1:] -= a[:-1]
-    off = a[:-1]
-    u1 = np.empty(n + 1)
-    if mms is None:
-        u1[n] = 0.0
-        u1[:n] = solve_tridiagonal(diag, off, load)
-    else:
-        # both end velocities are exact traces: rows 1..n-1 remain, and the
-        # couplings to the ends move into their loads
-        u1[0] = float(mms.u_exact(0.0, t1))
-        u1[n] = float(mms.u_exact(grid.far_length, t1))
+    if mms is not None:
         su = mms_source(at_faces, t1, mms, params, 1)
-        b = load[1:]
-        b += grid.dm[1:n] * su[1:n]
-        b[0] -= a[0] * u1[0]
-        b[-1] -= a[-1] * u1[n]
-        u1[1:n] = solve_tridiagonal(diag[1:], off[1:], b)
+        load += grid.dm[:n] * su[:n]
+    u1 = np.empty(n + 1)
+    u1[n] = 0.0
+    u1[:n] = solve_tridiagonal(diag, a[:-1], load)
     ux1 = strain_rate(u1, h)
 
     # temperature solve: conduction implicit, conductivities c frozen at
     # theta^n.  Row j, weighted by its heat capacity q_j = cv h_j/dt:
     #   (q_j + c_j + c_{j+1}) th_j - c_j th_{j-1} - c_{j+1} th_{j+1}
     #       = q_j th^n_j + h_j (mu u_x - R th^n) u_x / v1;
-    # c_0 = 0 at the adiabatic wall, and the far ghost's term moves to the
-    # last load
+    # c_0 = 0 at the adiabatic wall, and the far ghost's term c_N * 1 moves
+    # to the last load
     thn = s.theta
-    theta_ghost_old = theta_ghost_new = v_ghost = 1.0
-    if mms is not None:
-        xg = grid.far_length + 0.5 * h[-1]
-        theta_ghost_old = float(mms.theta_exact(xg, s.t))
-        theta_ghost_new = float(mms.theta_exact(xg, t1))
-        v_ghost = float(mms.v_exact(xg, t1))
-    cond = face_conductance(thn, v1, params, grid.dc, theta_ghost_old,
-                            v_ghost)
+    cond = face_conductance(thn, v1, params, grid.dc)
     q = h * (cv / dt)
     load2 = mu * ux1
     load2 -= r_th
@@ -251,7 +234,7 @@ def step_imex(s, dt, grid, params, mms=None, ux=None):
     load2 /= v1
     load2 *= h
     load2 += q * thn
-    load2[-1] += cond[n] * theta_ghost_new
+    load2[-1] += cond[n]
     if mms is not None:
         sth = mms_source(at_centers, t1, mms, params, 2)
         sth *= cv * h

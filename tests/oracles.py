@@ -55,11 +55,10 @@ def dense_step(v, theta, u, h, dt, mu, kappa, beta, R, cv, forced=None):
 
     The rows are assembled one by one in the row-scaled form: a velocity
     row divided by its control mass over dt, a temperature row by cv*h_j
-    over dt, the pinned end velocities kept as identity rows.  h holds the
+    over dt, the pinned far velocity kept as an identity row.  h holds the
     cell widths.  forced, for a verification step, holds the forcing (sv
     on cells at the old time, su on faces and sth on cells at the new
-    time), the exact end velocities u_wall and u_far and the far ghost's
-    theta_ghost_old, theta_ghost_new and v_ghost.  Returns (v1, u1, theta1).
+    time), which enters every row's load.  Returns (v1, u1, theta1).
     """
     f = forced or {}
     n = len(v)
@@ -73,28 +72,22 @@ def dense_step(v, theta, u, h, dt, mu, kappa, beta, R, cv, forced=None):
 
     lower, diag, upper, rhs = [0.0] * (n + 1), [1.0] * (n + 1), \
         [0.0] * (n + 1), [0.0] * (n + 1)
-    for i in range(1, n):
+    for i in range(n):
+        # the wall row's missing left neighbour is the outer pressure R
         r = dt / dm[i]
-        lower[i], upper[i] = -r * a[i - 1], -r * a[i]
-        diag[i] = 1.0 + r * (a[i - 1] + a[i])
-        rhs[i] = u[i] - r * (pe[i] - pe[i - 1])
+        a_left, pe_left = (a[i - 1], pe[i - 1]) if i > 0 else (0.0, R)
+        lower[i], upper[i] = -r * a_left, -r * a[i]
+        diag[i] = 1.0 + r * (a_left + a[i])
+        rhs[i] = u[i] - r * (pe[i] - pe_left)
         if forced is not None:
             rhs[i] += dt * f["su"][i]
-    if forced is None:
-        r = dt / dm[0]
-        diag[0], upper[0] = 1.0 + r * a[0], -r * a[0]
-        rhs[0] = u[0] + r * (R - pe[0])
-    else:
-        rhs[0], rhs[n] = f["u_wall"], f["u_far"]
     u1 = dense_solve(lower, diag, upper, rhs)
 
-    tg_old = f.get("theta_ghost_old", 1.0)
-    tg_new = f.get("theta_ghost_new", 1.0)
-    vg = f.get("v_ghost", 1.0)
     cond = [0.0] * (n + 1)
     for i in range(1, n + 1):
+        # the far ghost holds (theta, v) = (1, 1)
         th_r, v_r, d = (theta[i], v1[i], 0.5 * (h[i - 1] + h[i])) if i < n \
-            else (tg_old, vg, h[n - 1])
+            else (1.0, 1.0, h[n - 1])
         cond[i] = (kappa * 0.5 * (theta[i - 1] ** beta + th_r ** beta)
                    / (d * 0.5 * (v1[i - 1] + v_r)))
     lower, diag, upper, rhs = [0.0] * n, [0.0] * n, [0.0] * n, [0.0] * n
@@ -108,7 +101,7 @@ def dense_step(v, theta, u, h, dt, mu, kappa, beta, R, cv, forced=None):
             / (v1[j] * cv)
         if forced is not None:
             rhs[j] += dt * f["sth"][j]
-    rhs[n - 1] += dt / (cv * h[n - 1]) * cond[n] * tg_new
+    rhs[n - 1] += dt / (cv * h[n - 1]) * cond[n]
     return np.array(v1), u1, dense_solve(lower, diag, upper, rhs)
 
 
@@ -203,9 +196,10 @@ def sympy_mms_sources(xv, tv, amp, length, mu, kappa, beta, R, cv):
     x, t = sp.symbols("x t", real=True)
     a = sp.Rational(amp).limit_denominator(10 ** 12)
     L = sp.Rational(length).limit_denominator(10 ** 12)
-    v = 1 + a * sp.exp(-t) * sp.cos(sp.pi * x / L)
-    u = a * sp.exp(-t) * sp.sin(sp.pi * x / L)
-    th = 1 + a * sp.exp(-t) * sp.cos(2 * sp.pi * x / L)
+    q = (1 + sp.cos(sp.pi * x / L)) / 2
+    v = 1 + a * sp.exp(-t) * q ** 4
+    u = a * sp.exp(-t) * sp.sin(sp.pi * x / L) ** 2
+    th = 1 + a * sp.exp(-t) * q ** 2
 
     P = R * th / v
     kap = kappa * th ** beta

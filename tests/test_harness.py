@@ -476,14 +476,16 @@ def test_run_records_match_chained_samples(tmp_path, far_length, beta):
 
 def _verdict_records(first, last):
     # eleven samples over [0, 10]: ninf_u and each gradient norm read
-    # first at t = 0 and last after it; everything else is at rest
+    # first at t = 0 and last after it; everything else is at rest, and
+    # ln Y falls at rate 1
     series = {name: [0.0] * 11 for name in SERIES_COLUMNS}
     series["t"] = [float(k) for k in range(11)]
     for name in ("vmin", "vmax", "thmin", "thmax"):
         series[name] = [1.0] * 11
     for name in ("ninf_u", "g2_vx", "g2_ux", "g2_thx"):
         series[name] = [first] + [last] * 10
-    return series, decay_report(series)
+    logy = (series["t"], [-t for t in series["t"]])
+    return series, decay_report(series, logy)
 
 
 @pytest.mark.parametrize("first, last, measured, passed", [
@@ -702,6 +704,25 @@ def test_cli_non_finite_constant_exit_two(tmp_path, capsys, line):
     assert cli_main(["run", "--config", str(cfg_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and f"{key} = " in err
+    assert err.count("\n") == 1
+    assert sorted(tmp_path.iterdir()) == [cfg_path]
+
+
+@pytest.mark.parametrize("line", [
+    "ic.width = -1.0", "ic.floor = 0.0", "ic.amp_theta = 0.95",
+    "ic.kind = blob"])
+def test_cli_check_bad_initial_data_exit_two(tmp_path, capsys, line):
+    """Initial data that make_initial_data refuses is a configuration
+    error found when the config loads: check exits 2 before running a
+    criterion, with one line naming the key, and writes no file."""
+    cfg_path = tmp_path / "bad.cfg"
+    cfg_path.write_text(f"{line}\nout.series = {tmp_path}/s.csv\n"
+                        f"out.report = {tmp_path}/r.json\n")
+    out = tmp_path / "acceptance.json"
+    assert cli_main(["check", "--config", str(cfg_path),
+                     "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {line}: ")
     assert err.count("\n") == 1
     assert sorted(tmp_path.iterdir()) == [cfg_path]
 
