@@ -29,7 +29,7 @@ from .model import cell_stress, strain_rate
 # positive-part threshold for the (theta - 3/2)_+^2 monitor
 POSPART_THRESHOLD = 1.5
 
-MIN_SAMPLES = 10   # for decay_report; harness._validate_config enforces it
+MIN_SAMPLES = 10   # for decay_report; harness._set_up enforces it
 MAX_SAMPLES = 10 ** 6   # most samples a run may take, one series row each
 
 
@@ -111,51 +111,36 @@ def _pospart(theta, threshold):
     return pos * pos
 
 
-@dataclass
-class RunningIntegrals:
-    """Integrands of the three running time integrals at time t.
-
-    V is the dissipation, g2_ux the L2 norm of u_x (its square is
-    integrated) and pospart the positive-part maximum; cumV, cum_ux2 and
-    cum_pospart are their trapezoid integrals from the first time on.
-    """
-
-    t: float
-    V: float
-    g2_ux: float
-    pospart: float
-    cumV: float = 0.0
-    cum_ux2: float = 0.0
-    cum_pospart: float = 0.0
-
-
 def running_integrals(s, grid, params, prev=None, ux=None):
-    """The integrands at the state's time, integrals advanced from prev.
+    """Series columns t, V, g2_ux and pospart at the state's time, and
+    cumV, cum_ux2 and cum_pospart, the trapezoid integrals of V, g2_ux^2
+    and pospart: zero without prev, else advanced from prev, these
+    columns at an earlier state.
 
-    The only place the time integrals advance: a run calls it every step,
-    and sample_energy and sample_bounds read their integrands and
-    integrals from it at sample times.  All three integrands share one
-    u_x: ux, the state's strain rates, computed when not passed in.
+    The only place the time integrals advance: a run calls it every step.
+    V is the dissipation, g2_ux the L2 norm of u_x and pospart the
+    positive-part maximum; they share one u_x: ux, the state's strain
+    rates, computed when not passed in.
     """
     ux = strain_rate(s.u, grid.dx) if ux is None else ux
     v = dissipation_functional(s, grid, params, ux)
     g2_ux = _norm2(grid.dx, ux)
     pospart = _pospart(s.theta, POSPART_THRESHOLD)
+    row = {"t": s.t, "V": v, "g2_ux": g2_ux, "pospart": pospart}
     if prev is None:
-        return RunningIntegrals(s.t, v, g2_ux, pospart)
-    dt = s.t - prev.t
-    return RunningIntegrals(
-        s.t, v, g2_ux, pospart,
-        cumV=_trapezoid(prev.cumV, dt, prev.V, v),
-        cum_ux2=_trapezoid(prev.cum_ux2, dt, prev.g2_ux ** 2, g2_ux ** 2),
-        cum_pospart=_trapezoid(prev.cum_pospart, dt, prev.pospart, pospart))
+        return {**row, "cumV": 0.0, "cum_ux2": 0.0, "cum_pospart": 0.0}
+    dt = s.t - prev["t"]
+    return {**row,
+            "cumV": _trapezoid(prev["cumV"], dt, prev["V"], v),
+            "cum_ux2": _trapezoid(prev["cum_ux2"], dt, prev["g2_ux"] ** 2,
+                                  g2_ux ** 2),
+            "cum_pospart": _trapezoid(prev["cum_pospart"], dt,
+                                      prev["pospart"], pospart)}
 
 
-def sample_energy(s, grid, params, running):
-    """Series columns t, E, V and cumV at the state's time; V and cumV are
-    read from running, the RunningIntegrals at this state."""
-    return {"t": s.t, "E": energy_functional(s, grid, params),
-            "V": running.V, "cumV": running.cumV}
+def sample_energy(s, grid, params):
+    """Series column E, the entropy energy, at the state's time."""
+    return {"E": energy_functional(s, grid, params)}
 
 
 def _bisect(f, lo, hi):
@@ -291,7 +276,7 @@ def make_repr_probe(s0, grid, params, i):
     check_probe_interval(i, grid.length)
     fi = i * grid.unit_cells
     xs = i + (np.arange(PROBE_POINTS) + 0.5) / PROBE_POINTS
-    cells = np.minimum((xs / grid.h).astype(int), grid.n_cells - 1)
+    cells = (xs / grid.h).astype(int)
     v0 = s0.v[cells].copy()
     return ReprProbe(cells=cells, fi=fi, v0=v0, u0=s0.u.copy(),
                      D=v0.copy(), Y=1.0, I=np.zeros(PROBE_POINTS),
@@ -357,23 +342,21 @@ def update_repr_probe(p, s, dt, grid, params):
 
 
 def reconstruct_v(p, s, params):
-    """Reconstruct v at the probe points and report the worst relative error.
+    """Series columns Y_probe, the true Y, and repr_relerr, the worst
+    relative error of v reconstructed at the probe points.
 
     v_rec = D * Y * (1 + R * I) in true values; the probe must have been
     updated through the state's time (D is taken from the last update).
     """
     v_rec = p.D * p.Y * (math.ldexp(1.0, p.Y_exp) + params.R * p.I)
     v_act = s.v[p.cells]
-    rel = float((np.abs(v_rec - v_act) / v_act).max())
-    return v_rec, v_act, rel
+    return {"Y_probe": math.ldexp(p.Y, p.Y_exp),
+            "repr_relerr": float((np.abs(v_rec - v_act) / v_act).max())}
 
 
-def sample_bounds(s, grid, running):
-    """Series columns vmin through cum_pospart, and farfield_dev, at the
-    state's time.
-
-    g2_ux, pospart and the two running integrals are read from running,
-    the RunningIntegrals at this state.
+def sample_bounds(s, grid):
+    """Series columns of the extrema, norms and gradient norms, g2_ux
+    aside, and farfield_dev, at the state's time.
 
     Gradient norms use one-sided differences at their natural stagger:
     v_x and theta_x on interior faces, u_x on cells; cells weigh h_j and
@@ -401,10 +384,7 @@ def sample_bounds(s, grid, running):
         "n2_thm1": _norm2(h, thm1),
         "ninf_vm1": float(avm1.max()), "ninf_u": float(au.max()),
         "ninf_thm1": float(athm1.max()),
-        "g2_vx": _norm2(mi, dvx), "g2_ux": running.g2_ux,
-        "g2_thx": _norm2(mi, dthx),
-        "pospart": running.pospart, "cum_ux2": running.cum_ux2,
-        "cum_pospart": running.cum_pospart,
+        "g2_vx": _norm2(mi, dvx), "g2_thx": _norm2(mi, dthx),
         "farfield_dev": max(float(avm1[j:].max()), float(athm1[j:].max()),
                             float(au[j:].max())),
     }
@@ -431,12 +411,14 @@ def decay_report(series, logy):
 
     series maps series column names to float columns, logy is the columns
     (t, ln Y).  The samples span [0, T], at least MIN_SAMPLES of them, as
-    harness._validate_config enforces before a run, so at least two probe
-    times lie in the second half.  Reports final/initial norm ratios, the
-    least-squares slope of ln Y over the second half, the worst energy
-    inequality margin max_t (E + cumV - E(0)), the fraction of each running
-    integral accumulated after half time, and the relative drift of each
-    extremum between the window means over [T/4, T/2] and [T/2, T].
+    harness._set_up enforces before a run, so at least two probe times lie
+    in the second half and each window below holds a sample.  Reports
+    final/initial norm ratios, the least-squares slope of ln Y over the
+    second half, the worst energy inequality margin max_t (E + cumV - E(0)),
+    the fraction of each running integral accumulated after half time, and
+    the relative drift of each extremum between the window means over
+    [T/4, T/2] and [T/2, T]; the extrema are positive, as the stepper keeps
+    v and theta.
     """
     ts = np.asarray(series["t"])
     t_end = float(ts[-1])
@@ -466,12 +448,8 @@ def decay_report(series, logy):
     drift = {}
     for name in ("vmin", "vmax", "thmin", "thmax"):
         vals = np.asarray(series[name])
-        m1 = float(vals[win1].mean()) if win1.any() else float("nan")
-        m2 = float(vals[win2].mean()) if win2.any() else float("nan")
-        if m1 == 0.0:
-            drift[name] = 0.0 if m2 == 0.0 else float("inf")
-        else:
-            drift[name] = abs(m2 - m1) / abs(m1)
+        m1 = float(vals[win1].mean())
+        drift[name] = abs(float(vals[win2].mean()) - m1) / abs(m1)
 
     tt, yy = (np.asarray(col) for col in logy)
     late = tt >= half

@@ -131,8 +131,9 @@ def _naming(what):
         raise ConfigError(f"{what}: {exc}") from None
 
 
-def _validate_config(cfg):
-    """Check what Params and StepControl do not, before a file is opened."""
+def _set_up(cfg):
+    """Check what Params and StepControl do not, before a file is opened;
+    return the run's grid, its initial state and the entropy band of E(0)."""
     if not 0.0 < cfg.t_final < math.inf:
         raise ConfigError(f"run.t_final must be positive and finite, got {cfg.t_final}")
     if not (cfg.sample_dt > 0.0 and cfg.t_final / cfg.sample_dt < math.inf):
@@ -149,13 +150,17 @@ def _validate_config(cfg):
                  f"grid.far_length = {cfg.far_length}"):
         grid = build_grid(cfg.length, cfg.n_cells, cfg.far_length)
         grid.unit_cells
-    make_initial_data(grid, cfg.ic)
+    state = make_initial_data(grid, cfg.ic)
     i = cfg.resolved_probe()
     with _naming(f"probe.interval = {i}"):
         check_probe_interval(i, cfg.length)
     require_out_dir("out.series", cfg.series_path)
     require_out_dir("out.report", cfg.report_path)
-    return cfg
+    try:
+        band = entropy_roots(energy_functional(state, grid, cfg.params))
+    except DomainError as exc:
+        raise ConfigError(f"initial data: {exc}") from None
+    return grid, state, band
 
 
 def config_from_dict(values):
@@ -172,7 +177,8 @@ def config_from_dict(values):
             if section:   # Params and StepControl check themselves here
                 value = replace(getattr(cfg, section), **{attr: value})
             cfg = replace(cfg, **{section or attr: value})
-    return _validate_config(cfg)
+    _set_up(cfg)
+    return cfg
 
 
 def load_config(path):
@@ -351,8 +357,9 @@ class _RunAccumulator:
 
     Every step advances the probe and the running integrals, on the strain
     rate it handed on (ux keeps it for the next advance).  At sample times
-    record() evaluates the sample's row, reading the integrands the last
-    step computed, appends it to series (a float column per schema column)
+    record() joins the running integrals' columns the last step computed
+    to those of sample_energy, sample_bounds and reconstruct_v at the
+    state, appends the row to series (a float column per schema column)
     and writes it.
     """
 
@@ -379,11 +386,10 @@ class _RunAccumulator:
         averages = unit_interval_averages(state, self.grid)
         self.avg_min = min(self.avg_min, float(averages.min()))
         self.avg_max = max(self.avg_max, float(averages.max()))
-        _, _, relerr = reconstruct_v(self.probe, state, self.params)
-        row = {**sample_energy(state, self.grid, self.params, self.running),
-               **sample_bounds(state, self.grid, self.running),
-               "Y_probe": math.ldexp(self.probe.Y, self.probe.Y_exp),
-               "repr_relerr": relerr}
+        row = {**self.running,
+               **sample_energy(state, self.grid, self.params),
+               **sample_bounds(state, self.grid),
+               **reconstruct_v(self.probe, state, self.params)}
         values = [row[c] for c in SERIES_COLUMNS]
         for column, x in zip(self.series.values(), values):
             column.append(x)
@@ -407,16 +413,9 @@ def run_simulation(cfg):
     the JSON report, and returns the RunReport.  A stepper failure is
     re-raised after the offending state is written next to the report.
     """
-    _validate_config(cfg)
     wall0 = time.perf_counter()
-
-    grid = build_grid(cfg.length, cfg.n_cells, cfg.far_length)
+    grid, state, band = _set_up(cfg)
     params = cfg.params
-    state = make_initial_data(grid, cfg.ic)
-    try:
-        band = entropy_roots(energy_functional(state, grid, params))
-    except DomainError as exc:
-        raise ConfigError(f"initial data: {exc}") from None
     with open(cfg.series_path, "w", encoding="utf-8") as fh:
         acc = _RunAccumulator(state, grid, params, cfg.resolved_probe(),
                               _series_writer(fh))
@@ -535,17 +534,18 @@ def sweep(cfg, betas):
     """Run one config across conductivity exponents, in turn, in this
     process.  Returns {beta: RunReport} sorted by beta.
 
-    Each run's files are tagged beta<b:g>; two exponents with one tag are
-    a ConfigError, raised before any run.
+    Each run's files are tagged beta<b:g>; two exponents with one tag, or
+    an exponent Params refuses, are a ConfigError, raised before any run.
     """
     betas = sorted(set(float(b) for b in betas))
     for a, b in zip(betas, betas[1:]):
         if f"{a:g}" == f"{b:g}":
             raise ConfigError(f"--beta values {a!r} and {b!r} share the "
                               f"file tag beta{b:g}")
-    return {b: _keyed_run(cfg, f"beta{b:g}",
-                          params=replace(cfg.params, beta=b))
-            for b in betas}
+    with _naming("--beta"):
+        params = [replace(cfg.params, beta=b) for b in betas]
+    return {p.beta: _keyed_run(cfg, f"beta{p.beta:g}", params=p)
+            for p in params}
 
 
 # ---------------------------------------------------------------------------

@@ -90,14 +90,15 @@ def test_dissipation_matches_fsum_oracle():
 
 def test_sample_energy_trapezoid_accumulation():
     s, grid = _ref_state_and_grid()
-    run0 = running_integrals(s, grid, REF_PARAMS)
-    first = sample_energy(s, grid, REF_PARAMS, run0)
+    first = running_integrals(s, grid, REF_PARAMS)
     assert first["cumV"] == 0.0
     assert first["V"] == dissipation_functional(s, grid, REF_PARAMS)
+    assert sample_energy(s, grid, REF_PARAMS) == {
+        "E": energy_functional(s, grid, REF_PARAMS)}
     later = s.copy()
     later.t = 0.5
-    second = sample_energy(later, grid, REF_PARAMS,
-                           running_integrals(later, grid, REF_PARAMS, run0))
+    second = running_integrals(later, grid, REF_PARAMS, first)
+    assert second["t"] == 0.5
     assert abs(second["cumV"] - 0.5 * 0.5 * (first["V"] + second["V"])) \
         <= 1e-15
 
@@ -246,9 +247,10 @@ def test_probe_equilibrium_closed_form():
     assert abs(p.Y - math.exp(-params.R * t)) <= 1e-13
     want_i = (math.exp(params.R * t) - 1.0) / params.R
     assert np.max(np.abs(p.I - want_i)) <= 1e-11
-    v_rec, v_act, relerr = reconstruct_v(p, state, params)
-    np.testing.assert_allclose(v_rec, 1.0, rtol=1e-12)
-    assert relerr <= 1e-12
+    # v = 1 at rest, so the relative error is the distance of v_rec from 1
+    probe = reconstruct_v(p, state, params)
+    assert probe["repr_relerr"] <= 1e-12
+    assert probe["Y_probe"] == p.Y
 
 
 def test_probe_initial_reconstruction_exact():
@@ -257,9 +259,8 @@ def test_probe_initial_reconstruction_exact():
                   width=1.0, floor=0.1)
     s = make_initial_data(grid, spec)
     p = make_repr_probe(s, grid, Params(), 12)
-    v_rec, v_act, relerr = reconstruct_v(p, s, Params())
-    np.testing.assert_allclose(v_rec, v_act, rtol=1e-14)
-    assert relerr <= 1e-14
+    probe = reconstruct_v(p, s, Params())
+    assert probe["Y_probe"] == 1.0 and probe["repr_relerr"] <= 1e-14
 
 
 def test_probe_tracks_evolved_run():
@@ -274,14 +275,13 @@ def test_probe_tracks_evolved_run():
         update_repr_probe(p, new, dt, grid, params)
 
     out = advance(s, 5.0, grid, params, StepControl(), on_step=cb)
-    _, _, relerr = reconstruct_v(p, out, params)
-    assert relerr <= 0.05
+    assert reconstruct_v(p, out, params)["repr_relerr"] <= 0.05
 
 
 def test_bounds_equilibrium():
     grid = build_grid(10.0, 40)
     s = equilibrium_state(grid)
-    b = sample_bounds(s, grid, running_integrals(s, grid, Params()))
+    b = {**running_integrals(s, grid, Params()), **sample_bounds(s, grid)}
     assert (b["vmin"], b["vmax"], b["thmin"], b["thmax"]) == (1.0,) * 4
     for name in ("n2_vm1", "n2_u", "n2_thm1", "ninf_vm1", "ninf_u",
                  "ninf_thm1", "g2_vx", "g2_ux", "g2_thx", "pospart",
@@ -293,8 +293,7 @@ def test_bounds_positive_part_literal():
     grid = build_grid(10.0, 40)
     s = equilibrium_state(grid)
     s.theta[:] = 2.0
-    running = running_integrals(s, grid, Params())
-    assert sample_bounds(s, grid, running)["pospart"] == 0.25
+    assert running_integrals(s, grid, Params())["pospart"] == 0.25
     assert POSPART_THRESHOLD == 1.5
 
 
@@ -313,7 +312,7 @@ def test_pospart_equals_elementwise_maximum(seed, threshold):
 
 def test_bounds_match_fsum_oracle():
     s, grid = _ref_state_and_grid()
-    b = sample_bounds(s, grid, running_integrals(s, grid, REF_PARAMS))
+    b = {**running_integrals(s, grid, REF_PARAMS), **sample_bounds(s, grid)}
     oracle = fsum_bounds(s.v, s.theta, s.u, grid.h)
     for name, want in oracle.items():
         assert abs(b[name] - want) <= 1e-12, name
@@ -321,14 +320,12 @@ def test_bounds_match_fsum_oracle():
 
 def test_bounds_running_integrals_trapezoid():
     s, grid = _ref_state_and_grid()
-    run0 = running_integrals(s, grid, REF_PARAMS)
-    first = sample_bounds(s, grid, run0)
+    first = running_integrals(s, grid, REF_PARAMS)
     assert first["cum_ux2"] == 0.0 and first["cum_pospart"] == 0.0
     later = s.copy()
     later.t = 0.25
     later.theta = s.theta + 1.0     # lifts pospart above zero
-    second = sample_bounds(later, grid,
-                           running_integrals(later, grid, REF_PARAMS, run0))
+    second = running_integrals(later, grid, REF_PARAMS, first)
     want_ux2 = 0.5 * 0.25 * (first["g2_ux"] ** 2 + second["g2_ux"] ** 2)
     want_pp = 0.5 * 0.25 * (first["pospart"] + second["pospart"])
     assert abs(second["cum_ux2"] - want_ux2) <= 1e-15
@@ -378,9 +375,10 @@ def test_decay_report_equilibrium_trajectory():
     series = {}
 
     def sample(state):
-        # append the state's energy and bounds values to their columns
-        row = {**sample_energy(state, grid, params, running),
-               **sample_bounds(state, grid, running)}
+        # append the state's running-integral, energy and bounds values
+        # to their columns
+        row = {**running, **sample_energy(state, grid, params),
+               **sample_bounds(state, grid)}
         for name, value in row.items():
             series.setdefault(name, array("d")).append(value)
 
@@ -405,12 +403,12 @@ def _energy_margin(n_cells):
     spec = ICSpec(kind="bump", amp_v=0.3, amp_u=0.3, amp_theta=0.3,
                   center=6.0, width=1.0, floor=0.1)
     s = make_initial_data(grid, spec)
-    running = [running_integrals(s, grid, params)]
-    recs = [sample_energy(s, grid, params, running[0])]
+    recs = [{**running_integrals(s, grid, params),
+             **sample_energy(s, grid, params)}]
 
     def cb(prev, new, dt, ux):
-        running[0] = running_integrals(new, grid, params, running[0])
-        recs.append(sample_energy(new, grid, params, running[0]))
+        recs.append({**running_integrals(new, grid, params, recs[-1]),
+                     **sample_energy(new, grid, params)})
 
     advance(s, 10.0, grid, params, StepControl(), on_step=cb)
     e0 = recs[0]["E"]

@@ -430,17 +430,50 @@ def test_run_evaluates_strain_rate_once_per_step(tmp_path, monkeypatch):
     assert len(calls) == report.n_steps + 1
 
 
+def test_run_sets_up_initial_data_once(tmp_path, monkeypatch):
+    """run_simulation builds the initial data once: the state it checks is
+    the state it runs from."""
+    calls = []
+
+    def counted(grid, spec):
+        calls.append(spec)
+        return make_initial_data(grid, spec)
+
+    monkeypatch.setattr(harness, "make_initial_data", counted)
+    run_simulation(_quick_cfg(tmp_path, n_cells=100, t_final=5.0))
+    assert len(calls) == 1
+
+
+def test_row_sources_partition_series_columns():
+    """Every series column comes from exactly one of the four evaluators
+    a row joins: their key sets are pairwise disjoint, and together they
+    are the schema."""
+    cfg = RunConfig()
+    grid = build_grid(cfg.length, cfg.n_cells, cfg.far_length)
+    state = make_initial_data(grid, cfg.ic)
+    probe = make_repr_probe(state, grid, cfg.params, cfg.resolved_probe())
+    sources = [set(running_integrals(state, grid, cfg.params)),
+               set(sample_energy(state, grid, cfg.params)),
+               set(sample_bounds(state, grid)),
+               set(reconstruct_v(probe, state, cfg.params))]
+    for i, a in enumerate(sources):
+        for b in sources[i + 1:]:
+            assert not a & b, a & b
+    assert set().union(*sources) == set(SERIES_COLUMNS)
+
+
 @pytest.mark.parametrize("far_length", [50.0, 225.0])
 @pytest.mark.parametrize("beta", [0.5, 2.5])
 def test_run_records_match_chained_samples(tmp_path, far_length, beta):
     """A run advances only the running integrals every step and evaluates
     the full row at sample times.  Each row of its series must equal, key
     for key and bit for bit, running_integrals chained through every
-    accepted step, sample_energy and sample_bounds read from it at the
-    sample times, and the probe advanced by update_repr_probe, on a uniform
-    and on a graded grid.  The chained dissipation must equal a fresh
-    evaluation at every sample, and the representation verdict must judge
-    the series' largest reconstruction error."""
+    accepted step joined at the sample times to sample_energy,
+    sample_bounds and reconstruct_v of the probe advanced by
+    update_repr_probe, on a uniform and on a graded grid.  The chained
+    dissipation must equal a fresh evaluation at every sample, and the
+    representation verdict must judge the series' largest reconstruction
+    error."""
     cfg = _quick_cfg(tmp_path, n_cells=100, t_final=5.0,
                      far_length=far_length, params=Params(beta=beta))
     report = run_simulation(cfg)
@@ -460,13 +493,11 @@ def test_run_records_match_chained_samples(tmp_path, far_length, beta):
         if k:
             state = advance(state, row["t"], grid, cfg.params, cfg.ctl,
                             on_step=step)
-        assert running[0].V == dissipation_functional(state, grid,
-                                                      cfg.params), row["t"]
-        _, _, relerr = reconstruct_v(probe, state, cfg.params)
-        chained = {**sample_energy(state, grid, cfg.params, running[0]),
-                   **sample_bounds(state, grid, running[0]),
-                   "Y_probe": math.ldexp(probe.Y, probe.Y_exp),
-                   "repr_relerr": relerr}
+        assert running[0]["V"] == dissipation_functional(
+            state, grid, cfg.params), row["t"]
+        chained = {**running[0], **sample_energy(state, grid, cfg.params),
+                   **sample_bounds(state, grid),
+                   **reconstruct_v(probe, state, cfg.params)}
         assert sorted(chained) == sorted(row)
         for name, value in row.items():
             assert chained[name] == value, (row["t"], name)
@@ -663,13 +694,18 @@ def test_cli_run_large_initial_energy(tmp_path):
 
 
 @pytest.mark.parametrize("argv", [
-    ["run"], ["sweep", "--beta", "0.5,1"], ["check", "--criteria", "3"]])
+    ["run"], ["sweep", "--beta", "0.5,1"], ["check", "--criteria", "3"],
+    ["check"]])
 def test_cli_initial_energy_beyond_float_range_exit_two(tmp_path, capsys,
-                                                        argv):
+                                                        monkeypatch, argv):
     """ic.amp_u = 60 gives E(0) of about 1125, whose lower entropy root is
     below the normal floats: a configuration error naming the entropy
-    level, raised before the series file is opened, so no series or
-    report is written."""
+    level, raised when the config loads, before any step (the full check
+    would start with c01's) and before any file is written."""
+    def no_step(*args, **kwargs):
+        raise AssertionError("a step ran")
+
+    monkeypatch.setattr(harness, "step_imex", no_step)
     cfg_path = tmp_path / "hot.cfg"
     cfg_path.write_text(
         "grid.cells = 100\nic.amp_u = 60\n"
@@ -680,6 +716,12 @@ def test_cli_initial_energy_beyond_float_range_exit_two(tmp_path, capsys,
     assert err.startswith("config error:") and "entropy level 11" in err
     assert err.count("\n") == 1
     assert sorted(tmp_path.iterdir()) == [cfg_path]
+
+
+def test_config_refuses_initial_energy_beyond_float_range():
+    """The entropy band of E(0) is checked when the config is built."""
+    with pytest.raises(ConfigError, match="initial data: entropy level 11"):
+        config_from_dict({"grid.cells": 100, "ic.amp_u": 60.0})
 
 
 def test_cli_unknown_key_exit_two(tmp_path, capsys):
@@ -843,6 +885,19 @@ def test_cli_sweep_rejects_shared_tag(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("config error: --beta")
     assert "1.0 " in err and "1.0000001" in err
+    assert [str(p) for p in tmp_path.iterdir()] == [cfg_path]
+
+
+@pytest.mark.parametrize("betas", ["0.5,inf", "nan,1"])
+def test_cli_sweep_checks_every_exponent_first(tmp_path, capsys, betas):
+    """An exponent Params refuses stops the sweep before its first run:
+    exit 2 naming --beta, and no series, report or aggregate written."""
+    cfg_path = _tiny_config_file(tmp_path)
+    code = cli_main(["sweep", "--config", cfg_path, "--beta", betas,
+                     "--out", str(tmp_path / "agg.json")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: --beta: beta must be nonnegative")
     assert [str(p) for p in tmp_path.iterdir()] == [cfg_path]
 
 
