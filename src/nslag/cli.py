@@ -8,7 +8,6 @@ sparse a sampling for the decay report among them).
 
 from __future__ import annotations
 
-import argparse
 import sys
 
 from .core import ConfigError
@@ -88,6 +87,8 @@ def _cmd_check(args):
 
 
 def build_parser():
+    import argparse   # on first use: importing nslag.cli does not load it
+
     ap = argparse.ArgumentParser(
         prog="nslag",
         description="1D viscous heat-conducting gas in mass coordinates: "

@@ -418,7 +418,10 @@ def decay_report(series, logy):
     the fraction of each running integral accumulated after half time, and
     the relative drift of each extremum between the window means over
     [T/4, T/2] and [T/2, T]; the extrema are positive, as the stepper keeps
-    v and theta.
+    v and theta.  The slope is the centered sum
+    sum((t - mean t)(ln Y - mean ln Y)) / sum((t - mean t)^2), which calls
+    neither LAPACK nor BLAS: a least-squares solver would add about 1 MB to
+    a run's peak memory for a two-parameter fit.
     """
     ts = np.asarray(series["t"])
     t_end = float(ts[-1])
@@ -453,7 +456,10 @@ def decay_report(series, logy):
 
     tt, yy = (np.asarray(col) for col in logy)
     late = tt >= half
-    y_slope = float(np.polyfit(tt[late], yy[late], 1)[0])
+    tt, yy = tt[late], yy[late]
+    dt = tt - np.add.reduce(tt) / tt.size
+    dy = yy - np.add.reduce(yy) / yy.size
+    y_slope = float(np.add.reduce(dt * dy) / np.add.reduce(dt * dt))
 
     return {
         "n_samples": len(ts),

@@ -9,7 +9,6 @@ and solver/quadrature cross-checks.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import time
@@ -117,9 +116,12 @@ CONFIG_KEYS = {
 
 
 def require_out_dir(name, path):
-    """Raise ConfigError unless the directory path is written into exists."""
+    """Raise ConfigError unless path can be written as a file: the directory
+    it is written into exists, and path itself is not a directory."""
     if not os.path.isdir(os.path.dirname(path) or "."):
         raise ConfigError(f"{name} = {path}: its directory does not exist")
+    if os.path.isdir(path):
+        raise ConfigError(f"{name} = {path}: is a directory")
 
 
 @contextmanager
@@ -156,6 +158,9 @@ def _set_up(cfg):
         check_probe_interval(i, cfg.length)
     require_out_dir("out.series", cfg.series_path)
     require_out_dir("out.report", cfg.report_path)
+    if os.path.realpath(cfg.series_path) == os.path.realpath(cfg.report_path):
+        raise ConfigError(f"out.series = {cfg.series_path} and out.report = "
+                          f"{cfg.report_path} name one file")
     try:
         band = entropy_roots(energy_functional(state, grid, cfg.params))
     except DomainError as exc:
@@ -182,8 +187,9 @@ def config_from_dict(values):
 
 
 def load_config(path):
-    """Parse a flat key = value config file; unknown keys are rejected."""
-    values = {}
+    """Parse a flat key = value config file; unknown or repeated keys are
+    rejected."""
+    values, lines = {}, {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -196,6 +202,10 @@ def load_config(path):
             text = text.strip()
             if key not in CONFIG_KEYS:
                 raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+            if key in lines:
+                raise ConfigError(f"{path}:{lineno}: config key {key!r} "
+                                  f"already given at line {lines[key]}")
+            lines[key] = lineno
             typ = CONFIG_KEYS[key][1]
             if typ is str and len(text) >= 2 and text[0] == text[-1] \
                     and text[0] in "'\"":
@@ -224,6 +234,8 @@ def write_config(cfg, path):
 
 def write_json(obj, path):
     """Write obj to path as JSON indented by two, with a final newline."""
+    import json   # on first use: importing nslag.harness does not load it
+
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(obj, indent=2) + "\n")
 

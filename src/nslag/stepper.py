@@ -22,9 +22,10 @@ solve_tridiagonal hands them to ptsv between a dominance check before and
 a residual check after.
 Reductions call the ufuncs' reduce: the array methods' reduction without
 their Python wrapper.  ptsv comes from scipy's LAPACK extension module,
-loaded on its own: importing it through scipy.linalg would first run that
-package's __init__, which loads much of scipy for routines nslag never
-calls.
+loaded on its own from scipy's linalg directory, without importing scipy:
+importing it through scipy.linalg would first run the __init__ of scipy
+and of scipy.linalg, which load much of scipy (and subprocess, tempfile,
+zipfile) for routines nslag never calls.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from __future__ import annotations
 import importlib.machinery
 import importlib.util
 import math
+import os
 import sys
 from dataclasses import dataclass
 
@@ -43,11 +45,14 @@ from .model import face_conductance, mms_source, mms_tables, strain_rate
 
 def _load_flapack():
     """scipy.linalg._flapack, the extension module behind scipy.linalg.lapack,
-    loaded without running scipy.linalg's __init__.  It is registered under
-    its own name, so a later import of scipy.linalg reuses it."""
+    loaded without importing scipy: find_spec locates the top-level package
+    without running its __init__, and the module is loaded from its linalg
+    directory.  It is registered under its own name, so a later import of
+    scipy.linalg reuses it."""
     name = "scipy.linalg._flapack"
     if name not in sys.modules:
-        where = importlib.util.find_spec("scipy.linalg").submodule_search_locations
+        scipy_dirs = importlib.util.find_spec("scipy").submodule_search_locations
+        where = [os.path.join(d, "linalg") for d in scipy_dirs]
         spec = importlib.machinery.PathFinder.find_spec(name, where)
         if spec is None:
             raise ImportError(f"no module named {name!r}", name=name)

@@ -366,9 +366,9 @@ def test_decay_report_synthetic_exponential():
         assert rep["extremum_drift"][name] <= 1e-12
 
 
-def test_decay_report_equilibrium_trajectory():
+def _equilibrium_run(params):
+    # (series columns, ln Y columns) of 12 unit samples of the rest state
     grid = build_grid(10.0, 40)
-    params = Params(R=2.0)
     s = equilibrium_state(grid)
     p = make_repr_probe(s, grid, params, 3)
     running = running_integrals(s, grid, params)
@@ -390,11 +390,55 @@ def test_decay_report_equilibrium_trajectory():
         running = running_integrals(nxt, grid, params, running)
         sample(nxt)
         state = nxt
-    rep = decay_report(series, logy=(p.logY_t, p.logY))
+    return series, (p.logY_t, p.logY)
+
+
+def test_decay_report_equilibrium_trajectory():
+    params = Params(R=2.0)
+    series, logy = _equilibrium_run(params)
+    rep = decay_report(series, logy=logy)
     for name, ratio in rep["ratios"].items():
         assert ratio == "identically zero", name
     assert abs(rep["energy_margin"]) <= 1e-20
     assert abs(rep["y_slope"] + params.R) <= 1e-6
+
+
+def _noisy_decay_logy(n=401, t_end=20.0):
+    # ln of a decaying column with 5% multiplicative noise
+    rng = np.random.default_rng(11)
+    t = np.linspace(0.0, t_end, n)
+    return t, np.log(np.exp(-0.4 * t) * (1.0 + 0.05 * rng.standard_normal(n)))
+
+
+@pytest.mark.parametrize("case", ["equilibrium", "noisy"])
+def test_decay_report_slope_matches_polyfit(case):
+    """The centered slope agrees with numpy's least-squares line fit over
+    the second half, to 1e-12 relative."""
+    if case == "equilibrium":
+        series, logy = _equilibrium_run(Params(R=2.0))
+    else:
+        logy = _noisy_decay_logy()
+        series = _synthetic_series()
+    t, y = (np.asarray(col) for col in logy)
+    late = t >= 0.5 * series["t"][-1]
+    want = np.polyfit(t[late], y[late], 1)[0]
+    got = decay_report(series, logy=logy)["y_slope"]
+    assert abs(got - want) <= 1e-12 * abs(want)
+    if case == "equilibrium":
+        assert abs(got + 2.0) <= 1e-6
+
+
+def test_decay_report_calls_no_least_squares_solver(monkeypatch):
+    """The slope is a centered sum: decay_report runs with numpy's
+    least-squares solver, and the line fit that calls it, raising."""
+    def no_lstsq(*args, **kwargs):
+        raise AssertionError("least-squares solver called")
+
+    monkeypatch.setattr(np.linalg, "lstsq", no_lstsq)
+    monkeypatch.setattr(np, "polyfit", no_lstsq)
+    series = _synthetic_series()
+    rep = decay_report(series, logy=_noisy_decay_logy())
+    assert -0.5 < rep["y_slope"] < -0.3
 
 
 def _energy_margin(n_cells):

@@ -2,6 +2,7 @@ import importlib.util
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -86,6 +87,44 @@ def test_load_config_rejects_bad_value(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("physics.mu = fast\n")
     with pytest.raises(ConfigError, match=r"bad\.cfg:1"):
+        load_config(str(path))
+
+
+def test_load_config_rejects_repeated_key(tmp_path):
+    """A key given twice is refused, naming both lines, not settled by
+    the last one."""
+    path = tmp_path / "bad.cfg"
+    path.write_text("grid.cells = 100\n# again\ngrid.cells = 200\n")
+    with pytest.raises(ConfigError, match=r"bad\.cfg:3: config key "
+                       r"'grid\.cells' already given at line 1"):
+        load_config(str(path))
+
+
+@pytest.mark.parametrize("key", ["out.series", "out.report"])
+def test_config_refuses_output_that_is_a_directory(tmp_path, key):
+    with pytest.raises(ConfigError, match=f"{key} = .*: is a directory"):
+        config_from_dict({key: str(tmp_path)})
+    path = tmp_path / "dir.cfg"
+    path.write_text(f"{key} = {tmp_path}\n")
+    with pytest.raises(ConfigError, match=f"{key} = .*: is a directory"):
+        load_config(str(path))
+
+
+@pytest.mark.parametrize("series, report", [("same.txt", "same.txt"),
+                                            ("./x/../s.csv", "s.csv")])
+def test_config_refuses_series_and_report_in_one_file(tmp_path, monkeypatch,
+                                                      series, report):
+    """out.series and out.report that resolve to one file are refused, the
+    error naming both keys: the report would overwrite the series."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "x").mkdir()
+    message = (f"out.series = {re.escape(series)} and "
+               f"out.report = {re.escape(report)} name one file")
+    with pytest.raises(ConfigError, match=message):
+        config_from_dict({"out.series": series, "out.report": report})
+    path = tmp_path / "one.cfg"
+    path.write_text(f"out.series = {series}\nout.report = {report}\n")
+    with pytest.raises(ConfigError, match=message):
         load_config(str(path))
 
 
@@ -330,6 +369,52 @@ def test_cli_out_in_missing_directory_fails_before_work(tmp_path, capsys,
     assert cli_main([*argv, "--out", str(target)]) == 2
     out = capsys.readouterr()
     assert out.err.startswith(f"config error: --out = {target}")
+    assert out.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("lines", [
+    ["out.report = adir"],
+    ["out.series = adir"],
+    ["out.series = same.txt", "out.report = same.txt"],
+    ["out.series = ./x/../s.csv", "out.report = s.csv"],
+    ["grid.cells = 100", "grid.cells = 200"],
+], ids=["report_dir", "series_dir", "one_file", "one_file_spelled_apart",
+        "repeated_key"])
+def test_cli_run_refuses_unusable_config_before_work(tmp_path, monkeypatch,
+                                                     capsys, lines):
+    """An output that cannot hold its file, or a key given twice, is one
+    config error line before any step, and no file is written."""
+    def no_step(*args, **kwargs):
+        raise AssertionError("a step ran")
+
+    monkeypatch.setattr(stepper, "step_imex", no_step)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "adir").mkdir()
+    (tmp_path / "x").mkdir()
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text("".join(f"{line}\n" for line in lines))
+    before = sorted(tmp_path.iterdir())
+    assert cli_main(["run", "--config", str(cfg_path)]) == 2
+    out = capsys.readouterr()
+    assert out.err.startswith("config error:") and out.err.count("\n") == 1
+    assert out.out == ""
+    assert sorted(tmp_path.iterdir()) == before
+    assert list((tmp_path / "adir").iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [["check"], ["mms", "--cells", "8"]])
+def test_cli_out_directory_fails_before_work(tmp_path, monkeypatch, capsys,
+                                             argv):
+    """--out naming a directory is a config error before c01's steps or
+    the study run."""
+    def no_step(*args, **kwargs):
+        raise AssertionError("a step ran")
+
+    monkeypatch.setattr(harness, "step_imex", no_step)
+    assert cli_main([*argv, "--out", str(tmp_path)]) == 2
+    out = capsys.readouterr()
+    assert out.err == f"config error: --out = {tmp_path}: is a directory\n"
     assert out.out == ""
     assert list(tmp_path.iterdir()) == []
 
@@ -815,16 +900,19 @@ def test_python_m_nslag_runs_the_cli(tmp_path):
 
 
 def test_cli_import_loads_neither_scipy_linalg_nor_process_pool(tmp_path):
-    """Importing the CLI loads LAPACK's extension module without
-    scipy.linalg's package; a later import of scipy.linalg.lapack reuses
-    the same module.  A two-exponent sweep runs in the one process and
-    loads no process pool, whatever NSLAG_THREADS says."""
+    """Importing the CLI loads LAPACK's extension module without importing
+    scipy or scipy.linalg, and loads neither argparse nor json, which are
+    imported on first use; a later import of scipy.linalg.lapack reuses the
+    same module.  A two-exponent sweep runs in the one process and loads no
+    process pool, whatever NSLAG_THREADS says."""
     src = Path(__file__).resolve().parents[1] / "src"
     cfg_path = _tiny_config_file(tmp_path)
     code = (
         "import sys\n"
         "import nslag.cli, nslag.stepper\n"
-        "assert 'scipy.linalg' not in sys.modules\n"
+        "for name in ('scipy', 'scipy.linalg', 'argparse', 'json'):\n"
+        "    assert name not in sys.modules, name\n"
+        "assert callable(nslag.stepper.dptsv)\n"
         f"assert nslag.cli.main(['sweep', '--config', {cfg_path!r}, "
         f"'--beta', '0.5,1', '--out', {str(tmp_path / 'agg.json')!r}]) == 0\n"
         "for name in ('concurrent.futures', 'multiprocessing'):\n"
