@@ -52,8 +52,7 @@ def _cmd_run(args):
 
 def _cmd_sweep(args):
     cfg = _load(args)
-    reports = sweep(cfg, _comma_list(args.beta, float, "--beta"))
-    write_json({f"{b:g}": r.to_dict() for b, r in reports.items()}, args.out)
+    reports = sweep(cfg, _comma_list(args.beta, float, "--beta"), args.out)
     for b, r in reports.items():
         mark = "pass" if r.all_pass else "FAIL"
         print(f"beta = {b:g}: {mark} ({r.n_steps} steps, "

@@ -1,9 +1,9 @@
 """Problem setup: physical constants, staggered grid, state, initial data.
 
 The gas occupies a mass half-line truncated to (0, L_far): a uniform
-resolved zone (0, L) and, beyond it, an optional graded far zone.  Velocity
-u lives on the N+1 cell faces, specific volume v and temperature theta on
-the N cell centers.  Face 0 is the wall where the total stress is
+resolved zone (0, L) and, beyond it, a graded far zone, empty if L_far = L.
+Velocity u lives on the N+1 cell faces, specific volume v and temperature
+theta on the N cell centers.  Face 0 is the wall where the total stress is
 prescribed (outer pressure condition), face N carries the far-field state
 (v, u, theta) = (1, 0, 1).
 """
@@ -19,10 +19,6 @@ import numpy as np
 
 class ConfigError(ValueError):
     """Bad configuration value or inconsistent setup."""
-
-
-class DomainError(ValueError):
-    """Field value outside the physical domain (v <= 0, theta <= 0, ...)."""
 
 
 @dataclass(frozen=True)
@@ -87,8 +83,6 @@ class Grid:
     def faces(self):
         """Face coordinates: i*h in the resolved zone, then the far faces."""
         near = np.arange(self.n_resolved + 1) * self.h
-        if not self.far_counts:
-            return near
         far = [self.length + m + np.arange(1, c + 1) / c
                for m, c in enumerate(self.far_counts)]
         return np.concatenate([near] + far)
@@ -96,8 +90,6 @@ class Grid:
     def centers(self):
         """Cell centers: (j + 1/2)*h in the resolved zone, then midpoints."""
         near = (np.arange(self.n_resolved) + 0.5) * self.h
-        if not self.far_counts:
-            return near
         x = self.faces()[self.n_resolved:]
         return np.concatenate([near, 0.5 * (x[:-1] + x[1:])])
 
@@ -151,13 +143,13 @@ class Grid:
 
 
 def build_grid(length, n_cells, far_length=None):
-    """Grid of n_cells cells of width h = length/n_cells on (0, length).
+    """Grid of n_cells cells of width h = length/n_cells on (0, length),
+    extended by a graded far zone to (0, far_length), length by default.
 
-    With far_length, a graded far zone extends it to (0, far_length): each
-    unit mass interval beyond length holds ceil(k/2) equal cells, k being
-    the previous interval's count (1/h in the resolved zone), down to one
-    cell per unit.  far_length - length must then be a whole number and h
-    must divide the unit interval.
+    Each unit mass interval beyond length holds ceil(k/2) equal cells, k
+    being the previous interval's count (1/h in the resolved zone), down
+    to one cell per unit.  far_length - length must be a whole number, and
+    h must divide the unit interval when the far zone is not empty.
     """
     if not length > 0:
         raise ConfigError(f"grid length must be positive, got {length}")
@@ -166,9 +158,7 @@ def build_grid(length, n_cells, far_length=None):
         raise ConfigError(f"need at least 4 cells, got {n_cells}")
     length = float(length)
     grid = Grid(length, n_cells, length / n_cells)
-    if far_length is None:
-        return grid
-    gap = float(far_length) - length
+    gap = float(length if far_length is None else far_length) - length
     n_far = round(gap)
     if gap < 0.0 or abs(gap - n_far) > 1e-9:
         raise ConfigError(
@@ -190,9 +180,6 @@ class State:
     v: np.ndarray
     theta: np.ndarray
     u: np.ndarray
-
-    def copy(self):
-        return State(self.t, self.v.copy(), self.theta.copy(), self.u.copy())
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .core import ConfigError, DomainError
+from .core import ConfigError
 from .model import cell_stress, strain_rate
 
 
@@ -162,12 +162,13 @@ def entropy_roots(e0):
 
     Bisection runs to machine precision of the bracket so the residual
     stays below 1e-12 even for roots near zero, where the function is
-    steep.  e0 = 0 returns the double root (1, 1).  A lower root below
-    the normal float range (e0 above about 707) is a DomainError.
+    steep.  e0 = 0 returns the double root (1, 1).  A level that is not
+    nonnegative, or whose lower root lies below the normal float range (e0
+    above about 707), is a ConfigError naming the level.
     """
     e0 = float(e0)
     if not e0 >= 0.0:
-        raise DomainError(f"entropy level must be nonnegative, got {e0}")
+        raise ConfigError(f"entropy level must be nonnegative, got {e0}")
     if e0 == 0.0:
         return JensenBand(0.0, 1.0, 1.0)
 
@@ -178,7 +179,7 @@ def entropy_roots(e0):
     while f(lo) <= 0.0:
         lo *= 0.5
         if lo < sys.float_info.min:
-            raise DomainError(f"entropy level {e0} puts the lower root "
+            raise ConfigError(f"entropy level {e0} puts the lower root "
                               f"below the normal float range")
     # the last halving brackets the root: f(lo) > 0 >= f(2 lo)
     alpha1 = _bisect(f, lo, min(2.0 * lo, 1.0))
@@ -198,25 +199,21 @@ def unit_interval_averages(s, grid):
     """Averages of v and theta over unit mass intervals, an (n, 2) array.
 
     The resolved zone gives one row per whole interval [i, i+1) inside
-    (0, length), which requires the cell size to divide the unit interval
-    and a length of at least 2; each unit interval of the far zone gives
-    one more row.
+    (0, length), which requires the cell size to divide the unit interval;
+    each unit interval of the far zone, if any, gives one more row.
     """
-    if grid.length < 2.0:
-        raise ConfigError("unit-interval averages need length >= 2")
     k = grid.unit_cells
     n_int = grid.n_resolved // k
     m = n_int * k
-    out = np.empty((n_int + len(grid.far_counts), 2))
+    starts, counts = grid.far_windows
+    out = np.empty((n_int + counts.size, 2))
     # window sums, then one division by k: what mean(axis=1) does
     np.add.reduce(s.v[:m].reshape(n_int, k), axis=1, out=out[:n_int, 0])
     np.add.reduce(s.theta[:m].reshape(n_int, k), axis=1, out=out[:n_int, 1])
     out[:n_int] /= k
-    if grid.far_counts:
-        starts, counts = grid.far_windows
-        np.divide(np.add.reduceat(s.v, starts), counts, out=out[n_int:, 0])
-        np.divide(np.add.reduceat(s.theta, starts), counts,
-                  out=out[n_int:, 1])
+    np.divide(np.add.reduceat(s.v, starts), counts, out=out[n_int:, 0])
+    np.divide(np.add.reduceat(s.theta, starts), counts,
+              out=out[n_int:, 1])
     return out
 
 
@@ -257,23 +254,14 @@ class ReprProbe:
     Y_exp: int = 0
 
 
-def check_probe_interval(i, length):
-    """Raise ConfigError unless [i, i+1] lies one mass unit inside
-    (0, length)."""
-    if not (1 <= i and i + 1 <= length - 1):
-        raise ConfigError(
-            f"probe interval [{i}, {i + 1}] must keep one mass unit of "
-            f"clearance inside (0, {length})")
-
-
 def make_repr_probe(s0, grid, params, i):
     """Probe over [i, i+1] at PROBE_POINTS interior sample points.
 
-    The interval must pass check_probe_interval, where cells are uniform,
-    and the cell size must divide the unit interval.
+    The interval must lie one mass unit inside (0, length), where cells
+    are uniform, as harness._set_up checks before a run; the cell size
+    must divide the unit interval.
     """
     i = int(i)
-    check_probe_interval(i, grid.length)
     fi = i * grid.unit_cells
     xs = i + (np.arange(PROBE_POINTS) + 0.5) / PROBE_POINTS
     cells = (xs / grid.h).astype(int)

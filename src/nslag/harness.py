@@ -21,10 +21,9 @@ from operator import attrgetter
 
 import numpy as np
 
-from .core import (ConfigError, DomainError, ICSpec, Params, State,
-                   build_grid, equilibrium_state, make_initial_data)
-from .diagnostics import (MAX_SAMPLES, MIN_SAMPLES, _ratio,
-                          check_probe_interval, decay_report,
+from .core import (ConfigError, ICSpec, Params, State, build_grid,
+                   equilibrium_state, make_initial_data)
+from .diagnostics import (MAX_SAMPLES, MIN_SAMPLES, _ratio, decay_report,
                           dissipation_functional, energy_functional,
                           entropy_roots, make_repr_probe, reconstruct_v,
                           running_integrals, sample_bounds, sample_energy,
@@ -154,17 +153,17 @@ def _set_up(cfg):
         grid.unit_cells
     state = make_initial_data(grid, cfg.ic)
     i = cfg.resolved_probe()
-    with _naming(f"probe.interval = {i}"):
-        check_probe_interval(i, cfg.length)
+    if not (1 <= i and i + 1 <= cfg.length - 1):
+        raise ConfigError(
+            f"probe.interval = {i}: probe interval [{i}, {i + 1}] must keep "
+            f"one mass unit of clearance inside (0, {cfg.length})")
     require_out_dir("out.series", cfg.series_path)
     require_out_dir("out.report", cfg.report_path)
     if os.path.realpath(cfg.series_path) == os.path.realpath(cfg.report_path):
         raise ConfigError(f"out.series = {cfg.series_path} and out.report = "
                           f"{cfg.report_path} name one file")
-    try:
+    with _naming("initial data"):
         band = entropy_roots(energy_functional(state, grid, cfg.params))
-    except DomainError as exc:
-        raise ConfigError(f"initial data: {exc}") from None
     return grid, state, band
 
 
@@ -532,32 +531,51 @@ def mms_convergence(levels=3, base_cells=100):
     }
 
 
-def _keyed_run(cfg, tag, **changes):
-    """run_simulation on cfg with changes, its series and report paths
-    keyed by tag: series.csv becomes series_<tag>.csv."""
+def _keyed(cfg, tag, **changes):
+    """cfg with changes, its series and report paths keyed by tag:
+    series.csv becomes series_<tag>.csv."""
     keyed = {}
     for attr in ("series_path", "report_path"):
         root, ext = os.path.splitext(getattr(cfg, attr))
         keyed[attr] = f"{root}_{tag}{ext}"
-    return run_simulation(replace(cfg, **changes, **keyed))
+    return replace(cfg, **changes, **keyed)
 
 
-def sweep(cfg, betas):
-    """Run one config across conductivity exponents, in turn, in this
-    process.  Returns {beta: RunReport} sorted by beta.
-
-    Each run's files are tagged beta<b:g>; two exponents with one tag, or
-    an exponent Params refuses, are a ConfigError, raised before any run.
-    """
+def _sweep_configs(cfg, betas):
+    """Each exponent's config, sorted by beta, its files tagged beta<b:g>;
+    exponents that share a tag, or that Params refuses, are a ConfigError."""
     betas = sorted(set(float(b) for b in betas))
     for a, b in zip(betas, betas[1:]):
         if f"{a:g}" == f"{b:g}":
             raise ConfigError(f"--beta values {a!r} and {b!r} share the "
                               f"file tag beta{b:g}")
     with _naming("--beta"):
-        params = [replace(cfg.params, beta=b) for b in betas]
-    return {p.beta: _keyed_run(cfg, f"beta{p.beta:g}", params=p)
-            for p in params}
+        return [_keyed(cfg, f"beta{b:g}", params=replace(cfg.params, beta=b))
+                for b in betas]
+
+
+def _check_runs(configs, out_path):
+    """Pass every config through _set_up before any run starts; out_path,
+    if given, may name no file a run writes, however spelled."""
+    real = out_path and os.path.realpath(out_path)
+    for c in configs:
+        _set_up(c)
+        for path in (c.series_path, c.report_path):
+            if os.path.realpath(path) == real:
+                raise ConfigError(f"--out = {out_path}: a run writes {path}")
+
+
+def sweep(cfg, betas, out_path=None):
+    """Run one config across conductivity exponents, in turn, in this
+    process, once _check_runs passes them all; write the {beta: report}
+    aggregate to out_path if given.  Returns {beta: RunReport} by beta."""
+    configs = _sweep_configs(cfg, betas)
+    _check_runs(configs, out_path)
+    reports = {c.params.beta: run_simulation(c) for c in configs}
+    if out_path:
+        write_json({f"{b:g}": r.to_dict() for b, r in reports.items()},
+                   out_path)
+    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -601,6 +619,11 @@ def _frozen_state(grid, seed=2024):
     return State(0.0, v, theta, u)
 
 
+# the suite's shared runs: the beta sweep and the equilibrium diagnostics run
+_SUITE_BETAS = (0.5, 1.0, 2.5)
+_EQ_RUN = {"n_cells": 500, "ic": ICSpec(kind="equilibrium"), "t_final": 10.0}
+
+
 @dataclass
 class _Suite:
     """What the criteria read besides THRESHOLDS: the config and the shared
@@ -611,13 +634,12 @@ class _Suite:
     @cached_property
     def runs(self):
         """{beta: RunReport} of the beta sweep."""
-        return sweep(self.cfg, [0.5, 1.0, 2.5])
+        return sweep(self.cfg, _SUITE_BETAS)
 
     @cached_property
     def eq(self):
         """RunReport of the equilibrium diagnostics run."""
-        return _keyed_run(self.cfg, "equilibrium", n_cells=500,
-                          ic=ICSpec(kind="equilibrium"), t_final=10.0)
+        return run_simulation(_keyed(self.cfg, "equilibrium", **_EQ_RUN))
 
 
 def _criterion_equilibrium(suite):
@@ -766,8 +788,9 @@ _CRITERIA = (
 def acceptance_suite(cfg=None, criteria=None, out_path=None):
     """Execute the standing acceptance criteria and write one aggregate JSON.
 
-    criteria selects a nonempty subset by number (1..11).  Every criterion
-    and the run verdicts it rolls up read their limits from THRESHOLDS.
+    criteria selects a nonempty subset by number (1..11); every shared run
+    passes _check_runs first, whichever criteria run.  Every criterion and
+    the run verdicts it rolls up read their limits from THRESHOLDS.
     Returns the aggregate report dict; "all_pass" says whether every
     executed criterion passed.
     A criterion's seconds are its running time, which includes any shared
@@ -781,6 +804,8 @@ def acceptance_suite(cfg=None, criteria=None, out_path=None):
     if bad or not wanted:
         raise ConfigError(f"no such criterion {bad[0]}" if bad
                           else "no criterion selected")
+    _check_runs([*_sweep_configs(cfg, _SUITE_BETAS),
+                 _keyed(cfg, "equilibrium", **_EQ_RUN)], out_path)
 
     report = {"criteria": {}, "all_pass": True}
 

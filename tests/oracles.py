@@ -8,6 +8,7 @@ hand-derived source formulas.  Tests compare the package against these.
 """
 
 import math
+from dataclasses import replace
 
 import mpmath as mp
 import numpy as np
@@ -103,6 +104,11 @@ def dense_step(v, theta, u, h, dt, mu, kappa, beta, R, cv, forced=None):
             rhs[j] += dt * f["sth"][j]
     rhs[n - 1] += dt / (cv * h[n - 1]) * cond[n]
     return np.array(v1), u1, dense_solve(lower, diag, upper, rhs)
+
+
+def copy_state(s):
+    """A copy of the state s that shares no array with it."""
+    return replace(s, v=s.v.copy(), theta=s.theta.copy(), u=s.u.copy())
 
 
 def admissible(s):

@@ -113,14 +113,6 @@ def test_equilibrium_energy_is_zero():
     assert energy_functional(equilibrium_state(grid), grid, Params()) == 0.0
 
 
-def test_state_copy_is_independent():
-    grid = build_grid(10.0, 8)
-    s = equilibrium_state(grid)
-    c = s.copy()
-    c.v[0] = 5.0
-    assert s.v[0] == 1.0
-
-
 def test_equilibrium_kind_matches_equilibrium_state():
     grid = build_grid(10.0, 8)
     s = make_initial_data(grid, ICSpec(kind="equilibrium"))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nslag.core import ConfigError, DomainError, Grid, ICSpec, Params, \
+from nslag.core import ConfigError, Grid, ICSpec, Params, \
     State, build_grid, equilibrium_state, make_initial_data
 from nslag.diagnostics import (POSPART_THRESHOLD, _pospart, decay_report,
                                dissipation_functional, energy_functional,
@@ -16,7 +16,7 @@ from nslag.diagnostics import (POSPART_THRESHOLD, _pospart, decay_report,
                                sample_energy, unit_interval_averages,
                                update_repr_probe)
 from nslag.stepper import StepControl, advance
-from oracles import (fsum_bounds, fsum_dissipation, fsum_energy,
+from oracles import (copy_state, fsum_bounds, fsum_dissipation, fsum_energy,
                      mp_entropy_roots, reference_state)
 
 # frozen reference values on the trig state from oracles.reference_state,
@@ -95,7 +95,7 @@ def test_sample_energy_trapezoid_accumulation():
     assert first["V"] == dissipation_functional(s, grid, REF_PARAMS)
     assert sample_energy(s, grid, REF_PARAMS) == {
         "E": energy_functional(s, grid, REF_PARAMS)}
-    later = s.copy()
+    later = copy_state(s)
     later.t = 0.5
     second = running_integrals(later, grid, REF_PARAMS, first)
     assert second["t"] == 0.5
@@ -124,7 +124,7 @@ def test_entropy_roots_match_mpmath_oracle():
 
 
 def test_entropy_roots_reject_negative():
-    with pytest.raises(DomainError):
+    with pytest.raises(ConfigError, match="-0.1"):
         entropy_roots(-0.1)
 
 
@@ -143,8 +143,8 @@ def test_entropy_roots_resolve_large_levels():
 @pytest.mark.parametrize("e0", [707.5, 744.0, 1e4, math.inf, math.nan])
 def test_entropy_roots_beyond_float_range(e0):
     """A lower root below the normal floats, or no level at all, is a
-    DomainError naming the level, not a residual or log failure."""
-    with pytest.raises(DomainError, match=str(e0)):
+    ConfigError naming the level, not a residual or log failure."""
+    with pytest.raises(ConfigError, match=str(e0)):
         entropy_roots(e0)
 
 
@@ -199,9 +199,6 @@ def test_unit_averages_cover_far_zone():
 
 
 def test_unit_averages_require_compatible_grid():
-    with pytest.raises(ConfigError):
-        unit_interval_averages(equilibrium_state(build_grid(1.5, 6)),
-                               build_grid(1.5, 6))
     grid = build_grid(3.0, 7)
     with pytest.raises(ConfigError):
         unit_interval_averages(equilibrium_state(grid), grid)
@@ -220,16 +217,6 @@ def test_unit_interval_check_shared_by_averages_and_probe():
     assert "does not divide the unit mass interval" in str(probe.value)
 
 
-def test_probe_placement_validation():
-    grid = build_grid(50.0, 200)
-    s = equilibrium_state(grid)
-    make_repr_probe(s, grid, Params(), 12)
-    with pytest.raises(ConfigError):
-        make_repr_probe(s, grid, Params(), 0)
-    with pytest.raises(ConfigError):
-        make_repr_probe(s, grid, Params(), 49)
-
-
 def test_probe_equilibrium_closed_form():
     """At rest Y = exp(-R t) and I = (exp(R t) - 1)/R."""
     grid = build_grid(50.0, 200)
@@ -239,7 +226,7 @@ def test_probe_equilibrium_closed_form():
     dt, steps = 0.05, 40
     state = s
     for _ in range(steps):
-        nxt = state.copy()
+        nxt = copy_state(state)
         nxt.t = state.t + dt
         update_repr_probe(p, nxt, dt, grid, params)
         state = nxt
@@ -322,7 +309,7 @@ def test_bounds_running_integrals_trapezoid():
     s, grid = _ref_state_and_grid()
     first = running_integrals(s, grid, REF_PARAMS)
     assert first["cum_ux2"] == 0.0 and first["cum_pospart"] == 0.0
-    later = s.copy()
+    later = copy_state(s)
     later.t = 0.25
     later.theta = s.theta + 1.0     # lifts pospart above zero
     second = running_integrals(later, grid, REF_PARAMS, first)

@@ -419,6 +419,72 @@ def test_cli_out_directory_fails_before_work(tmp_path, monkeypatch, capsys,
     assert list(tmp_path.iterdir()) == []
 
 
+def _forbid_steps(monkeypatch):
+    # a run steps through stepper.step_imex, c01 and the MMS study through
+    # harness.step_imex: with both raising, taking any step fails the test
+    def no_step(*args, **kwargs):
+        raise AssertionError("a step ran")
+
+    monkeypatch.setattr(stepper, "step_imex", no_step)
+    monkeypatch.setattr(harness, "step_imex", no_step)
+
+
+def _keyed_outputs_config(tmp_path):
+    # a 100-cell equilibrium config writing s.csv and r.json in tmp_path
+    (tmp_path / "tiny.cfg").write_text(
+        "grid.cells = 100\nic.kind = equilibrium\nrun.t_final = 6\n"
+        "out.series = s.csv\nout.report = r.json\n")
+
+
+@pytest.mark.parametrize("argv, blocked", [
+    (["sweep", "--beta", "0.5,1"], "out.series = s_beta1.csv"),
+    (["check", "--criteria", "1"], "out.report = r_equilibrium.json"),
+], ids=["sweep", "check"])
+def test_cli_checks_every_keyed_run_first(tmp_path, monkeypatch, capsys,
+                                          argv, blocked):
+    """A keyed output that cannot be written, here a directory, stops sweep
+    or check before the first run or criterion: one config error line,
+    and no series, report or aggregate written."""
+    _forbid_steps(monkeypatch)
+    monkeypatch.chdir(tmp_path)
+    _keyed_outputs_config(tmp_path)
+    (tmp_path / blocked.partition(" = ")[2]).mkdir()
+    before = sorted(tmp_path.iterdir())
+    assert cli_main([*argv, "--config", "tiny.cfg"]) == 2
+    out = capsys.readouterr()
+    assert out.err == f"config error: {blocked}: is a directory\n"
+    assert out.out == ""
+    assert sorted(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("argv, out, written", [
+    (["sweep", "--beta", "1", "--config", "tiny.cfg"], "r_beta1.json",
+     "r_beta1.json"),
+    (["sweep", "--beta", "0.5,1", "--config", "tiny.cfg"],
+     "./x/../s_beta0.5.csv", "s_beta0.5.csv"),
+    (["check", "--criteria", "8"], "report_equilibrium.json",
+     "report_equilibrium.json"),
+    (["check", "--criteria", "10", "--config", "tiny.cfg"], "s_beta2.5.csv",
+     "s_beta2.5.csv"),
+], ids=["sweep_report", "sweep_series_spelled_apart",
+        "check_equilibrium_report", "check_sweep_series"])
+def test_cli_out_may_not_name_a_run_file(tmp_path, monkeypatch, capsys,
+                                         argv, out, written):
+    """--out of sweep or check naming, however spelled, a series or report
+    that one of the command's runs writes is one config error line naming
+    both paths, before any step, and no file is written."""
+    _forbid_steps(monkeypatch)
+    monkeypatch.chdir(tmp_path)
+    _keyed_outputs_config(tmp_path)
+    (tmp_path / "x").mkdir()
+    before = sorted(tmp_path.iterdir())
+    assert cli_main([*argv, "--out", out]) == 2
+    err = capsys.readouterr()
+    assert err.err == f"config error: --out = {out}: a run writes {written}\n"
+    assert err.out == ""
+    assert sorted(tmp_path.iterdir()) == before
+
+
 def test_cli_write_config_rejects_missing_directory(tmp_path, capsys):
     target = tmp_path / "missing" / "x.cfg"
     assert cli_main(["write-config", str(target)]) == 2
@@ -807,6 +873,18 @@ def test_config_refuses_initial_energy_beyond_float_range():
     """The entropy band of E(0) is checked when the config is built."""
     with pytest.raises(ConfigError, match="initial data: entropy level 11"):
         config_from_dict({"grid.cells": 100, "ic.amp_u": 60.0})
+
+
+def test_probe_placement_validation():
+    """The probe interval is checked when the config is built: [0, 1] and
+    [49, 50] keep no mass unit of clearance inside (0, 50), [12, 13] does."""
+    assert config_from_dict({"probe.interval": 12}).probe_interval == 12
+    for i in (0, 49):
+        with pytest.raises(ConfigError) as err:
+            config_from_dict({"probe.interval": i})
+        assert str(err.value) == (
+            f"probe.interval = {i}: probe interval [{i}, {i + 1}] must keep "
+            f"one mass unit of clearance inside (0, 50.0)")
 
 
 def test_cli_unknown_key_exit_two(tmp_path, capsys):

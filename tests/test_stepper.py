@@ -14,7 +14,7 @@ from nslag.model import (MmsProfile, _factors, mms_source, mms_tables,
 from nslag.stepper import (PositivityViolation, StepControl, StepFailure,
                            advance, check_dominant, solve_tridiagonal,
                            stable_dt, step_imex)
-from oracles import admissible, dense_solve, dense_step
+from oracles import admissible, copy_state, dense_solve, dense_step
 
 
 def _tridiag(diag, off, rhs):
@@ -130,11 +130,11 @@ def test_stable_dt_scalings():
     ctl = StepControl()
     s = equilibrium_state(grid)
     dt0 = stable_dt(s, grid, Params(), ctl)
-    hot = s.copy()
+    hot = copy_state(s)
     hot.theta = 2.0 * hot.theta
     assert abs(stable_dt(hot, grid, Params(), ctl)
                - dt0 / math.sqrt(2.0)) < 1e-16
-    wide = s.copy()
+    wide = copy_state(s)
     wide.v = 2.0 * wide.v
     assert stable_dt(wide, grid, Params(), ctl) == 2.0 * dt0
 
