@@ -11,8 +11,8 @@ from __future__ import annotations
 import sys
 
 from .core import ConfigError
-from .harness import (RunConfig, acceptance_suite, load_config,
-                      mms_convergence, mms_orders_pass, require_out_dir,
+from .harness import (RunConfig, acceptance_suite, check_outputs,
+                      load_config, mms_convergence, mms_orders_pass,
                       run_simulation, sweep, write_config, write_json)
 from .stepper import StepFailure
 
@@ -62,6 +62,8 @@ def _cmd_sweep(args):
 
 
 def _cmd_mms(args):
+    if args.out:
+        check_outputs([("--out", args.out)])
     report = mms_convergence(levels=args.levels, base_cells=args.cells)
     print("spatial orders: ",
           ["%.3f" % p for p in report["spatial"]["orders"]])
@@ -122,7 +124,7 @@ def build_parser():
     p = sub.add_parser("write-config",
                        help="write the default config to a file")
     p.add_argument("path")
-    p.set_defaults(func=lambda a: (require_out_dir("path", a.path),
+    p.set_defaults(func=lambda a: (check_outputs([("path", a.path)]),
                                    write_config(RunConfig(), a.path),
                                    print(f"defaults -> {a.path}"), 0)[-1])
     return ap
@@ -132,8 +134,6 @@ def main(argv=None):
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        if getattr(args, "out", None):
-            require_out_dir("--out", args.out)
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -217,6 +217,11 @@ def _packet_profile(x, center, width):
     return np.exp(-xi * xi) * np.cos(k * (x - center))
 
 
+# ic.kind -> (profile, support reach in widths); past four widths the
+# packet's gaussian tail is below 1e-7 of its peak
+_PERTURBATIONS = {"bump": (_bump_profile, 1.0), "packet": (_packet_profile, 4.0)}
+
+
 def equilibrium_state(grid):
     """The rest state (v, u, theta) = (1, 0, 1) at t = 0."""
     n = grid.n_cells
@@ -236,15 +241,11 @@ def make_initial_data(grid, spec):
                           f"positive")
     if spec.kind == "equilibrium":
         return equilibrium_state(grid)
-    if spec.kind == "bump":
-        profile = _bump_profile
-        reach = spec.width
-    elif spec.kind == "packet":
-        profile = _packet_profile
-        reach = 4.0 * spec.width  # gaussian tail below 1e-7 of peak
-    else:
+    if spec.kind not in _PERTURBATIONS:
         raise ConfigError(f"ic.kind = {spec.kind}: unknown kind, expected "
                           f"equilibrium, bump or packet")
+    profile, widths = _PERTURBATIONS[spec.kind]
+    reach = widths * spec.width
     if not spec.width > 0.0:
         raise ConfigError(f"ic.width = {spec.width}: the width must be "
                           f"positive")

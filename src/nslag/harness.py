@@ -85,6 +85,11 @@ class RunConfig:
             return int(math.floor(self.length / 4.0))
         return self.probe_interval
 
+    def outputs(self):
+        """{config key or name: path} of every file the run may write."""
+        return {"out.series": self.series_path, "out.report": self.report_path,
+                "failure snapshot": self.report_path + ".failed_state.txt"}
+
 
 # config key -> (RunConfig attribute path, type), in report and file order;
 # the defaults are RunConfig's
@@ -114,13 +119,20 @@ CONFIG_KEYS = {
 }
 
 
-def require_out_dir(name, path):
-    """Raise ConfigError unless path can be written as a file: the directory
-    it is written into exists, and path itself is not a directory."""
-    if not os.path.isdir(os.path.dirname(path) or "."):
-        raise ConfigError(f"{name} = {path}: its directory does not exist")
-    if os.path.isdir(path):
-        raise ConfigError(f"{name} = {path}: is a directory")
+def check_outputs(outputs):
+    """Raise ConfigError unless each (config key or flag, path) of outputs,
+    all the files one command may write, has an existing directory, is not
+    a directory and names no file an earlier one names, however spelled."""
+    named = {}
+    for name, path in outputs:
+        if not os.path.isdir(os.path.dirname(path) or "."):
+            raise ConfigError(f"{name} = {path}: its directory does not exist")
+        if os.path.isdir(path):
+            raise ConfigError(f"{name} = {path}: is a directory")
+        real = os.path.realpath(path)
+        if real in named:
+            raise ConfigError(f"{named[real]} and {name} = {path} name one file")
+        named[real] = f"{name} = {path}"
 
 
 @contextmanager
@@ -157,11 +169,7 @@ def _set_up(cfg):
         raise ConfigError(
             f"probe.interval = {i}: probe interval [{i}, {i + 1}] must keep "
             f"one mass unit of clearance inside (0, {cfg.length})")
-    require_out_dir("out.series", cfg.series_path)
-    require_out_dir("out.report", cfg.report_path)
-    if os.path.realpath(cfg.series_path) == os.path.realpath(cfg.report_path):
-        raise ConfigError(f"out.series = {cfg.series_path} and out.report = "
-                          f"{cfg.report_path} name one file")
+    check_outputs(cfg.outputs().items())
     with _naming("initial data"):
         band = entropy_roots(energy_functional(state, grid, cfg.params))
     return grid, state, band
@@ -437,9 +445,8 @@ def run_simulation(cfg):
                 state = advance(state, t_next, grid, params, cfg.ctl,
                                 ux=acc.ux, on_step=acc)
             except StepFailure as exc:
-                snap = cfg.report_path + ".failed_state.txt"
-                write_snapshot(exc.state, grid, snap)
-                exc.snapshot_path = snap
+                exc.snapshot_path = cfg.outputs()["failure snapshot"]
+                write_snapshot(exc.state, grid, exc.snapshot_path)
                 raise
             acc.record(state)
 
@@ -476,8 +483,7 @@ def _mms_state(grid, prof, t):
                  np.asarray(prof.u_exact(grid.faces(), t)))
 
 
-def _mms_run(n_cells, dt, t_end, prof, params):
-    grid = build_grid(prof.length, n_cells)
+def _mms_run(grid, dt, t_end, prof, params):
     state, ux = _mms_state(grid, prof, 0.0), None
     while state.t < t_end:
         step = min(dt, t_end - state.t)
@@ -485,7 +491,7 @@ def _mms_run(n_cells, dt, t_end, prof, params):
         state, ux = step_imex(state, step, grid, params, mms=prof, ux=ux)
         if hits:
             state.t = t_end
-    return state, grid
+    return state
 
 
 def _ratios_orders(errs):
@@ -501,24 +507,23 @@ def mms_convergence(levels=3, base_cells=100):
     successive step halvings compared pairwise (Richardson differences at
     one grid cancel the spatial error exactly), giving the first-order rate.
     """
-    if levels < 3 or base_cells < 4:
-        raise ConfigError(f"need at least 3 refinement levels and 4 base "
-                          f"cells, got {levels} and {base_cells}")
+    if levels < 3:
+        raise ConfigError(f"need at least 3 refinement levels, got {levels}")
     params, prof, t_end = Params(), MmsProfile(), 0.5
 
     cells = [base_cells * 2 ** k for k in range(levels)]
     errors = []
     for n in cells:
-        h = prof.length / n
-        state, grid = _mms_run(n, 0.2 * h * h, t_end, prof, params)
+        grid = build_grid(prof.length, n)
+        state = _mms_run(grid, 0.2 * grid.h * grid.h, t_end, prof, params)
         errors.append(_l2_distance(state, _mms_state(grid, prof, state.t),
                                    grid))
     sp_ratios, sp_orders = _ratios_orders(errors)
 
     n_t = 16 * base_cells // 2
     dts = [4e-3, 2e-3, 1e-3, 5e-4]
-    finals = [_mms_run(n_t, dt, t_end, prof, params)[0] for dt in dts]
     grid_t = build_grid(prof.length, n_t)
+    finals = [_mms_run(grid_t, dt, t_end, prof, params) for dt in dts]
     diffs = [_l2_distance(a, b, grid_t)
              for a, b in zip(finals[:-1], finals[1:])]
     tm_ratios, tm_orders = _ratios_orders(diffs)
@@ -555,14 +560,12 @@ def _sweep_configs(cfg, betas):
 
 
 def _check_runs(configs, out_path):
-    """Pass every config through _set_up before any run starts; out_path,
-    if given, may name no file a run writes, however spelled."""
-    real = out_path and os.path.realpath(out_path)
+    """Pass every config through _set_up, then every file the runs and
+    out_path, if given, write through check_outputs, before any run starts."""
     for c in configs:
         _set_up(c)
-        for path in (c.series_path, c.report_path):
-            if os.path.realpath(path) == real:
-                raise ConfigError(f"--out = {out_path}: a run writes {path}")
+    outputs = [pair for c in configs for pair in c.outputs().items()]
+    check_outputs(outputs + [("--out", out_path)] if out_path else outputs)
 
 
 def sweep(cfg, betas, out_path=None):
@@ -671,11 +674,9 @@ def mms_orders_pass(report):
 
 def _criterion_mms(suite):
     report = mms_convergence(levels=3, base_cells=100)
-    measured = {"spatial": report["spatial"]["orders"],
-                "temporal": report["temporal"]["orders"]}
-    return mms_orders_pass(report), measured, \
-        {"spatial": list(THRESHOLDS["spatial_order"]),
-         "temporal": list(THRESHOLDS["temporal_order"])}
+    return mms_orders_pass(report), \
+        {k: report[k]["orders"] for k in ("spatial", "temporal")}, \
+        {k: list(THRESHOLDS[f"{k}_order"]) for k in ("spatial", "temporal")}
 
 
 def _criterion_tridiag(suite):
@@ -807,21 +808,18 @@ def acceptance_suite(cfg=None, criteria=None, out_path=None):
     _check_runs([*_sweep_configs(cfg, _SUITE_BETAS),
                  _keyed(cfg, "equilibrium", **_EQ_RUN)], out_path)
 
-    report = {"criteria": {}, "all_pass": True}
-
-    suite = _Suite(cfg)
+    suite, results = _Suite(cfg), {}
     for num, name, evaluate in _CRITERIA:
         if num not in wanted:
             continue
         t0 = time.perf_counter()
         passed, measured, threshold = evaluate(suite)
         seconds = time.perf_counter() - t0
-        report["criteria"][f"c{num:02d}_{name}"] = {
+        results[f"c{num:02d}_{name}"] = {
             "pass": bool(passed), "measured": measured,
             "threshold": threshold, "seconds": round(seconds, 3)}
-        if not passed:
-            report["all_pass"] = False
-
+    report = {"criteria": results,
+              "all_pass": all(r["pass"] for r in results.values())}
     if out_path:
         write_json(report, out_path)
     return report

@@ -128,6 +128,27 @@ def test_config_refuses_series_and_report_in_one_file(tmp_path, monkeypatch,
         load_config(str(path))
 
 
+def test_config_refuses_output_on_the_failure_snapshot(tmp_path,
+                                                      monkeypatch):
+    """A run writes the state a step failed at to
+    <out.report>.failed_state.txt: a series of that name, or a directory
+    there, is refused when the config loads."""
+    monkeypatch.chdir(tmp_path)
+    snap = "r.json.failed_state.txt"
+    message = f"out.series = {re.escape(snap)} and failure snapshot = " \
+              f"{re.escape(snap)} name one file"
+    with pytest.raises(ConfigError, match=message):
+        config_from_dict({"out.series": snap, "out.report": "r.json"})
+    path = tmp_path / "snap.cfg"
+    path.write_text(f"out.series = {snap}\nout.report = r.json\n")
+    with pytest.raises(ConfigError, match=message):
+        load_config(str(path))
+    (tmp_path / snap).mkdir()
+    with pytest.raises(ConfigError, match=f"failure snapshot = "
+                       f"{re.escape(snap)}: is a directory"):
+        config_from_dict({"out.report": "r.json"})
+
+
 def test_config_round_trip(tmp_path):
     first = tmp_path / "a.cfg"
     second = tmp_path / "b.cfg"
@@ -341,8 +362,10 @@ def test_mms_requires_three_levels():
 
 
 def test_cli_mms_rejects_too_few_cells(capsys):
+    """build_grid's cell-count rule refuses the study's coarsest grid."""
     assert cli_main(["mms", "--cells", "0"]) == 2
-    assert capsys.readouterr().err.startswith("config error:")
+    assert capsys.readouterr().err == \
+        "config error: need at least 4 cells, got 0\n"
 
 
 @pytest.mark.parametrize("key", ["out.series", "out.report"])
@@ -459,20 +482,24 @@ def test_cli_checks_every_keyed_run_first(tmp_path, monkeypatch, capsys,
 
 @pytest.mark.parametrize("argv, out, written", [
     (["sweep", "--beta", "1", "--config", "tiny.cfg"], "r_beta1.json",
-     "r_beta1.json"),
+     "out.report = r_beta1.json"),
     (["sweep", "--beta", "0.5,1", "--config", "tiny.cfg"],
-     "./x/../s_beta0.5.csv", "s_beta0.5.csv"),
+     "./x/../s_beta0.5.csv", "out.series = s_beta0.5.csv"),
     (["check", "--criteria", "8"], "report_equilibrium.json",
-     "report_equilibrium.json"),
+     "out.report = report_equilibrium.json"),
     (["check", "--criteria", "10", "--config", "tiny.cfg"], "s_beta2.5.csv",
-     "s_beta2.5.csv"),
+     "out.series = s_beta2.5.csv"),
+    (["check"], "report_equilibrium.json.failed_state.txt",
+     "failure snapshot = report_equilibrium.json.failed_state.txt"),
 ], ids=["sweep_report", "sweep_series_spelled_apart",
-        "check_equilibrium_report", "check_sweep_series"])
+        "check_equilibrium_report", "check_sweep_series",
+        "check_equilibrium_snapshot"])
 def test_cli_out_may_not_name_a_run_file(tmp_path, monkeypatch, capsys,
                                          argv, out, written):
-    """--out of sweep or check naming, however spelled, a series or report
-    that one of the command's runs writes is one config error line naming
-    both paths, before any step, and no file is written."""
+    """--out of sweep or check naming, however spelled, a file that one of
+    the command's runs may write (its series, its report or the snapshot of
+    a failed step) is one config error line naming both paths, before any
+    step, and no file is written."""
     _forbid_steps(monkeypatch)
     monkeypatch.chdir(tmp_path)
     _keyed_outputs_config(tmp_path)
@@ -480,8 +507,27 @@ def test_cli_out_may_not_name_a_run_file(tmp_path, monkeypatch, capsys,
     before = sorted(tmp_path.iterdir())
     assert cli_main([*argv, "--out", out]) == 2
     err = capsys.readouterr()
-    assert err.err == f"config error: --out = {out}: a run writes {written}\n"
+    assert err.err == f"config error: {written} and --out = {out} name one " \
+                      f"file\n"
     assert err.out == ""
+    assert sorted(tmp_path.iterdir()) == before
+
+
+def test_cli_sweep_refuses_runs_sharing_a_file(tmp_path, monkeypatch, capsys):
+    """Keyed by the exponent, beta = 0's series and beta = 0.5's report
+    are both R_beta0.5 with out.series = R.5 and out.report = R: the sweep
+    stops before any step with one config error line, writing no file."""
+    _forbid_steps(monkeypatch)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "r.cfg").write_text(
+        "grid.cells = 100\nic.kind = equilibrium\nrun.t_final = 6\n"
+        "out.series = R.5\nout.report = R\n")
+    before = sorted(tmp_path.iterdir())
+    assert cli_main(["sweep", "--config", "r.cfg", "--beta", "0,0.5"]) == 2
+    out = capsys.readouterr()
+    assert out.err == ("config error: out.series = R_beta0.5 and out.report "
+                       "= R_beta0.5 name one file\n")
+    assert out.out == ""
     assert sorted(tmp_path.iterdir()) == before
 
 
@@ -709,7 +755,8 @@ def test_mms_run_looks_up_step_imex_every_step(monkeypatch):
         return inner(*args, **kwargs)
 
     monkeypatch.setattr(harness, "step_imex", counted)
-    state, _ = harness._mms_run(40, 0.03, 0.1, MmsProfile(), Params())
+    state = harness._mms_run(build_grid(20.0, 40), 0.03, 0.1, MmsProfile(),
+                             Params())
     assert state.t == 0.1
     assert len(calls) == 4
     assert sum(calls) == pytest.approx(0.1, rel=1e-15)
@@ -805,6 +852,25 @@ def test_acceptance_subset_charges_sweep_to_its_first_reader(tmp_path):
     assert report["criteria"]["c04_bound_stabilization"]["seconds"] \
         >= sum(walls) - 5e-4
     assert not (tmp_path / "report_equilibrium.json").exists()
+
+
+def test_acceptance_sweeps_once_through_harness_sweep(tmp_path,
+                                                     monkeypatch):
+    """The suite runs its beta sweep through nslag.harness.sweep, once,
+    however many criteria read it: the benchmark's harness.sweep span
+    wraps that name."""
+    calls = []
+    inner = harness.sweep
+
+    def counted(cfg, betas, *args, **kwargs):
+        calls.append(tuple(betas))
+        return inner(cfg, betas, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "sweep", counted)
+    cfg = _quick_cfg(tmp_path, n_cells=100, t_final=6.0)
+    report = acceptance_suite(cfg, criteria=[4, 5, 9])
+    assert len(report["criteria"]) == 3
+    assert calls == [(0.5, 1.0, 2.5)]
 
 
 def test_acceptance_patched_threshold_turns_c11_red(tmp_path, monkeypatch):
