@@ -23,7 +23,7 @@ from itertools import accumulate
 import numpy as np
 
 from .core import ConfigError
-from .model import cell_stress, strain_rate
+from .model import cell_stress, face_conductance, strain_rate
 
 
 # positive-part threshold for the (theta - 3/2)_+^2 monitor
@@ -43,52 +43,44 @@ class JensenBand:
 
 
 def energy_functional(s, grid, params):
-    """Entropy energy: sum of h_j*(ubar^2/2 + R*(v - ln v - 1) + cv*(theta - ln theta - 1)).
+    """Entropy energy: sum_i dm_i*u_i^2/2 + sum_j h_j*(R*(v - ln v - 1) + cv*(theta - ln theta - 1)).
 
-    ubar is the face average on each cell.  Zero exactly at (1, 0, 1); the
+    The kinetic term weighs each face velocity by its control mass dm_i,
+    as the velocity rows of the step do.  Zero exactly at (1, 0, 1); the
     R weight on the volume term makes d/dt E = -V an identity of the
     continuum system for any R.
     """
-    ubar = 0.5 * (s.u[:-1] + s.u[1:])
+    kin = grid.dm * s.u
+    kin *= s.u
     ent_v = s.v - np.log(s.v) - 1.0
     ent_th = s.theta - np.log(s.theta) - 1.0
-    total = 0.5 * ubar * ubar + params.R * ent_v + params.cv * ent_th
+    total = params.R * ent_v + params.cv * ent_th
     total *= grid.dx
-    return float(total.sum())
+    return 0.5 * float(kin.sum()) + float(total.sum())
 
 
 def dissipation_functional(s, grid, params, ux=None):
-    """Dissipation: sum(h_j*mu*u_x^2/(v*theta)) + the interior-face part.
+    """Dissipation: sum_j h_j*mu*u_x^2/(v*theta) + sum_i c_i*(theta_i - theta_{i-1})^2/(theta_{i-1}*theta_i).
 
-    The face part uses arithmetic means of theta and v and the squared
-    one-sided temperature difference over the distance m_i between cell
-    centers, weighted by m_i, matching the conduction stencil's stagger.
-    ux, the state's strain rates, is computed when not passed in.
+    The face sum runs over the interior faces i = 1..N-1, and c is the
+    step's conduction coefficient, face_conductance on the grid's center
+    distances.  ux, the state's strain rates, is computed when not passed
+    in.
     """
     h = grid.dx
-    m = grid.dm[1:-1]
     v, th = s.v, s.theta
     if ux is None:
         ux = strain_rate(s.u, h)
-    # cell = mu*ux*ux/(v*th) and face = kappa*thf**beta*dth*dth/(vf*thf*thf)
+    # cell = mu*ux*ux/(v*th) and face = c*dth*dth/(th_left*th_right)
     cell = params.mu * ux
     cell *= ux
     cell /= v * th
     cell *= h
-    thf = np.add(th[:-1], th[1:])
-    thf *= 0.5
-    vf = np.add(v[:-1], v[1:])
-    vf *= 0.5
+    face = face_conductance(th, v, params, grid.dc)[1:-1]
     dth = np.subtract(th[1:], th[:-1])
-    dth /= m
-    face = thf ** params.beta
-    face *= params.kappa
     face *= dth
     face *= dth
-    vf *= thf
-    vf *= thf
-    face /= vf
-    face *= m
+    face /= np.multiply(th[:-1], th[1:], out=dth)
     return float(np.add.reduce(cell)) + float(np.add.reduce(face))
 
 

@@ -587,26 +587,28 @@ def sweep(cfg, betas, out_path=None):
 
 def _fsum_quadrature(s, grid, params):
     # independent route: plain python loops over reversed index order with
-    # compensated summation, no shared code with the vectorized evaluators
-    h = grid.h
-    n = grid.n_cells
+    # compensated summation, no shared code with the vectorized evaluators;
+    # face masses and center distances come from the cell widths here
+    h = [float(w) for w in grid.dx]
+    n = len(h)
     terms_e = []
+    for i in range(n, -1, -1):
+        dm = 0.5 * ((h[i - 1] if i > 0 else 0.0) + (h[i] if i < n else 0.0))
+        terms_e.append(0.5 * dm * s.u[i] * s.u[i])
     for j in range(n - 1, -1, -1):
-        ub = 0.5 * (s.u[j] + s.u[j + 1])
-        terms_e.append(h * (0.5 * ub * ub
-                            + params.R * (s.v[j] - math.log(s.v[j]) - 1.0)
-                            + params.cv * (s.theta[j] - math.log(s.theta[j]) - 1.0)))
+        terms_e.append(h[j] * (params.R * (s.v[j] - math.log(s.v[j]) - 1.0)
+                               + params.cv * (s.theta[j] - math.log(s.theta[j]) - 1.0)))
     energy = math.fsum(terms_e)
     terms_v = []
     for j in range(n - 1, -1, -1):
-        ux = (s.u[j + 1] - s.u[j]) / h
-        terms_v.append(h * params.mu * ux * ux / (s.v[j] * s.theta[j]))
+        ux = (s.u[j + 1] - s.u[j]) / h[j]
+        terms_v.append(h[j] * params.mu * ux * ux / (s.v[j] * s.theta[j]))
     for i in range(n - 1, 0, -1):
-        tf = 0.5 * (s.theta[i - 1] + s.theta[i])
-        vf = 0.5 * (s.v[i - 1] + s.v[i])
-        dth = (s.theta[i] - s.theta[i - 1]) / h
-        terms_v.append(h * params.kappa * tf ** params.beta * dth * dth
-                       / (vf * tf * tf))
+        tl, tr = s.theta[i - 1], s.theta[i]
+        d = 0.5 * (h[i - 1] + h[i])
+        c = params.kappa * (tl ** params.beta + tr ** params.beta) \
+            / (d * (s.v[i - 1] + s.v[i]))
+        terms_v.append(c * (tr - tl) * (tr - tl) / (tl * tr))
     dissipation = math.fsum(terms_v)
     return energy, dissipation
 

@@ -32,7 +32,8 @@ def face_conductance(theta, v, params, d):
     stays adiabatic (conductance 0).  Face N pairs the last cell with a
     ghost cell one width beyond its center that holds the far-field values
     (1, 1).  The heat flux through a face is its conductance times the
-    temperature jump.
+    temperature jump.  The step's temperature rows and the dissipation D
+    (diagnostics.dissipation_functional) both read these coefficients.
     """
     kt, beta = params.kappa, params.beta
     n = theta.size

@@ -128,9 +128,12 @@ def solve_tridiagonal(diag, off, rhs):
     positive-definite matrix; check_dominant verifies it first.  ptsv
     factors LDL^T without pivoting; the arrays are left untouched.  A
     nonzero ptsv info raises ArithmeticError, and so does a residual that
-    is not at most 1e-12 * (|rhs|_inf + |x|_inf) plus the smallest normal
-    float, a NaN included; under finite data neither can trip.  The
-    absolute term admits subnormal data, whose rounding error is absolute.
+    is not at most 1e-12 * (|rhs|_inf + 2*max(diag)*|x|_inf) plus the
+    smallest normal float, a NaN included.  The solve is backward stable,
+    so its residual is about eps*|A|_inf*|x|_inf, and 2*max(diag) bounds
+    |A|_inf of a dominant matrix: the bound scales with the couplings, as
+    strong conduction makes them large.  The absolute term admits
+    subnormal data, whose rounding error is absolute.
     """
     work = check_dominant(diag, off)
     _, _, x, info = dptsv(diag, off, rhs)
@@ -142,7 +145,8 @@ def solve_tridiagonal(diag, off, rhs):
     res[:-1] += np.multiply(off, x[1:], out=band)
     res[1:] += np.multiply(off, x[:-1], out=band)
     bound = 1e-12 * (np.maximum.reduce(np.abs(rhs, out=work))
-                     + np.maximum.reduce(np.abs(x, out=work)))
+                     + 2.0 * np.maximum.reduce(diag)
+                     * np.maximum.reduce(np.abs(x, out=work)))
     bound += sys.float_info.min
     if not np.maximum.reduce(np.abs(res, out=res)) <= bound:
         raise ArithmeticError("tridiagonal solve lost accuracy")

@@ -119,26 +119,36 @@ def admissible(s):
 
 
 def fsum_energy(v, theta, u, h, R, cv):
+    """Entropy energy: the face velocities weighed by their control masses
+    (h_{i-1} + h_i)/2, half a cell at either end, plus the cells' entropy
+    terms.  h holds the cell widths."""
+    n = len(v)
     terms = []
-    for j in range(len(v) - 1, -1, -1):
-        ub = 0.5 * (u[j] + u[j + 1])
-        terms.append(h * (0.5 * ub * ub
-                          + R * (v[j] - math.log(v[j]) - 1.0)
-                          + cv * (theta[j] - math.log(theta[j]) - 1.0)))
+    for i in range(n, -1, -1):
+        dm = 0.5 * ((h[i - 1] if i > 0 else 0.0) + (h[i] if i < n else 0.0))
+        terms.append(0.5 * dm * u[i] * u[i])
+    for j in range(n - 1, -1, -1):
+        terms.append(h[j] * (R * (v[j] - math.log(v[j]) - 1.0)
+                             + cv * (theta[j] - math.log(theta[j]) - 1.0)))
     return math.fsum(terms)
 
 
 def fsum_dissipation(v, theta, u, h, mu, kappa, beta):
+    """Viscous cell terms plus, on each interior face, its conductance
+    kappa*mean(theta^beta)/(d*mean(v)), d the distance between the two
+    centers, times (theta_i - theta_{i-1})^2/(theta_{i-1}*theta_i).  h
+    holds the cell widths."""
     n = len(v)
     terms = []
     for j in range(n - 1, -1, -1):
-        ux = (u[j + 1] - u[j]) / h
-        terms.append(h * mu * ux * ux / (v[j] * theta[j]))
+        ux = (u[j + 1] - u[j]) / h[j]
+        terms.append(h[j] * mu * ux * ux / (v[j] * theta[j]))
     for i in range(n - 1, 0, -1):
-        tf = 0.5 * (theta[i - 1] + theta[i])
-        vf = 0.5 * (v[i - 1] + v[i])
-        dth = (theta[i] - theta[i - 1]) / h
-        terms.append(h * kappa * tf ** beta * dth * dth / (vf * tf * tf))
+        d = 0.5 * (h[i - 1] + h[i])
+        c = kappa * 0.5 * (theta[i - 1] ** beta + theta[i] ** beta) \
+            / (d * 0.5 * (v[i - 1] + v[i]))
+        dth = theta[i] - theta[i - 1]
+        terms.append(c * dth * dth / (theta[i - 1] * theta[i]))
     return math.fsum(terms)
 
 

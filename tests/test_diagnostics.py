@@ -20,9 +20,12 @@ from oracles import (copy_state, fsum_bounds, fsum_dissipation, fsum_energy,
                      mp_entropy_roots, reference_state)
 
 # frozen reference values on the trig state from oracles.reference_state,
-# params mu=0.9 kappa=1.1 beta=1.5 R=1.2 cv=1.6, fsum route
-FROZEN_E = 0.47268471726367906
-FROZEN_V = 1.6554281757244866
+# and on its profiles over a graded grid (_graded_state_and_grid), params
+# mu=0.9 kappa=1.1 beta=1.5 R=1.2 cv=1.6, fsum route
+FROZEN_E = 0.5296090545143843
+FROZEN_V = 1.6557617611654674
+FROZEN_E_GRADED = 1.339477069980017
+FROZEN_V_GRADED = 4.073296292885846
 
 # roots of y - ln y - 1 = e0, mpmath bisection at 50 digits
 FROZEN_ROOTS = {
@@ -38,6 +41,15 @@ def _ref_state_and_grid():
     return State(0.0, v, theta, u), build_grid(length, n)
 
 
+def _graded_state_and_grid():
+    # the reference state's profiles on a grid with a graded far zone
+    grid = build_grid(10.0, 40, far_length=20.0)
+    xc, xf = grid.centers(), grid.faces()
+    u = 0.25 * np.sin(3.0 * xf)
+    u[-1] = 0.0
+    return State(0.0, 1.0 + 0.3 * np.sin(xc), 1.1 + 0.2 * np.cos(xc), u), grid
+
+
 def test_energy_zero_at_equilibrium():
     grid = build_grid(10.0, 8)
     assert energy_functional(equilibrium_state(grid), grid, Params()) == 0.0
@@ -50,18 +62,24 @@ def test_energy_single_cell_volume_term():
 
 
 def test_energy_single_cell_kinetic_term():
+    # each face carries half the cell's mass: u = (1, 0) gives 0.25, where
+    # the kinetic energy of the cell-averaged velocity would give 0.125
     grid = Grid(1.0, 1, 1.0)
-    s = State(0.0, np.ones(1), np.ones(1), np.array([1.0, 1.0]))
-    assert energy_functional(s, grid, Params()) == 0.5
+    for u, expected in (((1.0, 1.0), 0.5), ((1.0, 0.0), 0.25)):
+        s = State(0.0, np.ones(1), np.ones(1), np.array(u))
+        assert energy_functional(s, grid, Params()) == expected
 
 
-def test_energy_matches_fsum_oracle():
-    s, grid = _ref_state_and_grid()
+@pytest.mark.parametrize("make, frozen", [
+    (_ref_state_and_grid, FROZEN_E), (_graded_state_and_grid, FROZEN_E_GRADED)],
+    ids=["uniform", "graded"])
+def test_energy_matches_fsum_oracle(make, frozen):
+    s, grid = make()
     e = energy_functional(s, grid, REF_PARAMS)
-    oracle = fsum_energy(s.v, s.theta, s.u, grid.h, REF_PARAMS.R,
+    oracle = fsum_energy(s.v, s.theta, s.u, grid.dx, REF_PARAMS.R,
                          REF_PARAMS.cv)
     assert abs(e - oracle) <= 1e-12
-    assert abs(e - FROZEN_E) <= 1e-14
+    assert abs(e - frozen) <= 1e-14
 
 
 def test_dissipation_zero_at_equilibrium():
@@ -79,13 +97,16 @@ def test_dissipation_uniform_strain():
     assert dissipation_functional(s, grid, Params()) == c * c
 
 
-def test_dissipation_matches_fsum_oracle():
-    s, grid = _ref_state_and_grid()
+@pytest.mark.parametrize("make, frozen", [
+    (_ref_state_and_grid, FROZEN_V), (_graded_state_and_grid, FROZEN_V_GRADED)],
+    ids=["uniform", "graded"])
+def test_dissipation_matches_fsum_oracle(make, frozen):
+    s, grid = make()
     v = dissipation_functional(s, grid, REF_PARAMS)
-    oracle = fsum_dissipation(s.v, s.theta, s.u, grid.h, REF_PARAMS.mu,
+    oracle = fsum_dissipation(s.v, s.theta, s.u, grid.dx, REF_PARAMS.mu,
                               REF_PARAMS.kappa, REF_PARAMS.beta)
     assert abs(v - oracle) <= 1e-12
-    assert abs(v - FROZEN_V) <= 1e-14
+    assert abs(v - frozen) <= 1e-14
 
 
 def test_sample_energy_trapezoid_accumulation():

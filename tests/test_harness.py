@@ -897,8 +897,8 @@ def test_cli_run_equilibrium_exit_zero(tmp_path, capsys):
 
 
 def test_cli_run_large_initial_energy(tmp_path):
-    """ic.amp_u = 20 passes validation and gives E(0) of about 125, whose
-    lower entropy root is about 1e-55: the run judges its verdicts and
+    """ic.amp_u = 20 passes validation and gives E(0) of about 150, whose
+    lower entropy root is about 1e-66: the run judges its verdicts and
     writes its series and report."""
     cfg_path = tmp_path / "hot.cfg"
     cfg_path.write_text(
@@ -915,7 +915,7 @@ def test_cli_run_large_initial_energy(tmp_path):
     ["check"]])
 def test_cli_initial_energy_beyond_float_range_exit_two(tmp_path, capsys,
                                                         monkeypatch, argv):
-    """ic.amp_u = 60 gives E(0) of about 1125, whose lower entropy root is
+    """ic.amp_u = 60 gives E(0) of about 1350, whose lower entropy root is
     below the normal floats: a configuration error naming the entropy
     level, raised when the config loads, before any step (the full check
     would start with c01's) and before any file is written."""
@@ -930,14 +930,14 @@ def test_cli_initial_energy_beyond_float_range_exit_two(tmp_path, capsys,
     out = ["--out", str(tmp_path / "out.json")] if argv[0] != "run" else []
     assert cli_main([*argv, "--config", str(cfg_path), *out]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error:") and "entropy level 11" in err
+    assert err.startswith("config error:") and "entropy level 1350" in err
     assert err.count("\n") == 1
     assert sorted(tmp_path.iterdir()) == [cfg_path]
 
 
 def test_config_refuses_initial_energy_beyond_float_range():
     """The entropy band of E(0) is checked when the config is built."""
-    with pytest.raises(ConfigError, match="initial data: entropy level 11"):
+    with pytest.raises(ConfigError, match="initial data: entropy level 1350"):
         config_from_dict({"grid.cells": 100, "ic.amp_u": 60.0})
 
 

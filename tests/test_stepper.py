@@ -63,6 +63,23 @@ def test_solve_matches_dense_oracle():
         assert np.max(np.abs(x - ref)) <= 1e-10
 
 
+def test_solve_strongly_coupled_system_matches_dense_oracle():
+    """Couplings of about 5e5 against unit weights, as strong conduction
+    assembles them: the residual of a correct solve is about
+    eps*|A|*|x|, and the guard admits it."""
+    rng = np.random.default_rng(5)
+    n = 40
+    c = rng.uniform(0.5, 1.0, n - 1) * 5e5
+    diag = rng.uniform(0.5, 2.0, n)
+    diag[:-1] += c
+    diag[1:] += c
+    sys = _tridiag(diag, -c, rng.uniform(-1, 1, n))
+    x = solve_tridiagonal(*sys)
+    ref = dense_solve(np.concatenate(([0.0], -c)), diag,
+                      np.concatenate((-c, [0.0])), sys[2])
+    assert np.max(np.abs(x - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+
 def test_dominance_check_names_offending_row():
     diag, off, _ = _tridiag([3.0, 1.0], [2.0], [0, 0])
     with pytest.raises(ValueError, match="row 1"):
@@ -369,6 +386,18 @@ def test_advance_bump_run_stays_valid():
     s = make_initial_data(grid, spec)
     out = advance(s, 5.0, grid, Params())
     assert out.t == 5.0
+    assert admissible(out)
+
+
+def test_advance_strong_conduction_stays_valid():
+    """beta = 50 on the bump makes the hot cells' conductances dwarf
+    their weights cv*h/dt; the solves stay within the residual guard."""
+    grid = build_grid(50.0, 100, far_length=225.0)
+    spec = ICSpec(kind="bump", amp_v=0.3, amp_u=0.3, amp_theta=0.3,
+                  center=6.0, width=1.0, floor=0.1)
+    out = advance(make_initial_data(grid, spec), 0.2, grid,
+                  Params(beta=50.0))
+    assert out.t == 0.2
     assert admissible(out)
 
 
