@@ -16,6 +16,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .model import strain_rate
+
 
 class ConfigError(ValueError):
     """Bad configuration value or inconsistent setup."""
@@ -174,12 +176,20 @@ def build_grid(length, n_cells, far_length=None):
 
 @dataclass
 class State:
-    """Fields at one instant: v, theta on cells, u on faces, u[N] = 0."""
+    """Fields at one instant: v, theta on cells, u on faces, u[N] = 0; ux,
+    the strain rate of u, set by the step that made it or by strain()."""
 
     t: float
     v: np.ndarray
     theta: np.ndarray
     u: np.ndarray
+    ux: np.ndarray | None = None
+
+    def strain(self, h):
+        """The strain rate of u on cell widths h, computed once and kept."""
+        if self.ux is None:
+            self.ux = strain_rate(self.u, h)
+        return self.ux
 
 
 @dataclass(frozen=True)

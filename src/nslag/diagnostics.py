@@ -23,7 +23,7 @@ from itertools import accumulate
 import numpy as np
 
 from .core import ConfigError
-from .model import cell_stress, face_conductance, strain_rate
+from .model import cell_stress, face_conductance
 
 
 # positive-part threshold for the (theta - 3/2)_+^2 monitor
@@ -59,18 +59,16 @@ def energy_functional(s, grid, params):
     return 0.5 * float(kin.sum()) + float(total.sum())
 
 
-def dissipation_functional(s, grid, params, ux=None):
+def dissipation_functional(s, grid, params):
     """Dissipation: sum_j h_j*mu*u_x^2/(v*theta) + sum_i c_i*(theta_i - theta_{i-1})^2/(theta_{i-1}*theta_i).
 
     The face sum runs over the interior faces i = 1..N-1, and c is the
     step's conduction coefficient, face_conductance on the grid's center
-    distances.  ux, the state's strain rates, is computed when not passed
-    in.
+    distances.  u_x is the state's strain rate, s.strain.
     """
     h = grid.dx
     v, th = s.v, s.theta
-    if ux is None:
-        ux = strain_rate(s.u, h)
+    ux = s.strain(h)
     # cell = mu*ux*ux/(v*th) and face = c*dth*dth/(th_left*th_right)
     cell = params.mu * ux
     cell *= ux
@@ -103,7 +101,7 @@ def _pospart(theta, threshold):
     return pos * pos
 
 
-def running_integrals(s, grid, params, prev=None, ux=None):
+def running_integrals(s, grid, params, prev=None):
     """Series columns t, V, g2_ux and pospart at the state's time, and
     cumV, cum_ux2 and cum_pospart, the trapezoid integrals of V, g2_ux^2
     and pospart: zero without prev, else advanced from prev, these
@@ -111,11 +109,10 @@ def running_integrals(s, grid, params, prev=None, ux=None):
 
     The only place the time integrals advance: a run calls it every step.
     V is the dissipation, g2_ux the L2 norm of u_x and pospart the
-    positive-part maximum; they share one u_x: ux, the state's strain
-    rates, computed when not passed in.
+    positive-part maximum; they share one u_x, the state's strain rate.
     """
-    ux = strain_rate(s.u, grid.dx) if ux is None else ux
-    v = dissipation_functional(s, grid, params, ux)
+    ux = s.strain(grid.dx)
+    v = dissipation_functional(s, grid, params)
     g2_ux = _norm2(grid.dx, ux)
     pospart = _pospart(s.theta, POSPART_THRESHOLD)
     row = {"t": s.t, "V": v, "g2_ux": g2_ux, "pospart": pospart}

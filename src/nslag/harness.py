@@ -28,7 +28,7 @@ from .diagnostics import (MAX_SAMPLES, MIN_SAMPLES, _ratio, decay_report,
                           entropy_roots, make_repr_probe, reconstruct_v,
                           running_integrals, sample_bounds, sample_energy,
                           unit_interval_averages, update_repr_probe)
-from .model import MmsProfile, strain_rate
+from .model import MmsProfile
 from .stepper import (StepControl, StepFailure, advance, solve_tridiagonal,
                       stable_dt, step_imex)
 
@@ -375,29 +375,26 @@ class _RunAccumulator:
     """Diagnostics state threaded through advance as its on_step.
 
     Every step advances the probe and the running integrals, on the strain
-    rate it handed on (ux keeps it for the next advance).  At sample times
-    record() joins the running integrals' columns the last step computed
-    to those of sample_energy, sample_bounds and reconstruct_v at the
-    state, appends the row to series (a float column per schema column)
-    and writes it.
+    rate the new state carries.  At sample times record() joins the
+    running integrals' columns the last step computed to those of
+    sample_energy, sample_bounds and reconstruct_v at the state, appends
+    the row to series (a float column per schema column) and writes it.
     """
 
     def __init__(self, state0, grid, params, probe_i, write_row):
         self.grid = grid
         self.params = params
         self.write_row = write_row
-        self.ux = strain_rate(state0.u, grid.dx)
-        self.running = running_integrals(state0, grid, params, ux=self.ux)
+        self.running = running_integrals(state0, grid, params)
         self.probe = make_repr_probe(state0, grid, params, probe_i)
         self.n_steps = 0
         self.series = {c: array("d") for c in SERIES_COLUMNS}
         self.avg_min, self.avg_max = math.inf, -math.inf
 
-    def __call__(self, prev, new, dt, ux):
+    def __call__(self, prev, new, dt):
         self.n_steps += 1
-        self.ux = ux
         self.running = running_integrals(new, self.grid, self.params,
-                                         self.running, ux)
+                                         self.running)
         update_repr_probe(self.probe, new, dt, self.grid, self.params)
 
     def record(self, state):
@@ -443,7 +440,7 @@ def run_simulation(cfg):
         for t_next in times:
             try:
                 state = advance(state, t_next, grid, params, cfg.ctl,
-                                ux=acc.ux, on_step=acc)
+                                on_step=acc)
             except StepFailure as exc:
                 exc.snapshot_path = cfg.outputs()["failure snapshot"]
                 write_snapshot(exc.state, grid, exc.snapshot_path)
@@ -484,11 +481,11 @@ def _mms_state(grid, prof, t):
 
 
 def _mms_run(grid, dt, t_end, prof, params):
-    state, ux = _mms_state(grid, prof, 0.0), None
+    state = _mms_state(grid, prof, 0.0)
     while state.t < t_end:
         step = min(dt, t_end - state.t)
         hits = step >= t_end - state.t
-        state, ux = step_imex(state, step, grid, params, mms=prof, ux=ux)
+        state = step_imex(state, step, grid, params, mms=prof)
         if hits:
             state.t = t_end
     return state
@@ -650,11 +647,11 @@ class _Suite:
 def _criterion_equilibrium(suite):
     grid = build_grid(50.0, 500)
     params, ctl = Params(), StepControl()
-    state, ux = equilibrium_state(grid), None
+    state = equilibrium_state(grid)
     t0 = time.perf_counter()
     for _ in range(10_000):
         dt = stable_dt(state, grid, params, ctl)
-        state, ux = step_imex(state, dt, grid, params, ux=ux)
+        state = step_imex(state, dt, grid, params)
     seconds = time.perf_counter() - t0
     dev = max(float(np.max(np.abs(state.v - 1.0))),
               float(np.max(np.abs(state.theta - 1.0))),

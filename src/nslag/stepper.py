@@ -5,9 +5,10 @@ then solves a tridiagonal system for the new velocity (viscosity implicit
 on the fresh v, pressure gradient explicit at the old temperature), then a
 tridiagonal system for the new temperature (conduction implicit with face
 conductivities frozen at the old temperature, compression work and viscous
-heating explicit with the fresh strain rate), which the step returns for
-the running integrals and the next step's v.  Steps that drive v or theta
-to the positivity floor are rejected and retried with a halved step.
+heating explicit with the fresh strain rate), which the new state carries
+for the running integrals and the next step's v.  A step that fails any
+guard (positivity, dominance, the solve) raises ArithmeticError; advance
+rejects it and retries at half the step.
 
 Viscosity and conduction are in divergence form, so weighting each row by
 its control mass (dm_i/dt for a face velocity, cv*h_j/dt for a cell
@@ -66,7 +67,7 @@ def _load_flapack():
 dptsv = _load_flapack().dptsv
 
 # a step fails when it leaves v or theta at or below this floor; advance
-# retries it with half the step at most MAX_RETRIES times
+# retries a failed step with half the step at most MAX_RETRIES times
 POSITIVITY_FLOOR = 1e-8
 MAX_RETRIES = 20
 
@@ -86,17 +87,12 @@ class StepControl:
             raise ConfigError("cfl_hyp must not exceed 1")
 
 
-class PositivityViolation(Exception):
-    """Internal retry signal: a substep left v or theta at or below the floor."""
-
-    def __init__(self, name, value):
-        super().__init__(f"{name} reached {value}")
-        self.name = name
-        self.value = value
+class PositivityViolation(ArithmeticError):
+    """A substep left v or theta at or below the floor."""
 
 
 class StepFailure(RuntimeError):
-    """Step size underflowed during positivity retries; carries the last good state."""
+    """Step size underflowed retrying rejected steps; carries the last good state."""
 
     def __init__(self, msg, state, dt):
         super().__init__(msg)
@@ -106,9 +102,9 @@ class StepFailure(RuntimeError):
 
 
 def check_dominant(diag, off):
-    """Raise ValueError, naming the least dominant row, unless every row's
-    diagonal diag[k] exceeds the magnitudes of its couplings off[k-1] and
-    off[k] (ptsv's d and e); a non-positive diagonal fails.  Returns the
+    """Raise ArithmeticError, naming the least dominant row, unless every
+    row's diagonal diag[k] exceeds the magnitudes of its couplings off[k-1]
+    and off[k] (ptsv's d and e); a non-positive diagonal fails.  Returns the
     check's scratch array, one value per row, for the caller to overwrite.
     """
     gap = diag.copy()
@@ -117,7 +113,7 @@ def check_dominant(diag, off):
     gap[1:] -= mag
     if not np.minimum.reduce(gap) > 0.0:
         k = int(np.argmin(gap))
-        raise ValueError(f"tridiagonal row {k} is not strictly dominant")
+        raise ArithmeticError(f"tridiagonal row {k} is not strictly dominant")
     return gap
 
 
@@ -173,19 +169,18 @@ def _require_above_floor(name, x):
     # minimum, +inf shows in the maximum
     lo = np.minimum.reduce(x)
     if not (lo > POSITIVITY_FLOOR and np.maximum.reduce(x) < np.inf):
-        raise PositivityViolation(name, float(lo))
+        raise PositivityViolation(f"{name} reached {float(lo)}")
 
 
-def step_imex(s, dt, grid, params, mms=None, ux=None):
-    """One first-order step of size dt; raises PositivityViolation when v or
-    theta does not stay finite and above POSITIVITY_FLOOR.
+def step_imex(s, dt, grid, params, mms=None):
+    """One first-order step of size dt: the new State, with its strain rate.
+    Every failed guard raises ArithmeticError: solve_tridiagonal's, or
+    PositivityViolation when v or theta is not finite and above the floor.
 
     Update order v -> u -> theta, each substep on the freshest fields.  In
     verification mode (mms set, a manufactured profile that meets the
     boundary closures) the forcing enters the loads: Sv at the old time
-    (forward part), Su and Stheta at the new time (backward parts).  ux,
-    the strain rate of s.u, is computed when not passed in; returns the
-    new state and its own.
+    (forward part), Su and Stheta at the new time (backward parts).
     """
     if not dt > 0.0:
         raise ConfigError(f"step size must be positive, got {dt}")
@@ -194,7 +189,7 @@ def step_imex(s, dt, grid, params, mms=None, ux=None):
     mu, gas_r, cv = params.mu, params.R, params.cv
     t1 = s.t + dt
 
-    v1 = np.multiply(strain_rate(s.u, h) if ux is None else ux, dt)
+    v1 = np.multiply(s.strain(h), dt)
     v1 += s.v
     if mms is not None:
         at_centers, at_faces = mms_tables(grid, mms)
@@ -253,18 +248,18 @@ def step_imex(s, dt, grid, params, mms=None, ux=None):
     th1 = solve_tridiagonal(diag2, np.negative(cond[1:n]), load2)
     _require_above_floor("theta", th1)
 
-    return State(t1, v1, th1, u1), ux1
+    return State(t1, v1, th1, u1, ux1)
 
 
-def advance(s, t_target, grid, params, ctl=None, ux=None, on_step=None):
-    """March the state to t_target with adaptive steps and positivity retries.
+def advance(s, t_target, grid, params, ctl=None, on_step=None):
+    """March the state to t_target with adaptive steps and retries.
 
-    The last step is truncated to land on t_target exactly.  After every
-    accepted step on_step, when given, is called as on_step(prev_state,
-    new_state, dt, new_ux); it must not mutate its arguments.  ux, the
-    strain rate of s.u, is computed when not passed in; each step hands
-    its own, new_ux, to the next.  Step-size underflow raises StepFailure
-    with the last good state attached.
+    The last step is truncated to land on t_target exactly.  A step that
+    raises ArithmeticError, any of step_imex's guards, is rejected and
+    retried at half the size.  After every accepted step on_step, when
+    given, is called as on_step(prev_state, new_state, dt); it must not
+    mutate its arguments.  Step-size underflow raises StepFailure with the
+    last good state attached.
     """
     ctl = StepControl() if ctl is None else ctl
     if t_target < s.t:
@@ -277,9 +272,9 @@ def advance(s, t_target, grid, params, ctl=None, ux=None, on_step=None):
         tries = 0
         while True:
             try:
-                new, new_ux = step_imex(state, dt, grid, params, ux=ux)
+                new = step_imex(state, dt, grid, params)
                 break
-            except PositivityViolation as exc:
+            except ArithmeticError as exc:
                 tries += 1
                 dt *= 0.5
                 hits_target = False
@@ -290,6 +285,6 @@ def advance(s, t_target, grid, params, ctl=None, ux=None, on_step=None):
         if hits_target:
             new.t = t_target  # land exactly, no roundoff creep
         if on_step is not None:
-            on_step(state, new, dt, new_ux)
-        state, ux = new, new_ux
+            on_step(state, new, dt)
+        state = new
     return state

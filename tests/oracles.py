@@ -108,7 +108,8 @@ def dense_step(v, theta, u, h, dt, mu, kappa, beta, R, cv, forced=None):
 
 def copy_state(s):
     """A copy of the state s that shares no array with it."""
-    return replace(s, v=s.v.copy(), theta=s.theta.copy(), u=s.u.copy())
+    return replace(s, v=s.v.copy(), theta=s.theta.copy(), u=s.u.copy(),
+                   ux=None)
 
 
 def admissible(s):

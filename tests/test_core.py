@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nslag.core import (ConfigError, Grid, ICSpec, Params, build_grid,
-                        equilibrium_state, make_initial_data)
+from nslag import core
+from nslag.core import (ConfigError, Grid, ICSpec, Params, State,
+                        build_grid, equilibrium_state, make_initial_data)
 from oracles import admissible
 
 
@@ -202,3 +203,20 @@ def test_generated_data_positive_and_valid(amp_v, amp_u, amp_theta, kind,
     s = make_initial_data(grid, spec)
     assert s.v.min() >= 0.1 and s.theta.min() >= 0.1
     assert admissible(s)
+
+
+def test_state_computes_its_strain_rate_once(monkeypatch):
+    """A hand-built state computes its strain rate on the first strain()
+    call; the second returns the same array object."""
+    grid = build_grid(10.0, 40, far_length=12.0)
+    xf = grid.faces()
+    s = State(0.0, np.ones(grid.n_cells), np.ones(grid.n_cells),
+              np.sin(xf) * (xf < grid.far_length))
+    calls = []
+    inner = core.strain_rate
+    monkeypatch.setattr(core, "strain_rate",
+                        lambda u, h: calls.append(h) or inner(u, h))
+    ux = s.strain(grid.dx)
+    assert ux.tobytes() == ((s.u[1:] - s.u[:-1]) / grid.dx).tobytes()
+    assert s.strain(grid.dx) is ux and s.ux is ux
+    assert len(calls) == 1

@@ -279,7 +279,7 @@ def test_probe_tracks_evolved_run():
     s = make_initial_data(grid, spec)
     p = make_repr_probe(s, grid, params, 12)
 
-    def cb(prev, new, dt, ux):
+    def cb(prev, new, dt):
         update_repr_probe(p, new, dt, grid, params)
 
     out = advance(s, 5.0, grid, params, StepControl(), on_step=cb)
@@ -458,7 +458,7 @@ def _energy_margin(n_cells):
     recs = [{**running_integrals(s, grid, params),
              **sample_energy(s, grid, params)}]
 
-    def cb(prev, new, dt, ux):
+    def cb(prev, new, dt):
         recs.append({**running_integrals(new, grid, params, recs[-1]),
                      **sample_energy(new, grid, params)})
 

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nslag import cli, diagnostics, harness, stepper
+from nslag import cli, core, diagnostics, harness, stepper
 from nslag.cli import main as cli_main
 from nslag.core import ConfigError, ICSpec, Params, build_grid, \
     make_initial_data
@@ -595,15 +595,18 @@ def _short_default_cfg(tmp_path):
 
 def test_run_hands_step_strain_rate_to_running_integrals(tmp_path,
                                                          monkeypatch):
-    """The running integrals get each state's strain rate handed in, bit
-    for bit the strain rate of its velocity."""
+    """The running integrals read each state's strain rate, bit for bit
+    the strain rate of its velocity; a state a step made carries in the
+    step's own."""
     seen = []
     inner = harness.running_integrals
 
-    def checked(s, grid, params, prev=None, ux=None):
-        seen.append(ux is not None and ux.tobytes()
+    def checked(s, grid, params, prev=None):
+        handed = s.ux
+        row = inner(s, grid, params, prev)
+        seen.append((prev is None or handed is s.ux) and s.ux.tobytes()
                     == strain_rate(s.u, grid.dx).tobytes())
-        return inner(s, grid, params, prev, ux)
+        return row
 
     monkeypatch.setattr(harness, "running_integrals", checked)
     report = run_simulation(_short_default_cfg(tmp_path))
@@ -620,7 +623,7 @@ def test_run_evaluates_strain_rate_once_per_step(tmp_path, monkeypatch):
         calls.append(h)
         return strain_rate(u, h)
 
-    for module in (stepper, diagnostics, harness):
+    for module in (core, stepper):
         monkeypatch.setattr(module, "strain_rate", counted)
     report = run_simulation(_short_default_cfg(tmp_path))
     assert report.n_steps > 100
@@ -681,7 +684,7 @@ def test_run_records_match_chained_samples(tmp_path, far_length, beta):
     running = [running_integrals(state, grid, cfg.params)]
     probe = make_repr_probe(state, grid, cfg.params, cfg.resolved_probe())
 
-    def step(prev, new, dt, ux):
+    def step(prev, new, dt):
         running[0] = running_integrals(new, grid, cfg.params, running[0])
         update_repr_probe(probe, new, dt, grid, cfg.params)
 
@@ -1144,6 +1147,24 @@ def test_cli_step_failure_names_snapshot(tmp_path, monkeypatch, capsys):
     snap = f"{tmp_path}/r.json.failed_state.txt"
     assert snap in capsys.readouterr().err
     assert os.path.exists(snap)
+
+
+def test_cli_failed_solve_is_a_step_failure(tmp_path, monkeypatch, capsys):
+    """A solve whose ptsv info is nonzero is a rejected step like any
+    other: once the retries run out, the run exits 1 with one stderr line
+    naming the cause and the snapshot, which it wrote."""
+    inner = stepper.dptsv
+    monkeypatch.setattr(stepper, "dptsv",
+                        lambda d, e, b: (*inner(d, e, b)[:3], 2))
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.cfg").write_text("grid.cells = 100\nrun.t_final = 10\n")
+    assert cli_main(["run", "--config", "run.cfg"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("step failure at t = 0.0: ")
+    assert err.endswith("(tridiagonal solve failed: ptsv info 2); "
+                        "state -> report.json.failed_state.txt\n")
+    assert err.count("\n") == 1
+    assert (tmp_path / "report.json.failed_state.txt").is_file()
 
 
 def test_benchmark_hook_names_resolve(tmp_path, monkeypatch):

@@ -82,14 +82,14 @@ def test_solve_strongly_coupled_system_matches_dense_oracle():
 
 def test_dominance_check_names_offending_row():
     diag, off, _ = _tridiag([3.0, 1.0], [2.0], [0, 0])
-    with pytest.raises(ValueError, match="row 1"):
+    with pytest.raises(ArithmeticError, match="row 1"):
         check_dominant(diag, off)
 
 
 def test_dominance_check_rejects_negative_diagonal():
     """|diag| would dominate row 0, but ptsv needs a positive diagonal."""
     sys = _tridiag([-5.0, 3.0], [1.0], [1.0, 1.0])
-    with pytest.raises(ValueError, match="row 0"):
+    with pytest.raises(ArithmeticError, match="row 0"):
         solve_tridiagonal(*sys)
 
 
@@ -167,7 +167,7 @@ def test_step_preserves_equilibrium():
     params = Params(R=1.4, cv=1.6, beta=2.0)
     s = equilibrium_state(grid)
     for dt in (1e-4, 1e-2, 0.5):
-        out, _ = step_imex(s, dt, grid, params)
+        out = step_imex(s, dt, grid, params)
         assert np.max(np.abs(out.v - 1.0)) <= 1e-14
         assert np.max(np.abs(out.theta - 1.0)) <= 1e-14
         assert np.max(np.abs(out.u)) <= 1e-14
@@ -186,7 +186,7 @@ def test_step_conduction_maximum_principle():
     prof = 1.0 + 0.8 * np.exp(-((xc - 8.0) / 2.0) ** 2)
     s = State(0.0, prof.copy(), prof.copy(), np.zeros(161))
     for dt in (0.01, 0.3, 5.0):
-        out, _ = step_imex(s, dt, grid, params)
+        out = step_imex(s, dt, grid, params)
         assert np.array_equal(out.u, np.zeros(161))
         assert np.array_equal(out.v, s.v)
         assert out.theta.max() <= max(s.theta.max(), 1.0) + 1e-13
@@ -225,9 +225,9 @@ def test_step_zero_amplitude_mms_stays_at_rest():
     every forcing term vanishes: forced steps from rest stay at rest."""
     grid = build_grid(20.0, 80)
     prof = MmsProfile(amp=0.0)
-    s, ux = equilibrium_state(grid), None
+    s = equilibrium_state(grid)
     for dt in (1e-3, 0.05, 0.5):
-        s, ux = step_imex(s, dt, grid, Params(), mms=prof, ux=ux)
+        s = step_imex(s, dt, grid, Params(), mms=prof)
     assert s.t == pytest.approx(0.551, rel=1e-15)
     for dev in (s.v - 1.0, s.u, s.theta - 1.0):
         assert np.max(np.abs(dev)) <= 1e-14
@@ -242,22 +242,23 @@ def test_mms_tables_cached_by_value():
 
 
 def test_step_hands_on_its_strain_rate():
-    """step_imex returns the strain rate of the new velocity bit for bit;
-    fed back as ux it gives the same step and is left unchanged."""
+    """The state step_imex returns carries the strain rate of its velocity
+    bit for bit; the next step from it is the step from a copy without it,
+    and leaves it unchanged."""
     grid = build_grid(50.0, 200, far_length=225.0)
     spec = ICSpec(kind="bump", amp_v=0.2, amp_u=0.2, amp_theta=0.2,
                   center=6.0, width=1.0, floor=0.1)
     s = make_initial_data(grid, spec)
     params = Params(beta=2.5)
     dt = stable_dt(s, grid, params, StepControl())
-    out, ux1 = step_imex(s, dt, grid, params)
-    assert ux1.tobytes() == strain_rate(out.u, grid.dx).tobytes()
-    ux0 = strain_rate(s.u, grid.dx)
-    kept = ux0.copy()
-    again, ux1_again = step_imex(s, dt, grid, params, ux=ux0)
-    assert np.array_equal(ux0, kept)
-    for a, b in ((out.v, again.v), (out.u, again.u),
-                 (out.theta, again.theta), (ux1, ux1_again)):
+    out = step_imex(s, dt, grid, params)
+    assert out.ux.tobytes() == strain_rate(out.u, grid.dx).tobytes()
+    kept = out.ux.copy()
+    nxt = step_imex(out, dt, grid, params)
+    again = step_imex(copy_state(out), dt, grid, params)
+    assert np.array_equal(out.ux, kept)
+    for a, b in ((nxt.v, again.v), (nxt.u, again.u),
+                 (nxt.theta, again.theta), (nxt.ux, again.ux)):
         assert a.tobytes() == b.tobytes()
 
 
@@ -287,7 +288,7 @@ def test_step_matches_dense_row_scaled_oracle(graded, beta, forced):
         data = {"sv": mms_source(tc, s.t, prof, params, 0).tolist(),
                 "su": mms_source(tf, t1, prof, params, 1).tolist(),
                 "sth": mms_source(tc, t1, prof, params, 2).tolist()}
-    out, _ = step_imex(s, dt, grid, params, mms=prof)
+    out = step_imex(s, dt, grid, params, mms=prof)
     refs = dense_step(s.v.tolist(), s.theta.tolist(), s.u.tolist(),
                       grid.dx.tolist(), dt, params.mu, params.kappa, beta,
                       params.R, params.cv, forced=data)
@@ -302,7 +303,7 @@ def test_step_telescoping_volume_update():
     s.u = 0.3 * np.cos(grid.faces())
     s.u[-1] = 0.0
     dt = 0.01
-    out, _ = step_imex(s, dt, grid, Params())
+    out = step_imex(s, dt, grid, Params())
     change = grid.h * math.fsum((out.v - s.v).tolist())
     assert abs(change - (-dt * s.u[0])) <= 1e-15
 
@@ -327,7 +328,7 @@ def test_advance_degenerate_interval():
     s = equilibrium_state(grid)
     calls = []
     out = advance(s, 0.0, grid, Params(),
-                  on_step=lambda a, b, dt, ux: calls.append(dt))
+                  on_step=lambda a, b, dt: calls.append(dt))
     assert out.t == 0.0 and not calls
     assert np.array_equal(out.v, s.v)
 
@@ -357,7 +358,7 @@ def test_graded_grid_keeps_rest_state():
     ctl = StepControl()
     s = equilibrium_state(grid)
     for _ in range(2000):
-        s, _ = step_imex(s, stable_dt(s, grid, params, ctl), grid, params)
+        s = step_imex(s, stable_dt(s, grid, params, ctl), grid, params)
     assert np.max(np.abs(s.v - 1.0)) <= 1e-12
     assert np.max(np.abs(s.theta - 1.0)) <= 1e-12
     assert np.max(np.abs(s.u)) <= 1e-12
@@ -405,8 +406,8 @@ def test_advance_lands_exactly_and_reports_steps():
     grid = build_grid(50.0, 200)
     seen = []
     out = advance(equilibrium_state(grid), 0.1, grid, Params(),
-                  on_step=lambda prev, new, dt, ux: seen.append((prev.t,
-                                                                 new.t, dt)))
+                  on_step=lambda prev, new, dt: seen.append((prev.t,
+                                                             new.t, dt)))
     assert out.t == 0.1
     assert seen[-1][1] == 0.1
     for prev_t, new_t, dt in seen:
@@ -434,7 +435,7 @@ def _counting_step_imex(monkeypatch, module):
     def counted(*args, **kwargs):
         try:
             out = inner(*args, **kwargs)
-        except PositivityViolation:
+        except ArithmeticError:
             outcomes.append("rejected")
             raise
         outcomes.append("accepted")
@@ -453,7 +454,7 @@ def test_advance_looks_up_step_imex_every_step(monkeypatch):
                   center=6.0, width=1.0, floor=0.1)
     seen = []
     advance(make_initial_data(grid, spec), 1.0, grid, Params(),
-            on_step=lambda prev, new, dt, ux: seen.append(dt))
+            on_step=lambda prev, new, dt: seen.append(dt))
     assert len(seen) > 10
     assert outcomes == ["accepted"] * len(seen)
 
@@ -468,9 +469,38 @@ def test_advance_looks_up_step_imex_every_step(monkeypatch):
     s.u[-1] = 0.0
     with pytest.raises(StepFailure):
         advance(s, 1e-7, grid, Params(),
-                on_step=lambda prev, new, dt, ux: seen.append(dt))
+                on_step=lambda prev, new, dt: seen.append(dt))
     assert outcomes.count("accepted") == len(seen) > 0
     assert outcomes.count("rejected") > len(seen)
+
+
+def test_advance_retries_steps_that_fail_dominance(monkeypatch):
+    """At beta = 150 conduction swamps the hot rows of the default bump:
+    the first try fails dominance in rounding and is counted as rejected,
+    and advance halves the step until a try is accepted, then completes.
+    At beta = 400 no try within the retries passes, and advance fails
+    with the last good state."""
+    grid = build_grid(50.0, 500)
+    spec = ICSpec(kind="bump", amp_v=0.3, amp_u=0.3, amp_theta=0.3,
+                  center=6.0, width=1.0, floor=0.1)
+    s = make_initial_data(grid, spec)
+    params = Params(beta=150.0)
+    dt = stable_dt(s, grid, params, StepControl())
+    with pytest.raises(ArithmeticError, match="not strictly dominant"):
+        step_imex(s, dt, grid, params)
+
+    outcomes = _counting_step_imex(monkeypatch, stepper)
+    seen = []
+    out = advance(s, 0.5, grid, params,
+                  on_step=lambda prev, new, dt: seen.append(dt))
+    assert out.t == 0.5 and admissible(out)
+    k = outcomes.index("accepted")
+    assert k > 0 and seen[0] == dt / 2 ** k
+    assert outcomes.count("accepted") == len(seen)
+
+    with pytest.raises(StepFailure, match="not strictly dominant") as err:
+        advance(s, 0.5, grid, Params(beta=400.0))
+    assert err.value.state.t == 0.0 and admissible(err.value.state)
 
 
 def test_trajectories_deterministic():
@@ -497,7 +527,7 @@ def test_step_keeps_positive_states_positive_or_signals(seed, dt):
               rng.uniform(0.5, 2.0, n),
               np.concatenate([rng.uniform(-1.0, 1.0, n), [0.0]]))
     try:
-        out, _ = step_imex(s, dt, grid, Params())
+        out = step_imex(s, dt, grid, Params())
     except PositivityViolation:
         return
     assert np.all(out.v > 0) and np.all(out.theta > 0)
@@ -547,7 +577,7 @@ def _mms_error(n, dt_factor, t_end=0.5):
     while s.t < t_end:
         step = min(dt, t_end - s.t)
         last = step >= t_end - s.t
-        s, _ = step_imex(s, step, grid, params, mms=prof)
+        s = step_imex(s, step, grid, params, mms=prof)
         if last:
             s.t = t_end
     ev = s.v - prof.v_exact(xc, t_end)
