@@ -11,12 +11,12 @@ prescribed (outer pressure condition), face N carries the far-field state
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .model import strain_rate
+from .model import conduction_numerator, strain_rate
 
 
 class ConfigError(ValueError):
@@ -177,19 +177,36 @@ def build_grid(length, n_cells, far_length=None):
 @dataclass
 class State:
     """Fields at one instant: v, theta on cells, u on faces, u[N] = 0; ux,
-    the strain rate of u, set by the step that made it or by strain()."""
+    the strain rate of u, set by the step that made it or by strain().
+    Both memos trust the arrays not to be written in place: ux is kept
+    until set again, the conduction numerator until theta is replaced."""
 
     t: float
     v: np.ndarray
     theta: np.ndarray
     u: np.ndarray
     ux: np.ndarray | None = None
+    # (kappa, beta, theta, numerator) of conduction_numerator()
+    _cond_num: tuple | None = field(default=None, init=False,
+                                    repr=False, compare=False)
 
     def strain(self, h):
         """The strain rate of u on cell widths h, computed once and kept."""
         if self.ux is None:
             self.ux = strain_rate(self.u, h)
         return self.ux
+
+    def conduction_numerator(self, params, keep=True):
+        """model.conduction_numerator of theta, computed once per kappa,
+        beta and theta array and kept; keep=False hands the kept array
+        over and forgets it, so it is freed with the caller's last use."""
+        memo = self._cond_num
+        if (memo is None or memo[2] is not self.theta
+                or memo[:2] != (params.kappa, params.beta)):
+            memo = (params.kappa, params.beta, self.theta,
+                    conduction_numerator(self.theta, params))
+        self._cond_num = memo if keep else None
+        return memo[3]
 
 
 @dataclass(frozen=True)
@@ -281,6 +298,6 @@ def make_initial_data(grid, spec):
     theta = 1.0 + spec.amp_theta * phi_c
     u = spec.amp_u * phi_f
     u[-1] = 0.0
-    if v.min() < spec.floor or theta.min() < spec.floor:
+    if v[v.argmin()] < spec.floor or theta[theta.argmin()] < spec.floor:
         raise ConfigError("generated initial data dips below the floor")
     return State(0.0, v, theta, u)

@@ -6,10 +6,12 @@ dissipation, field extrema and norms, positive-part maxima, running time
 integrals, unit-interval averages against the entropy band, and the probe
 machinery that reconstructs v from the wall-stress exponential.
 
-The functions a run calls every step write their temporaries in place and
-reduce with the ufuncs' reduce, the array methods' reduction without their
-Python wrapper; each keeps the operations and their order of the formula
-it states, so the floats are those of the formula.
+The functions a run calls every step or sample write their temporaries in
+place, sum with np.add.reduce, the array method's reduction without its
+Python wrapper, and take each extremum as x[x.argmin()] or x[x.argmax()],
+the same float as x.min() or x.max() without a reduce's set-up; each keeps
+the operations and their order of the formula it states, so the floats are
+those of the formula.
 """
 
 from __future__ import annotations
@@ -64,7 +66,8 @@ def dissipation_functional(s, grid, params):
 
     The face sum runs over the interior faces i = 1..N-1, and c is the
     step's conduction coefficient, face_conductance on the grid's center
-    distances.  u_x is the state's strain rate, s.strain.
+    distances, from the numerator the state keeps for the next step
+    (s.conduction_numerator).  u_x is the state's strain rate, s.strain.
     """
     h = grid.dx
     v, th = s.v, s.theta
@@ -74,7 +77,8 @@ def dissipation_functional(s, grid, params):
     cell *= ux
     cell /= v * th
     cell *= h
-    face = face_conductance(th, v, params, grid.dc)[1:-1]
+    face = face_conductance(s.conduction_numerator(params), v,
+                            grid.dc)[1:-1]
     dth = np.subtract(th[1:], th[:-1])
     face *= dth
     face *= dth
@@ -97,7 +101,7 @@ def _norm2(weights, x):
 def _pospart(theta, threshold):
     # max over cells of (theta - threshold)_+^2; the map is monotone in
     # theta, and so is each rounding, so the hottest cell gives it exactly
-    pos = max(float(np.maximum.reduce(theta)) - threshold, 0.0)
+    pos = max(float(theta[theta.argmax()]) - threshold, 0.0)
     return pos * pos
 
 
@@ -258,7 +262,7 @@ def make_repr_probe(s0, grid, params, i):
     return ReprProbe(cells=cells, fi=fi, v0=v0, u0=s0.u.copy(),
                      D=v0.copy(), Y=1.0, I=np.zeros(PROBE_POINTS),
                      logY_t=array("d", [s0.t]), logY=array("d", [0.0]),
-                     seg=slice(fi, int(cells.max()) + 2),
+                     seg=slice(fi, int(cells[-1]) + 2),
                      jrel=tuple((cells - fi).tolist()),
                      sigma=_sigma_at_face(s0, fi, grid.h, params),
                      theta=s0.theta[cells])
@@ -327,8 +331,10 @@ def reconstruct_v(p, s, params):
     """
     v_rec = p.D * p.Y * (math.ldexp(1.0, p.Y_exp) + params.R * p.I)
     v_act = s.v[p.cells]
+    err = np.abs(v_rec - v_act)
+    err /= v_act
     return {"Y_probe": math.ldexp(p.Y, p.Y_exp),
-            "repr_relerr": float((np.abs(v_rec - v_act) / v_act).max())}
+            "repr_relerr": float(err[err.argmax()])}
 
 
 def sample_bounds(s, grid):
@@ -354,16 +360,17 @@ def sample_bounds(s, grid):
     # one absolute value per field serves its inf-norm and the far field
     avm1, athm1, au = np.abs(vm1), np.abs(thm1), np.abs(u)
     j = grid.farfield_start
+    far = avm1[j:], athm1[j:], au[j:]
     return {
-        "vmin": float(v.min()), "vmax": float(v.max()),
-        "thmin": float(th.min()), "thmax": float(th.max()),
+        "vmin": float(v[v.argmin()]), "vmax": float(v[v.argmax()]),
+        "thmin": float(th[th.argmin()]), "thmax": float(th[th.argmax()]),
         "n2_vm1": _norm2(h, vm1), "n2_u": _norm2(wface, u),
         "n2_thm1": _norm2(h, thm1),
-        "ninf_vm1": float(avm1.max()), "ninf_u": float(au.max()),
-        "ninf_thm1": float(athm1.max()),
+        "ninf_vm1": float(avm1[avm1.argmax()]),
+        "ninf_u": float(au[au.argmax()]),
+        "ninf_thm1": float(athm1[athm1.argmax()]),
         "g2_vx": _norm2(mi, dvx), "g2_thx": _norm2(mi, dthx),
-        "farfield_dev": max(float(avm1[j:].max()), float(athm1[j:].max()),
-                            float(au[j:].max())),
+        "farfield_dev": max(float(x[x.argmax()]) for x in far),
     }
 
 

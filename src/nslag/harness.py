@@ -399,9 +399,9 @@ class _RunAccumulator:
 
     def record(self, state):
         """Sample the state the last step reached and write its row."""
-        averages = unit_interval_averages(state, self.grid)
-        self.avg_min = min(self.avg_min, float(averages.min()))
-        self.avg_max = max(self.avg_max, float(averages.max()))
+        averages = unit_interval_averages(state, self.grid).ravel()
+        self.avg_min = min(self.avg_min, float(averages[averages.argmin()]))
+        self.avg_max = max(self.avg_max, float(averages[averages.argmax()]))
         row = {**self.running,
                **sample_energy(state, self.grid, self.params),
                **sample_bounds(state, self.grid),

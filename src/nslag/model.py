@@ -23,32 +23,42 @@ def strain_rate(u, h):
     return (u[1:] - u[:-1]) / h
 
 
-def face_conductance(theta, v, params, d):
-    """Conduction coefficients kappa*mean(theta**beta)/(d*mean(v)) on faces 0..N.
+def conduction_numerator(theta, params):
+    """kappa*(theta**beta) summed over the two cells beside faces 1..N.
 
-    d is the distance between the centers on either side of faces 1..N:
-    one scalar, the width h of a uniform grid, or one per face, the grid's
-    dc.  Interior face i averages the two adjacent cells.  The wall face 0
-    stays adiabatic (conductance 0).  Face N pairs the last cell with a
-    ghost cell one width beyond its center that holds the far-field values
-    (1, 1).  The heat flux through a face is its conductance times the
-    temperature jump.  The step's temperature rows and the dissipation D
-    (diagnostics.dissipation_functional) both read these coefficients.
+    Face N pairs the last cell with the far-field ghost, theta = 1.  Twice
+    the mean conductivity, face_conductance's numerator; core.State keeps
+    it per state (State.conduction_numerator).
     """
-    kt, beta = params.kappa, params.beta
-    n = theta.size
-    thb = theta ** beta
-    cond = np.empty(n + 1)
-    cond[0] = 0.0
-    num = cond[1:]
+    thb = theta ** params.beta
+    num = np.empty(theta.size)
     np.add(thb[:-1], thb[1:], out=num[:-1])
     num[-1] = thb[-1] + 1.0
-    num *= kt
-    den = np.empty(n)
+    num *= params.kappa
+    return num
+
+
+def face_conductance(num, v, d):
+    """Conduction coefficients kappa*mean(theta**beta)/(d*mean(v)) on faces 0..N.
+
+    num is conduction_numerator of theta, d the distance between the
+    centers on either side of faces 1..N: one scalar, the width h of a
+    uniform grid, or one per face, the grid's dc.  Interior face i averages
+    the two adjacent cells.  The wall face 0 stays adiabatic (conductance
+    0).  Face N pairs the last cell with a ghost cell one width beyond its
+    center that holds the far-field values (1, 1).  The heat flux through
+    a face is its conductance times the temperature jump.  The step's
+    temperature rows and the dissipation D
+    (diagnostics.dissipation_functional) both read these coefficients.
+    """
+    cond = np.empty(num.size + 1)
+    cond[0] = 0.0
+    den = cond[1:]
     np.add(v[:-1], v[1:], out=den[:-1])
     den[-1] = v[-1] + 1.0
     den *= d
-    num /= den   # the means' halves cancel exactly: scaling by 1/2 is exact
+    # the means' halves cancel exactly: scaling by 1/2 is exact
+    np.divide(num, den, out=den)
     return cond
 
 

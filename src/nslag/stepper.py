@@ -21,12 +21,14 @@ solves cannot break down.  Each system is assembled into the diagonal,
 off-diagonal and load that LAPACK's ptsv takes (LDL^T, no pivoting), and
 solve_tridiagonal hands them to ptsv between a dominance check before and
 a residual check after.
-Reductions call the ufuncs' reduce: the array methods' reduction without
-their Python wrapper.  ptsv comes from scipy's LAPACK extension module,
-loaded on its own from scipy's linalg directory, without importing scipy:
-importing it through scipy.linalg would first run the __init__ of scipy
-and of scipy.linalg, which load much of scipy (and subprocess, tempfile,
-zipfile) for routines nslag never calls.
+Each extremum is taken as x[x.argmin()] or x[x.argmax()]: the same float
+as x.min() or x.max(), a NaN included (argmin and argmax return the first
+NaN), without the set-up of a ufunc reduce, which costs as much as the
+arithmetic on a few thousand values.  ptsv comes from scipy's LAPACK
+extension module, loaded on its own from scipy's linalg directory, without
+importing scipy: importing it through scipy.linalg would first run the
+__init__ of scipy and of scipy.linalg, which load much of scipy (and
+subprocess, tempfile, zipfile) for routines nslag never calls.
 """
 
 from __future__ import annotations
@@ -92,7 +94,9 @@ class PositivityViolation(ArithmeticError):
 
 
 class StepFailure(RuntimeError):
-    """Step size underflowed retrying rejected steps; carries the last good state."""
+    """Retries of a rejected step ran out: more than MAX_RETRIES tries, or
+    the step halved below dt_min, as the message says with the last step
+    size tried.  Carries the last good state and dt, half that size."""
 
     def __init__(self, msg, state, dt):
         super().__init__(msg)
@@ -111,8 +115,8 @@ def check_dominant(diag, off):
     mag = np.abs(off)
     gap[:-1] -= mag
     gap[1:] -= mag
-    if not np.minimum.reduce(gap) > 0.0:
-        k = int(np.argmin(gap))
+    k = gap.argmin()   # the first NaN, if any
+    if not gap[k] > 0.0:
         raise ArithmeticError(f"tridiagonal row {k} is not strictly dominant")
     return gap
 
@@ -140,11 +144,13 @@ def solve_tridiagonal(diag, off, rhs):
     band = work[:-1]
     res[:-1] += np.multiply(off, x[1:], out=band)
     res[1:] += np.multiply(off, x[:-1], out=band)
-    bound = 1e-12 * (np.maximum.reduce(np.abs(rhs, out=work))
-                     + 2.0 * np.maximum.reduce(diag)
-                     * np.maximum.reduce(np.abs(x, out=work)))
+    np.abs(rhs, out=work)
+    rhs_max = work[work.argmax()]
+    np.abs(x, out=work)
+    bound = 1e-12 * (rhs_max + 2.0 * diag[diag.argmax()] * work[work.argmax()])
     bound += sys.float_info.min
-    if not np.maximum.reduce(np.abs(res, out=res)) <= bound:
+    np.abs(res, out=res)
+    if not res[res.argmax()] <= bound:
         raise ArithmeticError("tridiagonal solve lost accuracy")
     return x
 
@@ -161,14 +167,14 @@ def stable_dt(s, grid, params, ctl):
     np.sqrt(c, out=c)
     np.divide(s.v, c, out=c)
     c *= grid.scaled_dx(ctl.cfl_hyp)
-    return max(float(np.minimum.reduce(c)), ctl.dt_min)
+    return max(float(c[c.argmin()]), ctl.dt_min)
 
 
 def _require_above_floor(name, x):
-    # positivity and finiteness in two reductions: a NaN propagates into the
-    # minimum, +inf shows in the maximum
-    lo = np.minimum.reduce(x)
-    if not (lo > POSITIVITY_FLOOR and np.maximum.reduce(x) < np.inf):
+    # positivity and finiteness in two extrema: a NaN is the minimum, +inf
+    # shows in the maximum
+    lo = x[x.argmin()]
+    if not (lo > POSITIVITY_FLOOR and x[x.argmax()] < np.inf):
         raise PositivityViolation(f"{name} reached {float(lo)}")
 
 
@@ -228,9 +234,11 @@ def step_imex(s, dt, grid, params, mms=None):
     #   (q_j + c_j + c_{j+1}) th_j - c_j th_{j-1} - c_{j+1} th_{j+1}
     #       = q_j th^n_j + h_j (mu u_x - R th^n) u_x / v1;
     # c_0 = 0 at the adiabatic wall, and the far ghost's term c_N * 1 moves
-    # to the last load
+    # to the last load.  The state's numerator is read once and dropped, so
+    # it is not kept alive through the solve
     thn = s.theta
-    cond = face_conductance(thn, v1, params, grid.dc)
+    cond = face_conductance(s.conduction_numerator(params, keep=False), v1,
+                            grid.dc)
     q = h * (cv / dt)
     load2 = mu * ux1
     load2 -= r_th
@@ -258,8 +266,9 @@ def advance(s, t_target, grid, params, ctl=None, on_step=None):
     raises ArithmeticError, any of step_imex's guards, is rejected and
     retried at half the size.  After every accepted step on_step, when
     given, is called as on_step(prev_state, new_state, dt); it must not
-    mutate its arguments.  Step-size underflow raises StepFailure with the
-    last good state attached.
+    mutate its arguments.  When the retries run out, after MAX_RETRIES
+    retries or at a step below ctl.dt_min, StepFailure names the limit and
+    carries the last good state.
     """
     ctl = StepControl() if ctl is None else ctl
     if t_target < s.t:
@@ -276,12 +285,18 @@ def advance(s, t_target, grid, params, ctl=None, on_step=None):
                 break
             except ArithmeticError as exc:
                 tries += 1
-                dt *= 0.5
+                tried, dt = dt, 0.5 * dt
                 hits_target = False
-                if tries > MAX_RETRIES or dt < ctl.dt_min:
-                    raise StepFailure(
-                        f"step size underflowed at t = {state.t} ({exc})",
-                        state, dt) from exc
+                if tries > MAX_RETRIES:
+                    limit = (f"no step accepted in {tries} tries, the last "
+                             f"with dt = {tried}")
+                elif dt < ctl.dt_min:
+                    limit = (f"step size underflowed: dt = {tried} halves to "
+                             f"{dt}, below dt_min = {ctl.dt_min}")
+                else:
+                    continue
+                raise StepFailure(f"{limit}, at t = {state.t} ({exc})",
+                                  state, dt) from exc
         if hits_target:
             new.t = t_target  # land exactly, no roundoff creep
         if on_step is not None:

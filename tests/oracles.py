@@ -186,6 +186,26 @@ def fsum_bounds(v, theta, u, h, pos_threshold=1.5):
     return out
 
 
+def first_extrema(v, theta, u, faces):
+    """Extrema of the fields and of their distances from the rest state,
+    from plain loops over Python floats: the first extremal entry, as
+    Python's min and max give it.  The far-field deviation covers the
+    cells whose right face lies past 0.9 times the last face, by more than
+    rounding, and the faces from the first of them on.  faces holds the
+    face coordinates."""
+    v, theta, u = v.tolist(), theta.tolist(), u.tolist()
+    cut = faces[-1] * (0.9 + 1e-9)
+    j = next(k for k in range(len(v)) if faces[k + 1] > cut)
+    dev_v = [abs(x - 1.0) for x in v]
+    dev_th = [abs(x - 1.0) for x in theta]
+    dev_u = [abs(x) for x in u]
+    return {"vmin": min(v), "vmax": max(v),
+            "thmin": min(theta), "thmax": max(theta),
+            "ninf_vm1": max(dev_v), "ninf_u": max(dev_u),
+            "ninf_thm1": max(dev_th),
+            "farfield_dev": max(dev_v[j:] + dev_th[j:] + dev_u[j:])}
+
+
 def mp_entropy_roots(e0, dps=50):
     """Both roots of y - ln y - 1 = e0 at high precision, as floats."""
     with mp.workdps(dps):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nslag import core
+from nslag import core, model
 from nslag.core import (ConfigError, Grid, ICSpec, Params, State,
                         build_grid, equilibrium_state, make_initial_data)
 from oracles import admissible
@@ -220,3 +220,39 @@ def test_state_computes_its_strain_rate_once(monkeypatch):
     assert ux.tobytes() == ((s.u[1:] - s.u[:-1]) / grid.dx).tobytes()
     assert s.strain(grid.dx) is ux and s.ux is ux
     assert len(calls) == 1
+
+
+def test_state_keeps_conduction_numerator_per_kappa_beta_theta(monkeypatch):
+    """The numerator is computed once per kappa, beta and theta array and
+    kept; other values of kappa or beta, or a replaced theta, recompute it.
+    keep=False hands the kept array over and forgets it."""
+    grid = build_grid(10.0, 40, far_length=12.0)
+    rng = np.random.default_rng(5)
+    n = grid.n_cells
+    s = State(0.0, rng.uniform(0.5, 2.0, n), rng.uniform(0.5, 2.0, n),
+              np.zeros(n + 1))
+    calls = []
+    inner = core.conduction_numerator
+    monkeypatch.setattr(core, "conduction_numerator",
+                        lambda theta, p: calls.append(p) or inner(theta, p))
+
+    def fresh(params):
+        return model.conduction_numerator(s.theta.copy(), params).tobytes()
+
+    params = Params(kappa=1.3, beta=2.5)
+    num = s.conduction_numerator(params)
+    assert num.tobytes() == fresh(params)
+    assert s.conduction_numerator(Params(kappa=1.3, beta=2.5)) is num
+    assert len(calls) == 1
+    for params in (Params(kappa=2.0, beta=2.5), Params(kappa=2.0, beta=1.0)):
+        got = s.conduction_numerator(params)
+        assert got is not num and got.tobytes() == fresh(params)
+        num = got
+    s.theta = 1.5 * s.theta
+    got = s.conduction_numerator(params)
+    assert got is not num and got.tobytes() == fresh(params)
+    assert len(calls) == 4
+    assert s.conduction_numerator(params, keep=False) is got
+    again = s.conduction_numerator(params)
+    assert again is not got and again.tobytes() == fresh(params)
+    assert len(calls) == 5

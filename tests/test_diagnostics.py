@@ -15,9 +15,9 @@ from nslag.diagnostics import (POSPART_THRESHOLD, _pospart, decay_report,
                                running_integrals, sample_bounds,
                                sample_energy, unit_interval_averages,
                                update_repr_probe)
-from nslag.stepper import StepControl, advance
-from oracles import (copy_state, fsum_bounds, fsum_dissipation, fsum_energy,
-                     mp_entropy_roots, reference_state)
+from nslag.stepper import StepControl, advance, stable_dt, step_imex
+from oracles import (copy_state, first_extrema, fsum_bounds, fsum_dissipation,
+                     fsum_energy, mp_entropy_roots, reference_state)
 
 # frozen reference values on the trig state from oracles.reference_state,
 # and on its profiles over a graded grid (_graded_state_and_grid), params
@@ -324,6 +324,60 @@ def test_bounds_match_fsum_oracle():
     oracle = fsum_bounds(s.v, s.theta, s.u, grid.h)
     for name, want in oracle.items():
         assert abs(b[name] - want) <= 1e-12, name
+
+
+def _extrema_cases(grid):
+    # the rest state, fields holding -0.0 and 0.0, random states
+    rest = equilibrium_state(grid)
+    yield rest
+    zeros = copy_state(rest)
+    zeros.u[:] = -0.0
+    zeros.u[1::4] = 0.0
+    zeros.v[::3] = -0.0
+    zeros.v[1::3] = 0.0
+    zeros.theta[::2] = 0.0
+    zeros.theta[1::2] = -0.0
+    yield zeros
+    rng = np.random.default_rng(7)
+    n = grid.n_cells
+    for _ in range(20):
+        u = rng.normal(0.0, 0.5, n + 1)
+        u[-1] = 0.0
+        yield State(0.0, rng.uniform(0.2, 4.0, n), rng.uniform(0.2, 4.0, n),
+                    u)
+
+
+@pytest.mark.parametrize("far_length", [None, 225.0])
+def test_bounds_extrema_match_first_extrema(far_length):
+    """The extrema, inf-norms and far-field deviation of sample_bounds are,
+    bit for bit, those of abs-then-max over Python floats, on a uniform
+    and a graded grid."""
+    grid = build_grid(50.0, 250, far_length)
+    faces = grid.faces().tolist()
+    for s in _extrema_cases(grid):
+        got = sample_bounds(s, grid)
+        for name, want in first_extrema(s.v, s.theta, s.u, faces).items():
+            assert got[name].hex() == want.hex(), name
+
+
+def test_stepped_state_matches_fresh_state_bits():
+    """A stepped state keeps the conduction numerator dissipation_functional
+    computes for the next step; its dissipation and that step are bit for
+    bit those of fresh states holding copies of its arrays."""
+    grid = build_grid(50.0, 250, 225.0)
+    spec = ICSpec(kind="bump", amp_v=0.3, amp_u=0.3, amp_theta=0.3)
+    params = REF_PARAMS
+    s = make_initial_data(grid, spec)
+    dt = stable_dt(s, grid, params, StepControl())
+    out = step_imex(s, dt, grid, params)
+    fresh_d, fresh_s = copy_state(out), copy_state(out)
+    assert dissipation_functional(out, grid, params) == \
+        dissipation_functional(fresh_d, grid, params)
+    got = step_imex(out, dt, grid, params)
+    want = step_imex(fresh_s, dt, grid, params)
+    for name in ("v", "theta", "u", "ux"):
+        assert getattr(got, name).tobytes() == \
+            getattr(want, name).tobytes(), name
 
 
 def test_bounds_running_integrals_trapezoid():

@@ -630,6 +630,24 @@ def test_run_evaluates_strain_rate_once_per_step(tmp_path, monkeypatch):
     assert len(calls) == report.n_steps + 1
 
 
+def test_run_evaluates_conduction_numerator_once_per_step(tmp_path,
+                                                         monkeypatch):
+    """theta**beta once per accepted step, plus the initial state's: the
+    dissipation of a state computes it, and the step from that state reads
+    it."""
+    calls = []
+    inner = core.conduction_numerator
+
+    def counted(theta, params):
+        calls.append(params)
+        return inner(theta, params)
+
+    monkeypatch.setattr(core, "conduction_numerator", counted)
+    report = run_simulation(_short_default_cfg(tmp_path))
+    assert report.n_steps > 100
+    assert len(calls) == report.n_steps + 1
+
+
 def test_run_sets_up_initial_data_once(tmp_path, monkeypatch):
     """run_simulation builds the initial data once: the state it checks is
     the state it runs from."""

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nslag.core import Grid, Params, State, build_grid, equilibrium_state
-from nslag.model import (MmsProfile, _factors, cell_stress, face_conductance,
-                         mms_source)
+from nslag.model import (MmsProfile, _factors, cell_stress,
+                         conduction_numerator, face_conductance, mms_source)
 from nslag.stepper import step_imex
 from oracles import sympy_mms_sources
 
@@ -30,6 +30,10 @@ MMS_FROZEN = {
 GENERAL = dict(mu=0.7, kappa=1.3, beta=2.5, R=1.2, cv=1.8)
 
 
+def _conductance(theta, v, params, d):
+    return face_conductance(conduction_numerator(theta, params), v, d)
+
+
 def _stress(s, grid, params):
     return cell_stress((s.u[1:] - s.u[:-1]) / grid.h, s.theta, s.v, params)
 
@@ -37,7 +41,7 @@ def _stress(s, grid, params):
 def _heat_flux(s, grid, params):
     # conductance times the temperature jump across each face; the far
     # ghost holds theta = 1
-    cond = face_conductance(s.theta, s.v, params, grid.h)
+    cond = _conductance(s.theta, s.v, params, grid.h)
     jump = np.diff(np.concatenate(([s.theta[0]], s.theta, [1.0])))
     return cond * jump
 
@@ -50,7 +54,7 @@ def test_pressure_values():
 
 
 def _interior_conductance(theta, params):
-    return face_conductance(np.full(2, theta), np.ones(2), params, 1.0)[1]
+    return _conductance(np.full(2, theta), np.ones(2), params, 1.0)[1]
 
 
 def test_conductivity_values():
@@ -98,7 +102,7 @@ def _two_cells():
 
 def test_heat_flux_two_cell_value():
     grid, s = _two_cells()
-    cond = face_conductance(s.theta, s.v, Params(), grid.h)
+    cond = _conductance(s.theta, s.v, Params(), grid.h)
     assert cond[0] == 0.0   # adiabatic wall
     assert cond[1] == 2.0   # mean conductivity 2 over h * mean v = 1
     assert _heat_flux(s, grid, Params())[1] == 4.0   # gradient 2
@@ -125,8 +129,8 @@ def test_heat_flux_antisymmetric_under_cell_swap(data):
     v2, th2 = v.copy(), th.copy()
     v2[i - 1], v2[i] = v[i], v[i - 1]
     th2[i - 1], th2[i] = th[i], th[i - 1]
-    cond = face_conductance(th, v, params, grid.h)
-    assert face_conductance(th2, v2, params, grid.h)[i] == cond[i]
+    cond = _conductance(th, v, params, grid.h)
+    assert _conductance(th2, v2, params, grid.h)[i] == cond[i]
     q = _heat_flux(State(0.0, v, th, np.zeros(n + 1)), grid, params)
     q2 = _heat_flux(State(0.0, v2, th2, np.zeros(n + 1)), grid, params)
     assert q2[i] == -q[i]
@@ -156,9 +160,9 @@ def test_conductance_geometry_matches_widths(beta, far_length):
     th = rng.uniform(0.2, 4.0, grid.n_cells)
     v = rng.uniform(0.2, 4.0, grid.n_cells)
     want = _width_conductance(th, v, params, grid.dx)
-    assert np.array_equal(face_conductance(th, v, params, grid.dc), want)
+    assert np.array_equal(_conductance(th, v, params, grid.dc), want)
     if far_length is None:
-        assert np.array_equal(face_conductance(th, v, params, grid.h), want)
+        assert np.array_equal(_conductance(th, v, params, grid.h), want)
 
 
 def _sources(x, t, prof, params):

@@ -86,6 +86,18 @@ def test_dominance_check_names_offending_row():
         check_dominant(diag, off)
 
 
+@pytest.mark.parametrize("row", [0, 17, 39])
+def test_dominance_check_names_nan_row(row):
+    """A NaN on a diagonal fails the check, which names its row, even when
+    a later row is not dominant either."""
+    diag, off, _ = _dominant_system()
+    diag[row] = np.nan
+    if row < 39:
+        diag[39] = -1.0
+    with pytest.raises(ArithmeticError, match=f"row {row} is not"):
+        check_dominant(diag, off)
+
+
 def test_dominance_check_rejects_negative_diagonal():
     """|diag| would dominate row 0, but ptsv needs a positive diagonal."""
     sys = _tridiag([-5.0, 3.0], [1.0], [1.0, 1.0])
@@ -317,6 +329,17 @@ def test_step_signals_positivity_loss():
         step_imex(s, 2.0, grid, Params())
 
 
+@pytest.mark.parametrize("cell", [0, 5, 11])
+def test_step_signals_nan_volume(cell):
+    """A NaN anywhere in v^1 = v + dt*u_x is a positivity loss."""
+    grid = build_grid(12.0, 12)
+    s = equilibrium_state(grid)
+    s.ux = np.zeros(grid.n_cells)
+    s.ux[cell] = np.nan
+    with pytest.raises(PositivityViolation, match="v reached nan"):
+        step_imex(s, 0.01, grid, Params())
+
+
 def test_step_rejects_nonpositive_dt():
     grid = build_grid(12.0, 12)
     with pytest.raises(ConfigError):
@@ -425,6 +448,46 @@ def test_advance_underflow_raises_with_state():
         advance(s, 1.0, grid, Params(), ctl)
     assert err.value.state is not None
     assert err.value.dt < 1e-3
+
+
+def _always_rejected(monkeypatch):
+    # every try fails a step guard
+    def fail(s, dt, grid, params):
+        raise ArithmeticError("guard failed")
+
+    monkeypatch.setattr(stepper, "step_imex", fail)
+
+
+def test_step_failure_names_retry_limit(monkeypatch):
+    """Retries that run out with the step above dt_min say so, with the
+    last step size tried, not that the step size underflowed."""
+    _always_rejected(monkeypatch)
+    grid = build_grid(50.0, 200)
+    s = equilibrium_state(grid)
+    dt0 = stable_dt(s, grid, Params(), StepControl())
+    with pytest.raises(StepFailure) as err:
+        advance(s, 1.0, grid, Params())
+    last = dt0 / 2 ** stepper.MAX_RETRIES
+    assert str(err.value) == (
+        f"no step accepted in {stepper.MAX_RETRIES + 1} tries, the last "
+        f"with dt = {last}, at t = 0.0 (guard failed)")
+    assert err.value.dt == last / 2 and err.value.state is s
+
+
+def test_step_failure_names_dt_min(monkeypatch):
+    """Retries that halve the step below dt_min say the step size
+    underflowed, with the last step size tried and dt_min."""
+    _always_rejected(monkeypatch)
+    grid = build_grid(50.0, 200)
+    s = equilibrium_state(grid)
+    dt0 = stable_dt(s, grid, Params(), StepControl())
+    ctl = StepControl(dt_min=0.3 * dt0)
+    with pytest.raises(StepFailure) as err:
+        advance(s, 1.0, grid, Params(), ctl)
+    assert str(err.value) == (
+        f"step size underflowed: dt = {dt0 / 2} halves to {dt0 / 4}, below "
+        f"dt_min = {ctl.dt_min}, at t = 0.0 (guard failed)")
+    assert err.value.dt == dt0 / 4 and err.value.state is s
 
 
 def _counting_step_imex(monkeypatch, module):
