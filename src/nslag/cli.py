@@ -140,8 +140,7 @@ def main(argv=None):
         return 2
     except StepFailure as exc:
         where = f"; state -> {exc.snapshot_path}" if exc.snapshot_path else ""
-        print(f"step failure at t = {exc.state.t}: {exc}{where}",
-              file=sys.stderr)
+        print(f"step failure: {exc}{where}", file=sys.stderr)
         return 1
 
 

@@ -176,10 +176,10 @@ def build_grid(length, n_cells, far_length=None):
 
 @dataclass
 class State:
-    """Fields at one instant: v, theta on cells, u on faces, u[N] = 0; ux,
-    the strain rate of u, set by the step that made it or by strain().
-    Both memos trust the arrays not to be written in place: ux is kept
-    until set again, the conduction numerator until theta is replaced."""
+    """Fields at one instant: v, theta on cells, u on faces, u[N] = 0.
+    The strain rate ux and the conduction numerator, set by the step that
+    made the state or on first use, are kept, trusting that no array is
+    written in place: ux until set again, the numerator per theta array."""
 
     t: float
     v: np.ndarray
@@ -196,16 +196,14 @@ class State:
             self.ux = strain_rate(self.u, h)
         return self.ux
 
-    def conduction_numerator(self, params, keep=True):
+    def conduction_numerator(self, params):
         """model.conduction_numerator of theta, computed once per kappa,
-        beta and theta array and kept; keep=False hands the kept array
-        over and forgets it, so it is freed with the caller's last use."""
+        beta and theta array and kept."""
         memo = self._cond_num
         if (memo is None or memo[2] is not self.theta
                 or memo[:2] != (params.kappa, params.beta)):
-            memo = (params.kappa, params.beta, self.theta,
-                    conduction_numerator(self.theta, params))
-        self._cond_num = memo if keep else None
+            memo = self._cond_num = (params.kappa, params.beta, self.theta,
+                                     conduction_numerator(self.theta, params))
         return memo[3]
 
 

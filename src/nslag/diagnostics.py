@@ -66,7 +66,7 @@ def dissipation_functional(s, grid, params):
 
     The face sum runs over the interior faces i = 1..N-1, and c is the
     step's conduction coefficient, face_conductance on the grid's center
-    distances, from the numerator the state keeps for the next step
+    distances, from the numerator kept on the state by the step that made it
     (s.conduction_numerator).  u_x is the state's strain rate, s.strain.
     """
     h = grid.dx

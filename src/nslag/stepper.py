@@ -1,34 +1,23 @@
 """Time integration: explicit volume transport, implicit diffusion.
 
-One step advances v forward in time (exact telescoping of the strain rate),
-then solves a tridiagonal system for the new velocity (viscosity implicit
-on the fresh v, pressure gradient explicit at the old temperature), then a
-tridiagonal system for the new temperature (conduction implicit with face
-conductivities frozen at the old temperature, compression work and viscous
-heating explicit with the fresh strain rate), which the new state carries
-for the running integrals and the next step's v.  A step that fails any
-guard (positivity, dominance, the solve) raises ArithmeticError; advance
-rejects it and retries at half the step.
+step_imex composes three substeps, each looked up through this module when
+called: update_volume, solve_velocity and solve_temperature.  A step that
+fails any guard raises ArithmeticError; advance rejects it and retries at
+half the step.
 
 Viscosity and conduction are in divergence form, so weighting each row by
-its control mass (dm_i/dt for a face velocity, cv*h_j/dt for a cell
-temperature) makes the matrix symmetric: two neighbours couple through the
-one cell (velocity) or face (temperature) coefficient between them.  Each
-diagonal is its weight plus its positive couplings, so both matrices are
-strictly diagonally dominant with a positive diagonal, hence symmetric
-positive definite, for every positive state and step size, and the linear
-solves cannot break down.  Each system is assembled into the diagonal,
-off-diagonal and load that LAPACK's ptsv takes (LDL^T, no pivoting), and
-solve_tridiagonal hands them to ptsv between a dominance check before and
-a residual check after.
+its control mass makes the matrix symmetric, and each diagonal is its
+weight plus its positive couplings: both matrices are strictly diagonally
+dominant with a positive diagonal, hence positive definite, for every
+positive state and step size.  solve_tridiagonal hands each to LAPACK's
+ptsv (LDL^T, no pivoting) between a dominance check and a residual check.
 Each extremum is taken as x[x.argmin()] or x[x.argmax()]: the same float
-as x.min() or x.max(), a NaN included (argmin and argmax return the first
-NaN), without the set-up of a ufunc reduce, which costs as much as the
-arithmetic on a few thousand values.  ptsv comes from scipy's LAPACK
-extension module, loaded on its own from scipy's linalg directory, without
-importing scipy: importing it through scipy.linalg would first run the
-__init__ of scipy and of scipy.linalg, which load much of scipy (and
-subprocess, tempfile, zipfile) for routines nslag never calls.
+as x.min() or x.max(), a NaN included, without a ufunc reduce's set-up,
+which costs as much as the arithmetic on a few thousand values.  ptsv
+comes from scipy's LAPACK extension module, loaded from scipy's linalg
+directory without importing scipy, whose __init__ and scipy.linalg's load
+much of scipy (and subprocess, tempfile, zipfile) for routines nslag never
+calls.
 """
 
 from __future__ import annotations
@@ -178,42 +167,34 @@ def _require_above_floor(name, x):
         raise PositivityViolation(f"{name} reached {float(lo)}")
 
 
-def step_imex(s, dt, grid, params, mms=None):
-    """One first-order step of size dt: the new State, with its strain rate.
-    Every failed guard raises ArithmeticError: solve_tridiagonal's, or
-    PositivityViolation when v or theta is not finite and above the floor.
-
-    Update order v -> u -> theta, each substep on the freshest fields.  In
-    verification mode (mms set, a manufactured profile that meets the
-    boundary closures) the forcing enters the loads: Sv at the old time
-    (forward part), Su and Stheta at the new time (backward parts).
-    """
-    if not dt > 0.0:
-        raise ConfigError(f"step size must be positive, got {dt}")
-    n = grid.n_cells
-    h = grid.dx
-    mu, gas_r, cv = params.mu, params.R, params.cv
-    t1 = s.t + dt
-
-    v1 = np.multiply(s.strain(h), dt)
+def update_volume(s, dt, grid, source=None):
+    """v^{n+1} = v^n + dt u_x^n, the exact telescoping of the strain rate,
+    plus dt*source (the forcing Sv at t^n) when given.  Raises
+    PositivityViolation unless it is finite and above the floor."""
+    v1 = np.multiply(s.strain(grid.dx), dt)
     v1 += s.v
-    if mms is not None:
-        at_centers, at_faces = mms_tables(grid, mms)
-        v1 += dt * mms_source(at_centers, s.t, mms, params, 0)
+    if source is not None:
+        v1 += dt * source
     _require_above_floor("v", v1)
+    return v1
 
-    # velocity solve: viscosity implicit on v1, pressure explicit at theta^n.
-    # Row i, weighted by its control mass w_i = dm_i/dt, with the negated
-    # couplings a = -mu/(h v1), which are the off-diagonal:
-    #   (w_i - a_{i-1} - a_i) u_i + a_{i-1} u_{i-1} + a_i u_{i+1}
-    #       = w_i u_i - (pe_i - pe_{i-1});
-    # the wall row has no a_{-1} and pe_{-1} = R (prescribed stress -R), and
-    # the pinned u[n] = 0 drops out of the last row
-    a = h * v1
-    np.divide(-mu, a, out=a)
+
+def solve_velocity(s, v1, r_th, dt, grid, params, source=None):
+    """u^{n+1} on the faces: viscosity implicit on v1, pressure explicit at
+    r_th = R theta^n, plus the forcing Su on the faces when given.
+
+    Row i, weighted by its control mass w_i = dm_i/dt, with the negated
+    couplings a = -mu/(h v1), which are the off-diagonal:
+      (w_i - a_{i-1} - a_i) u_i + a_{i-1} u_{i-1} + a_i u_{i+1}
+          = w_i u_i - (pe_i - pe_{i-1});
+    the wall row has no a_{-1} and pe_{-1} = R (prescribed stress -R), and
+    the pinned u[N] = 0 drops out of the last row.
+    """
+    n = grid.n_cells
+    a = grid.dx * v1
+    np.divide(-params.mu, a, out=a)
     pe = np.empty(n + 1)
-    pe[0] = gas_r
-    r_th = gas_r * s.theta   # shared with the temperature load
+    pe[0] = params.R
     np.divide(r_th, v1, out=pe[1:])
     w = grid.dm[:n] / dt
     load = s.u[:n] * w
@@ -221,42 +202,74 @@ def step_imex(s, dt, grid, params, mms=None):
     diag = w
     diag -= a
     diag[1:] -= a[:-1]
-    if mms is not None:
-        su = mms_source(at_faces, t1, mms, params, 1)
-        load += grid.dm[:n] * su[:n]
+    if source is not None:
+        load += grid.dm[:n] * source[:n]
     u1 = np.empty(n + 1)
     u1[n] = 0.0
     u1[:n] = solve_tridiagonal(diag, a[:-1], load)
-    ux1 = strain_rate(u1, h)
+    return u1
 
-    # temperature solve: conduction implicit, conductivities c frozen at
-    # theta^n.  Row j, weighted by its heat capacity q_j = cv h_j/dt:
-    #   (q_j + c_j + c_{j+1}) th_j - c_j th_{j-1} - c_{j+1} th_{j+1}
-    #       = q_j th^n_j + h_j (mu u_x - R th^n) u_x / v1;
-    # c_0 = 0 at the adiabatic wall, and the far ghost's term c_N * 1 moves
-    # to the last load.  The state's numerator is read once and dropped, so
-    # it is not kept alive through the solve
-    thn = s.theta
-    cond = face_conductance(s.conduction_numerator(params, keep=False), v1,
-                            grid.dc)
-    q = h * (cv / dt)
-    load2 = mu * ux1
-    load2 -= r_th
-    load2 *= ux1
-    load2 /= v1
-    load2 *= h
-    load2 += q * thn
-    load2[-1] += cond[n]
-    if mms is not None:
-        sth = mms_source(at_centers, t1, mms, params, 2)
-        sth *= cv * h
-        load2 += sth
-    diag2 = np.add(cond[:n], cond[1:])
-    diag2 += q
-    th1 = solve_tridiagonal(diag2, np.negative(cond[1:n]), load2)
+
+def solve_temperature(s, v1, ux1, r_th, num, dt, grid, params, source=None):
+    """theta^{n+1}: conduction implicit with the face conductances c of the
+    numerator num on v1, compression work and viscous heating explicit
+    with ux1 and r_th = R theta^n, and the forcing Stheta when given.
+    Raises PositivityViolation unless finite and above the floor.
+
+    Row j, weighted by its heat capacity q_j = cv h_j/dt:
+      (q_j + c_j + c_{j+1}) th_j - c_j th_{j-1} - c_{j+1} th_{j+1}
+          = q_j th^n_j + h_j (mu u_x - R th^n) u_x / v1;
+    c_0 = 0 at the adiabatic wall, and the far ghost's term c_N * 1 moves
+    to the last load.
+    """
+    n = grid.n_cells
+    h = grid.dx
+    cond = face_conductance(num, v1, grid.dc)
+    q = h * (params.cv / dt)
+    load = params.mu * ux1
+    load -= r_th
+    load *= ux1
+    load /= v1
+    load *= h
+    load += q * s.theta
+    load[-1] += cond[n]
+    if source is not None:
+        load += source * (params.cv * h)
+    diag = np.add(cond[:n], cond[1:])
+    diag += q
+    th1 = solve_tridiagonal(diag, np.negative(cond[1:n]), load)
     _require_above_floor("theta", th1)
+    return th1
 
-    return State(t1, v1, th1, u1, ux1)
+
+def step_imex(s, dt, grid, params, mms=None):
+    """One first-order step of size dt: the new State, with its strain rate
+    and conduction numerator; every failed guard raises ArithmeticError.
+
+    The substeps run v -> u -> theta, each on the freshest fields, with
+    conduction frozen at theta^n and R theta^n computed once for both
+    loads.  With mms, a manufactured profile that meets the boundary
+    closures, the forcing enters the loads: Sv at the old time (forward
+    part), Su and Stheta at the new time (backward parts).
+    """
+    if not dt > 0.0:
+        raise ConfigError(f"step size must be positive, got {dt}")
+    t1 = s.t + dt
+    sv = su = sth = None
+    if mms is not None:
+        at_centers, at_faces = mms_tables(grid, mms)
+        sv = mms_source(at_centers, s.t, mms, params, 0)
+        su = mms_source(at_faces, t1, mms, params, 1)
+        sth = mms_source(at_centers, t1, mms, params, 2)
+    v1 = update_volume(s, dt, grid, sv)
+    r_th = params.R * s.theta
+    u1 = solve_velocity(s, v1, r_th, dt, grid, params, su)
+    ux1 = strain_rate(u1, grid.dx)
+    th1 = solve_temperature(s, v1, ux1, r_th, s.conduction_numerator(params),
+                            dt, grid, params, sth)
+    out = State(t1, v1, th1, u1, ux1)
+    out.conduction_numerator(params)   # for its dissipation and next step
+    return out
 
 
 def advance(s, t_target, grid, params, ctl=None, on_step=None):

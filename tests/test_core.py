@@ -224,8 +224,7 @@ def test_state_computes_its_strain_rate_once(monkeypatch):
 
 def test_state_keeps_conduction_numerator_per_kappa_beta_theta(monkeypatch):
     """The numerator is computed once per kappa, beta and theta array and
-    kept; other values of kappa or beta, or a replaced theta, recompute it.
-    keep=False hands the kept array over and forgets it."""
+    kept; other values of kappa or beta, or a replaced theta, recompute it."""
     grid = build_grid(10.0, 40, far_length=12.0)
     rng = np.random.default_rng(5)
     n = grid.n_cells
@@ -252,7 +251,3 @@ def test_state_keeps_conduction_numerator_per_kappa_beta_theta(monkeypatch):
     got = s.conduction_numerator(params)
     assert got is not num and got.tobytes() == fresh(params)
     assert len(calls) == 4
-    assert s.conduction_numerator(params, keep=False) is got
-    again = s.conduction_numerator(params)
-    assert again is not got and again.tobytes() == fresh(params)
-    assert len(calls) == 5

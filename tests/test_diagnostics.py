@@ -361,9 +361,9 @@ def test_bounds_extrema_match_first_extrema(far_length):
 
 
 def test_stepped_state_matches_fresh_state_bits():
-    """A stepped state keeps the conduction numerator dissipation_functional
-    computes for the next step; its dissipation and that step are bit for
-    bit those of fresh states holding copies of its arrays."""
+    """A stepped state keeps the conduction numerator its step computed;
+    its dissipation and the next step are bit for bit those of fresh
+    states holding copies of its arrays."""
     grid = build_grid(50.0, 250, 225.0)
     spec = ICSpec(kind="bump", amp_v=0.3, amp_u=0.3, amp_theta=0.3)
     params = REF_PARAMS

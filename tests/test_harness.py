@@ -633,8 +633,8 @@ def test_run_evaluates_strain_rate_once_per_step(tmp_path, monkeypatch):
 def test_run_evaluates_conduction_numerator_once_per_step(tmp_path,
                                                          monkeypatch):
     """theta**beta once per accepted step, plus the initial state's: the
-    dissipation of a state computes it, and the step from that state reads
-    it."""
+    step that makes a state computes its numerator, and the dissipation of
+    that state and the step from it read it."""
     calls = []
     inner = core.conduction_numerator
 
@@ -1178,7 +1178,8 @@ def test_cli_failed_solve_is_a_step_failure(tmp_path, monkeypatch, capsys):
     (tmp_path / "run.cfg").write_text("grid.cells = 100\nrun.t_final = 10\n")
     assert cli_main(["run", "--config", "run.cfg"]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("step failure at t = 0.0: ")
+    assert err.startswith("step failure: ")
+    assert err.count("at t = 0.0") == 1
     assert err.endswith("(tridiagonal solve failed: ptsv info 2); "
                         "state -> report.json.failed_state.txt\n")
     assert err.count("\n") == 1

@@ -8,7 +8,7 @@ from scipy.linalg.lapack import dptsv
 
 from nslag.core import ConfigError, ICSpec, Params, State, build_grid, \
     equilibrium_state, make_initial_data
-from nslag import stepper
+from nslag import core, stepper
 from nslag.model import (MmsProfile, _factors, mms_source, mms_tables,
                          strain_rate)
 from nslag.stepper import (PositivityViolation, StepControl, StepFailure,
@@ -490,10 +490,11 @@ def test_step_failure_names_dt_min(monkeypatch):
     assert err.value.dt == dt0 / 4 and err.value.state is s
 
 
-def _counting_step_imex(monkeypatch, module):
-    # wrap step_imex at the name the caller looks up, as a profiler would
+def _counting_step_imex(monkeypatch, module, name="step_imex"):
+    # wrap a step function at the name the caller looks up, as a profiler
+    # would
     outcomes = []
-    inner = module.step_imex
+    inner = getattr(module, name)
 
     def counted(*args, **kwargs):
         try:
@@ -504,7 +505,7 @@ def _counting_step_imex(monkeypatch, module):
         outcomes.append("accepted")
         return out
 
-    monkeypatch.setattr(module, "step_imex", counted)
+    monkeypatch.setattr(module, name, counted)
     return outcomes
 
 
@@ -537,17 +538,21 @@ def test_advance_looks_up_step_imex_every_step(monkeypatch):
     assert outcomes.count("rejected") > len(seen)
 
 
+def _beta150_bump():
+    # the default bump on which beta = 150 fails dominance in rounding
+    grid = build_grid(50.0, 500)
+    spec = ICSpec(kind="bump", amp_v=0.3, amp_u=0.3, amp_theta=0.3,
+                  center=6.0, width=1.0, floor=0.1)
+    return make_initial_data(grid, spec), grid, Params(beta=150.0)
+
+
 def test_advance_retries_steps_that_fail_dominance(monkeypatch):
     """At beta = 150 conduction swamps the hot rows of the default bump:
     the first try fails dominance in rounding and is counted as rejected,
     and advance halves the step until a try is accepted, then completes.
     At beta = 400 no try within the retries passes, and advance fails
     with the last good state."""
-    grid = build_grid(50.0, 500)
-    spec = ICSpec(kind="bump", amp_v=0.3, amp_u=0.3, amp_theta=0.3,
-                  center=6.0, width=1.0, floor=0.1)
-    s = make_initial_data(grid, spec)
-    params = Params(beta=150.0)
+    s, grid, params = _beta150_bump()
     dt = stable_dt(s, grid, params, StepControl())
     with pytest.raises(ArithmeticError, match="not strictly dominant"):
         step_imex(s, dt, grid, params)
@@ -564,6 +569,38 @@ def test_advance_retries_steps_that_fail_dominance(monkeypatch):
     with pytest.raises(StepFailure, match="not strictly dominant") as err:
         advance(s, 0.5, grid, Params(beta=400.0))
     assert err.value.state.t == 0.0 and admissible(err.value.state)
+
+
+def test_step_looks_up_substeps_on_every_try(monkeypatch):
+    """step_imex calls its three substeps through the stepper module, so
+    wrappers there see every try of advance, the rejected ones included:
+    at beta = 150 the rejected tries fail in the temperature rows, after
+    the volume update and the velocity solve have run."""
+    s, grid, params = _beta150_bump()
+    tries = _counting_step_imex(monkeypatch, stepper)
+    seen = {name: _counting_step_imex(monkeypatch, stepper, name)
+            for name in ("update_volume", "solve_velocity",
+                         "solve_temperature")}
+    advance(s, 0.5, grid, params)
+    assert tries.count("rejected") > 0
+    assert seen["update_volume"] == seen["solve_velocity"] == \
+        ["accepted"] * len(tries)
+    assert seen["solve_temperature"] == tries
+
+
+def test_rejected_try_reuses_conduction_numerator(monkeypatch):
+    """theta**beta once per accepted state under retries: the step that
+    makes a state computes its numerator only once every guard has
+    passed, and a rejected try leaves the old state's numerator kept."""
+    s, grid, params = _beta150_bump()
+    calls = []
+    inner = core.conduction_numerator
+    monkeypatch.setattr(core, "conduction_numerator",
+                        lambda theta, p: calls.append(p) or inner(theta, p))
+    tries = _counting_step_imex(monkeypatch, stepper)
+    advance(s, 0.5, grid, params)
+    assert tries.count("rejected") > 0
+    assert len(calls) == tries.count("accepted") + 1 == 21
 
 
 def test_trajectories_deterministic():
