@@ -161,11 +161,11 @@ def build_grid(length, n_cells, far_length=None):
     length = float(length)
     grid = Grid(length, n_cells, length / n_cells)
     gap = float(length if far_length is None else far_length) - length
-    n_far = round(gap)
-    if gap < 0.0 or abs(gap - n_far) > 1e-9:
+    if not (0.0 <= gap < math.inf and abs(gap - round(gap)) <= 1e-9):
         raise ConfigError(
             f"far length {far_length} must exceed the grid length {length} "
             f"by a whole number of mass units")
+    n_far = round(gap)
     k = grid.unit_cells if n_far else None
     counts = []
     for _ in range(n_far):

@@ -8,10 +8,9 @@ machinery that reconstructs v from the wall-stress exponential.
 
 The functions a run calls every step or sample write their temporaries in
 place, sum with np.add.reduce, the array method's reduction without its
-Python wrapper, and take each extremum as x[x.argmin()] or x[x.argmax()],
-the same float as x.min() or x.max() without a reduce's set-up; each keeps
-the operations and their order of the formula it states, so the floats are
-those of the formula.
+Python wrapper, and take each extremum by argmin or argmax, as
+nslag.stepper's docstring says; each keeps the operations and their order
+of the formula it states, so the floats are those of the formula.
 """
 
 from __future__ import annotations

@@ -121,10 +121,13 @@ CONFIG_KEYS = {
 
 def check_outputs(outputs):
     """Raise ConfigError unless each (config key or flag, path) of outputs,
-    all the files one command may write, has an existing directory, is not
-    a directory and names no file an earlier one names, however spelled."""
+    all the files one command may write, names a file, has an existing
+    directory, is not a directory and names no file an earlier one names,
+    however spelled."""
     named = {}
     for name, path in outputs:
+        if not path:
+            raise ConfigError(f"{name} = {path!r}: names no file")
         if not os.path.isdir(os.path.dirname(path) or "."):
             raise ConfigError(f"{name} = {path}: its directory does not exist")
         if os.path.isdir(path):
@@ -145,8 +148,8 @@ def _naming(what):
 
 
 def _set_up(cfg):
-    """Check what Params and StepControl do not, before a file is opened;
-    return the run's grid, its initial state and the entropy band of E(0)."""
+    """Check every run-level rule of cfg, touching no file; return the run's
+    grid, its initial state and the entropy band of E(0)."""
     if not 0.0 < cfg.t_final < math.inf:
         raise ConfigError(f"run.t_final must be positive and finite, got {cfg.t_final}")
     if not (cfg.sample_dt > 0.0 and cfg.t_final / cfg.sample_dt < math.inf):
@@ -169,17 +172,15 @@ def _set_up(cfg):
         raise ConfigError(
             f"probe.interval = {i}: probe interval [{i}, {i + 1}] must keep "
             f"one mass unit of clearance inside (0, {cfg.length})")
-    check_outputs(cfg.outputs().items())
     with _naming("initial data"):
         band = entropy_roots(energy_functional(state, grid, cfg.params))
     return grid, state, band
 
 
 def config_from_dict(values):
-    """Build a validated RunConfig from {config key: typed value}.
-
-    The values are set one key at a time, so an error names its key.
-    """
+    """Build a RunConfig from {config key: typed value}, one key at a time,
+    so an error names its key.  Checks values only: the command that makes
+    a run sets it up and checks its files before its first run."""
     cfg = RunConfig()
     for key, value in values.items():
         if key not in CONFIG_KEYS:
@@ -189,13 +190,12 @@ def config_from_dict(values):
             if section:   # Params and StepControl check themselves here
                 value = replace(getattr(cfg, section), **{attr: value})
             cfg = replace(cfg, **{section or attr: value})
-    _set_up(cfg)
     return cfg
 
 
 def load_config(path):
-    """Parse a flat key = value config file; unknown or repeated keys are
-    rejected."""
+    """Parse a flat key = value config file into config_from_dict; unknown
+    or repeated keys and values of the wrong type are rejected."""
     values, lines = {}, {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -424,13 +424,15 @@ def _sample_times(t_final, sample_dt):
 def run_simulation(cfg):
     """Run one configured trajectory and evaluate every standing verdict.
 
-    Samples diagnostics on the sample_dt cadence (running integrals and the
+    Sets up the run and checks its files before opening one.  Samples
+    diagnostics on the sample_dt cadence (running integrals and the
     probe advance every step), streams the series CSV as it goes, writes
     the JSON report, and returns the RunReport.  A stepper failure is
     re-raised after the offending state is written next to the report.
     """
     wall0 = time.perf_counter()
     grid, state, band = _set_up(cfg)
+    check_outputs(cfg.outputs().items())
     params = cfg.params
     with open(cfg.series_path, "w", encoding="utf-8") as fh:
         acc = _RunAccumulator(state, grid, params, cfg.resolved_probe(),

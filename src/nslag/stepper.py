@@ -13,11 +13,7 @@ positive state and step size.  solve_tridiagonal hands each to LAPACK's
 ptsv (LDL^T, no pivoting) between a dominance check and a residual check.
 Each extremum is taken as x[x.argmin()] or x[x.argmax()]: the same float
 as x.min() or x.max(), a NaN included, without a ufunc reduce's set-up,
-which costs as much as the arithmetic on a few thousand values.  ptsv
-comes from scipy's LAPACK extension module, loaded from scipy's linalg
-directory without importing scipy, whose __init__ and scipy.linalg's load
-much of scipy (and subprocess, tempfile, zipfile) for routines nslag never
-calls.
+which costs as much as the arithmetic on a few thousand values.
 """
 
 from __future__ import annotations
@@ -37,10 +33,12 @@ from .model import face_conductance, mms_source, mms_tables, strain_rate
 
 def _load_flapack():
     """scipy.linalg._flapack, the extension module behind scipy.linalg.lapack,
-    loaded without importing scipy: find_spec locates the top-level package
-    without running its __init__, and the module is loaded from its linalg
-    directory.  It is registered under its own name, so a later import of
-    scipy.linalg reuses it."""
+    loaded without importing scipy, whose __init__ and scipy.linalg's load
+    much of scipy (and subprocess, tempfile, zipfile) for routines nslag
+    never calls: find_spec locates the top-level package without running
+    its __init__, and the module is loaded from its linalg directory.  It
+    is registered under its own name, so a later import of scipy.linalg
+    reuses it."""
     name = "scipy.linalg._flapack"
     if name not in sys.modules:
         scipy_dirs = importlib.util.find_spec("scipy").submodule_search_locations

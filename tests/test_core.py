@@ -67,6 +67,11 @@ def test_build_grid_rejects_bad_far_length():
         build_grid(50.0, 2000, far_length=60.5)
     with pytest.raises(ConfigError):
         build_grid(3.0, 7, far_length=10.0)    # h does not divide 1
+    for far in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ConfigError, match="whole number"):
+            build_grid(50.0, 2000, far_length=far)
+    with pytest.raises(ConfigError, match="whole number"):
+        build_grid(math.inf, 2000, far_length=225.0)
 
 
 @given(n=st.integers(4, 5000), length=st.floats(0.1, 1e4))

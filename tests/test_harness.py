@@ -76,11 +76,23 @@ def test_load_config_rejects_unknown_key(tmp_path):
         load_config(str(path))
 
 
-def test_load_config_validates_named_key(tmp_path):
+def _run_refuses(cfg, message, tmp_path):
+    """run_simulation(cfg) raises a ConfigError matching message before it
+    writes a file: the listing of tmp_path is unchanged."""
+    before = sorted(tmp_path.iterdir())
+    with pytest.raises(ConfigError, match=message) as err:
+        run_simulation(cfg)
+    assert sorted(tmp_path.iterdir()) == before
+    return err.value
+
+
+def test_load_config_validates_named_key(tmp_path, monkeypatch):
+    """A value that only the run's set-up refuses loads; the run refuses
+    it naming its key."""
+    monkeypatch.chdir(tmp_path)
     path = tmp_path / "bad.cfg"
     path.write_text("grid.cells = -5\n")
-    with pytest.raises(ConfigError, match=r"grid\.cells"):
-        load_config(str(path))
+    _run_refuses(load_config(str(path)), r"grid\.cells", tmp_path)
 
 
 def test_load_config_rejects_bad_value(tmp_path):
@@ -101,13 +113,14 @@ def test_load_config_rejects_repeated_key(tmp_path):
 
 
 @pytest.mark.parametrize("key", ["out.series", "out.report"])
-def test_config_refuses_output_that_is_a_directory(tmp_path, key):
-    with pytest.raises(ConfigError, match=f"{key} = .*: is a directory"):
-        config_from_dict({key: str(tmp_path)})
+def test_config_refuses_output_that_is_a_directory(tmp_path, monkeypatch,
+                                                   key):
+    monkeypatch.chdir(tmp_path)
+    message = f"{key} = .*: is a directory"
+    _run_refuses(config_from_dict({key: str(tmp_path)}), message, tmp_path)
     path = tmp_path / "dir.cfg"
     path.write_text(f"{key} = {tmp_path}\n")
-    with pytest.raises(ConfigError, match=f"{key} = .*: is a directory"):
-        load_config(str(path))
+    _run_refuses(load_config(str(path)), message, tmp_path)
 
 
 @pytest.mark.parametrize("series, report", [("same.txt", "same.txt"),
@@ -120,33 +133,31 @@ def test_config_refuses_series_and_report_in_one_file(tmp_path, monkeypatch,
     (tmp_path / "x").mkdir()
     message = (f"out.series = {re.escape(series)} and "
                f"out.report = {re.escape(report)} name one file")
-    with pytest.raises(ConfigError, match=message):
-        config_from_dict({"out.series": series, "out.report": report})
+    _run_refuses(config_from_dict({"out.series": series,
+                                   "out.report": report}), message, tmp_path)
     path = tmp_path / "one.cfg"
     path.write_text(f"out.series = {series}\nout.report = {report}\n")
-    with pytest.raises(ConfigError, match=message):
-        load_config(str(path))
+    _run_refuses(load_config(str(path)), message, tmp_path)
 
 
 def test_config_refuses_output_on_the_failure_snapshot(tmp_path,
                                                       monkeypatch):
     """A run writes the state a step failed at to
     <out.report>.failed_state.txt: a series of that name, or a directory
-    there, is refused when the config loads."""
+    there, is refused before the run writes a file."""
     monkeypatch.chdir(tmp_path)
     snap = "r.json.failed_state.txt"
     message = f"out.series = {re.escape(snap)} and failure snapshot = " \
               f"{re.escape(snap)} name one file"
-    with pytest.raises(ConfigError, match=message):
-        config_from_dict({"out.series": snap, "out.report": "r.json"})
+    _run_refuses(config_from_dict({"out.series": snap,
+                                   "out.report": "r.json"}), message, tmp_path)
     path = tmp_path / "snap.cfg"
     path.write_text(f"out.series = {snap}\nout.report = r.json\n")
-    with pytest.raises(ConfigError, match=message):
-        load_config(str(path))
+    _run_refuses(load_config(str(path)), message, tmp_path)
     (tmp_path / snap).mkdir()
-    with pytest.raises(ConfigError, match=f"failure snapshot = "
-                       f"{re.escape(snap)}: is a directory"):
-        config_from_dict({"out.report": "r.json"})
+    _run_refuses(config_from_dict({"out.report": "r.json"}),
+                 f"failure snapshot = {re.escape(snap)}: is a directory",
+                 tmp_path)
 
 
 def test_config_round_trip(tmp_path):
@@ -159,48 +170,56 @@ def test_config_round_trip(tmp_path):
     assert load_config(str(second)) == cfg
 
 
-def test_grid_must_resolve_unit_intervals():
-    with pytest.raises(ConfigError, match="unit"):
-        config_from_dict({"grid.length": 50.0, "grid.cells": 120})
+def test_grid_must_resolve_unit_intervals(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    _run_refuses(config_from_dict({"grid.length": 50.0, "grid.cells": 120}),
+                 "unit", tmp_path)
 
 
-def test_config_rejects_bad_far_length():
-    with pytest.raises(ConfigError, match=r"grid\.far_length"):
-        config_from_dict({"grid.far_length": 40.0})
-    with pytest.raises(ConfigError, match=r"whole number"):
-        config_from_dict({"grid.far_length": 100.5})
-    assert config_from_dict({"grid.far_length": 50.0}).far_length == 50.0
+def test_config_rejects_bad_far_length(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    _run_refuses(config_from_dict({"grid.far_length": 40.0}),
+                 r"grid\.far_length", tmp_path)
+    _run_refuses(config_from_dict({"grid.far_length": 100.5}),
+                 r"whole number", tmp_path)
+    cfg = config_from_dict({"grid.far_length": 50.0})
+    assert harness._set_up(cfg)[0] == build_grid(50.0, 2000)
 
 
-def test_config_rejects_nonpositive_horizon():
-    with pytest.raises(ConfigError, match=r"t_final"):
-        config_from_dict({"run.t_final": 0.0})
+def test_config_rejects_nonpositive_horizon(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    _run_refuses(config_from_dict({"run.t_final": 0.0}), r"t_final",
+                 tmp_path)
 
 
-def test_config_requires_enough_samples():
+def test_config_requires_enough_samples(tmp_path, monkeypatch):
     """The run must take at least the decay report's MIN_SAMPLES samples
     and at most MAX_SAMPLES, the initial one included.  The count is
     computed, not iterated, so a tiny cadence is cheap to reject."""
+    monkeypatch.chdir(tmp_path)
+
+    def sampled(t_final, sample_dt):
+        return config_from_dict({"run.t_final": t_final,
+                                 "run.sample_dt": sample_dt})
+
     n = diagnostics.MIN_SAMPLES
-    assert config_from_dict({"run.t_final": n - 1.0, "run.sample_dt": 1.0})
-    with pytest.raises(ConfigError, match=rf"run\.sample_dt = 1\.0 gives "
-                                          rf"{n - 1} samples"):
-        config_from_dict({"run.t_final": n - 2.0, "run.sample_dt": 1.0})
+    assert harness._set_up(sampled(n - 1.0, 1.0))
+    _run_refuses(sampled(n - 2.0, 1.0),
+                 rf"run\.sample_dt = 1\.0 gives {n - 1} samples", tmp_path)
     cap = diagnostics.MAX_SAMPLES
-    assert config_from_dict({"run.t_final": cap - 1.0, "run.sample_dt": 1.0})
-    with pytest.raises(ConfigError, match=rf"gives {cap + 1} samples .* "
-                                          rf"at most {cap}"):
-        config_from_dict({"run.t_final": float(cap), "run.sample_dt": 1.0})
-    assert config_from_dict({"run.sample_dt": 0.01}).sample_dt == 0.01
+    assert harness._set_up(sampled(cap - 1.0, 1.0))
+    _run_refuses(sampled(float(cap), 1.0),
+                 rf"gives {cap + 1} samples .* at most {cap}", tmp_path)
+    assert harness._set_up(sampled(100.0, 0.01))
     for dt in (1e-9, 1e-300):
-        with pytest.raises(ConfigError, match=rf"run\.sample_dt = {dt} gives"
-                                              rf" \d+ samples"):
-            config_from_dict({"run.sample_dt": dt})
+        _run_refuses(sampled(100.0, dt),
+                     rf"run\.sample_dt = {dt} gives \d+ samples", tmp_path)
 
 
-def test_config_rejects_infinite_horizon(tmp_path, capsys):
-    with pytest.raises(ConfigError, match=r"run\.t_final"):
-        config_from_dict({"run.t_final": math.inf})
+def test_config_rejects_infinite_horizon(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    _run_refuses(config_from_dict({"run.t_final": math.inf}),
+                 r"run\.t_final", tmp_path)
     cfg_path = tmp_path / "inf.cfg"
     cfg_path.write_text("run.t_final = inf\n")
     assert cli_main(["run", "--config", str(cfg_path)]) == 2
@@ -382,6 +401,23 @@ def test_cli_run_rejects_output_in_missing_directory(tmp_path, capsys, key):
     assert sorted(tmp_path.iterdir()) == [cfg]
 
 
+@pytest.mark.parametrize("key", ["out.series", "out.report"])
+def test_cli_run_refuses_empty_output_path(tmp_path, monkeypatch, capsys,
+                                           key):
+    """An output key given no path names no file: run exits 2 with one
+    config error line naming the key, before any step, writing no file."""
+    _forbid_steps(monkeypatch)
+    monkeypatch.chdir(tmp_path)
+    paths = {"out.series": "s.csv", "out.report": "r.json", key: ""}
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in paths.items()))
+    assert cli_main(["run", "--config", str(cfg)]) == 2
+    out = capsys.readouterr()
+    assert out.err == f"config error: {key} = '': names no file\n"
+    assert out.out == ""
+    assert sorted(tmp_path.iterdir()) == [cfg]
+
+
 @pytest.mark.parametrize("argv", [["mms", "--cells", "8"],
                                   ["check", "--criteria", "10"]])
 def test_cli_out_in_missing_directory_fails_before_work(tmp_path, capsys,
@@ -478,6 +514,23 @@ def test_cli_checks_every_keyed_run_first(tmp_path, monkeypatch, capsys,
     assert out.err == f"config error: {blocked}: is a directory\n"
     assert out.out == ""
     assert sorted(tmp_path.iterdir()) == before
+
+
+def test_cli_sweep_and_check_ignore_the_unkeyed_outputs(tmp_path,
+                                                       monkeypatch, capsys):
+    """sweep and check write only their keyed runs' files, so an out.report
+    naming an existing directory does not stop them: the sweep writes
+    <out.report>_beta1, and check's oracle criterion passes."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "results").mkdir()
+    (tmp_path / "c.cfg").write_text(
+        "grid.cells = 100\ngrid.far_length = 50\nrun.t_final = 5\n"
+        "out.series = s.csv\nout.report = results\n")
+    assert cli_main(["sweep", "--config", "c.cfg", "--beta", "1"]) != 2
+    assert json.loads((tmp_path / "results_beta1").read_text())["n_steps"]
+    assert (tmp_path / "s_beta1.csv").exists()
+    assert cli_main(["check", "--criteria", "10", "--config", "c.cfg"]) == 0
+    assert "config error" not in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv, out, written", [
@@ -648,9 +701,10 @@ def test_run_evaluates_conduction_numerator_once_per_step(tmp_path,
     assert len(calls) == report.n_steps + 1
 
 
-def test_run_sets_up_initial_data_once(tmp_path, monkeypatch):
+def test_run_sets_up_initial_data_once(tmp_path, monkeypatch, capsys):
     """run_simulation builds the initial data once: the state it checks is
-    the state it runs from."""
+    the state it runs from.  So does nslag run --config, since loading the
+    config sets up no run."""
     calls = []
 
     def counted(grid, spec):
@@ -659,6 +713,9 @@ def test_run_sets_up_initial_data_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(harness, "make_initial_data", counted)
     run_simulation(_quick_cfg(tmp_path, n_cells=100, t_final=5.0))
+    assert len(calls) == 1
+    calls.clear()
+    assert cli_main(["run", "--config", _tiny_config_file(tmp_path)]) == 0
     assert len(calls) == 1
 
 
@@ -938,7 +995,7 @@ def test_cli_initial_energy_beyond_float_range_exit_two(tmp_path, capsys,
                                                         monkeypatch, argv):
     """ic.amp_u = 60 gives E(0) of about 1350, whose lower entropy root is
     below the normal floats: a configuration error naming the entropy
-    level, raised when the config loads, before any step (the full check
+    level, raised before the first run or criterion, before any step (the full check
     would start with c01's) and before any file is written."""
     def no_step(*args, **kwargs):
         raise AssertionError("a step ran")
@@ -956,22 +1013,25 @@ def test_cli_initial_energy_beyond_float_range_exit_two(tmp_path, capsys,
     assert sorted(tmp_path.iterdir()) == [cfg_path]
 
 
-def test_config_refuses_initial_energy_beyond_float_range():
-    """The entropy band of E(0) is checked when the config is built."""
-    with pytest.raises(ConfigError, match="initial data: entropy level 1350"):
-        config_from_dict({"grid.cells": 100, "ic.amp_u": 60.0})
+def test_config_refuses_initial_energy_beyond_float_range(tmp_path,
+                                                          monkeypatch):
+    """The entropy band of E(0) is checked before the first run."""
+    monkeypatch.chdir(tmp_path)
+    _run_refuses(config_from_dict({"grid.cells": 100, "ic.amp_u": 60.0}),
+                 "initial data: entropy level 1350", tmp_path)
 
 
-def test_probe_placement_validation():
-    """The probe interval is checked when the config is built: [0, 1] and
+def test_probe_placement_validation(tmp_path, monkeypatch):
+    """The probe interval is checked before the first run: [0, 1] and
     [49, 50] keep no mass unit of clearance inside (0, 50), [12, 13] does."""
-    assert config_from_dict({"probe.interval": 12}).probe_interval == 12
+    monkeypatch.chdir(tmp_path)
+    assert harness._set_up(config_from_dict({"probe.interval": 12}))
     for i in (0, 49):
-        with pytest.raises(ConfigError) as err:
-            config_from_dict({"probe.interval": i})
-        assert str(err.value) == (
-            f"probe.interval = {i}: probe interval [{i}, {i + 1}] must keep "
-            f"one mass unit of clearance inside (0, 50.0)")
+        message = (f"probe.interval = {i}: probe interval [{i}, {i + 1}] "
+                   f"must keep one mass unit of clearance inside (0, 50.0)")
+        err = _run_refuses(config_from_dict({"probe.interval": i}),
+                           re.escape(message), tmp_path)
+        assert str(err) == message
 
 
 def test_cli_unknown_key_exit_two(tmp_path, capsys):
@@ -984,7 +1044,8 @@ def test_cli_unknown_key_exit_two(tmp_path, capsys):
 @pytest.mark.parametrize("line", [
     "physics.beta = nan", "ctl.dt_min = inf", "ctl.cfl_hyp = 2",
     "grid.cells = 3", "grid.far_length = 50.5", "probe.interval = 0",
-    "ic.amp_u = inf"])
+    "ic.amp_u = inf", "grid.far_length = inf", "grid.far_length = -inf",
+    "grid.far_length = nan", "grid.length = inf"])
 def test_cli_non_finite_constant_exit_two(tmp_path, capsys, line):
     """A bad value, a non-finite constant among them, is a configuration
     error: exit 2, one line naming its config key, before any file is
@@ -1005,7 +1066,7 @@ def test_cli_non_finite_constant_exit_two(tmp_path, capsys, line):
     "ic.kind = blob"])
 def test_cli_check_bad_initial_data_exit_two(tmp_path, capsys, line):
     """Initial data that make_initial_data refuses is a configuration
-    error found when the config loads: check exits 2 before running a
+    error found before the first criterion: check exits 2 before running a
     criterion, with one line naming the key, and writes no file."""
     cfg_path = tmp_path / "bad.cfg"
     cfg_path.write_text(f"{line}\nout.series = {tmp_path}/s.csv\n"
