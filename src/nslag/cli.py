@@ -62,14 +62,14 @@ def _cmd_sweep(args):
 
 
 def _cmd_mms(args):
-    if args.out:
+    if args.out is not None:
         check_outputs([("--out", args.out)])
-    report = mms_convergence(levels=args.levels, base_cells=args.cells)
+    report = mms_convergence()
     print("spatial orders: ",
           ["%.3f" % p for p in report["spatial"]["orders"]])
     print("temporal orders:",
           ["%.3f" % p for p in report["temporal"]["orders"]])
-    if args.out:
+    if args.out is not None:
         write_json(report, args.out)
     return 0 if mms_orders_pass(report) else 1
 
@@ -108,10 +108,7 @@ def build_parser():
     p.add_argument("--out", default="sweep.json", help="aggregate JSON path")
     p.set_defaults(func=_cmd_sweep)
 
-    p = sub.add_parser("mms", help="manufactured-solution convergence study")
-    p.add_argument("--levels", type=int, default=3)
-    p.add_argument("--cells", type=int, default=100,
-                   help="coarsest spatial resolution")
+    p = sub.add_parser("mms", help="c02's manufactured-solution study")
     p.add_argument("--out", help="optional JSON output path")
     p.set_defaults(func=_cmd_mms)
 

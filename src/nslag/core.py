@@ -23,6 +23,9 @@ class ConfigError(ValueError):
     """Bad configuration value or inconsistent setup."""
 
 
+MAX_CELLS = 10 ** 6   # most cells a grid may have, 120x bump_fine's 8328
+
+
 @dataclass(frozen=True)
 class Params:
     """Physical constants of the gas model.
@@ -150,8 +153,9 @@ def build_grid(length, n_cells, far_length=None):
 
     Each unit mass interval beyond length holds ceil(k/2) equal cells, k
     being the previous interval's count (1/h in the resolved zone), down
-    to one cell per unit.  far_length - length must be a whole number, and
-    h must divide the unit interval when the far zone is not empty.
+    to one cell per unit.  far_length - length must be a whole number, h
+    must divide the unit interval when the far zone is not empty, and the
+    grid may hold at most MAX_CELLS cells, counted before it is built.
     """
     if not length > 0:
         raise ConfigError(f"grid length must be positive, got {length}")
@@ -166,12 +170,16 @@ def build_grid(length, n_cells, far_length=None):
             f"far length {far_length} must exceed the grid length {length} "
             f"by a whole number of mass units")
     n_far = round(gap)
-    k = grid.unit_cells if n_far else None
-    counts = []
-    for _ in range(n_far):
+    k, halvings = grid.unit_cells if n_far else 1, []
+    while k > 1 and len(halvings) < n_far:   # the rest hold one cell each
         k = -(-k // 2)
-        counts.append(k)
-    return Grid(length, n_cells + sum(counts), grid.h, tuple(counts))
+        halvings.append(k)
+    n_ones = n_far - len(halvings)
+    total = n_cells + sum(halvings) + n_ones
+    if total > MAX_CELLS:
+        raise ConfigError(f"the grid would have {total} cells, more than "
+                          f"{MAX_CELLS}")
+    return Grid(length, total, grid.h, tuple(halvings) + (1,) * n_ones)
 
 
 @dataclass

@@ -293,8 +293,8 @@ def update_repr_probe(p, s, dt, grid, params):
     """Advance the probe from the state it last reached to s, dt later;
     mutates and returns p.
 
-    Y picks up exp(dt * sigma_mid) with the stress averaged over the two
-    time levels.  The integral of theta/(D Y) treats theta/D as constant
+    Y picks up exp(dt * sigma_mid) with the stress averaged over the
+    step's two states.  The integral of theta/(D Y) treats theta/D as constant
     over the step and Y as the exact exponential of sigma_mid, which keeps
     the rest-state reconstruction exact up to roundoff.
     """

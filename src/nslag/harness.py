@@ -482,7 +482,10 @@ def _mms_state(grid, prof, t):
                  np.asarray(prof.u_exact(grid.faces(), t)))
 
 
-def _mms_run(grid, dt, t_end, prof, params):
+def _mms_run(grid, dt):
+    """MmsProfile() stepped from its exact state at t = 0 to t = 0.5 in
+    steps of dt, the last one cut to land on 0.5."""
+    prof, params, t_end = MmsProfile(), Params(), 0.5
     state = _mms_state(grid, prof, 0.0)
     while state.t < t_end:
         step = min(dt, t_end - state.t)
@@ -498,31 +501,28 @@ def _ratios_orders(errs):
     return ratios, [math.log2(rho) for rho in ratios]
 
 
-def mms_convergence(levels=3, base_cells=100):
-    """Manufactured-solution convergence study of MmsProfile() to t = 0.5.
+def mms_convergence():
+    """c02's convergence study of MmsProfile() to t = 0.5.
 
-    Spatial: cells = base * 2^k with the step tied to h^2, so the measured
-    order isolates the second-order stencils.  Temporal: fixed fine grid,
-    successive step halvings compared pairwise (Richardson differences at
-    one grid cancel the spatial error exactly), giving the first-order rate.
+    Spatial: 100, 200 and 400 cells at dt = 0.2 h^2, so the measured order
+    isolates the second-order stencils.  Temporal: 800 cells, dt = 4e-3
+    halved three times, successive runs compared pairwise (Richardson
+    differences at one grid cancel the spatial error exactly), giving the
+    first-order rate.
     """
-    if levels < 3:
-        raise ConfigError(f"need at least 3 refinement levels, got {levels}")
-    params, prof, t_end = Params(), MmsProfile(), 0.5
-
-    cells = [base_cells * 2 ** k for k in range(levels)]
+    prof = MmsProfile()
+    cells = [100, 200, 400]
     errors = []
     for n in cells:
         grid = build_grid(prof.length, n)
-        state = _mms_run(grid, 0.2 * grid.h * grid.h, t_end, prof, params)
+        state = _mms_run(grid, 0.2 * grid.h * grid.h)
         errors.append(_l2_distance(state, _mms_state(grid, prof, state.t),
                                    grid))
     sp_ratios, sp_orders = _ratios_orders(errors)
 
-    n_t = 16 * base_cells // 2
-    dts = [4e-3, 2e-3, 1e-3, 5e-4]
+    n_t, dts = 800, [4e-3, 2e-3, 1e-3, 5e-4]
     grid_t = build_grid(prof.length, n_t)
-    finals = [_mms_run(grid_t, dt, t_end, prof, params) for dt in dts]
+    finals = [_mms_run(grid_t, dt) for dt in dts]
     diffs = [_l2_distance(a, b, grid_t)
              for a, b in zip(finals[:-1], finals[1:])]
     tm_ratios, tm_orders = _ratios_orders(diffs)
@@ -564,7 +564,8 @@ def _check_runs(configs, out_path):
     for c in configs:
         _set_up(c)
     outputs = [pair for c in configs for pair in c.outputs().items()]
-    check_outputs(outputs + [("--out", out_path)] if out_path else outputs)
+    check_outputs(outputs if out_path is None
+                  else outputs + [("--out", out_path)])
 
 
 def sweep(cfg, betas, out_path=None):
@@ -574,7 +575,7 @@ def sweep(cfg, betas, out_path=None):
     configs = _sweep_configs(cfg, betas)
     _check_runs(configs, out_path)
     reports = {c.params.beta: run_simulation(c) for c in configs}
-    if out_path:
+    if out_path is not None:
         write_json({f"{b:g}": r.to_dict() for b, r in reports.items()},
                    out_path)
     return reports
@@ -612,8 +613,8 @@ def _fsum_quadrature(s, grid, params):
     return energy, dissipation
 
 
-def _frozen_state(grid, seed=2024):
-    rng = np.random.default_rng(seed)
+def _frozen_state(grid):
+    rng = np.random.default_rng(2024)
     n = grid.n_cells
     v = 1.0 + 0.4 * np.sin(grid.centers()) + 0.05 * rng.standard_normal(n)
     theta = 1.2 + 0.3 * np.cos(2.0 * grid.centers()) \
@@ -674,7 +675,7 @@ def mms_orders_pass(report):
 
 
 def _criterion_mms(suite):
-    report = mms_convergence(levels=3, base_cells=100)
+    report = mms_convergence()
     return mms_orders_pass(report), \
         {k: report[k]["orders"] for k in ("spatial", "temporal")}, \
         {k: list(THRESHOLDS[f"{k}_order"]) for k in ("spatial", "temporal")}
@@ -821,6 +822,6 @@ def acceptance_suite(cfg=None, criteria=None, out_path=None):
             "threshold": threshold, "seconds": round(seconds, 3)}
     report = {"criteria": results,
               "all_pass": all(r["pass"] for r in results.values())}
-    if out_path:
+    if out_path is not None:
         write_json(report, out_path)
     return report

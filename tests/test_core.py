@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nslag import core, model
-from nslag.core import (ConfigError, Grid, ICSpec, Params, State,
+from nslag.core import (MAX_CELLS, ConfigError, Grid, ICSpec, Params, State,
                         build_grid, equilibrium_state, make_initial_data)
 from oracles import admissible
 
@@ -72,6 +72,27 @@ def test_build_grid_rejects_bad_far_length():
             build_grid(50.0, 2000, far_length=far)
     with pytest.raises(ConfigError, match="whole number"):
         build_grid(math.inf, 2000, far_length=225.0)
+
+
+@pytest.mark.parametrize("n_cells, far_length", [
+    (2000, 50.0 + 1e12), (10 ** 12, None), (2000, 50.0 + MAX_CELLS - 2034)],
+    ids=["far_zone", "resolved_zone", "one_over"])
+def test_build_grid_refuses_more_than_max_cells(n_cells, far_length):
+    """The cells are counted before the grid is built, so a huge far zone
+    is refused at once rather than looped over, one interval at a time."""
+    with pytest.raises(ConfigError, match=f"more than {MAX_CELLS}$"):
+        build_grid(50.0, n_cells, far_length)
+
+
+def test_build_grid_builds_max_cells():
+    """A grid of exactly MAX_CELLS cells builds, with or without a far
+    zone: 2000 resolved cells, 41 in the six halvings, then one per unit."""
+    assert build_grid(50.0, MAX_CELLS).n_cells == MAX_CELLS
+    far_length = 50.0 + MAX_CELLS - 2035
+    grid = build_grid(50.0, 2000, far_length)
+    assert (grid.n_cells, grid.n_resolved) == (MAX_CELLS, 2000)
+    assert grid.far_counts[:7] == (20, 10, 5, 3, 2, 1, 1)
+    assert grid.far_length == far_length
 
 
 @given(n=st.integers(4, 5000), length=st.floats(0.1, 1e4))

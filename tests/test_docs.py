@@ -4,6 +4,9 @@ they document."""
 import re
 from pathlib import Path
 
+import pytest
+
+from nslag.cli import main as cli_main
 from nslag.harness import _CRITERIA, CONFIG_KEYS, RunConfig, write_config
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -47,3 +50,24 @@ def test_readme_criteria_list_matches_suite():
                        _section("Acceptance criteria"), re.MULTILINE)
     assert items == [(str(num), f"c{num:02d}_{name}")
                      for num, name, _ in _CRITERIA]
+
+
+def _help(capsys, argv):
+    # what nslag prints for argv ending in --help
+    with pytest.raises(SystemExit):
+        cli_main([*argv, "--help"])
+    return capsys.readouterr().out
+
+
+def test_readme_command_lines_match_parser(capsys):
+    """The block under "## Command line" gives one line per command, and
+    each line names every option of its command but -h, and no other."""
+    block = _section("Command line").split("```", 2)[1]
+    lines = {line.split()[1]: line.partition("#")[0]
+             for line in block.splitlines() if line.startswith("nslag ")}
+    commands = re.search(r"\{([\w,-]+)\}", _help(capsys, [])).group(1)
+    assert sorted(lines) == sorted(commands.split(","))
+    flag = r"(?<![\w-])--[a-z][\w-]*"
+    for command, line in lines.items():
+        options = set(re.findall(flag, _help(capsys, [command])))
+        assert set(re.findall(flag, line)) == options - {"--help"}, command

@@ -27,9 +27,9 @@ from nslag.diagnostics import (JensenBand, decay_report,
 from nslag.harness import (CONFIG_KEYS, SERIES_COLUMNS, SERIES_HEADER,
                            THRESHOLDS, RunConfig, acceptance_suite,
                            config_from_dict, config_to_dict, load_config,
-                           mms_convergence, read_series, run_simulation,
-                           sweep, write_config, write_snapshot)
-from nslag.model import MmsProfile, strain_rate
+                           read_series, run_simulation, sweep,
+                           write_config, write_snapshot)
+from nslag.model import strain_rate
 from nslag.stepper import StepFailure, advance
 
 
@@ -375,18 +375,6 @@ def test_run_simulation_rejects_zero_horizon(tmp_path):
         run_simulation(_quick_cfg(tmp_path, t_final=0.0))
 
 
-def test_mms_requires_three_levels():
-    with pytest.raises(ConfigError):
-        mms_convergence(levels=2)
-
-
-def test_cli_mms_rejects_too_few_cells(capsys):
-    """build_grid's cell-count rule refuses the study's coarsest grid."""
-    assert cli_main(["mms", "--cells", "0"]) == 2
-    assert capsys.readouterr().err == \
-        "config error: need at least 4 cells, got 0\n"
-
-
 @pytest.mark.parametrize("key", ["out.series", "out.report"])
 def test_cli_run_rejects_output_in_missing_directory(tmp_path, capsys, key):
     target = tmp_path / "missing" / "out.txt"
@@ -418,8 +406,7 @@ def test_cli_run_refuses_empty_output_path(tmp_path, monkeypatch, capsys,
     assert sorted(tmp_path.iterdir()) == [cfg]
 
 
-@pytest.mark.parametrize("argv", [["mms", "--cells", "8"],
-                                  ["check", "--criteria", "10"]])
+@pytest.mark.parametrize("argv", [["mms"], ["check", "--criteria", "10"]])
 def test_cli_out_in_missing_directory_fails_before_work(tmp_path, capsys,
                                                         argv):
     """--out in a missing directory is a config error before the study or
@@ -462,7 +449,7 @@ def test_cli_run_refuses_unusable_config_before_work(tmp_path, monkeypatch,
     assert list((tmp_path / "adir").iterdir()) == []
 
 
-@pytest.mark.parametrize("argv", [["check"], ["mms", "--cells", "8"]])
+@pytest.mark.parametrize("argv", [["check"], ["mms"]])
 def test_cli_out_directory_fails_before_work(tmp_path, monkeypatch, capsys,
                                              argv):
     """--out naming a directory is a config error before c01's steps or
@@ -486,6 +473,23 @@ def _forbid_steps(monkeypatch):
 
     monkeypatch.setattr(stepper, "step_imex", no_step)
     monkeypatch.setattr(harness, "step_imex", no_step)
+
+
+@pytest.mark.parametrize("argv", [["check", "--criteria", "10"],
+                                  ["sweep", "--beta", "1"], ["mms"]],
+                         ids=["check", "sweep", "mms"])
+def test_cli_empty_out_fails_before_work(tmp_path, monkeypatch, capsys,
+                                         argv):
+    """An empty --out names no file, as an empty output key does: exit 2
+    with one config error line, before any step or criterion, and no file
+    written."""
+    _forbid_steps(monkeypatch)
+    monkeypatch.chdir(tmp_path)
+    assert cli_main([*argv, "--out", ""]) == 2
+    out = capsys.readouterr()
+    assert out.err == "config error: --out = '': names no file\n"
+    assert out.out == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 def _keyed_outputs_config(tmp_path):
@@ -833,19 +837,17 @@ def test_mms_run_looks_up_step_imex_every_step(monkeypatch):
         return inner(*args, **kwargs)
 
     monkeypatch.setattr(harness, "step_imex", counted)
-    state = harness._mms_run(build_grid(20.0, 40), 0.03, 0.1, MmsProfile(),
-                             Params())
-    assert state.t == 0.1
-    assert len(calls) == 4
-    assert sum(calls) == pytest.approx(0.1, rel=1e-15)
+    state = harness._mms_run(build_grid(20.0, 40), 0.12)
+    assert state.t == 0.5
+    assert len(calls) == 5
+    assert sum(calls) == pytest.approx(0.5, rel=1e-15)
 
 
 def test_cli_mms_reads_order_windows(monkeypatch, capsys):
     """nslag mms judges the orders by THRESHOLDS' windows, as c02 does."""
     canned = {"spatial": {"orders": [2.0, 2.0]},
               "temporal": {"orders": [1.0, 1.0]}}
-    monkeypatch.setattr(cli, "mms_convergence",
-                        lambda levels, base_cells: canned)
+    monkeypatch.setattr(cli, "mms_convergence", lambda: canned)
     assert cli_main(["mms"]) == 0
     monkeypatch.setitem(THRESHOLDS, "spatial_order", (2.5, 3.0))
     assert cli_main(["mms"]) == 1
@@ -1045,7 +1047,8 @@ def test_cli_unknown_key_exit_two(tmp_path, capsys):
     "physics.beta = nan", "ctl.dt_min = inf", "ctl.cfl_hyp = 2",
     "grid.cells = 3", "grid.far_length = 50.5", "probe.interval = 0",
     "ic.amp_u = inf", "grid.far_length = inf", "grid.far_length = -inf",
-    "grid.far_length = nan", "grid.length = inf"])
+    "grid.far_length = nan", "grid.length = inf",
+    "grid.cells = 1000000000000", "grid.far_length = 10000000050"])
 def test_cli_non_finite_constant_exit_two(tmp_path, capsys, line):
     """A bad value, a non-finite constant among them, is a configuration
     error: exit 2, one line naming its config key, before any file is
