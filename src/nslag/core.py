@@ -24,6 +24,7 @@ class ConfigError(ValueError):
 
 
 MAX_CELLS = 10 ** 6   # most cells a grid may have, 120x bump_fine's 8328
+IC_FLOOR = 0.1        # smallest admitted initial value of v and theta
 
 
 @dataclass(frozen=True)
@@ -220,8 +221,8 @@ class ICSpec:
     """Initial-data recipe: smooth localized perturbations of (1, 0, 1).
 
     kind 'equilibrium' ignores the amplitudes; 'bump' uses a compactly
-    supported cosine-squared hump; 'packet' an oscillatory gaussian.  The
-    floor is the smallest admitted initial value of v and theta.
+    supported cosine-squared hump; 'packet' an oscillatory gaussian.
+    make_initial_data admits no initial v or theta below IC_FLOOR.
     """
 
     kind: str = "equilibrium"
@@ -230,7 +231,6 @@ class ICSpec:
     amp_theta: float = 0.0
     center: float = 6.0
     width: float = 1.0
-    floor: float = 0.1
 
 
 def _bump_profile(x, center, width):
@@ -263,15 +263,12 @@ def equilibrium_state(grid):
 
 def make_initial_data(grid, spec):
     """Generate initial data from an ICSpec: finite amplitudes, fields
-    at or above the floor.
+    at or above IC_FLOOR.
 
     The perturbation's support must end inside (0, length/2]: it reaches
     into the domain, and the far boundary starts on the exact far-field
     state.  An error names the config key of the value it refuses.
     """
-    if not spec.floor > 0.0:
-        raise ConfigError(f"ic.floor = {spec.floor}: the floor must be "
-                          f"positive")
     if spec.kind == "equilibrium":
         return equilibrium_state(grid)
     if spec.kind not in _PERTURBATIONS:
@@ -287,10 +284,10 @@ def make_initial_data(grid, spec):
         if not math.isfinite(amp):
             raise ConfigError(f"ic.{name} = {amp}: amplitude must be finite")
     for name, amp in (("amp_v", spec.amp_v), ("amp_theta", spec.amp_theta)):
-        if 1.0 - abs(amp) < spec.floor:
+        if 1.0 - abs(amp) < IC_FLOOR:
             raise ConfigError(
                 f"ic.{name} = {amp}: drives the field minimum to "
-                f"{1.0 - abs(amp)}, below the floor {spec.floor}")
+                f"{1.0 - abs(amp)}, below the floor {IC_FLOOR}")
     # a NaN or infinite center fails too
     if not 0.0 < spec.center + reach <= 0.5 * grid.length:
         raise ConfigError(
@@ -304,6 +301,6 @@ def make_initial_data(grid, spec):
     theta = 1.0 + spec.amp_theta * phi_c
     u = spec.amp_u * phi_f
     u[-1] = 0.0
-    if v[v.argmin()] < spec.floor or theta[theta.argmin()] < spec.floor:
+    if v[v.argmin()] < IC_FLOOR or theta[theta.argmin()] < IC_FLOOR:
         raise ConfigError("generated initial data dips below the floor")
     return State(0.0, v, theta, u)

@@ -29,8 +29,8 @@ from .diagnostics import (MAX_SAMPLES, MIN_SAMPLES, _ratio, decay_report,
                           running_integrals, sample_bounds, sample_energy,
                           unit_interval_averages, update_repr_probe)
 from .model import MmsProfile
-from .stepper import (StepControl, StepFailure, advance, solve_tridiagonal,
-                      stable_dt, step_imex)
+from .stepper import (DT_MIN, StepControl, StepFailure, advance,
+                      solve_tridiagonal, stable_dt, step_imex)
 
 SERIES_HEADER = ("t,E,V,cumV,vmin,vmax,thmin,thmax,n2_vm1,n2_u,n2_thm1,"
                  "ninf_vm1,ninf_u,ninf_thm1,g2_vx,g2_ux,g2_thx,pospart,"
@@ -72,18 +72,12 @@ class RunConfig:
     far_length: float = 225.0           # graded far zone out to here
     ic: ICSpec = field(default_factory=lambda: ICSpec(
         kind="bump", amp_v=0.3, amp_u=0.3, amp_theta=0.3,
-        center=6.0, width=1.0, floor=0.1))
+        center=6.0, width=1.0))
     t_final: float = 100.0
     sample_dt: float = 0.5
     ctl: StepControl = field(default_factory=StepControl)
-    probe_interval: int | None = None   # None: floor(length/4)
     series_path: str = "series.csv"
     report_path: str = "report.json"
-
-    def resolved_probe(self):
-        if self.probe_interval is None:
-            return int(math.floor(self.length / 4.0))
-        return self.probe_interval
 
     def outputs(self):
         """{config key or name: path} of every file the run may write."""
@@ -108,12 +102,9 @@ CONFIG_KEYS = {
     "ic.amp_theta": ("ic.amp_theta", float),
     "ic.center": ("ic.center", float),
     "ic.width": ("ic.width", float),
-    "ic.floor": ("ic.floor", float),
     "run.t_final": ("t_final", float),
     "run.sample_dt": ("sample_dt", float),
     "ctl.cfl_hyp": ("ctl.cfl_hyp", float),
-    "ctl.dt_min": ("ctl.dt_min", float),
-    "probe.interval": ("probe_interval", int),
     "out.series": ("series_path", str),
     "out.report": ("report_path", str),
 }
@@ -167,11 +158,17 @@ def _set_up(cfg):
         grid = build_grid(cfg.length, cfg.n_cells, cfg.far_length)
         grid.unit_cells
     state = make_initial_data(grid, cfg.ic)
-    i = cfg.resolved_probe()
-    if not (1 <= i and i + 1 <= cfg.length - 1):
+    # the probe's [floor(L/4), floor(L/4) + 1] lies in [1, L - 1] iff L >= 4
+    if not cfg.length >= 4.0:
         raise ConfigError(
-            f"probe.interval = {i}: probe interval [{i}, {i + 1}] must keep "
-            f"one mass unit of clearance inside (0, {cfg.length})")
+            f"grid.length = {cfg.length}: the probe interval [floor(L/4), "
+            f"floor(L/4) + 1] must keep one mass unit of clearance inside "
+            f"(0, L), so L must be at least 4")
+    if stable_dt(state, grid, cfg.params, cfg.ctl) <= DT_MIN:
+        raise ConfigError(
+            f"ctl.cfl_hyp = {cfg.ctl.cfl_hyp}, physics.R = {cfg.params.R}, "
+            f"physics.cv = {cfg.params.cv}: the initial acoustic step is at "
+            f"most DT_MIN = {DT_MIN}")
     with _naming("initial data"):
         band = entropy_roots(energy_functional(state, grid, cfg.params))
     return grid, state, band
@@ -226,10 +223,8 @@ def load_config(path):
 
 
 def config_to_dict(cfg):
-    """Flat {config key: value} view of a RunConfig, probe default resolved."""
-    flat = {key: attrgetter(path)(cfg) for key, (path, _) in CONFIG_KEYS.items()}
-    flat["probe.interval"] = cfg.resolved_probe()
-    return flat
+    """Flat {config key: value} view of a RunConfig."""
+    return {key: attrgetter(path)(cfg) for key, (path, _) in CONFIG_KEYS.items()}
 
 
 def write_config(cfg, path):
@@ -381,12 +376,13 @@ class _RunAccumulator:
     the row to series (a float column per schema column) and writes it.
     """
 
-    def __init__(self, state0, grid, params, probe_i, write_row):
+    def __init__(self, state0, grid, params, write_row):
         self.grid = grid
         self.params = params
         self.write_row = write_row
         self.running = running_integrals(state0, grid, params)
-        self.probe = make_repr_probe(state0, grid, params, probe_i)
+        # on [floor(L/4), floor(L/4) + 1], inside (0, L) as _set_up checks
+        self.probe = make_repr_probe(state0, grid, params, grid.length // 4)
         self.n_steps = 0
         self.series = {c: array("d") for c in SERIES_COLUMNS}
         self.avg_min, self.avg_max = math.inf, -math.inf
@@ -435,8 +431,7 @@ def run_simulation(cfg):
     check_outputs(cfg.outputs().items())
     params = cfg.params
     with open(cfg.series_path, "w", encoding="utf-8") as fh:
-        acc = _RunAccumulator(state, grid, params, cfg.resolved_probe(),
-                              _series_writer(fh))
+        acc = _RunAccumulator(state, grid, params, _series_writer(fh))
         acc.record(state)
         _, times = _sample_times(cfg.t_final, cfg.sample_dt)
         for t_next in times:

@@ -56,22 +56,22 @@ def _load_flapack():
 dptsv = _load_flapack().dptsv
 
 # a step fails when it leaves v or theta at or below this floor; advance
-# retries a failed step with half the step at most MAX_RETRIES times
+# retries a failed step with half the step at most MAX_RETRIES times, and
+# never below DT_MIN, which is also the least step stable_dt returns
 POSITIVITY_FLOOR = 1e-8
 MAX_RETRIES = 20
+DT_MIN = 1e-12
 
 
 @dataclass(frozen=True)
 class StepControl:
-    """Step-size policy: acoustic CFL number and the smallest step."""
+    """Step-size policy: the acoustic CFL number."""
 
     cfl_hyp: float = 0.4
-    dt_min: float = 1e-12
 
     def __post_init__(self):
-        for name in ("cfl_hyp", "dt_min"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ConfigError(f"{name} must be positive and finite")
+        if not 0.0 < self.cfl_hyp < math.inf:
+            raise ConfigError("cfl_hyp must be positive and finite")
         if self.cfl_hyp > 1.0:
             raise ConfigError("cfl_hyp must not exceed 1")
 
@@ -82,7 +82,7 @@ class PositivityViolation(ArithmeticError):
 
 class StepFailure(RuntimeError):
     """Retries of a rejected step ran out: more than MAX_RETRIES tries, or
-    the step halved below dt_min, as the message says with the last step
+    the step halved below DT_MIN, as the message says with the last step
     size tried.  Carries the last good state and dt, half that size."""
 
     def __init__(self, msg, state, dt):
@@ -148,13 +148,13 @@ def stable_dt(s, grid, params, ctl):
     c = sqrt(R (1 + R/cv) theta) is the adiabatic sound speed in mass
     coordinates (up to the 1/v factor shown explicitly).  Diffusion is
     implicit, so no parabolic restriction enters.  Never returns less
-    than dt_min.
+    than DT_MIN.
     """
     c = params.R * (1.0 + params.R / params.cv) * s.theta
     np.sqrt(c, out=c)
     np.divide(s.v, c, out=c)
     c *= grid.scaled_dx(ctl.cfl_hyp)
-    return max(float(c[c.argmin()]), ctl.dt_min)
+    return max(float(c[c.argmin()]), DT_MIN)
 
 
 def _require_above_floor(name, x):
@@ -278,7 +278,7 @@ def advance(s, t_target, grid, params, ctl=None, on_step=None):
     retried at half the size.  After every accepted step on_step, when
     given, is called as on_step(prev_state, new_state, dt); it must not
     mutate its arguments.  When the retries run out, after MAX_RETRIES
-    retries or at a step below ctl.dt_min, StepFailure names the limit and
+    retries or at a step below DT_MIN, StepFailure names the limit and
     carries the last good state.
     """
     ctl = StepControl() if ctl is None else ctl
@@ -301,9 +301,9 @@ def advance(s, t_target, grid, params, ctl=None, on_step=None):
                 if tries > MAX_RETRIES:
                     limit = (f"no step accepted in {tries} tries, the last "
                              f"with dt = {tried}")
-                elif dt < ctl.dt_min:
+                elif dt < DT_MIN:
                     limit = (f"step size underflowed: dt = {tried} halves to "
-                             f"{dt}, below dt_min = {ctl.dt_min}")
+                             f"{dt}, below DT_MIN = {DT_MIN}")
                 else:
                     continue
                 raise StepFailure(f"{limit}, at t = {state.t} ({exc})",

@@ -151,18 +151,28 @@ def test_equilibrium_kind_matches_equilibrium_state():
 
 def test_bump_amplitude_respects_floor():
     grid = build_grid(50.0, 200)
-    spec = ICSpec(kind="bump", amp_v=-0.3, center=6.0, width=1.0, floor=0.5)
+    spec = ICSpec(kind="bump", amp_v=-0.3, center=6.0, width=1.0)
     s = make_initial_data(grid, spec)
-    assert s.v.min() >= 0.5
+    assert s.v.min() >= core.IC_FLOOR
     assert abs(s.v.min() - 0.7) < 0.02   # trough of the 0.3 dip, grid-sampled
 
 
 def test_bump_amplitude_violating_floor_rejected():
+    """IC_FLOOR = 0.1 admits an amplitude up to the float below 0.9, whose
+    1 - |amp| is 0.10000000000000009; 1 - 0.9 rounds to 0.09999999999999998,
+    so 0.9 is refused, as are 0.91 and 0.95."""
     grid = build_grid(50.0, 200)
-    spec = ICSpec(kind="bump", amp_theta=0.95, center=6.0, width=1.0,
-                  floor=0.1)
-    with pytest.raises(ConfigError):
-        make_initial_data(grid, spec)
+    spec = ICSpec(kind="bump", center=6.0, width=1.0)
+    edge = math.nextafter(0.9, 0.0)
+    for name, field in (("amp_v", "v"), ("amp_theta", "theta")):
+        for amp in (edge, -edge):
+            s = make_initial_data(grid, replace(spec, **{name: amp}))
+            assert getattr(s, field).min() >= core.IC_FLOOR
+        for amp in (0.9, 0.91, 0.95, -0.91):
+            with pytest.raises(ConfigError, match=rf"^ic\.{name} = {amp}: "
+                               rf"drives the field minimum to .*, below the "
+                               rf"floor 0\.1$"):
+                make_initial_data(grid, replace(spec, **{name: amp}))
 
 
 @pytest.mark.parametrize("name", ["amp_v", "amp_u", "amp_theta"])
@@ -180,7 +190,7 @@ def test_ic_must_decay_before_midpoint():
     grid = build_grid(50.0, 200)
     with pytest.raises(ConfigError):
         make_initial_data(grid, ICSpec(kind="bump", amp_v=0.1, center=26.0,
-                                       width=1.0, floor=0.1))
+                                       width=1.0))
 
 
 @pytest.mark.parametrize("kind", ["bump", "packet"])
@@ -190,7 +200,7 @@ def test_ic_center_must_reach_into_domain(kind, center):
     would start the run from the exact rest state; it is refused by name.
     A support that just reaches in is kept."""
     grid = build_grid(50.0, 200)
-    spec = ICSpec(kind=kind, amp_v=0.1, center=center, width=1.0, floor=0.1)
+    spec = ICSpec(kind=kind, amp_v=0.1, center=center, width=1.0)
     with pytest.raises(ConfigError, match=r"ic\.center"):
         make_initial_data(grid, spec)
     reach = 1.0 if kind == "bump" else 4.0
@@ -207,7 +217,7 @@ def test_unknown_ic_kind_rejected():
 def test_packet_profile_valid():
     grid = build_grid(50.0, 500)
     spec = ICSpec(kind="packet", amp_v=0.2, amp_u=0.2, amp_theta=0.2,
-                  center=8.0, width=1.5, floor=0.1)
+                  center=8.0, width=1.5)
     s = make_initial_data(grid, spec)
     assert admissible(s)
     assert s.v.min() > 0.1 and s.theta.min() > 0.1
@@ -225,7 +235,7 @@ def test_generated_data_positive_and_valid(amp_v, amp_u, amp_theta, kind,
     """Generated data keeps both fields at or above the floor."""
     grid = build_grid(50.0, 250)
     spec = ICSpec(kind=kind, amp_v=amp_v, amp_u=amp_u, amp_theta=amp_theta,
-                  center=10.0, width=width, floor=0.1)
+                  center=10.0, width=width)
     s = make_initial_data(grid, spec)
     assert s.v.min() >= 0.1 and s.theta.min() >= 0.1
     assert admissible(s)

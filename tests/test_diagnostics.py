@@ -194,7 +194,7 @@ def test_unit_averages_alternating():
 def test_unit_averages_match_direct_summation():
     grid = build_grid(50.0, 250)
     spec = ICSpec(kind="bump", amp_v=0.3, amp_theta=-0.2, center=6.0,
-                  width=1.0, floor=0.1)
+                  width=1.0)
     s = make_initial_data(grid, spec)
     k = round(1.0 / grid.h)
     for i, (vbar, tbar) in enumerate(unit_interval_averages(s, grid)):
@@ -264,7 +264,7 @@ def test_probe_equilibrium_closed_form():
 def test_probe_initial_reconstruction_exact():
     grid = build_grid(50.0, 200)
     spec = ICSpec(kind="bump", amp_v=0.25, amp_theta=0.2, center=6.0,
-                  width=1.0, floor=0.1)
+                  width=1.0)
     s = make_initial_data(grid, spec)
     p = make_repr_probe(s, grid, Params(), 12)
     probe = reconstruct_v(p, s, Params())
@@ -275,7 +275,7 @@ def test_probe_tracks_evolved_run():
     grid = build_grid(50.0, 400)
     params = Params()
     spec = ICSpec(kind="bump", amp_v=0.3, amp_u=0.3, amp_theta=0.3,
-                  center=6.0, width=1.0, floor=0.1)
+                  center=6.0, width=1.0)
     s = make_initial_data(grid, spec)
     p = make_repr_probe(s, grid, params, 12)
 
@@ -507,7 +507,7 @@ def _energy_margin(n_cells):
     grid = build_grid(50.0, n_cells)
     params = Params()
     spec = ICSpec(kind="bump", amp_v=0.3, amp_u=0.3, amp_theta=0.3,
-                  center=6.0, width=1.0, floor=0.1)
+                  center=6.0, width=1.0)
     s = make_initial_data(grid, spec)
     recs = [{**running_integrals(s, grid, params),
              **sample_energy(s, grid, params)}]

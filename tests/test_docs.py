@@ -31,14 +31,11 @@ def _config_table():
 
 def test_readme_config_table_matches_defaults(tmp_path):
     """The table lists every config key, in CONFIG_KEYS order, with the
-    default write-config writes; probe.interval's default is given by its
-    rule, floor(L/4)."""
+    default write-config writes."""
     path = tmp_path / "defaults.cfg"
     write_config(RunConfig(), str(path))
     written = [tuple(line.split(" = ", 1))
                for line in path.read_text().splitlines()]
-    written = [(k, "floor(L/4)" if k == "probe.interval" else v)
-               for k, v in written]
     assert [k for k, _ in written] == list(CONFIG_KEYS)
     assert _config_table() == written
 

@@ -37,7 +37,7 @@ def _quick_cfg(tmp_path, **kw):
     base = dict(
         n_cells=250, t_final=10.0, sample_dt=0.5,
         ic=ICSpec(kind="bump", amp_v=0.2, amp_u=0.2, amp_theta=0.2,
-                  center=6.0, width=1.0, floor=0.1),
+                  center=6.0, width=1.0),
         series_path=str(tmp_path / "series.csv"),
         report_path=str(tmp_path / "report.json"))
     base.update(kw)
@@ -50,7 +50,6 @@ def test_default_config_values():
     assert (cfg.length, cfg.n_cells) == (50.0, 2000)
     assert cfg.ic.kind == "bump"
     assert (cfg.t_final, cfg.sample_dt) == (100.0, 0.5)
-    assert cfg.resolved_probe() == 12
     assert cfg.series_path == "series.csv"
     assert cfg.report_path == "report.json"
 
@@ -252,9 +251,8 @@ NON_DEFAULT = {
     "grid.cells": 500, "grid.far_length": 150.0, "ic.kind": "packet",
     "ic.amp_v": 0.2,
     "ic.amp_u": -0.1, "ic.amp_theta": 0.25, "ic.center": 7.0,
-    "ic.width": 1.5, "ic.floor": 0.2, "run.t_final": 30.0,
-    "run.sample_dt": 0.25, "ctl.cfl_hyp": 0.3, "ctl.dt_min": 1e-10,
-    "probe.interval": 9, "out.series": "s.csv", "out.report": "r.json",
+    "ic.width": 1.5, "run.t_final": 30.0, "run.sample_dt": 0.25,
+    "ctl.cfl_hyp": 0.3, "out.series": "s.csv", "out.report": "r.json",
 }
 
 
@@ -730,7 +728,7 @@ def test_row_sources_partition_series_columns():
     cfg = RunConfig()
     grid = build_grid(cfg.length, cfg.n_cells, cfg.far_length)
     state = make_initial_data(grid, cfg.ic)
-    probe = make_repr_probe(state, grid, cfg.params, cfg.resolved_probe())
+    probe = make_repr_probe(state, grid, cfg.params, 12)   # floor(L/4)
     sources = [set(running_integrals(state, grid, cfg.params)),
                set(sample_energy(state, grid, cfg.params)),
                set(sample_bounds(state, grid)),
@@ -761,7 +759,7 @@ def test_run_records_match_chained_samples(tmp_path, far_length, beta):
     grid = build_grid(cfg.length, cfg.n_cells, cfg.far_length)
     state = make_initial_data(grid, cfg.ic)
     running = [running_integrals(state, grid, cfg.params)]
-    probe = make_repr_probe(state, grid, cfg.params, cfg.resolved_probe())
+    probe = make_repr_probe(state, grid, cfg.params, 12)   # floor(L/4)
 
     def step(prev, new, dt):
         running[0] = running_integrals(new, grid, cfg.params, running[0])
@@ -1024,28 +1022,38 @@ def test_config_refuses_initial_energy_beyond_float_range(tmp_path,
 
 
 def test_probe_placement_validation(tmp_path, monkeypatch):
-    """The probe interval is checked before the first run: [0, 1] and
-    [49, 50] keep no mass unit of clearance inside (0, 50), [12, 13] does."""
+    """The probe sits on [floor(L/4), floor(L/4) + 1], checked before the
+    first run: at grid.length = 4 that is [1, 2], one mass unit inside
+    (0, 4); at 3 it is [0, 1], which touches the wall."""
     monkeypatch.chdir(tmp_path)
-    assert harness._set_up(config_from_dict({"probe.interval": 12}))
-    for i in (0, 49):
-        message = (f"probe.interval = {i}: probe interval [{i}, {i + 1}] "
-                   f"must keep one mass unit of clearance inside (0, 50.0)")
-        err = _run_refuses(config_from_dict({"probe.interval": i}),
-                           re.escape(message), tmp_path)
-        assert str(err) == message
+    rest = {"ic.kind": "equilibrium"}
+    assert harness._set_up(config_from_dict(
+        {**rest, "grid.length": 4.0, "grid.cells": 400}))
+    message = ("grid.length = 3.0: the probe interval [floor(L/4), "
+               "floor(L/4) + 1] must keep one mass unit of clearance inside "
+               "(0, L), so L must be at least 4")
+    err = _run_refuses(config_from_dict(
+        {**rest, "grid.length": 3.0, "grid.cells": 300}),
+        re.escape(message), tmp_path)
+    assert str(err) == message
 
 
-def test_cli_unknown_key_exit_two(tmp_path, capsys):
+@pytest.mark.parametrize("key", ["grid.cellz", "ctl.dt_min", "ic.floor",
+                                 "probe.interval"])
+def test_cli_unknown_key_exit_two(tmp_path, capsys, key):
+    """An unknown key is refused by name, ctl.dt_min, ic.floor and
+    probe.interval among them: their values are constants."""
     cfg_path = tmp_path / "bad.cfg"
-    cfg_path.write_text("grid.cellz = 5\n")
+    cfg_path.write_text(f"{key} = 5\n")
     assert cli_main(["run", "--config", str(cfg_path)]) == 2
-    assert "grid.cellz" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err == f"config error: {cfg_path}:1: unknown config key {key!r}\n"
+    assert sorted(tmp_path.iterdir()) == [cfg_path]
 
 
 @pytest.mark.parametrize("line", [
-    "physics.beta = nan", "ctl.dt_min = inf", "ctl.cfl_hyp = 2",
-    "grid.cells = 3", "grid.far_length = 50.5", "probe.interval = 0",
+    "physics.beta = nan", "ctl.cfl_hyp = 2",
+    "grid.cells = 3", "grid.far_length = 50.5",
     "ic.amp_u = inf", "grid.far_length = inf", "grid.far_length = -inf",
     "grid.far_length = nan", "grid.length = inf",
     "grid.cells = 1000000000000", "grid.far_length = 10000000050"])
@@ -1064,8 +1072,31 @@ def test_cli_non_finite_constant_exit_two(tmp_path, capsys, line):
     assert sorted(tmp_path.iterdir()) == [cfg_path]
 
 
+@pytest.mark.parametrize("line", ["physics.R = 1e200", "physics.R = 1e300",
+                                  "ctl.cfl_hyp = 1e-20"])
+def test_cli_acoustic_step_at_floor_exit_two(tmp_path, capsys, line):
+    """A run whose initial acoustic step is at most DT_MIN is a
+    configuration error naming ctl.cfl_hyp, physics.R and physics.cv:
+    exit 2, one line, before any file is written.  Run with steps of
+    DT_MIN, the huge R's step far exceeds its acoustic step and the probe
+    overflows; the tiny CFL number's run ignores the number asked for."""
+    cfg_path = tmp_path / "bad.cfg"
+    cfg_path.write_text(
+        f"ic.kind = equilibrium\ngrid.cells = 100\nrun.t_final = 1e-9\n"
+        f"run.sample_dt = 1e-10\n{line}\nout.series = {tmp_path}/s.csv\n"
+        f"out.report = {tmp_path}/r.json\n")
+    assert cli_main(["run", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ctl.cfl_hyp = ")
+    assert ", physics.R = " in err and ", physics.cv = 1.0: " in err
+    assert err.endswith(f"the initial acoustic step is at most DT_MIN = "
+                        f"{stepper.DT_MIN}\n")
+    assert err.count("\n") == 1
+    assert sorted(tmp_path.iterdir()) == [cfg_path]
+
+
 @pytest.mark.parametrize("line", [
-    "ic.width = -1.0", "ic.floor = 0.0", "ic.amp_theta = 0.95",
+    "ic.width = -1.0", "ic.amp_theta = 0.95",
     "ic.kind = blob"])
 def test_cli_check_bad_initial_data_exit_two(tmp_path, capsys, line):
     """Initial data that make_initial_data refuses is a configuration

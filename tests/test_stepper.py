@@ -169,9 +169,12 @@ def test_stable_dt_scalings():
 
 
 def test_stable_dt_floor():
+    """At the least CFL number the acoustic step is subnormal; stable_dt
+    returns DT_MIN in its place."""
     grid = build_grid(50.0, 2000)
-    ctl = StepControl(dt_min=1.0)
-    assert stable_dt(equilibrium_state(grid), grid, Params(), ctl) == 1.0
+    ctl = StepControl(cfl_hyp=5e-324)
+    assert stable_dt(equilibrium_state(grid), grid, Params(),
+                     ctl) == stepper.DT_MIN
 
 
 def test_step_preserves_equilibrium():
@@ -259,7 +262,7 @@ def test_step_hands_on_its_strain_rate():
     and leaves it unchanged."""
     grid = build_grid(50.0, 200, far_length=225.0)
     spec = ICSpec(kind="bump", amp_v=0.2, amp_u=0.2, amp_theta=0.2,
-                  center=6.0, width=1.0, floor=0.1)
+                  center=6.0, width=1.0)
     s = make_initial_data(grid, spec)
     params = Params(beta=2.5)
     dt = stable_dt(s, grid, params, StepControl())
@@ -392,7 +395,7 @@ def test_graded_run_matches_uniform_on_resolved_zone():
     same depth: on (0, length) the two runs agree to 1e-4 at T = 30, while
     the bump's wave there is of order 1e-2."""
     spec = ICSpec(kind="bump", amp_v=0.3, amp_u=0.3, amp_theta=0.3,
-                  center=6.0, width=1.0, floor=0.1)
+                  center=6.0, width=1.0)
     graded = build_grid(50.0, 500, far_length=225.0)
     uniform = build_grid(225.0, 2250)
     a = advance(make_initial_data(graded, spec), 30.0, graded, Params())
@@ -406,7 +409,7 @@ def test_graded_run_matches_uniform_on_resolved_zone():
 def test_advance_bump_run_stays_valid():
     grid = build_grid(50.0, 400)
     spec = ICSpec(kind="bump", amp_v=0.3, amp_u=0.3, amp_theta=0.3,
-                  center=6.0, width=1.0, floor=0.1)
+                  center=6.0, width=1.0)
     s = make_initial_data(grid, spec)
     out = advance(s, 5.0, grid, Params())
     assert out.t == 5.0
@@ -418,7 +421,7 @@ def test_advance_strong_conduction_stays_valid():
     their weights cv*h/dt; the solves stay within the residual guard."""
     grid = build_grid(50.0, 100, far_length=225.0)
     spec = ICSpec(kind="bump", amp_v=0.3, amp_u=0.3, amp_theta=0.3,
-                  center=6.0, width=1.0, floor=0.1)
+                  center=6.0, width=1.0)
     out = advance(make_initial_data(grid, spec), 0.2, grid,
                   Params(beta=50.0))
     assert out.t == 0.2
@@ -437,15 +440,15 @@ def test_advance_lands_exactly_and_reports_steps():
         assert new_t > prev_t and dt > 0
 
 
-def test_advance_underflow_raises_with_state():
+def test_advance_underflow_raises_with_state(monkeypatch):
+    monkeypatch.setattr(stepper, "DT_MIN", 1e-3)
     grid = build_grid(12.0, 12)
     s = equilibrium_state(grid)
     s.v[:] = 1e-7                 # near the positivity floor already
     s.u = -10.0 * grid.faces()    # compression no small step survives
     s.u[-1] = 0.0
-    ctl = StepControl(dt_min=1e-3)
     with pytest.raises(StepFailure) as err:
-        advance(s, 1.0, grid, Params(), ctl)
+        advance(s, 1.0, grid, Params())
     assert err.value.state is not None
     assert err.value.dt < 1e-3
 
@@ -459,7 +462,7 @@ def _always_rejected(monkeypatch):
 
 
 def test_step_failure_names_retry_limit(monkeypatch):
-    """Retries that run out with the step above dt_min say so, with the
+    """Retries that run out with the step above DT_MIN say so, with the
     last step size tried, not that the step size underflowed."""
     _always_rejected(monkeypatch)
     grid = build_grid(50.0, 200)
@@ -475,18 +478,18 @@ def test_step_failure_names_retry_limit(monkeypatch):
 
 
 def test_step_failure_names_dt_min(monkeypatch):
-    """Retries that halve the step below dt_min say the step size
-    underflowed, with the last step size tried and dt_min."""
+    """Retries that halve the step below DT_MIN say the step size
+    underflowed, with the last step size tried and DT_MIN."""
     _always_rejected(monkeypatch)
     grid = build_grid(50.0, 200)
     s = equilibrium_state(grid)
     dt0 = stable_dt(s, grid, Params(), StepControl())
-    ctl = StepControl(dt_min=0.3 * dt0)
+    monkeypatch.setattr(stepper, "DT_MIN", 0.3 * dt0)
     with pytest.raises(StepFailure) as err:
-        advance(s, 1.0, grid, Params(), ctl)
+        advance(s, 1.0, grid, Params())
     assert str(err.value) == (
         f"step size underflowed: dt = {dt0 / 2} halves to {dt0 / 4}, below "
-        f"dt_min = {ctl.dt_min}, at t = 0.0 (guard failed)")
+        f"DT_MIN = {0.3 * dt0}, at t = 0.0 (guard failed)")
     assert err.value.dt == dt0 / 4 and err.value.state is s
 
 
@@ -515,7 +518,7 @@ def test_advance_looks_up_step_imex_every_step(monkeypatch):
     outcomes = _counting_step_imex(monkeypatch, stepper)
     grid = build_grid(50.0, 200)
     spec = ICSpec(kind="bump", amp_v=0.2, amp_u=0.2, amp_theta=0.2,
-                  center=6.0, width=1.0, floor=0.1)
+                  center=6.0, width=1.0)
     seen = []
     advance(make_initial_data(grid, spec), 1.0, grid, Params(),
             on_step=lambda prev, new, dt: seen.append(dt))
@@ -542,7 +545,7 @@ def _beta150_bump():
     # the default bump on which beta = 150 fails dominance in rounding
     grid = build_grid(50.0, 500)
     spec = ICSpec(kind="bump", amp_v=0.3, amp_u=0.3, amp_theta=0.3,
-                  center=6.0, width=1.0, floor=0.1)
+                  center=6.0, width=1.0)
     return make_initial_data(grid, spec), grid, Params(beta=150.0)
 
 
@@ -606,7 +609,7 @@ def test_rejected_try_reuses_conduction_numerator(monkeypatch):
 def test_trajectories_deterministic():
     grid = build_grid(50.0, 200)
     spec = ICSpec(kind="bump", amp_v=0.2, amp_u=0.2, amp_theta=0.2,
-                  center=6.0, width=1.0, floor=0.1)
+                  center=6.0, width=1.0)
     a = advance(make_initial_data(grid, spec), 3.0, grid, Params())
     b = advance(make_initial_data(grid, spec), 3.0, grid, Params())
     assert np.array_equal(a.v, b.v)
@@ -635,7 +638,7 @@ def test_step_keeps_positive_states_positive_or_signals(seed, dt):
     assert np.all(np.isfinite(out.u)) and out.u[-1] == 0.0
 
 
-ic_amps = st.floats(-0.85, 0.85)    # 1 - |amp| stays above ICSpec's floor 0.1
+ic_amps = st.floats(-0.85, 0.85)    # 1 - |amp| stays above IC_FLOOR = 0.1
 
 
 @settings(deadline=None, max_examples=30)
@@ -652,7 +655,7 @@ def test_advance_keeps_states_valid_or_fails_with_one(n, cfl, beta, amp_v,
     params = Params(beta=beta)
     ctl = StepControl(cfl_hyp=cfl)
     spec = ICSpec(kind=kind, amp_v=amp_v, amp_u=amp_u, amp_theta=amp_theta,
-                  center=4.0, width=0.75, floor=0.1)
+                  center=4.0, width=0.75)
     s = make_initial_data(grid, spec)
     t_target = 100 * stable_dt(s, grid, params, ctl)   # about 100 steps
     try:
