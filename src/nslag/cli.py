@@ -79,7 +79,7 @@ def _cmd_check(args):
     criteria = None
     if args.criteria is not None:
         criteria = _comma_list(args.criteria, int, "--criteria")
-    report = acceptance_suite(cfg, criteria=criteria, out_path=args.out)
+    report = acceptance_suite(cfg, args.out, criteria)
     for name, v in report["criteria"].items():
         mark = "pass" if v["pass"] else "FAIL"
         print(f"  {name:<28} {mark}  ({v['seconds']} s)")

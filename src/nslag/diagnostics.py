@@ -223,15 +223,14 @@ class ReprProbe:
     time integral I per probe point, and the spatial factor D recomputed
     from the current state.  The true values are Y * 2^Y_exp and
     I * 2^-Y_exp, which keeps both in range at any horizon.  seg is the
-    face range from face fi to the face right of the last probe cell,
-    jrel each probe cell's offset in it.  sigma and theta are the face
-    stress and probe-cell temperatures of the state the probe last
-    reached.  logY_t and logY are float columns of (t, ln Y), one value
-    per update.
+    face range from mass i to the face right of the last probe cell, u0
+    the initial velocity on it, jrel each probe cell's offset in it.
+    sigma and theta are the face stress and probe-cell temperatures of
+    the state the probe last reached.  logY_t and logY are float columns
+    of (t, ln Y), one value per update.
     """
 
     cells: np.ndarray
-    fi: int
     v0: np.ndarray
     u0: np.ndarray
     D: np.ndarray
@@ -258,11 +257,11 @@ def make_repr_probe(s0, grid, params, i):
     xs = i + (np.arange(PROBE_POINTS) + 0.5) / PROBE_POINTS
     cells = (xs / grid.h).astype(int)
     v0 = s0.v[cells].copy()
-    return ReprProbe(cells=cells, fi=fi, v0=v0, u0=s0.u.copy(),
+    seg = slice(fi, int(cells[-1]) + 2)
+    return ReprProbe(cells=cells, v0=v0, u0=s0.u[seg].copy(),
                      D=v0.copy(), Y=1.0, I=np.zeros(PROBE_POINTS),
                      logY_t=array("d", [s0.t]), logY=array("d", [0.0]),
-                     seg=slice(fi, int(cells[-1]) + 2),
-                     jrel=tuple((cells - fi).tolist()),
+                     seg=seg, jrel=tuple((cells - fi).tolist()),
                      sigma=_sigma_at_face(s0, fi, grid.h, params),
                      theta=s0.theta[cells])
 
@@ -282,7 +281,7 @@ def _probe_d(p, s, grid):
     # a half-cell tail from the last face to the cell center; the few
     # values are summed in order in Python floats, as cumsum sums them
     h = grid.h
-    w = (s.u[p.seg] - p.u0[p.seg]).tolist()
+    w = (s.u[p.seg] - p.u0).tolist()
     cum = [0.0, *accumulate([0.5 * h * (a + b) for a, b in zip(w, w[1:])])]
     qh = 0.25 * h
     return p.v0 * np.exp([cum[j] + qh * (1.5 * w[j] + 0.5 * w[j + 1])
@@ -298,7 +297,7 @@ def update_repr_probe(p, s, dt, grid, params):
     over the step and Y as the exact exponential of sigma_mid, which keeps
     the rest-state reconstruction exact up to roundoff.
     """
-    sigma = _sigma_at_face(s, p.fi, grid.h, params)
+    sigma = _sigma_at_face(s, p.seg.start, grid.h, params)
     theta = s.theta[p.cells]
     s_mid = 0.5 * (p.sigma + sigma)
     d_new = _probe_d(p, s, grid)

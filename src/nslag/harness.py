@@ -146,13 +146,18 @@ def _set_up(cfg):
     if not (cfg.sample_dt > 0.0 and cfg.t_final / cfg.sample_dt < math.inf):
         raise ConfigError(f"run.sample_dt must be positive and run.t_final / "
                           f"run.sample_dt finite, got {cfg.sample_dt}")
-    n, _ = _sample_times(cfg.t_final, cfg.sample_dt)
+    n, shortest, _ = _sample_times(cfg.t_final, cfg.sample_dt)
     if not MIN_SAMPLES <= n <= MAX_SAMPLES:
         raise ConfigError(
             f"run.sample_dt = {cfg.sample_dt} gives {n} samples over "
             f"run.t_final = {cfg.t_final}; " + (
                 f"the decay report needs at least {MIN_SAMPLES}"
                 if n < MIN_SAMPLES else f"a run takes at most {MAX_SAMPLES}"))
+    if shortest < DT_MIN:
+        raise ConfigError(
+            f"run.sample_dt = {cfg.sample_dt} over run.t_final = "
+            f"{cfg.t_final} leaves a sample interval of {shortest}, below "
+            f"DT_MIN = {DT_MIN}")
     with _naming(f"grid.length = {cfg.length}, grid.cells = {cfg.n_cells}, "
                  f"grid.far_length = {cfg.far_length}"):
         grid = build_grid(cfg.length, cfg.n_cells, cfg.far_length)
@@ -409,12 +414,14 @@ class _RunAccumulator:
 
 
 def _sample_times(t_final, sample_dt):
-    """The number of samples, the one at t = 0 included, and an iterator
-    over the times of the others: the multiples of sample_dt below t_final,
-    then t_final."""
-    n = int(math.floor(t_final / sample_dt + 1e-9))
-    m = n + (n * sample_dt < t_final)   # multiples k * sample_dt, 0 < k < m
-    return m + 1, chain((k * sample_dt for k in range(1, m)), (t_final,))
+    """The number of samples, the one at t = 0 included, the shortest
+    interval between two, and an iterator over the times of the others:
+    the multiples of sample_dt below t_final, then t_final.  A multiple
+    within 1e-9 intervals of t_final, on either side, is not taken."""
+    m = max(math.ceil(t_final / sample_dt - 1e-9), 1)   # intervals
+    last = t_final - (m - 1) * sample_dt
+    return (m + 1, min(sample_dt, last) if m > 1 else last,
+            chain((k * sample_dt for k in range(1, m)), (t_final,)))
 
 
 def run_simulation(cfg):
@@ -433,7 +440,7 @@ def run_simulation(cfg):
     with open(cfg.series_path, "w", encoding="utf-8") as fh:
         acc = _RunAccumulator(state, grid, params, _series_writer(fh))
         acc.record(state)
-        _, times = _sample_times(cfg.t_final, cfg.sample_dt)
+        *_, times = _sample_times(cfg.t_final, cfg.sample_dt)
         for t_next in times:
             try:
                 state = advance(state, t_next, grid, params, cfg.ctl,
@@ -783,8 +790,8 @@ _CRITERIA = (
 )
 
 
-def acceptance_suite(cfg=None, criteria=None, out_path=None):
-    """Execute the standing acceptance criteria and write one aggregate JSON.
+def acceptance_suite(cfg, out_path, criteria=None):
+    """Run the standing acceptance criteria on cfg; write the JSON to out_path.
 
     criteria selects a nonempty subset by number (1..11); every shared run
     passes _check_runs first, whichever criteria run.  Every criterion and
@@ -795,7 +802,6 @@ def acceptance_suite(cfg=None, criteria=None, out_path=None):
     run it is the first to read: in the full suite the beta sweep falls to
     c03 and the equilibrium diagnostics run to c07.
     """
-    cfg = RunConfig() if cfg is None else cfg
     numbers = {num for num, _, _ in _CRITERIA}
     wanted = numbers if criteria is None else {int(c) for c in criteria}
     bad = sorted(wanted - numbers)
@@ -817,6 +823,5 @@ def acceptance_suite(cfg=None, criteria=None, out_path=None):
             "threshold": threshold, "seconds": round(seconds, 3)}
     report = {"criteria": results,
               "all_pass": all(r["pass"] for r in results.values())}
-    if out_path is not None:
-        write_json(report, out_path)
+    write_json(report, out_path)
     return report

@@ -83,12 +83,11 @@ class PositivityViolation(ArithmeticError):
 class StepFailure(RuntimeError):
     """Retries of a rejected step ran out: more than MAX_RETRIES tries, or
     the step halved below DT_MIN, as the message says with the last step
-    size tried.  Carries the last good state and dt, half that size."""
+    size tried.  Carries the last good state."""
 
-    def __init__(self, msg, state, dt):
+    def __init__(self, msg, state):
         super().__init__(msg)
         self.state = state
-        self.dt = dt
         self.snapshot_path = None   # set where the state is written out
 
 
@@ -307,7 +306,7 @@ def advance(s, t_target, grid, params, ctl=None, on_step=None):
                 else:
                     continue
                 raise StepFailure(f"{limit}, at t = {state.t} ({exc})",
-                                  state, dt) from exc
+                                  state) from exc
         if hits_target:
             new.t = t_target  # land exactly, no roundoff creep
         if on_step is not None:

@@ -269,6 +269,10 @@ def test_probe_initial_reconstruction_exact():
     p = make_repr_probe(s, grid, Params(), 12)
     probe = reconstruct_v(p, s, Params())
     assert probe["Y_probe"] == 1.0 and probe["repr_relerr"] <= 1e-14
+    # the probe keeps the initial velocity of its own faces, from mass 12
+    assert p.seg.start == 12 * grid.unit_cells
+    assert len(p.u0) == p.seg.stop - p.seg.start < len(s.u)
+    assert np.array_equal(p.u0, s.u[p.seg])
 
 
 def test_probe_tracks_evolved_run():

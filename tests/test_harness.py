@@ -240,6 +240,41 @@ def test_cli_rejects_sample_count_overflow(tmp_path, capsys):
     assert sorted(tmp_path.iterdir()) == [cfg_path]
 
 
+@pytest.mark.parametrize("t_final, sample_dt",
+                         [("1e-320", "1e-321"), ("1e-11", "1e-13")])
+def test_cli_rejects_sample_interval_below_dt_min(tmp_path, capsys, t_final,
+                                                  sample_dt):
+    """Samples closer than DT_MIN would hold every step below the retry
+    floor: a config error naming run.sample_dt, one line, before any file
+    is written."""
+    cfg_path = tmp_path / "fine.cfg"
+    cfg_path.write_text(
+        f"ic.kind = equilibrium\ngrid.cells = 100\nrun.t_final = {t_final}\n"
+        f"run.sample_dt = {sample_dt}\nout.series = {tmp_path}/s.csv\n"
+        f"out.report = {tmp_path}/r.json\n")
+    assert cli_main(["run", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: run.sample_dt = {float(sample_dt)} ")
+    assert err.endswith(f", below DT_MIN = {stepper.DT_MIN}\n")
+    assert err.count("\n") == 1
+    assert sorted(tmp_path.iterdir()) == [cfg_path]
+
+
+@pytest.mark.parametrize("t_final", ["9.9999999999999", "10.0000000000001"])
+def test_cli_horizon_near_a_multiple_ends_on_it(tmp_path, t_final):
+    """A horizon within 1e-9 sample intervals of a multiple of
+    run.sample_dt, below or above it, takes t_final for that multiple: 21
+    rows ending at t_final, not a last interval of about 1e-13."""
+    cfg_path = tmp_path / "near.cfg"
+    cfg_path.write_text(
+        f"ic.kind = equilibrium\ngrid.cells = 100\nrun.t_final = {t_final}\n"
+        f"run.sample_dt = 0.5\nout.series = {tmp_path}/s.csv\n"
+        f"out.report = {tmp_path}/r.json\n")
+    assert cli_main(["run", "--config", str(cfg_path)]) == 0
+    times = [row["t"] for row in read_series(f"{tmp_path}/s.csv")]
+    assert times == [0.5 * k for k in range(20)] + [float(t_final)]
+
+
 config_floats = st.floats(0.1, 10.0).filter(lambda x: x != 1.0)
 
 # a value other than the default for every config key; grid.length 100
@@ -878,19 +913,21 @@ def test_sweep_order_independent(tmp_path):
 
 
 def _fail_step(state, t_target, *args, **kwargs):
-    raise StepFailure("step size underflowed", state, 1e-13)
+    raise StepFailure("step size underflowed", state)
 
 
 def test_sweep_step_failure_reaches_caller(tmp_path, monkeypatch):
     """A run's StepFailure ends the sweep at the first exponent and reaches
-    the caller with its snapshot path, the last good state and dt."""
+    the caller with its snapshot path, its message and the last good
+    state."""
     cfg = _quick_cfg(tmp_path, n_cells=100, t_final=6.0)
     monkeypatch.setattr(harness, "advance", _fail_step)
     with pytest.raises(StepFailure) as err:
         sweep(cfg, [1.0, 0.5])
     snap = str(tmp_path / "report_beta0.5.json.failed_state.txt")
     assert err.value.snapshot_path == snap and os.path.exists(snap)
-    assert err.value.dt == 1e-13 and err.value.state.t == 0.0
+    assert str(err.value) == "step size underflowed"
+    assert err.value.state.t == 0.0
     assert not list(tmp_path.glob("*beta1*"))
 
 
@@ -899,18 +936,21 @@ def test_acceptance_empty_criteria_vacuous(tmp_path):
     any report is written."""
     out = tmp_path / "acc.json"
     with pytest.raises(ConfigError):
-        acceptance_suite(criteria=[], out_path=str(out))
+        acceptance_suite(RunConfig(), str(out), criteria=[])
     assert not out.exists()
 
 
-def test_acceptance_unknown_criterion():
+def test_acceptance_unknown_criterion(tmp_path):
+    out = tmp_path / "acc.json"
     with pytest.raises(ConfigError):
-        acceptance_suite(criteria=[12])
+        acceptance_suite(RunConfig(), str(out), criteria=[12])
+    assert not out.exists()
 
 
 def test_acceptance_single_cheap_criterion(tmp_path):
-    report = acceptance_suite(criteria=[10],
-                              out_path=str(tmp_path / "acc.json"))
+    out = tmp_path / "acc.json"
+    report = acceptance_suite(RunConfig(), str(out), criteria=[10])
+    assert json.loads(out.read_text()) == report
     entry = report["criteria"]["c10_oracle_agreement"]
     assert entry["pass"]
     assert entry["measured"]["tridiag"] <= 1e-10
@@ -922,7 +962,8 @@ def test_acceptance_subset_charges_sweep_to_its_first_reader(tmp_path):
     counts in that criterion's seconds, here c04's; the equilibrium run,
     which c04 does not read, is not made."""
     cfg = _quick_cfg(tmp_path, n_cells=100, t_final=6.0)
-    report = acceptance_suite(cfg, criteria=[4])
+    report = acceptance_suite(cfg, str(tmp_path / "acc.json"),
+                              criteria=[4])
     walls = [json.loads(p.read_text())["wall_seconds"]
              for p in tmp_path.glob("report_beta*.json")]
     assert len(walls) == 3
@@ -946,7 +987,8 @@ def test_acceptance_sweeps_once_through_harness_sweep(tmp_path,
 
     monkeypatch.setattr(harness, "sweep", counted)
     cfg = _quick_cfg(tmp_path, n_cells=100, t_final=6.0)
-    report = acceptance_suite(cfg, criteria=[4, 5, 9])
+    report = acceptance_suite(cfg, str(tmp_path / "acc.json"),
+                              criteria=[4, 5, 9])
     assert len(report["criteria"]) == 3
     assert calls == [(0.5, 1.0, 2.5)]
 
@@ -957,7 +999,8 @@ def test_acceptance_patched_threshold_turns_c11_red(tmp_path, monkeypatch):
     At the default tolerance this sweep passes c11 at about 2e-15."""
     monkeypatch.setitem(THRESHOLDS, "farfield_tol", 0.0)
     cfg = _quick_cfg(tmp_path, n_cells=250, t_final=10.0)
-    report = acceptance_suite(cfg, criteria=[11])
+    report = acceptance_suite(cfg, str(tmp_path / "acc.json"),
+                              criteria=[11])
     entry = report["criteria"]["c11_farfield_fidelity"]
     assert not report["all_pass"] and not entry["pass"]
     assert entry["threshold"] == 0.0
@@ -1253,7 +1296,7 @@ def test_cli_step_failure_names_snapshot(tmp_path, monkeypatch, capsys):
     """A step failure exits 1 and names the snapshot of the failed state,
     which the run wrote."""
     def fail(state, t_target, *args, **kwargs):
-        raise StepFailure("step size underflowed", state, 1e-13)
+        raise StepFailure("step size underflowed", state)
 
     monkeypatch.setattr(harness, "advance", fail)
     assert cli_main(["run", "--config", _tiny_config_file(tmp_path)]) == 1

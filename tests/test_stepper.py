@@ -450,7 +450,9 @@ def test_advance_underflow_raises_with_state(monkeypatch):
     with pytest.raises(StepFailure) as err:
         advance(s, 1.0, grid, Params())
     assert err.value.state is not None
-    assert err.value.dt < 1e-3
+    msg = str(err.value)
+    assert msg.startswith("step size underflowed: dt = ")
+    assert float(msg.split(" halves to ")[1].split(",")[0]) < 1e-3
 
 
 def _always_rejected(monkeypatch):
@@ -474,7 +476,7 @@ def test_step_failure_names_retry_limit(monkeypatch):
     assert str(err.value) == (
         f"no step accepted in {stepper.MAX_RETRIES + 1} tries, the last "
         f"with dt = {last}, at t = 0.0 (guard failed)")
-    assert err.value.dt == last / 2 and err.value.state is s
+    assert err.value.state is s
 
 
 def test_step_failure_names_dt_min(monkeypatch):
@@ -490,7 +492,7 @@ def test_step_failure_names_dt_min(monkeypatch):
     assert str(err.value) == (
         f"step size underflowed: dt = {dt0 / 2} halves to {dt0 / 4}, below "
         f"DT_MIN = {0.3 * dt0}, at t = 0.0 (guard failed)")
-    assert err.value.dt == dt0 / 4 and err.value.state is s
+    assert err.value.state is s
 
 
 def _counting_step_imex(monkeypatch, module, name="step_imex"):
