@@ -1,9 +1,10 @@
 """Command-line entry point.
 
 Subcommands: run (one trajectory), sweep (one config across conductivity
-exponents), mms (convergence study), check (acceptance suite).  Exit code
-0 on success, 1 when a verdict fails, 2 on configuration errors (too
-sparse a sampling for the decay report among them).
+exponents), check (acceptance suite; --criteria 2 runs c02's convergence
+study alone).  Exit code 0 on success, 1 when a verdict fails, 2 on
+configuration errors (too sparse a sampling for the decay report among
+them).
 """
 
 from __future__ import annotations
@@ -12,8 +13,7 @@ import sys
 
 from .core import ConfigError
 from .harness import (RunConfig, acceptance_suite, check_outputs,
-                      load_config, mms_convergence, mms_orders_pass,
-                      run_simulation, sweep, write_config, write_json)
+                      load_config, run_simulation, sweep, write_config)
 from .stepper import StepFailure
 
 
@@ -61,19 +61,6 @@ def _cmd_sweep(args):
     return 0 if all(r.all_pass for r in reports.values()) else 1
 
 
-def _cmd_mms(args):
-    if args.out is not None:
-        check_outputs([("--out", args.out)])
-    report = mms_convergence()
-    print("spatial orders: ",
-          ["%.3f" % p for p in report["spatial"]["orders"]])
-    print("temporal orders:",
-          ["%.3f" % p for p in report["temporal"]["orders"]])
-    if args.out is not None:
-        write_json(report, args.out)
-    return 0 if mms_orders_pass(report) else 1
-
-
 def _cmd_check(args):
     cfg = _load(args)
     criteria = None
@@ -108,10 +95,6 @@ def build_parser():
     p.add_argument("--out", default="sweep.json", help="aggregate JSON path")
     p.set_defaults(func=_cmd_sweep)
 
-    p = sub.add_parser("mms", help="c02's manufactured-solution study")
-    p.add_argument("--out", help="optional JSON output path")
-    p.set_defaults(func=_cmd_mms)
-
     p = sub.add_parser("check", help="run the acceptance suite")
     p.add_argument("--config", help="flat key = value config file")
     p.add_argument("--criteria", help="comma-separated subset, e.g. 1,2,10")
@@ -136,8 +119,7 @@ def main(argv=None):
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except StepFailure as exc:
-        where = f"; state -> {exc.snapshot_path}" if exc.snapshot_path else ""
-        print(f"step failure: {exc}{where}", file=sys.stderr)
+        print(f"step failure: {exc}", file=sys.stderr)
         return 1
 
 

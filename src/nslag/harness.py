@@ -37,8 +37,8 @@ SERIES_HEADER = ("t,E,V,cumV,vmin,vmax,thmin,thmax,n2_vm1,n2_u,n2_thm1,"
                  "cum_ux2,cum_pospart,Y_probe,repr_relerr,farfield_dev")
 SERIES_COLUMNS = SERIES_HEADER.split(",")
 
-# the one source of every verdict's limit: run reports, the acceptance
-# suite and nslag mms read it when they judge
+# the one source of every verdict's limit: run reports and the acceptance
+# suite read it when they judge
 THRESHOLDS = {
     "energy_margin_rel": 0.02,    # margin allowance as a fraction of E(0)
     "energy_margin_abs": 1e-6,
@@ -196,34 +196,46 @@ def config_from_dict(values):
 
 
 def load_config(path):
-    """Parse a flat key = value config file into config_from_dict; unknown
-    or repeated keys and values of the wrong type are rejected."""
+    """Parse a flat key = value config file into config_from_dict; a file
+    that cannot be read, unknown or repeated keys, a '#' in a value (a
+    comment takes a line of its own) and values of the wrong type are
+    rejected."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            raw_lines = fh.readlines()
+    except OSError as exc:
+        raise ConfigError(f"{path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} at byte "
+                          f"{exc.start})") from None
     values, lines = {}, {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, text = line.partition("=")
-            key = key.strip()
-            text = text.strip()
-            if key not in CONFIG_KEYS:
-                raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-            if key in lines:
-                raise ConfigError(f"{path}:{lineno}: config key {key!r} "
-                                  f"already given at line {lines[key]}")
-            lines[key] = lineno
-            typ = CONFIG_KEYS[key][1]
-            if typ is str and len(text) >= 2 and text[0] == text[-1] \
-                    and text[0] in "'\"":
-                text = text[1:-1]
-            try:
-                values[key] = typ(text)
-            except ValueError as exc:
-                raise ConfigError(
-                    f"{path}:{lineno}: bad value for {key}: {text!r}") from exc
+    for lineno, raw in enumerate(raw_lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+        key, _, text = line.partition("=")
+        key = key.strip()
+        text = text.strip()
+        if key not in CONFIG_KEYS:
+            raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key in lines:
+            raise ConfigError(f"{path}:{lineno}: config key {key!r} "
+                              f"already given at line {lines[key]}")
+        if "#" in text:
+            raise ConfigError(f"{path}:{lineno}: '#' in the value of {key}: "
+                              f"a comment takes a line of its own")
+        lines[key] = lineno
+        typ = CONFIG_KEYS[key][1]
+        if typ is str and len(text) >= 2 and text[0] == text[-1] \
+                and text[0] in "'\"":
+            text = text[1:-1]
+        try:
+            values[key] = typ(text)
+        except ValueError as exc:
+            raise ConfigError(
+                f"{path}:{lineno}: bad value for {key}: {text!r}") from exc
     return config_from_dict(values)
 
 
@@ -233,7 +245,8 @@ def config_to_dict(cfg):
 
 
 def write_config(cfg, path):
-    """Write every config key explicitly; load_config round-trips it."""
+    """Write every config key explicitly.  load_config reads the file back
+    to cfg unless a path holds a '#', which it refuses."""
     with open(path, "w", encoding="utf-8") as fh:
         for key, value in config_to_dict(cfg).items():
             fh.write(f"{key} = {value}\n")
@@ -431,7 +444,8 @@ def run_simulation(cfg):
     diagnostics on the sample_dt cadence (running integrals and the
     probe advance every step), streams the series CSV as it goes, writes
     the JSON report, and returns the RunReport.  A stepper failure is
-    re-raised after the offending state is written next to the report.
+    raised again, naming the snapshot of its last good state, once that
+    state is written next to the report.
     """
     wall0 = time.perf_counter()
     grid, state, band = _set_up(cfg)
@@ -446,9 +460,10 @@ def run_simulation(cfg):
                 state = advance(state, t_next, grid, params, cfg.ctl,
                                 on_step=acc)
             except StepFailure as exc:
-                exc.snapshot_path = cfg.outputs()["failure snapshot"]
-                write_snapshot(exc.state, grid, exc.snapshot_path)
-                raise
+                path = cfg.outputs()["failure snapshot"]
+                write_snapshot(exc.state, grid, path)
+                raise StepFailure(f"{exc}; state -> {path}", exc.state) \
+                    from exc
             acc.record(state)
 
     decay = decay_report(acc.series, logy=(acc.probe.logY_t, acc.probe.logY))
@@ -667,20 +682,12 @@ def _criterion_equilibrium(suite):
         {"deviation": dev, "seconds": seconds}, limits
 
 
-def mms_orders_pass(report):
-    """Whether an mms_convergence report's orders all lie inside their
-    windows, THRESHOLDS' "spatial_order" and "temporal_order"."""
-    lo_s, hi_s = THRESHOLDS["spatial_order"]
-    lo_t, hi_t = THRESHOLDS["temporal_order"]
-    return (all(lo_s <= p <= hi_s for p in report["spatial"]["orders"])
-            and all(lo_t <= p <= hi_t for p in report["temporal"]["orders"]))
-
-
 def _criterion_mms(suite):
     report = mms_convergence()
-    return mms_orders_pass(report), \
-        {k: report[k]["orders"] for k in ("spatial", "temporal")}, \
-        {k: list(THRESHOLDS[f"{k}_order"]) for k in ("spatial", "temporal")}
+    windows = {k: list(THRESHOLDS[f"{k}_order"])
+               for k in ("spatial", "temporal")}
+    return all(lo <= p <= hi for k, (lo, hi) in windows.items()
+               for p in report[k]["orders"]), report, windows
 
 
 def _criterion_tridiag(suite):

@@ -88,7 +88,6 @@ class StepFailure(RuntimeError):
     def __init__(self, msg, state):
         super().__init__(msg)
         self.state = state
-        self.snapshot_path = None   # set where the state is written out
 
 
 def check_dominant(diag, off):

@@ -439,11 +439,14 @@ def test_cli_run_refuses_empty_output_path(tmp_path, monkeypatch, capsys,
     assert sorted(tmp_path.iterdir()) == [cfg]
 
 
-@pytest.mark.parametrize("argv", [["mms"], ["check", "--criteria", "10"]])
-def test_cli_out_in_missing_directory_fails_before_work(tmp_path, capsys,
-                                                        argv):
-    """--out in a missing directory is a config error before the study or
-    criterion runs: nothing is printed and no file is written."""
+@pytest.mark.parametrize("argv", [["sweep", "--beta", "1"],
+                                  ["check", "--criteria", "10"]])
+def test_cli_out_in_missing_directory_fails_before_work(tmp_path, monkeypatch,
+                                                        capsys, argv):
+    """--out in a missing directory is a config error before any run or
+    criterion: nothing is printed and no file is written."""
+    _forbid_steps(monkeypatch)
+    monkeypatch.chdir(tmp_path)
     target = tmp_path / "missing" / "out.json"
     assert cli_main([*argv, "--out", str(target)]) == 2
     out = capsys.readouterr()
@@ -482,15 +485,13 @@ def test_cli_run_refuses_unusable_config_before_work(tmp_path, monkeypatch,
     assert list((tmp_path / "adir").iterdir()) == []
 
 
-@pytest.mark.parametrize("argv", [["check"], ["mms"]])
+@pytest.mark.parametrize("argv", [["check"], ["sweep", "--beta", "1"]])
 def test_cli_out_directory_fails_before_work(tmp_path, monkeypatch, capsys,
                                              argv):
     """--out naming a directory is a config error before c01's steps or
-    the study run."""
-    def no_step(*args, **kwargs):
-        raise AssertionError("a step ran")
-
-    monkeypatch.setattr(harness, "step_imex", no_step)
+    the sweep's first run."""
+    _forbid_steps(monkeypatch)
+    monkeypatch.chdir(tmp_path)
     assert cli_main([*argv, "--out", str(tmp_path)]) == 2
     out = capsys.readouterr()
     assert out.err == f"config error: --out = {tmp_path}: is a directory\n"
@@ -499,7 +500,7 @@ def test_cli_out_directory_fails_before_work(tmp_path, monkeypatch, capsys,
 
 
 def _forbid_steps(monkeypatch):
-    # a run steps through stepper.step_imex, c01 and the MMS study through
+    # a run steps through stepper.step_imex, c01 and c02's study through
     # harness.step_imex: with both raising, taking any step fails the test
     def no_step(*args, **kwargs):
         raise AssertionError("a step ran")
@@ -509,8 +510,8 @@ def _forbid_steps(monkeypatch):
 
 
 @pytest.mark.parametrize("argv", [["check", "--criteria", "10"],
-                                  ["sweep", "--beta", "1"], ["mms"]],
-                         ids=["check", "sweep", "mms"])
+                                  ["sweep", "--beta", "1"]],
+                         ids=["check", "sweep"])
 def test_cli_empty_out_fails_before_work(tmp_path, monkeypatch, capsys,
                                          argv):
     """An empty --out names no file, as an empty output key does: exit 2
@@ -876,17 +877,37 @@ def test_mms_run_looks_up_step_imex_every_step(monkeypatch):
     assert sum(calls) == pytest.approx(0.5, rel=1e-15)
 
 
-def test_cli_mms_reads_order_windows(monkeypatch, capsys):
-    """nslag mms judges the orders by THRESHOLDS' windows, as c02 does."""
-    canned = {"spatial": {"orders": [2.0, 2.0]},
-              "temporal": {"orders": [1.0, 1.0]}}
-    monkeypatch.setattr(cli, "mms_convergence", lambda: canned)
-    assert cli_main(["mms"]) == 0
+_CANNED_MMS = {"spatial": {"cells": [1, 2, 4], "errors": [4.0, 1.0, 0.25],
+                           "ratios": [4.0, 4.0], "orders": [2.0, 2.0]},
+               "temporal": {"cells": 8, "dts": [1.0, 0.5, 0.25],
+                            "diffs": [2.0, 1.0], "ratios": [2.0],
+                            "orders": [1.0]}}
+
+
+def test_cli_check_c02_reads_order_windows(tmp_path, monkeypatch, capsys):
+    """nslag check --criteria 2 judges the study's orders by THRESHOLDS'
+    windows."""
+    monkeypatch.setattr(harness, "mms_convergence", lambda: _CANNED_MMS)
+    argv = ["check", "--criteria", "2", "--out", str(tmp_path / "c2.json")]
+    assert cli_main(argv) == 0
     monkeypatch.setitem(THRESHOLDS, "spatial_order", (2.5, 3.0))
-    assert cli_main(["mms"]) == 1
+    assert cli_main(argv) == 1
     monkeypatch.setitem(THRESHOLDS, "spatial_order", (1.9, 2.1))
     monkeypatch.setitem(THRESHOLDS, "temporal_order", (0.5, 0.9))
-    assert cli_main(["mms"]) == 1
+    assert cli_main(argv) == 1
+
+
+def test_cli_check_c02_measures_the_whole_study(tmp_path, monkeypatch,
+                                                capsys):
+    """c02's measured is the study's report, unchanged, next to its order
+    windows."""
+    monkeypatch.setattr(harness, "mms_convergence", lambda: _CANNED_MMS)
+    out = tmp_path / "c2.json"
+    assert cli_main(["check", "--criteria", "2", "--out", str(out)]) == 0
+    c02 = json.loads(out.read_text())["criteria"]["c02_mms_orders"]
+    assert c02["measured"] == _CANNED_MMS
+    assert c02["threshold"] == {"spatial": list(THRESHOLDS["spatial_order"]),
+                                "temporal": list(THRESHOLDS["temporal_order"])}
 
 
 def test_sweep_outputs_keyed_and_sorted(tmp_path):
@@ -918,15 +939,15 @@ def _fail_step(state, t_target, *args, **kwargs):
 
 def test_sweep_step_failure_reaches_caller(tmp_path, monkeypatch):
     """A run's StepFailure ends the sweep at the first exponent and reaches
-    the caller with its snapshot path, its message and the last good
-    state."""
+    the caller with its message, naming the snapshot it wrote, and the last
+    good state."""
     cfg = _quick_cfg(tmp_path, n_cells=100, t_final=6.0)
     monkeypatch.setattr(harness, "advance", _fail_step)
     with pytest.raises(StepFailure) as err:
         sweep(cfg, [1.0, 0.5])
     snap = str(tmp_path / "report_beta0.5.json.failed_state.txt")
-    assert err.value.snapshot_path == snap and os.path.exists(snap)
-    assert str(err.value) == "step size underflowed"
+    assert str(err.value) == f"step size underflowed; state -> {snap}"
+    assert os.path.exists(snap)
     assert err.value.state.t == 0.0
     assert not list(tmp_path.glob("*beta1*"))
 
@@ -1092,6 +1113,50 @@ def test_cli_unknown_key_exit_two(tmp_path, capsys, key):
     err = capsys.readouterr().err
     assert err == f"config error: {cfg_path}:1: unknown config key {key!r}\n"
     assert sorted(tmp_path.iterdir()) == [cfg_path]
+
+
+@pytest.mark.parametrize("name, reason", [
+    ("missing.cfg", "No such file or directory"),
+    ("adir.cfg", "Is a directory"),
+    ("latin1.cfg", "not UTF-8 text (invalid continuation byte at byte 14)"),
+], ids=["missing", "directory", "not_utf8"])
+@pytest.mark.parametrize("argv", [["run"], ["check", "--criteria", "1,10"]],
+                         ids=["run", "check"])
+def test_cli_unreadable_config_exit_two(tmp_path, monkeypatch, capsys, name,
+                                        reason, argv):
+    """A --config that cannot be read is one config error line naming the
+    file and why, before any step or criterion, and no file is written."""
+    _forbid_steps(monkeypatch)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "adir.cfg").mkdir()
+    (tmp_path / "latin1.cfg").write_bytes("out.series = s\xe9.csv\n"
+                                          .encode("latin-1"))
+    before = sorted(tmp_path.iterdir())
+    assert cli_main([*argv, "--config", name]) == 2
+    out = capsys.readouterr()
+    assert out.err == f"config error: {name}: {reason}\n"
+    assert out.out == ""
+    assert sorted(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("line", ["out.series = s.csv   # my series",
+                                  "grid.cells = 100 # x",
+                                  "out.report = 'r#1.json'"],
+                         ids=["series", "cells", "quoted"])
+def test_cli_hash_in_value_exit_two(tmp_path, monkeypatch, capsys, line):
+    """A '#' after a value does not start a comment: whatever the key, it
+    is one config error line naming the file and line, and no file is
+    written."""
+    _forbid_steps(monkeypatch)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c.cfg").write_text(f"# a comment line\n{line}\n")
+    assert cli_main(["run", "--config", "c.cfg"]) == 2
+    out = capsys.readouterr()
+    key = line.split(" = ")[0]
+    assert out.err == (f"config error: c.cfg:2: '#' in the value of "
+                       f"{key}: a comment takes a line of its own\n")
+    assert out.out == ""
+    assert sorted(tmp_path.iterdir()) == [tmp_path / "c.cfg"]
 
 
 @pytest.mark.parametrize("line", [
