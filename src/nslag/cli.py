@@ -43,7 +43,7 @@ def _print_verdicts(verdicts):
 
 def _cmd_run(args):
     cfg = _load(args)
-    report = run_simulation(cfg)
+    report = run_simulation(cfg, args.config)
     print(f"run finished: {report.n_steps} steps, "
           f"{report.wall_seconds:.1f} s, series -> {cfg.series_path}")
     _print_verdicts(report.verdicts)
@@ -52,7 +52,8 @@ def _cmd_run(args):
 
 def _cmd_sweep(args):
     cfg = _load(args)
-    reports = sweep(cfg, _comma_list(args.beta, float, "--beta"), args.out)
+    reports = sweep(cfg, _comma_list(args.beta, float, "--beta"), args.out,
+                    args.config)
     for b, r in reports.items():
         mark = "pass" if r.all_pass else "FAIL"
         print(f"beta = {b:g}: {mark} ({r.n_steps} steps, "
@@ -66,7 +67,7 @@ def _cmd_check(args):
     criteria = None
     if args.criteria is not None:
         criteria = _comma_list(args.criteria, int, "--criteria")
-    report = acceptance_suite(cfg, args.out, criteria)
+    report = acceptance_suite(cfg, args.out, criteria, args.config)
     for name, v in report["criteria"].items():
         mark = "pass" if v["pass"] else "FAIL"
         print(f"  {name:<28} {mark}  ({v['seconds']} s)")

@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .model import conduction_numerator, strain_rate
+from .model import conduction_numerator, face_denominator, strain_rate
 
 
 class ConfigError(ValueError):
@@ -186,15 +186,21 @@ def build_grid(length, n_cells, far_length=None):
 @dataclass
 class State:
     """Fields at one instant: v, theta on cells, u on faces, u[N] = 0.
-    The strain rate ux and the conduction numerator, set by the step that
-    made the state or on first use, are kept, trusting that no array is
-    written in place: ux until set again, the numerator per theta array."""
+
+    Kept, set by the step that made the state or on first use, trusting
+    that no array is written in place: the strain rate ux until set again,
+    for the dissipation and the next volume update; den, face_denominator
+    of v on the grid's center distances, until set again, which the step
+    made for its temperature rows and the dissipation reuses; and the
+    conduction numerator per theta array, for the dissipation and the
+    temperature rows of the next step."""
 
     t: float
     v: np.ndarray
     theta: np.ndarray
     u: np.ndarray
     ux: np.ndarray | None = None
+    den: np.ndarray | None = None
     # (kappa, beta, theta, numerator) of conduction_numerator()
     _cond_num: tuple | None = field(default=None, init=False,
                                     repr=False, compare=False)
@@ -204,6 +210,13 @@ class State:
         if self.ux is None:
             self.ux = strain_rate(self.u, h)
         return self.ux
+
+    def face_denominator(self, dc):
+        """model.face_denominator of v on center distances dc, computed
+        once and kept."""
+        if self.den is None:
+            self.den = face_denominator(self.v, dc)
+        return self.den
 
     def conduction_numerator(self, params):
         """model.conduction_numerator of theta, computed once per kappa,

@@ -64,9 +64,10 @@ def dissipation_functional(s, grid, params):
     """Dissipation: sum_j h_j*mu*u_x^2/(v*theta) + sum_i c_i*(theta_i - theta_{i-1})^2/(theta_{i-1}*theta_i).
 
     The face sum runs over the interior faces i = 1..N-1, and c is the
-    step's conduction coefficient, face_conductance on the grid's center
-    distances, from the numerator kept on the state by the step that made it
-    (s.conduction_numerator).  u_x is the state's strain rate, s.strain.
+    step's conduction coefficient: face_conductance of the numerator and
+    the face denominator on the grid's center distances that the step
+    which made the state kept on it (s.conduction_numerator,
+    s.face_denominator).  u_x is the state's strain rate, s.strain.
     """
     h = grid.dx
     v, th = s.v, s.theta
@@ -76,8 +77,8 @@ def dissipation_functional(s, grid, params):
     cell *= ux
     cell /= v * th
     cell *= h
-    face = face_conductance(s.conduction_numerator(params), v,
-                            grid.dc)[1:-1]
+    face = face_conductance(s.conduction_numerator(params),
+                            s.face_denominator(grid.dc))[1:-1]
     dth = np.subtract(th[1:], th[:-1])
     face *= dth
     face *= dth
@@ -118,16 +119,17 @@ def running_integrals(s, grid, params, prev=None):
     v = dissipation_functional(s, grid, params)
     g2_ux = _norm2(grid.dx, ux)
     pospart = _pospart(s.theta, POSPART_THRESHOLD)
-    row = {"t": s.t, "V": v, "g2_ux": g2_ux, "pospart": pospart}
     if prev is None:
-        return {**row, "cumV": 0.0, "cum_ux2": 0.0, "cum_pospart": 0.0}
-    dt = s.t - prev["t"]
-    return {**row,
-            "cumV": _trapezoid(prev["cumV"], dt, prev["V"], v),
-            "cum_ux2": _trapezoid(prev["cum_ux2"], dt, prev["g2_ux"] ** 2,
-                                  g2_ux ** 2),
-            "cum_pospart": _trapezoid(prev["cum_pospart"], dt,
-                                      prev["pospart"], pospart)}
+        cum_v = cum_ux2 = cum_pospart = 0.0
+    else:
+        dt = s.t - prev["t"]
+        cum_v = _trapezoid(prev["cumV"], dt, prev["V"], v)
+        cum_ux2 = _trapezoid(prev["cum_ux2"], dt, prev["g2_ux"] ** 2,
+                             g2_ux ** 2)
+        cum_pospart = _trapezoid(prev["cum_pospart"], dt, prev["pospart"],
+                                 pospart)
+    return {"t": s.t, "V": v, "g2_ux": g2_ux, "pospart": pospart,
+            "cumV": cum_v, "cum_ux2": cum_ux2, "cum_pospart": cum_pospart}
 
 
 def sample_energy(s, grid, params):

@@ -110,12 +110,15 @@ CONFIG_KEYS = {
 }
 
 
-def check_outputs(outputs):
+def check_outputs(outputs, config_path=None):
     """Raise ConfigError unless each (config key or flag, path) of outputs,
     all the files one command may write, names a file, has an existing
     directory, is not a directory and names no file an earlier one names,
-    however spelled."""
+    or the command's --config file config_path when given, however
+    spelled."""
     named = {}
+    if config_path is not None:
+        named[os.path.realpath(config_path)] = f"--config = {config_path}"
     for name, path in outputs:
         if not path:
             raise ConfigError(f"{name} = {path!r}: names no file")
@@ -437,10 +440,11 @@ def _sample_times(t_final, sample_dt):
             chain((k * sample_dt for k in range(1, m)), (t_final,)))
 
 
-def run_simulation(cfg):
+def run_simulation(cfg, config_path=None):
     """Run one configured trajectory and evaluate every standing verdict.
 
-    Sets up the run and checks its files before opening one.  Samples
+    Sets up the run and checks its files, none of which may be the config
+    file config_path when given, before opening one.  Samples
     diagnostics on the sample_dt cadence (running integrals and the
     probe advance every step), streams the series CSV as it goes, writes
     the JSON report, and returns the RunReport.  A stepper failure is
@@ -449,7 +453,7 @@ def run_simulation(cfg):
     """
     wall0 = time.perf_counter()
     grid, state, band = _set_up(cfg)
-    check_outputs(cfg.outputs().items())
+    check_outputs(cfg.outputs().items(), config_path)
     params = cfg.params
     with open(cfg.series_path, "w", encoding="utf-8") as fh:
         acc = _RunAccumulator(state, grid, params, _series_writer(fh))
@@ -575,22 +579,24 @@ def _sweep_configs(cfg, betas):
                 for b in betas]
 
 
-def _check_runs(configs, out_path):
+def _check_runs(configs, out_path, config_path):
     """Pass every config through _set_up, then every file the runs and
-    out_path, if given, write through check_outputs, before any run starts."""
+    out_path, if given, write through check_outputs, which keeps them off
+    the config file config_path when given, before any run starts."""
     for c in configs:
         _set_up(c)
     outputs = [pair for c in configs for pair in c.outputs().items()]
     check_outputs(outputs if out_path is None
-                  else outputs + [("--out", out_path)])
+                  else outputs + [("--out", out_path)], config_path)
 
 
-def sweep(cfg, betas, out_path=None):
+def sweep(cfg, betas, out_path=None, config_path=None):
     """Run one config across conductivity exponents, in turn, in this
-    process, once _check_runs passes them all; write the {beta: report}
-    aggregate to out_path if given.  Returns {beta: RunReport} by beta."""
+    process, once _check_runs passes them all and finds no output on the
+    config file config_path; write the {beta: report} aggregate to
+    out_path if given.  Returns {beta: RunReport} by beta."""
     configs = _sweep_configs(cfg, betas)
-    _check_runs(configs, out_path)
+    _check_runs(configs, out_path, config_path)
     reports = {c.params.beta: run_simulation(c) for c in configs}
     if out_path is not None:
         write_json({f"{b:g}": r.to_dict() for b, r in reports.items()},
@@ -797,11 +803,12 @@ _CRITERIA = (
 )
 
 
-def acceptance_suite(cfg, out_path, criteria=None):
+def acceptance_suite(cfg, out_path, criteria=None, config_path=None):
     """Run the standing acceptance criteria on cfg; write the JSON to out_path.
 
     criteria selects a nonempty subset by number (1..11); every shared run
-    passes _check_runs first, whichever criteria run.  Every criterion and
+    passes _check_runs first, whichever criteria run, and no output may be
+    the config file config_path when given.  Every criterion and
     the run verdicts it rolls up read their limits from THRESHOLDS.
     Returns the aggregate report dict; "all_pass" says whether every
     executed criterion passed.
@@ -816,7 +823,8 @@ def acceptance_suite(cfg, out_path, criteria=None):
         raise ConfigError(f"no such criterion {bad[0]}" if bad
                           else "no criterion selected")
     _check_runs([*_sweep_configs(cfg, _SUITE_BETAS),
-                 _keyed(cfg, "equilibrium", **_EQ_RUN)], out_path)
+                 _keyed(cfg, "equilibrium", **_EQ_RUN)], out_path,
+                config_path)
 
     suite, results = _Suite(cfg), {}
     for num, name, evaluate in _CRITERIA:

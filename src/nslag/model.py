@@ -28,7 +28,8 @@ def conduction_numerator(theta, params):
 
     Face N pairs the last cell with the far-field ghost, theta = 1.  Twice
     the mean conductivity, face_conductance's numerator; core.State keeps
-    it per state (State.conduction_numerator).
+    it per state (State.conduction_numerator), for the dissipation of that
+    state and the temperature rows of the step from it.
     """
     thb = theta ** params.beta
     num = np.empty(theta.size)
@@ -38,27 +39,37 @@ def conduction_numerator(theta, params):
     return num
 
 
-def face_conductance(num, v, d):
+def face_denominator(v, d):
+    """d*(v_left + v_right) on faces 1..N, face_conductance's denominator.
+
+    d is the center distance across each face: the scalar h of a uniform
+    grid, or the grid's dc.  Face N pairs the last cell with the far
+    ghost, v = 1.  The step makes it once per try for the new volume, for
+    its temperature rows, and keeps it on the new state (core.State.den)
+    for that state's dissipation.
+    """
+    den = np.empty(v.size)
+    np.add(v[:-1], v[1:], out=den[:-1])
+    den[-1] = v[-1] + 1.0
+    den *= d
+    return den
+
+
+def face_conductance(num, den):
     """Conduction coefficients kappa*mean(theta**beta)/(d*mean(v)) on faces 0..N.
 
-    num is conduction_numerator of theta, d the distance between the
-    centers on either side of faces 1..N: one scalar, the width h of a
-    uniform grid, or one per face, the grid's dc.  Interior face i averages
-    the two adjacent cells.  The wall face 0 stays adiabatic (conductance
-    0).  Face N pairs the last cell with a ghost cell one width beyond its
-    center that holds the far-field values (1, 1).  The heat flux through
-    a face is its conductance times the temperature jump.  The step's
-    temperature rows and the dissipation D
+    num is conduction_numerator of theta and den face_denominator of v;
+    the means' halves cancel exactly, scaling by 1/2 being exact.  Interior
+    face i averages the two adjacent cells.  The wall face 0 stays
+    adiabatic (conductance 0).  Face N pairs the last cell with a ghost
+    cell one width beyond its center that holds the far-field values
+    (1, 1).  The heat flux through a face is its conductance times the
+    temperature jump.  The step's temperature rows and the dissipation D
     (diagnostics.dissipation_functional) both read these coefficients.
     """
     cond = np.empty(num.size + 1)
     cond[0] = 0.0
-    den = cond[1:]
-    np.add(v[:-1], v[1:], out=den[:-1])
-    den[-1] = v[-1] + 1.0
-    den *= d
-    # the means' halves cancel exactly: scaling by 1/2 is exact
-    np.divide(num, den, out=den)
+    np.divide(num, den, out=cond[1:])
     return cond
 
 

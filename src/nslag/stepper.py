@@ -28,7 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ConfigError, State
-from .model import face_conductance, mms_source, mms_tables, strain_rate
+from .model import (face_conductance, face_denominator, mms_source,
+                    mms_tables, strain_rate)
 
 
 def _load_flapack():
@@ -119,6 +120,15 @@ def solve_tridiagonal(diag, off, rhs):
     |A|_inf of a dominant matrix: the bound scales with the couplings, as
     strong conduction makes them large.  The absolute term admits
     subnormal data, whose rounding error is absolute.
+
+    The bound is first taken at the worst row k alone, with |rhs[k]|,
+    diag[k] and |x[k]| in place of the three maxima, which it accepts
+    without computing them.  Each of the three is at most its maximum and
+    every rounding is monotone, so the row's bound never exceeds the full
+    one: when the row's bound admits the largest residual, so does the
+    full bound.  Otherwise the full bound decides.  A NaN anywhere in rhs
+    or x makes a NaN residual, which the row's bound never admits, so
+    every verdict is the full bound's.
     """
     work = check_dominant(diag, off)
     _, _, x, info = dptsv(diag, off, rhs)
@@ -129,13 +139,16 @@ def solve_tridiagonal(diag, off, rhs):
     band = work[:-1]
     res[:-1] += np.multiply(off, x[1:], out=band)
     res[1:] += np.multiply(off, x[:-1], out=band)
+    np.abs(res, out=res)
+    k = res.argmax()   # the first NaN, if any
+    tiny = sys.float_info.min
+    if res[k] <= 1e-12 * (abs(rhs[k]) + 2.0 * diag[k] * abs(x[k])) + tiny:
+        return x
     np.abs(rhs, out=work)
     rhs_max = work[work.argmax()]
     np.abs(x, out=work)
     bound = 1e-12 * (rhs_max + 2.0 * diag[diag.argmax()] * work[work.argmax()])
-    bound += sys.float_info.min
-    np.abs(res, out=res)
-    if not res[res.argmax()] <= bound:
+    if not res[k] <= bound + tiny:
         raise ArithmeticError("tridiagonal solve lost accuracy")
     return x
 
@@ -206,11 +219,13 @@ def solve_velocity(s, v1, r_th, dt, grid, params, source=None):
     return u1
 
 
-def solve_temperature(s, v1, ux1, r_th, num, dt, grid, params, source=None):
-    """theta^{n+1}: conduction implicit with the face conductances c of the
-    numerator num on v1, compression work and viscous heating explicit
-    with ux1 and r_th = R theta^n, and the forcing Stheta when given.
-    Raises PositivityViolation unless finite and above the floor.
+def solve_temperature(s, v1, ux1, r_th, num, den, dt, grid, params,
+                      source=None):
+    """theta^{n+1}: conduction implicit with the face conductances c, the
+    numerator num over den, v1's face_denominator, compression work and
+    viscous heating explicit with ux1 and r_th = R theta^n, and the forcing
+    Stheta when given.  Raises PositivityViolation unless finite and above
+    the floor.
 
     Row j, weighted by its heat capacity q_j = cv h_j/dt:
       (q_j + c_j + c_{j+1}) th_j - c_j th_{j-1} - c_{j+1} th_{j+1}
@@ -220,7 +235,7 @@ def solve_temperature(s, v1, ux1, r_th, num, dt, grid, params, source=None):
     """
     n = grid.n_cells
     h = grid.dx
-    cond = face_conductance(num, v1, grid.dc)
+    cond = face_conductance(num, den)
     q = h * (params.cv / dt)
     load = params.mu * ux1
     load -= r_th
@@ -239,14 +254,18 @@ def solve_temperature(s, v1, ux1, r_th, num, dt, grid, params, source=None):
 
 
 def step_imex(s, dt, grid, params, mms=None):
-    """One first-order step of size dt: the new State, with its strain rate
-    and conduction numerator; every failed guard raises ArithmeticError.
+    """One first-order step of size dt: the new State, with its strain rate,
+    face denominator and conduction numerator; every failed guard raises
+    ArithmeticError.
 
     The substeps run v -> u -> theta, each on the freshest fields, with
     conduction frozen at theta^n and R theta^n computed once for both
-    loads.  With mms, a manufactured profile that meets the boundary
-    closures, the forcing enters the loads: Sv at the old time (forward
-    part), Su and Stheta at the new time (backward parts).
+    loads.  The face denominator of v^{n+1} is made once per try: the
+    temperature rows divide theta^n's numerator by it, and the new state
+    keeps it for its dissipation, with theta^{n+1}'s numerator.  With mms,
+    a manufactured profile that meets the boundary closures, the forcing
+    enters the loads: Sv at the old time (forward part), Su and Stheta at
+    the new time (backward parts).
     """
     if not dt > 0.0:
         raise ConfigError(f"step size must be positive, got {dt}")
@@ -261,9 +280,10 @@ def step_imex(s, dt, grid, params, mms=None):
     r_th = params.R * s.theta
     u1 = solve_velocity(s, v1, r_th, dt, grid, params, su)
     ux1 = strain_rate(u1, grid.dx)
+    den = face_denominator(v1, grid.dc)
     th1 = solve_temperature(s, v1, ux1, r_th, s.conduction_numerator(params),
-                            dt, grid, params, sth)
-    out = State(t1, v1, th1, u1, ux1)
+                            den, dt, grid, params, sth)
+    out = State(t1, v1, th1, u1, ux1, den)
     out.conduction_numerator(params)   # for its dissipation and next step
     return out
 

@@ -8,6 +8,7 @@ hand-derived source formulas.  Tests compare the package against these.
 """
 
 import math
+import sys
 from dataclasses import replace
 
 import mpmath as mp
@@ -49,6 +50,37 @@ def dense_solve(lower, diag, upper, rhs):
             acc -= a[row][j] * x[j]
         x[row] = acc / a[row][row]
     return np.array(x)
+
+
+def _largest(values):
+    # the largest of values, a NaN if any is one
+    out = -math.inf
+    for a in values:
+        if math.isnan(a):
+            return math.nan
+        out = a if a > out else out
+    return out
+
+
+def normwise_residual_accepts(diag, off, rhs, x):
+    """The residual guard's verdict on x for the symmetric tridiagonal
+    system (diag, off, rhs): True iff max|res| <= 1e-12*(max|rhs| +
+    2*max(diag)*max|x|) plus the smallest normal float, with no NaN
+    anywhere.  Row k's residual is summed in the guard's order:
+    diag[k]*x[k] - rhs[k], then off[k]*x[k+1], then off[k-1]*x[k-1]."""
+    n = len(diag)
+    res = []
+    for k in range(n):
+        r = float(diag[k]) * float(x[k]) - float(rhs[k])
+        if k < n - 1:
+            r += float(off[k]) * float(x[k + 1])
+        if k > 0:
+            r += float(off[k - 1]) * float(x[k - 1])
+        res.append(abs(r))
+    bound = 1e-12 * (_largest(abs(float(b)) for b in rhs)
+                     + 2.0 * _largest(float(d) for d in diag)
+                     * _largest(abs(float(a)) for a in x))
+    return _largest(res) <= bound + sys.float_info.min
 
 
 def dense_step(v, theta, u, h, dt, mu, kappa, beta, R, cv, forced=None):
@@ -107,9 +139,11 @@ def dense_step(v, theta, u, h, dt, mu, kappa, beta, R, cv, forced=None):
 
 
 def copy_state(s):
-    """A copy of the state s that shares no array with it."""
+    """A copy of the state s that shares no array with it and keeps none
+    of its derived arrays: no strain rate, face denominator or conduction
+    numerator."""
     return replace(s, v=s.v.copy(), theta=s.theta.copy(), u=s.u.copy(),
-                   ux=None)
+                   ux=None, den=None)
 
 
 def admissible(s):

@@ -365,9 +365,10 @@ def test_bounds_extrema_match_first_extrema(far_length):
 
 
 def test_stepped_state_matches_fresh_state_bits():
-    """A stepped state keeps the conduction numerator its step computed;
-    its dissipation and the next step are bit for bit those of fresh
-    states holding copies of its arrays."""
+    """A stepped state keeps the conduction numerator and the face
+    denominator its step computed; its dissipation and the next step are
+    bit for bit those of fresh states holding copies of its fields, which
+    make both on first use."""
     grid = build_grid(50.0, 250, 225.0)
     spec = ICSpec(kind="bump", amp_v=0.3, amp_u=0.3, amp_theta=0.3)
     params = REF_PARAMS
@@ -375,11 +376,13 @@ def test_stepped_state_matches_fresh_state_bits():
     dt = stable_dt(s, grid, params, StepControl())
     out = step_imex(s, dt, grid, params)
     fresh_d, fresh_s = copy_state(out), copy_state(out)
-    assert dissipation_functional(out, grid, params) == \
-        dissipation_functional(fresh_d, grid, params)
+    assert out.den is not None and fresh_d.den is None
+    assert dissipation_functional(out, grid, params).hex() == \
+        dissipation_functional(fresh_d, grid, params).hex()
+    assert fresh_d.den.tobytes() == out.den.tobytes()
     got = step_imex(out, dt, grid, params)
     want = step_imex(fresh_s, dt, grid, params)
-    for name in ("v", "theta", "u", "ux"):
+    for name in ("v", "theta", "u", "ux", "den"):
         assert getattr(got, name).tobytes() == \
             getattr(want, name).tobytes(), name
 

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nslag import cli, core, diagnostics, harness, stepper
+from nslag import cli, core, diagnostics, harness, model, stepper
 from nslag.cli import main as cli_main
 from nslag.core import ConfigError, ICSpec, Params, build_grid, \
     make_initial_data
@@ -604,6 +604,37 @@ def test_cli_out_may_not_name_a_run_file(tmp_path, monkeypatch, capsys,
     assert sorted(tmp_path.iterdir()) == before
 
 
+@pytest.mark.parametrize("argv, written", [
+    (["run"], "out.report = c.cfg"),
+    (["run"], "out.series = ./x/../c.cfg"),
+    (["sweep", "--beta", "1", "--out", "c.cfg"], "--out = c.cfg"),
+    (["check", "--criteria", "10", "--out", "./x/../c.cfg"],
+     "--out = ./x/../c.cfg"),
+], ids=["run_report", "run_series_spelled_apart", "sweep", "check"])
+def test_cli_output_may_not_overwrite_its_config(tmp_path, monkeypatch,
+                                                 capsys, argv, written):
+    """An output of run, sweep or check naming, however spelled, the
+    command's own --config file is one config error line naming both,
+    before any step: the config keeps its bytes and no file is written."""
+    _forbid_steps(monkeypatch)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "x").mkdir()
+    key, _, path = written.partition(" = ")
+    config = tmp_path / "c.cfg"
+    config.write_text(
+        "grid.cells = 100\nic.kind = equilibrium\nrun.t_final = 6\n"
+        + (f"{key} = {path}\n" if key.startswith("out.") else ""))
+    text = config.read_bytes()
+    before = sorted(tmp_path.iterdir())
+    assert cli_main([*argv, "--config", "c.cfg"]) == 2
+    out = capsys.readouterr()
+    assert out.err == f"config error: --config = c.cfg and {written} name " \
+                      f"one file\n"
+    assert out.out == ""
+    assert sorted(tmp_path.iterdir()) == before
+    assert config.read_bytes() == text
+
+
 def test_cli_sweep_refuses_runs_sharing_a_file(tmp_path, monkeypatch, capsys):
     """Keyed by the exponent, beta = 0's series and beta = 0.5's report
     are both R_beta0.5 with out.series = R.5 and out.report = R: the sweep
@@ -719,6 +750,27 @@ def test_run_evaluates_strain_rate_once_per_step(tmp_path, monkeypatch):
     report = run_simulation(_short_default_cfg(tmp_path))
     assert report.n_steps > 100
     assert len(calls) == report.n_steps + 1
+
+
+def test_run_makes_one_face_denominator_per_try(tmp_path, monkeypatch):
+    """The step makes one face denominator per try, for its new volume;
+    the dissipation of every stepped state reads it, and only the
+    hand-built initial state makes its own."""
+    calls = {core: [], stepper: []}
+    for module, seen in calls.items():
+        def counted(v, d, seen=seen):
+            seen.append(d)
+            return model.face_denominator(v, d)
+
+        monkeypatch.setattr(module, "face_denominator", counted)
+    tries = []
+    inner = stepper.step_imex
+    monkeypatch.setattr(stepper, "step_imex",
+                        lambda *args: tries.append(1) or inner(*args))
+    report = run_simulation(_short_default_cfg(tmp_path))
+    assert report.n_steps > 100 and len(tries) == report.n_steps
+    assert len(calls[stepper]) == len(tries)
+    assert len(calls[core]) == 1
 
 
 def test_run_evaluates_conduction_numerator_once_per_step(tmp_path,

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from nslag.core import Grid, Params, State, build_grid, equilibrium_state
 from nslag.model import (MmsProfile, _factors, cell_stress,
-                         conduction_numerator, face_conductance, mms_source)
+                         conduction_numerator, face_conductance,
+                         face_denominator, mms_source)
 from nslag.stepper import step_imex
 from oracles import sympy_mms_sources
 
@@ -31,7 +32,8 @@ GENERAL = dict(mu=0.7, kappa=1.3, beta=2.5, R=1.2, cv=1.8)
 
 
 def _conductance(theta, v, params, d):
-    return face_conductance(conduction_numerator(theta, params), v, d)
+    return face_conductance(conduction_numerator(theta, params),
+                            face_denominator(v, d))
 
 
 def _stress(s, grid, params):

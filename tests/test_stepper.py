@@ -14,7 +14,8 @@ from nslag.model import (MmsProfile, _factors, mms_source, mms_tables,
 from nslag.stepper import (PositivityViolation, StepControl, StepFailure,
                            advance, check_dominant, solve_tridiagonal,
                            stable_dt, step_imex)
-from oracles import admissible, copy_state, dense_solve, dense_step
+from oracles import (admissible, copy_state, dense_solve, dense_step,
+                     normwise_residual_accepts)
 
 
 def _tridiag(diag, off, rhs):
@@ -122,6 +123,89 @@ def test_residual_guard_catches_perturbed_solution(monkeypatch):
     monkeypatch.setattr(stepper, "dptsv", perturbed)
     with pytest.raises(ArithmeticError, match="lost accuracy"):
         solve_tridiagonal(*_dominant_system())
+
+
+@st.composite
+def _scaled_dominant_systems(draw):
+    # 2-60 rows whose scales spread over twelve decades, couplings of both
+    # signs: the row-weighted systems step_imex builds, stretched; scipy's
+    # dptsv refuses one row with its empty coupling array, and a grid has
+    # at least four cells
+    n = draw(st.integers(2, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    scale = 10.0 ** rng.uniform(-6.0, 6.0, n)
+    off = rng.uniform(-1.0, 1.0, n - 1) * np.sqrt(scale[:-1] * scale[1:])
+    diag = scale * rng.uniform(0.5, 2.0, n)
+    diag[:-1] += np.abs(off)
+    diag[1:] += np.abs(off)
+    return _tridiag(diag, off, scale * rng.uniform(-1.0, 1.0, n))
+
+
+def _guard_verdict(system, perturb):
+    """(accepted, x) of solve_tridiagonal on system when ptsv's solution
+    passes through perturb(x) first; a rejection is the residual guard's."""
+    seen = []
+
+    def perturbed(d, e, b):
+        d2, e2, x, info = dptsv(d, e, b)
+        perturb(x)
+        seen.append(x.copy())
+        return d2, e2, x, info
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stepper, "dptsv", perturbed)
+        try:
+            solve_tridiagonal(*system)
+        except ArithmeticError as exc:
+            assert str(exc) == "tridiagonal solve lost accuracy"
+            return False, seen[0]
+    return True, seen[0]
+
+
+@settings(deadline=None, max_examples=300)
+@given(system=_scaled_dominant_systems(), row=st.integers(0, 59),
+       change=st.sampled_from([0.0, 0.5, -0.5, 2.0, -2.0, "nan", "inf",
+                               "-inf"]))
+def test_residual_guard_decides_as_the_normwise_bound(system, row, change):
+    """ptsv's solution moved at one row by half or twice the normwise
+    bound over that row's diagonal, or set to NaN or an infinity there: the
+    guard accepts exactly when max|res| <= 1e-12*(max|rhs| +
+    2*max(diag)*max|x|) + the smallest normal float does, as a plain-loop
+    oracle computes it."""
+    diag, off, rhs = system
+    k = row % diag.size
+    x0 = dptsv(diag, off, rhs)[2]
+    bound = 1e-12 * (np.max(np.abs(rhs))
+                     + 2.0 * np.max(diag) * np.max(np.abs(x0)))
+
+    def perturb(x):
+        if isinstance(change, str):
+            x[k] = float(change)
+        else:
+            x[k] += change * bound / diag[k]
+
+    accepted, x = _guard_verdict(system, perturb)
+    assert accepted == normwise_residual_accepts(diag, off, rhs, x)
+
+
+def test_residual_guard_falls_back_to_the_normwise_bound():
+    """The largest residual sits on a row of small scale, over that row's
+    own bound but under the normwise one: the guard accepts, as the
+    normwise bound does, so the row's bound alone never decides a
+    rejection."""
+    system = _tridiag([1e6, 1.0], [0.1], [1e6, 0.5])
+    diag, off, rhs = system
+
+    def perturb(x):
+        x[1] += 1e-6
+
+    accepted, x = _guard_verdict(system, perturb)
+    res = np.abs(diag * x - rhs + np.array([off[0] * x[1], off[0] * x[0]]))
+    row_bound = 1e-12 * (abs(rhs[1]) + 2.0 * diag[1] * abs(x[1]))
+    norm_bound = 1e-12 * (np.max(np.abs(rhs))
+                          + 2.0 * np.max(diag) * np.max(np.abs(x)))
+    assert res.argmax() == 1 and row_bound < res[1] < norm_bound
+    assert accepted and normwise_residual_accepts(diag, off, rhs, x)
 
 
 def test_nonzero_ptsv_info_raises(monkeypatch):
