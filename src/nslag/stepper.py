@@ -3,7 +3,8 @@
 step_imex composes three substeps, each looked up through this module when
 called: update_volume, solve_velocity and solve_temperature.  A step that
 fails any guard raises ArithmeticError; advance rejects it and retries at
-half the step.
+half the step.  advance steps at the acoustic bound stable_dt, or at up to
+twice it while no cell's volume changes by more than VOLUME_CHANGE.
 
 Viscosity and conduction are in divergence form, so weighting each row by
 its control mass makes the matrix symmetric, and each diagonal is its
@@ -58,15 +59,19 @@ dptsv = _load_flapack().dptsv
 
 # a step fails when it leaves v or theta at or below this floor; advance
 # retries a failed step with half the step at most MAX_RETRIES times, and
-# never below DT_MIN, which is also the least step stable_dt returns
+# never below DT_MIN, which is also the least step stable_dt returns; a
+# step longer than the acoustic one changes no cell's volume by more than
+# the fraction VOLUME_CHANGE (eta)
 POSITIVITY_FLOOR = 1e-8
 MAX_RETRIES = 20
 DT_MIN = 1e-12
+VOLUME_CHANGE = 3e-4
 
 
 @dataclass(frozen=True)
 class StepControl:
-    """Step-size policy: the acoustic CFL number."""
+    """Step-size policy: the acoustic CFL number, which sets the least step
+    advance takes; a step may be up to twice that acoustic step."""
 
     cfl_hyp: float = 0.4
 
@@ -115,19 +120,20 @@ def solve_tridiagonal(diag, off, rhs):
     factors LDL^T without pivoting; the arrays are left untouched.  A
     nonzero ptsv info raises ArithmeticError, and so does a residual that
     is not at most 1e-12 * (|rhs|_inf + 2*max(diag)*|x|_inf) plus the
-    smallest normal float, a NaN included.  The solve is backward stable,
-    so its residual is about eps*|A|_inf*|x|_inf, and 2*max(diag) bounds
-    |A|_inf of a dominant matrix: the bound scales with the couplings, as
-    strong conduction makes them large.  The absolute term admits
-    subnormal data, whose rounding error is absolute.
+    smallest normal float, a NaN included, or a bound that is not finite,
+    as an infinity in x makes the bound and the residual.  The solve is
+    backward stable, so its residual is about eps*|A|_inf*|x|_inf, and
+    2*max(diag) bounds |A|_inf of a dominant matrix: the bound scales with
+    the couplings, as strong conduction makes them large.  The absolute
+    term admits subnormal data, whose rounding error is absolute.
 
     The bound is first taken at the worst row k alone, with |rhs[k]|,
     diag[k] and |x[k]| in place of the three maxima, which it accepts
     without computing them.  Each of the three is at most its maximum and
     every rounding is monotone, so the row's bound never exceeds the full
-    one: when the row's bound admits the largest residual, so does the
-    full bound.  Otherwise the full bound decides.  A NaN anywhere in rhs
-    or x makes a NaN residual, which the row's bound never admits, so
+    one: when the row's finite bound admits the largest residual, so does
+    the full bound.  Otherwise the full bound decides.  A NaN anywhere in
+    rhs or x makes a NaN residual, which the row's bound never admits, so
     every verdict is the full bound's.
     """
     work = check_dominant(diag, off)
@@ -142,13 +148,14 @@ def solve_tridiagonal(diag, off, rhs):
     np.abs(res, out=res)
     k = res.argmax()   # the first NaN, if any
     tiny = sys.float_info.min
-    if res[k] <= 1e-12 * (abs(rhs[k]) + 2.0 * diag[k] * abs(x[k])) + tiny:
+    if res[k] <= 1e-12 * (abs(rhs[k]) + 2.0 * diag[k] * abs(x[k])) + tiny \
+            < math.inf:
         return x
     np.abs(rhs, out=work)
     rhs_max = work[work.argmax()]
     np.abs(x, out=work)
     bound = 1e-12 * (rhs_max + 2.0 * diag[diag.argmax()] * work[work.argmax()])
-    if not res[k] <= bound + tiny:
+    if not res[k] <= bound + tiny < math.inf:
         raise ArithmeticError("tridiagonal solve lost accuracy")
     return x
 
@@ -166,6 +173,19 @@ def stable_dt(s, grid, params, ctl):
     np.divide(s.v, c, out=c)
     c *= grid.scaled_dx(ctl.cfl_hyp)
     return max(float(c[c.argmin()]), DT_MIN)
+
+
+def controlled_dt(s, acoustic, h):
+    """The step advance chooses at s: max(a, min(2a, eta/r)), a the
+    acoustic step, eta VOLUME_CHANGE and r = max_j |u_x,j|/v_j from the
+    state's kept strain rate.  v^{n+1} = v^n + dt u_x^n, so a step longer
+    than a changes no cell's volume by more than the fraction eta."""
+    r = np.abs(s.strain(h))
+    np.divide(r, s.v, out=r)
+    r = float(r[r.argmax()])
+    if not r > 0.0:   # at rest
+        return 2.0 * acoustic
+    return max(acoustic, min(2.0 * acoustic, VOLUME_CHANGE / r))
 
 
 def _require_above_floor(name, x):
@@ -291,13 +311,15 @@ def step_imex(s, dt, grid, params, mms=None):
 def advance(s, t_target, grid, params, ctl=None, on_step=None):
     """March the state to t_target with adaptive steps and retries.
 
-    The last step is truncated to land on t_target exactly.  A step that
-    raises ArithmeticError, any of step_imex's guards, is rejected and
-    retried at half the size.  After every accepted step on_step, when
-    given, is called as on_step(prev_state, new_state, dt); it must not
-    mutate its arguments.  When the retries run out, after MAX_RETRIES
-    retries or at a step below DT_MIN, StepFailure names the limit and
-    carries the last good state.
+    Each step is min(remaining, controlled_dt(state, a)), a = stable_dt:
+    from a to 2a, and controlled_dt runs only when a falls short of the
+    remaining interval.  The last step is truncated to land on t_target
+    exactly.  A step that raises ArithmeticError, any of step_imex's
+    guards, is rejected and retried at half the size.  After every
+    accepted step on_step, when given, is called as on_step(prev_state,
+    new_state, dt); it must not mutate its arguments.  When the retries
+    run out, after MAX_RETRIES retries or at a step below DT_MIN,
+    StepFailure names the limit and carries the last good state.
     """
     ctl = StepControl() if ctl is None else ctl
     if t_target < s.t:
@@ -305,7 +327,10 @@ def advance(s, t_target, grid, params, ctl=None, on_step=None):
     state = s
     while state.t < t_target:
         remaining = t_target - state.t
-        dt = min(stable_dt(state, grid, params, ctl), remaining)
+        dt = stable_dt(state, grid, params, ctl)
+        if dt < remaining:
+            dt = controlled_dt(state, dt, grid.dx)
+        dt = min(dt, remaining)
         hits_target = dt >= remaining
         tries = 0
         while True:

@@ -66,8 +66,9 @@ def normwise_residual_accepts(diag, off, rhs, x):
     """The residual guard's verdict on x for the symmetric tridiagonal
     system (diag, off, rhs): True iff max|res| <= 1e-12*(max|rhs| +
     2*max(diag)*max|x|) plus the smallest normal float, with no NaN
-    anywhere.  Row k's residual is summed in the guard's order:
-    diag[k]*x[k] - rhs[k], then off[k]*x[k+1], then off[k-1]*x[k-1]."""
+    anywhere and that bound finite.  Row k's residual is summed in the
+    guard's order: diag[k]*x[k] - rhs[k], then off[k]*x[k+1], then
+    off[k-1]*x[k-1]."""
     n = len(diag)
     res = []
     for k in range(n):
@@ -80,7 +81,8 @@ def normwise_residual_accepts(diag, off, rhs, x):
     bound = 1e-12 * (_largest(abs(float(b)) for b in rhs)
                      + 2.0 * _largest(float(d) for d in diag)
                      * _largest(abs(float(a)) for a in x))
-    return _largest(res) <= bound + sys.float_info.min
+    bound += sys.float_info.min
+    return _largest(res) <= bound and math.isfinite(bound)
 
 
 def dense_step(v, theta, u, h, dt, mu, kappa, beta, R, cv, forced=None):

@@ -208,6 +208,19 @@ def test_residual_guard_falls_back_to_the_normwise_bound():
     assert accepted and normwise_residual_accepts(diag, off, rhs, x)
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf])
+@pytest.mark.parametrize("row", [0, 1, 17, 38, 39])
+def test_residual_guard_rejects_infinite_solution(bad, row):
+    """An infinity in ptsv's solution makes the normwise bound infinite
+    too, and inf <= inf holds: the guard must refuse a bound that is not
+    finite, at the worst row and in full."""
+    def perturb(x):
+        x[row] = bad
+
+    accepted, x = _guard_verdict(_dominant_system(), perturb)
+    assert x[row] == bad and not accepted
+
+
 def test_nonzero_ptsv_info_raises(monkeypatch):
     def failing(d, e, b):
         d2, e2, x, _ = dptsv(d, e, b)
@@ -549,14 +562,15 @@ def _always_rejected(monkeypatch):
 
 def test_step_failure_names_retry_limit(monkeypatch):
     """Retries that run out with the step above DT_MIN say so, with the
-    last step size tried, not that the step size underflowed."""
+    last step size tried, not that the step size underflowed.  At rest
+    the first try is twice the acoustic step."""
     _always_rejected(monkeypatch)
     grid = build_grid(50.0, 200)
     s = equilibrium_state(grid)
     dt0 = stable_dt(s, grid, Params(), StepControl())
     with pytest.raises(StepFailure) as err:
         advance(s, 1.0, grid, Params())
-    last = dt0 / 2 ** stepper.MAX_RETRIES
+    last = 2 * dt0 / 2 ** stepper.MAX_RETRIES
     assert str(err.value) == (
         f"no step accepted in {stepper.MAX_RETRIES + 1} tries, the last "
         f"with dt = {last}, at t = 0.0 (guard failed)")
@@ -752,6 +766,89 @@ def test_advance_keeps_states_valid_or_fails_with_one(n, cfl, beta, amp_v,
     else:
         assert out.t == t_target
     assert admissible(out)
+
+
+def _controlled(prev, grid, params, ctl, remaining):
+    # min(remaining, max(a, min(2a, eta/r))) with r = max |u_x|/v, the rule
+    # advance applies to the state it steps from
+    a = stable_dt(prev, grid, params, ctl)
+    r = float(np.max(np.abs(prev.strain(grid.dx)) / prev.v))
+    cap = math.inf if r == 0.0 else stepper.VOLUME_CHANGE / r
+    return min(remaining, max(a, min(2.0 * a, cap)))
+
+
+@settings(deadline=None, max_examples=30)
+@given(n=st.integers(12, 96),
+       cfl=st.floats(0.0, 1.0, exclude_min=True),
+       beta=st.floats(0.0, 3.0),
+       amp_v=ic_amps, amp_u=st.floats(-1.5, 1.5), amp_theta=ic_amps,
+       kind=st.sampled_from(["bump", "packet"]))
+def test_advance_takes_the_rate_limited_step(n, cfl, beta, amp_v, amp_u,
+                                             amp_theta, kind):
+    """Every accepted step is the remaining interval or exactly
+    max(a, min(2a, eta/r)) of the state it stepped from, a its acoustic
+    step and r its largest |u_x|/v, halved once per try rejected before
+    it."""
+    grid = build_grid(24.0, n)
+    params = Params(beta=beta)
+    ctl = StepControl(cfl_hyp=cfl)
+    spec = ICSpec(kind=kind, amp_v=amp_v, amp_u=amp_u, amp_theta=amp_theta,
+                  center=4.0, width=0.75)
+    s = make_initial_data(grid, spec)
+    t_target = 100 * stable_dt(s, grid, params, ctl)
+    seen, tried = [], [0]
+
+    def on_step(prev, new, dt):
+        halvings = len(outcomes) - 1 - tried[0]   # tries rejected before
+        tried[0] = len(outcomes)
+        want = _controlled(prev, grid, params, ctl, t_target - prev.t)
+        seen.append(dt * 2 ** halvings == want)
+
+    with pytest.MonkeyPatch.context() as mp:
+        outcomes = _counting_step_imex(mp, stepper)
+        try:
+            advance(s, t_target, grid, params, ctl, on_step=on_step)
+        except StepFailure:
+            pass
+    assert all(seen)
+
+
+def test_advance_at_rest_takes_twice_the_acoustic_step():
+    """At rest u_x = 0, so every step but the one cut by t_target is
+    twice the stable_dt of the state it steps from."""
+    grid = build_grid(50.0, 200)
+    params, ctl = Params(), StepControl()
+    s = equilibrium_state(grid)
+    seen = []
+    out = advance(s, 1.0, grid, params, ctl, on_step=lambda prev, new, dt:
+                  seen.append((dt, 2 * stable_dt(prev, grid, params, ctl))))
+    assert out.t == 1.0
+    assert len(seen) == math.ceil(1.0 / seen[0][1])
+    assert all(dt == twice for dt, twice in seen[:-1])
+    assert 0.0 < seen[-1][0] <= seen[-1][1]
+
+
+def test_sample_interval_below_acoustic_step_sets_every_step():
+    """sample_dense's regime: with sample times 0.01 apart, below the
+    acoustic step throughout, each interval is one step of exactly its
+    length, as under the fixed acoustic policy."""
+    grid = build_grid(50.0, 500)
+    params, ctl = Params(), StepControl()
+    spec = ICSpec(kind="bump", amp_v=0.3, amp_u=0.3, amp_theta=0.3,
+                  center=6.0, width=1.0)
+    state = make_initial_data(grid, spec)
+    seen = []
+
+    def on_step(prev, new, dt):
+        assert stable_dt(prev, grid, params, ctl) > 0.01
+        seen.append(dt)
+
+    for k in range(1, 301):
+        t_next = 0.01 * k
+        t_prev = state.t
+        del seen[:]
+        state = advance(state, t_next, grid, params, ctl, on_step=on_step)
+        assert seen == [t_next - t_prev] and state.t == t_next
 
 
 def _mms_error(n, dt_factor, t_end=0.5):
