@@ -4,7 +4,8 @@ step_imex composes three substeps, each looked up through this module when
 called: update_volume, solve_velocity and solve_temperature.  A step that
 fails any guard raises ArithmeticError; advance rejects it and retries at
 half the step.  advance steps at the acoustic bound stable_dt, or at up to
-twice it while no cell's volume changes by more than VOLUME_CHANGE.
+STEP_CAP = 4 times it while no cell's volume changes by more than
+VOLUME_CHANGE.
 
 Viscosity and conduction are in divergence form, so weighting each row by
 its control mass makes the matrix symmetric, and each diagonal is its
@@ -61,17 +62,19 @@ dptsv = _load_flapack().dptsv
 # retries a failed step with half the step at most MAX_RETRIES times, and
 # never below DT_MIN, which is also the least step stable_dt returns; a
 # step longer than the acoustic one changes no cell's volume by more than
-# the fraction VOLUME_CHANGE (eta)
+# the fraction VOLUME_CHANGE (eta), and is at most STEP_CAP acoustic steps
 POSITIVITY_FLOOR = 1e-8
 MAX_RETRIES = 20
 DT_MIN = 1e-12
 VOLUME_CHANGE = 3e-4
+STEP_CAP = 4.0
 
 
 @dataclass(frozen=True)
 class StepControl:
     """Step-size policy: the acoustic CFL number, which sets the least step
-    advance takes; a step may be up to twice that acoustic step."""
+    advance takes; a step may be up to STEP_CAP = 4 times that acoustic
+    step."""
 
     cfl_hyp: float = 0.4
 
@@ -176,16 +179,18 @@ def stable_dt(s, grid, params, ctl):
 
 
 def controlled_dt(s, acoustic, h):
-    """The step advance chooses at s: max(a, min(2a, eta/r)), a the
-    acoustic step, eta VOLUME_CHANGE and r = max_j |u_x,j|/v_j from the
-    state's kept strain rate.  v^{n+1} = v^n + dt u_x^n, so a step longer
-    than a changes no cell's volume by more than the fraction eta."""
+    """The step advance chooses at s: max(a, min(4a, eta/r)), a the
+    acoustic step, 4 = STEP_CAP, eta = VOLUME_CHANGE and r = max_j
+    |u_x,j|/v_j from the state's kept strain rate; 4a at rest.  v^{n+1} =
+    v^n + dt u_x^n, so a step longer than a changes no cell's volume by
+    more than the fraction eta."""
     r = np.abs(s.strain(h))
     np.divide(r, s.v, out=r)
     r = float(r[r.argmax()])
+    cap = STEP_CAP * acoustic
     if not r > 0.0:   # at rest
-        return 2.0 * acoustic
-    return max(acoustic, min(2.0 * acoustic, VOLUME_CHANGE / r))
+        return cap
+    return max(acoustic, min(cap, VOLUME_CHANGE / r))
 
 
 def _require_above_floor(name, x):
@@ -312,7 +317,7 @@ def advance(s, t_target, grid, params, ctl=None, on_step=None):
     """March the state to t_target with adaptive steps and retries.
 
     Each step is min(remaining, controlled_dt(state, a)), a = stable_dt:
-    from a to 2a, and controlled_dt runs only when a falls short of the
+    from a to 4a, and controlled_dt runs only when a falls short of the
     remaining interval.  The last step is truncated to land on t_target
     exactly.  A step that raises ArithmeticError, any of step_imex's
     guards, is rejected and retried at half the size.  After every

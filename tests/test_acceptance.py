@@ -127,3 +127,17 @@ def test_shared_runs_charged_to_their_first_readers(report, root):
                 "c06_jensen_band", "c08_y_decay",
                 "c09_integrability_plateaus", "c11_farfield_fidelity"):
         assert seconds[key] < min(walls.values()), key
+
+
+def test_step_controller_leaves_c03_margins(report):
+    """The sweep's energy margins are set in the early transient, where
+    advance still steps at the acoustic bound, so the volume-change
+    controller leaves each one equal to the acoustic-step policy's to the
+    last bit.  A change to the step itself, such as a second-order
+    volume update or a time integral of the energy that matches the
+    scheme (ROADMAP 1b or 1c), is expected to move them."""
+    measured = report["criteria"]["c03_energy_inequality"]["measured"]
+    assert {b: float.hex(measured[b]) for b in ("0.5", "1", "2.5")} == {
+        "0.5": float.hex(0.0005484852522061323),
+        "1": float.hex(0.0005710698449916674),
+        "2.5": float.hex(0.0006571626063543723)}

@@ -391,14 +391,14 @@ def test_run_simulation_verdicts_have_thresholds(tmp_path):
 def test_far_length_at_length_is_the_wall_run(tmp_path):
     """grid.far_length = grid.length pins the rest state at mass 50, where
     the bump's wave arrives and reflects: the default run then takes
-    7,469 steps (14,396 at the acoustic step alone, as before the far
+    4,019 steps (14,396 at the acoustic step alone, as before the far
     zone existed) and its far field reads about 2.77e-2, red against the
     1e-4 tolerance."""
     cfg = replace(RunConfig(), far_length=50.0,
                   series_path=str(tmp_path / "series.csv"),
                   report_path=str(tmp_path / "report.json"))
     report = run_simulation(cfg)
-    assert report.n_steps == 7469
+    assert report.n_steps == 4019
     far = report.verdicts["farfield"]
     assert not far["pass"]
     assert far["measured"] == pytest.approx(2.77e-2, rel=2e-3)
