@@ -4,8 +4,9 @@ step_imex composes three substeps, each looked up through this module when
 called: update_volume, solve_velocity and solve_temperature.  A step that
 fails any guard raises ArithmeticError; advance rejects it and retries at
 half the step.  advance steps at the acoustic bound stable_dt, or at up to
-STEP_CAP = 4 times it while no cell's volume changes by more than
-VOLUME_CHANGE.
+STEP_CAP = 16 times it while no cell's volume changes by more than
+VOLUME_CHANGE and r dt^2, r the largest relative volume rate, stays within
+STEP_ERROR^2.
 
 Viscosity and conduction are in divergence form, so weighting each row by
 its control mass makes the matrix symmetric, and each diagonal is its
@@ -62,18 +63,20 @@ dptsv = _load_flapack().dptsv
 # retries a failed step with half the step at most MAX_RETRIES times, and
 # never below DT_MIN, which is also the least step stable_dt returns; a
 # step longer than the acoustic one changes no cell's volume by more than
-# the fraction VOLUME_CHANGE (eta), and is at most STEP_CAP acoustic steps
+# the fraction VOLUME_CHANGE (eta), keeps r dt^2 within STEP_ERROR^2 (K,
+# in s^(1/2)), and is at most STEP_CAP acoustic steps
 POSITIVITY_FLOOR = 1e-8
 MAX_RETRIES = 20
 DT_MIN = 1e-12
 VOLUME_CHANGE = 3e-4
-STEP_CAP = 4.0
+STEP_ERROR = 1.5e-3
+STEP_CAP = 16.0
 
 
 @dataclass(frozen=True)
 class StepControl:
     """Step-size policy: the acoustic CFL number, which sets the least step
-    advance takes; a step may be up to STEP_CAP = 4 times that acoustic
+    advance takes; a step may be up to STEP_CAP = 16 times that acoustic
     step."""
 
     cfl_hyp: float = 0.4
@@ -179,18 +182,23 @@ def stable_dt(s, grid, params, ctl):
 
 
 def controlled_dt(s, acoustic, h):
-    """The step advance chooses at s: max(a, min(4a, eta/r)), a the
-    acoustic step, 4 = STEP_CAP, eta = VOLUME_CHANGE and r = max_j
-    |u_x,j|/v_j from the state's kept strain rate; 4a at rest.  v^{n+1} =
-    v^n + dt u_x^n, so a step longer than a changes no cell's volume by
-    more than the fraction eta."""
+    """The step advance chooses at s: max(a, min(16a, eta/r, K/sqrt(r))), a
+    the acoustic step, 16 = STEP_CAP, eta = VOLUME_CHANGE, K = STEP_ERROR
+    and r = max_j |u_x,j|/v_j from the state's kept strain rate; 16a at
+    rest.  v^{n+1} = v^n + dt u_x^n, so a step longer than a changes no
+    cell's volume by more than the fraction eta.  Taking r dt^2 as a
+    first-order step's local error, K/sqrt(r) holds it within K^2: the
+    elementary controller dt ~ error^(-1/2) (Gustafsson, Lundh & Soderlind,
+    BIT 28, 1988), with short steps where the fields move and long ones
+    where they relax."""
     r = np.abs(s.strain(h))
     np.divide(r, s.v, out=r)
     r = float(r[r.argmax()])
     cap = STEP_CAP * acoustic
     if not r > 0.0:   # at rest
         return cap
-    return max(acoustic, min(cap, VOLUME_CHANGE / r))
+    return max(acoustic,
+               min(cap, VOLUME_CHANGE / r, STEP_ERROR / math.sqrt(r)))
 
 
 def _require_above_floor(name, x):
@@ -317,7 +325,7 @@ def advance(s, t_target, grid, params, ctl=None, on_step=None):
     """March the state to t_target with adaptive steps and retries.
 
     Each step is min(remaining, controlled_dt(state, a)), a = stable_dt:
-    from a to 4a, and controlled_dt runs only when a falls short of the
+    from a to 16a, and controlled_dt runs only when a falls short of the
     remaining interval.  The last step is truncated to land on t_target
     exactly.  A step that raises ArithmeticError, any of step_imex's
     guards, is rejected and retried at half the size.  After every

@@ -391,17 +391,47 @@ def test_run_simulation_verdicts_have_thresholds(tmp_path):
 def test_far_length_at_length_is_the_wall_run(tmp_path):
     """grid.far_length = grid.length pins the rest state at mass 50, where
     the bump's wave arrives and reflects: the default run then takes
-    4,019 steps (14,396 at the acoustic step alone, as before the far
+    2,913 steps (14,396 at the acoustic step alone, as before the far
     zone existed) and its far field reads about 2.77e-2, red against the
     1e-4 tolerance."""
     cfg = replace(RunConfig(), far_length=50.0,
                   series_path=str(tmp_path / "series.csv"),
                   report_path=str(tmp_path / "report.json"))
     report = run_simulation(cfg)
-    assert report.n_steps == 4019
+    assert report.n_steps == 2913
     far = report.verdicts["farfield"]
     assert not far["pass"]
     assert far["measured"] == pytest.approx(2.77e-2, rel=2e-3)
+
+
+@pytest.mark.parametrize("keys", [
+    {}, {"grid.cells": 8000, "run.t_final": 10.0}],
+    ids=["default", "bump_fine"])
+def test_step_controller_stays_near_the_acoustic_step(tmp_path, monkeypatch,
+                                                      keys):
+    """The step controller's accuracy budget: on the default run and on
+    the fine grid's, E and the norms and extrema of v - 1, u and theta - 1
+    stay within 2e-3 relative of the run that takes the acoustic step
+    throughout, at every sample whose reference value is nonzero."""
+    budget = ("E", "n2_vm1", "n2_u", "n2_thm1", "ninf_vm1", "ninf_u",
+              "ninf_thm1", "vmin", "vmax", "thmin", "thmax")
+
+    def run(tag):
+        series = str(tmp_path / f"{tag}.csv")
+        cfg = config_from_dict({**keys, "out.series": series,
+                                "out.report": str(tmp_path / f"{tag}.json")})
+        return run_simulation(cfg).n_steps, read_series(series)
+
+    steps, rows = run("controlled")
+    monkeypatch.setattr(stepper, "controlled_dt",
+                        lambda s, acoustic, h: acoustic)
+    acoustic_steps, ref_rows = run("acoustic")
+    assert acoustic_steps > 2 * steps
+    assert [r["t"] for r in rows] == [r["t"] for r in ref_rows]
+    worst = max(abs(row[c] - ref[c]) / abs(ref[c])
+                for row, ref in zip(rows, ref_rows)
+                for c in budget if ref[c] != 0.0)
+    assert worst <= 2e-3
 
 
 def test_run_simulation_rejects_zero_horizon(tmp_path):

@@ -563,14 +563,15 @@ def _always_rejected(monkeypatch):
 def test_step_failure_names_retry_limit(monkeypatch):
     """Retries that run out with the step above DT_MIN say so, with the
     last step size tried, not that the step size underflowed.  At rest
-    the first try is four times the acoustic step."""
+    the first try is sixteen times the acoustic step, inside the horizon."""
     _always_rejected(monkeypatch)
     grid = build_grid(50.0, 200)
     s = equilibrium_state(grid)
-    dt0 = stable_dt(s, grid, Params(), StepControl())
+    first = 16 * stable_dt(s, grid, Params(), StepControl())
+    assert first < 2.0
     with pytest.raises(StepFailure) as err:
-        advance(s, 1.0, grid, Params())
-    last = 4 * dt0 / 2 ** stepper.MAX_RETRIES
+        advance(s, 2.0, grid, Params())
+    last = first / 2 ** stepper.MAX_RETRIES
     assert str(err.value) == (
         f"no step accepted in {stepper.MAX_RETRIES + 1} tries, the last "
         f"with dt = {last}, at t = 0.0 (guard failed)")
@@ -579,17 +580,20 @@ def test_step_failure_names_retry_limit(monkeypatch):
 
 def test_step_failure_names_dt_min(monkeypatch):
     """Retries that halve the step below DT_MIN say the step size
-    underflowed, with the last step size tried and DT_MIN."""
+    underflowed, with the last step size tried and DT_MIN.  At rest the
+    first try is sixteen times the acoustic step, inside the horizon."""
     _always_rejected(monkeypatch)
     grid = build_grid(50.0, 200)
     s = equilibrium_state(grid)
     dt0 = stable_dt(s, grid, Params(), StepControl())
+    first = 16 * dt0
+    assert first < 2.0
     monkeypatch.setattr(stepper, "DT_MIN", 0.3 * dt0)
     with pytest.raises(StepFailure) as err:
-        advance(s, 1.0, grid, Params())
+        advance(s, 2.0, grid, Params())
     assert str(err.value) == (
-        f"step size underflowed: dt = {dt0 / 2} halves to {dt0 / 4}, below "
-        f"DT_MIN = {0.3 * dt0}, at t = 0.0 (guard failed)")
+        f"step size underflowed: dt = {first / 32} halves to {first / 64}, "
+        f"below DT_MIN = {0.3 * dt0}, at t = 0.0 (guard failed)")
     assert err.value.state is s
 
 
@@ -769,12 +773,13 @@ def test_advance_keeps_states_valid_or_fails_with_one(n, cfl, beta, amp_v,
 
 
 def _controlled(prev, grid, params, ctl, remaining):
-    # min(remaining, max(a, min(4a, eta/r))) with r = max |u_x|/v, the rule
-    # advance applies to the state it steps from
+    # min(remaining, max(a, min(16a, eta/r, K/sqrt(r)))) with r = max
+    # |u_x|/v, eta = 3e-4 and K = 1.5e-3, the rule advance applies to the
+    # state it steps from
     a = stable_dt(prev, grid, params, ctl)
     r = float(np.max(np.abs(prev.strain(grid.dx)) / prev.v))
-    cap = math.inf if r == 0.0 else stepper.VOLUME_CHANGE / r
-    return min(remaining, max(a, min(4.0 * a, cap)))
+    cap = math.inf if r == 0.0 else min(3e-4 / r, 1.5e-3 / math.sqrt(r))
+    return min(remaining, max(a, min(16.0 * a, cap)))
 
 
 @settings(deadline=None, max_examples=30)
@@ -786,9 +791,9 @@ def _controlled(prev, grid, params, ctl, remaining):
 def test_advance_takes_the_rate_limited_step(n, cfl, beta, amp_v, amp_u,
                                              amp_theta, kind):
     """Every accepted step is the remaining interval or exactly
-    max(a, min(4a, eta/r)) of the state it stepped from, a its acoustic
-    step and r its largest |u_x|/v, halved once per try rejected before
-    it."""
+    max(a, min(16a, eta/r, K/sqrt(r))) of the state it stepped from, a its
+    acoustic step and r its largest |u_x|/v, halved once per try rejected
+    before it."""
     grid = build_grid(24.0, n)
     params = Params(beta=beta)
     ctl = StepControl(cfl_hyp=cfl)
@@ -813,17 +818,50 @@ def test_advance_takes_the_rate_limited_step(n, cfl, beta, amp_v, amp_u,
     assert all(seen)
 
 
-def test_advance_at_rest_takes_four_times_the_acoustic_step():
+def _strained(r):
+    # a hand-built state whose kept strain rate makes max |u_x|/v = r
+    # exactly (powers of two scale it), at cell 2 of four; u is zero, so
+    # only the kept ux can set r
+    v = np.array([0.5, 1.0, 2.0, 1.0])
+    ux = r * v * np.array([0.5, 0.25, -1.0, 0.0])
+    return State(0.0, v, np.ones(4), np.zeros(5), ux)
+
+
+@pytest.mark.parametrize("r, a, want", [
+    (0.0, 1e-2, 16 * 1e-2),              # at rest: the cap
+    (1.0, 1e-2, 1e-2),                   # both limits below a: a
+    (0.09, 1e-3, 3e-4 / 0.09),           # r > 0.04: eta/r
+    (2.0 ** -8, 2e-3, 1.5e-3 * 16),      # r < 0.04: K/sqrt(r) = K/2^-4
+    (2.0 ** -20, 1e-2, 16 * 1e-2),       # both limits above 16a: the cap
+])
+def test_controlled_dt_takes_each_limit(r, a, want):
+    """controlled_dt is max(a, min(16a, eta/r, K/sqrt(r))) with eta = 3e-4
+    and K = 1.5e-3, and 16a at rest; each case makes one limit bind."""
+    assert stepper.controlled_dt(_strained(r), a, 1.0) == want
+
+
+def test_controlled_dt_at_the_crossover():
+    """At r = (eta/K)^2 = 0.04 the volume-change and error limits agree,
+    at eta/r = K/sqrt(r) = 7.5e-3, and the step is that value."""
+    r = (3e-4 / 1.5e-3) ** 2
+    eta_limit, error_limit = 3e-4 / r, 1.5e-3 / math.sqrt(r)
+    assert eta_limit == pytest.approx(error_limit, rel=1e-15)
+    assert error_limit == pytest.approx(7.5e-3, rel=1e-15)
+    assert stepper.controlled_dt(_strained(r), 1e-3, 1.0) == min(
+        eta_limit, error_limit)
+
+
+def test_advance_at_rest_takes_sixteen_times_the_acoustic_step():
     """At rest u_x = 0, so every step but the one cut by t_target is
-    four times the stable_dt of the state it steps from."""
+    sixteen times the stable_dt of the state it steps from."""
     grid = build_grid(50.0, 200)
     params, ctl = Params(), StepControl()
     s = equilibrium_state(grid)
     seen = []
-    out = advance(s, 1.0, grid, params, ctl, on_step=lambda prev, new, dt:
-                  seen.append((dt, 4 * stable_dt(prev, grid, params, ctl))))
-    assert out.t == 1.0
-    assert len(seen) == math.ceil(1.0 / seen[0][1])
+    out = advance(s, 10.0, grid, params, ctl, on_step=lambda prev, new, dt:
+                  seen.append((dt, 16 * stable_dt(prev, grid, params, ctl))))
+    assert out.t == 10.0
+    assert len(seen) == math.ceil(10.0 / seen[0][1]) > 2
     assert all(dt == cap for dt, cap in seen[:-1])
     assert 0.0 < seen[-1][0] <= seen[-1][1]
 
