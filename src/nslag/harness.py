@@ -29,8 +29,8 @@ from .diagnostics import (MAX_SAMPLES, MIN_SAMPLES, _ratio, decay_report,
                           running_integrals, sample_bounds, sample_energy,
                           unit_interval_averages, update_repr_probe)
 from .model import MmsProfile
-from .stepper import (DT_MIN, StepControl, StepFailure, advance,
-                      solve_tridiagonal, stable_dt, step_imex)
+from .stepper import (DT_MIN, StepFailure, advance, solve_tridiagonal,
+                      stable_dt, step_imex)
 
 SERIES_HEADER = ("t,E,V,cumV,vmin,vmax,thmin,thmax,n2_vm1,n2_u,n2_thm1,"
                  "ninf_vm1,ninf_u,ninf_thm1,g2_vx,g2_ux,g2_thx,pospart,"
@@ -75,7 +75,6 @@ class RunConfig:
         center=6.0, width=1.0))
     t_final: float = 100.0
     sample_dt: float = 0.5
-    ctl: StepControl = field(default_factory=StepControl)
     series_path: str = "series.csv"
     report_path: str = "report.json"
 
@@ -104,7 +103,6 @@ CONFIG_KEYS = {
     "ic.width": ("ic.width", float),
     "run.t_final": ("t_final", float),
     "run.sample_dt": ("sample_dt", float),
-    "ctl.cfl_hyp": ("ctl.cfl_hyp", float),
     "out.series": ("series_path", str),
     "out.report": ("report_path", str),
 }
@@ -172,11 +170,10 @@ def _set_up(cfg):
             f"grid.length = {cfg.length}: the probe interval [floor(L/4), "
             f"floor(L/4) + 1] must keep one mass unit of clearance inside "
             f"(0, L), so L must be at least 4")
-    if stable_dt(state, grid, cfg.params, cfg.ctl) <= DT_MIN:
+    if stable_dt(state, grid, cfg.params) <= DT_MIN:
         raise ConfigError(
-            f"ctl.cfl_hyp = {cfg.ctl.cfl_hyp}, physics.R = {cfg.params.R}, "
-            f"physics.cv = {cfg.params.cv}: the initial acoustic step is at "
-            f"most DT_MIN = {DT_MIN}")
+            f"physics.R = {cfg.params.R}, physics.cv = {cfg.params.cv}: the "
+            f"initial acoustic step is at most DT_MIN = {DT_MIN}")
     with _naming("initial data"):
         band = entropy_roots(energy_functional(state, grid, cfg.params))
     return grid, state, band
@@ -192,7 +189,7 @@ def config_from_dict(values):
             raise ConfigError(f"unknown config key {key!r}")
         section, _, attr = CONFIG_KEYS[key][0].rpartition(".")
         with _naming(f"{key} = {value}"):
-            if section:   # Params and StepControl check themselves here
+            if section:   # Params checks itself here
                 value = replace(getattr(cfg, section), **{attr: value})
             cfg = replace(cfg, **{section or attr: value})
     return cfg
@@ -461,8 +458,7 @@ def run_simulation(cfg, config_path=None):
         *_, times = _sample_times(cfg.t_final, cfg.sample_dt)
         for t_next in times:
             try:
-                state = advance(state, t_next, grid, params, cfg.ctl,
-                                on_step=acc)
+                state = advance(state, t_next, grid, params, on_step=acc)
             except StepFailure as exc:
                 path = cfg.outputs()["failure snapshot"]
                 write_snapshot(exc.state, grid, path)
@@ -672,11 +668,11 @@ class _Suite:
 
 def _criterion_equilibrium(suite):
     grid = build_grid(50.0, 500)
-    params, ctl = Params(), StepControl()
+    params = Params()
     state = equilibrium_state(grid)
     t0 = time.perf_counter()
     for _ in range(10_000):
-        dt = stable_dt(state, grid, params, ctl)
+        dt = stable_dt(state, grid, params)
         state = step_imex(state, dt, grid, params)
     seconds = time.perf_counter() - t0
     dev = max(float(np.max(np.abs(state.v - 1.0))),

@@ -3,10 +3,10 @@
 step_imex composes three substeps, each looked up through this module when
 called: update_volume, solve_velocity and solve_temperature.  A step that
 fails any guard raises ArithmeticError; advance rejects it and retries at
-half the step.  advance steps at the acoustic bound stable_dt, or at up to
-STEP_CAP = 16 times it while no cell's volume changes by more than
-VOLUME_CHANGE and r dt^2, r the largest relative volume rate, stays within
-STEP_ERROR^2.
+half the step.  advance steps at the acoustic bound stable_dt, taken at
+the CFL number CFL = 0.4, or at up to STEP_CAP = 16 times it while no
+cell's volume changes by more than VOLUME_CHANGE and r dt^2, r the largest
+relative volume rate, stays within STEP_ERROR^2.
 
 Viscosity and conduction are in divergence form, so weighting each row by
 its control mass makes the matrix symmetric, and each diagonal is its
@@ -26,7 +26,6 @@ import importlib.util
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,31 +60,18 @@ dptsv = _load_flapack().dptsv
 
 # a step fails when it leaves v or theta at or below this floor; advance
 # retries a failed step with half the step at most MAX_RETRIES times, and
-# never below DT_MIN, which is also the least step stable_dt returns; a
-# step longer than the acoustic one changes no cell's volume by more than
-# the fraction VOLUME_CHANGE (eta), keeps r dt^2 within STEP_ERROR^2 (K,
-# in s^(1/2)), and is at most STEP_CAP acoustic steps
+# never below DT_MIN, which is also the least step stable_dt returns; the
+# acoustic step is taken at the CFL number CFL, and a step longer than it
+# changes no cell's volume by more than the fraction VOLUME_CHANGE (eta),
+# keeps r dt^2 within STEP_ERROR^2 (K, in s^(1/2)), and is at most
+# STEP_CAP acoustic steps
 POSITIVITY_FLOOR = 1e-8
 MAX_RETRIES = 20
 DT_MIN = 1e-12
 VOLUME_CHANGE = 3e-4
 STEP_ERROR = 1.5e-3
 STEP_CAP = 16.0
-
-
-@dataclass(frozen=True)
-class StepControl:
-    """Step-size policy: the acoustic CFL number, which sets the least step
-    advance takes; a step may be up to STEP_CAP = 16 times that acoustic
-    step."""
-
-    cfl_hyp: float = 0.4
-
-    def __post_init__(self):
-        if not 0.0 < self.cfl_hyp < math.inf:
-            raise ConfigError("cfl_hyp must be positive and finite")
-        if self.cfl_hyp > 1.0:
-            raise ConfigError("cfl_hyp must not exceed 1")
+CFL = 0.4
 
 
 class PositivityViolation(ArithmeticError):
@@ -166,18 +152,18 @@ def solve_tridiagonal(diag, off, rhs):
     return x
 
 
-def stable_dt(s, grid, params, ctl):
-    """Acoustic step bound: min over cells of cfl * h_j * v / c.
+def stable_dt(s, grid, params):
+    """Acoustic step bound: min over cells of CFL * h_j * v / c.
 
     c = sqrt(R (1 + R/cv) theta) is the adiabatic sound speed in mass
     coordinates (up to the 1/v factor shown explicitly).  Diffusion is
-    implicit, so no parabolic restriction enters.  Never returns less
-    than DT_MIN.
+    implicit, so no parabolic restriction enters.  CFL * h_j is kept per
+    grid (Grid.scaled_dx).  Never returns less than DT_MIN.
     """
     c = params.R * (1.0 + params.R / params.cv) * s.theta
     np.sqrt(c, out=c)
     np.divide(s.v, c, out=c)
-    c *= grid.scaled_dx(ctl.cfl_hyp)
+    c *= grid.scaled_dx(CFL)
     return max(float(c[c.argmin()]), DT_MIN)
 
 
@@ -321,26 +307,25 @@ def step_imex(s, dt, grid, params, mms=None):
     return out
 
 
-def advance(s, t_target, grid, params, ctl=None, on_step=None):
+def advance(s, t_target, grid, params, on_step=None):
     """March the state to t_target with adaptive steps and retries.
 
-    Each step is min(remaining, controlled_dt(state, a)), a = stable_dt:
-    from a to 16a, and controlled_dt runs only when a falls short of the
-    remaining interval.  The last step is truncated to land on t_target
-    exactly.  A step that raises ArithmeticError, any of step_imex's
-    guards, is rejected and retried at half the size.  After every
-    accepted step on_step, when given, is called as on_step(prev_state,
-    new_state, dt); it must not mutate its arguments.  When the retries
-    run out, after MAX_RETRIES retries or at a step below DT_MIN,
-    StepFailure names the limit and carries the last good state.
+    Each step is min(remaining, controlled_dt(state, a)), a = stable_dt
+    at CFL: from a to 16a, and controlled_dt runs only when a falls short
+    of the remaining interval.  The last step is truncated to land on
+    t_target exactly.  A step that raises ArithmeticError, any of
+    step_imex's guards, is rejected and retried at half the size.  After
+    every accepted step on_step, when given, is called as
+    on_step(prev_state, new_state, dt); it must not mutate its arguments.
+    When the retries run out, after MAX_RETRIES retries or at a step below
+    DT_MIN, StepFailure names the limit and carries the last good state.
     """
-    ctl = StepControl() if ctl is None else ctl
     if t_target < s.t:
         raise ConfigError(f"t_target {t_target} lies before current time {s.t}")
     state = s
     while state.t < t_target:
         remaining = t_target - state.t
-        dt = stable_dt(state, grid, params, ctl)
+        dt = stable_dt(state, grid, params)
         if dt < remaining:
             dt = controlled_dt(state, dt, grid.dx)
         dt = min(dt, remaining)

@@ -15,7 +15,7 @@ from nslag.diagnostics import (POSPART_THRESHOLD, _pospart, decay_report,
                                running_integrals, sample_bounds,
                                sample_energy, unit_interval_averages,
                                update_repr_probe)
-from nslag.stepper import StepControl, advance, stable_dt, step_imex
+from nslag.stepper import advance, stable_dt, step_imex
 from oracles import (copy_state, first_extrema, fsum_bounds, fsum_dissipation,
                      fsum_energy, mp_entropy_roots, reference_state)
 
@@ -286,7 +286,7 @@ def test_probe_tracks_evolved_run():
     def cb(prev, new, dt):
         update_repr_probe(p, new, dt, grid, params)
 
-    out = advance(s, 5.0, grid, params, StepControl(), on_step=cb)
+    out = advance(s, 5.0, grid, params, on_step=cb)
     assert reconstruct_v(p, out, params)["repr_relerr"] <= 0.05
 
 
@@ -373,7 +373,7 @@ def test_stepped_state_matches_fresh_state_bits():
     spec = ICSpec(kind="bump", amp_v=0.3, amp_u=0.3, amp_theta=0.3)
     params = REF_PARAMS
     s = make_initial_data(grid, spec)
-    dt = stable_dt(s, grid, params, StepControl())
+    dt = stable_dt(s, grid, params)
     out = step_imex(s, dt, grid, params)
     fresh_d, fresh_s = copy_state(out), copy_state(out)
     assert out.den is not None and fresh_d.den is None
@@ -523,7 +523,7 @@ def _energy_margin(n_cells):
         recs.append({**running_integrals(new, grid, params, recs[-1]),
                      **sample_energy(new, grid, params)})
 
-    advance(s, 10.0, grid, params, StepControl(), on_step=cb)
+    advance(s, 10.0, grid, params, on_step=cb)
     e0 = recs[0]["E"]
     return max(r["E"] + r["cumV"] - e0 for r in recs)
 

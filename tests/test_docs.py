@@ -1,11 +1,12 @@
-"""The README's configuration table and criteria list against the code
-they document."""
+"""The README's configuration table, step constants and criteria list
+against the code they document."""
 
 import re
 from pathlib import Path
 
 import pytest
 
+from nslag import stepper
 from nslag.cli import main as cli_main
 from nslag.harness import _CRITERIA, CONFIG_KEYS, RunConfig, write_config
 
@@ -38,6 +39,17 @@ def test_readme_config_table_matches_defaults(tmp_path):
                for line in path.read_text().splitlines()]
     assert [k for k, _ in written] == list(CONFIG_KEYS)
     assert _config_table() == written
+
+
+def test_readme_step_constants_match_stepper():
+    """The "Step size" paragraph states the CFL number, eta, K and the cap
+    each as `stepper.NAME = value`, with the value the module holds."""
+    text = README.read_text(encoding="utf-8")
+    paragraph = text.split("**Step size.**", 1)[1].split("\n\n", 1)[0]
+    stated = dict(re.findall(r"stepper\.([A-Z_]+) = ([^`]+)`",
+                             paragraph.replace("\n", " ")))
+    for name in ("CFL", "VOLUME_CHANGE", "STEP_ERROR", "STEP_CAP"):
+        assert float(stated[name]) == getattr(stepper, name), name
 
 
 def test_readme_criteria_list_matches_suite():

@@ -287,7 +287,7 @@ NON_DEFAULT = {
     "ic.amp_v": 0.2,
     "ic.amp_u": -0.1, "ic.amp_theta": 0.25, "ic.center": 7.0,
     "ic.width": 1.5, "run.t_final": 30.0, "run.sample_dt": 0.25,
-    "ctl.cfl_hyp": 0.3, "out.series": "s.csv", "out.report": "r.json",
+    "out.series": "s.csv", "out.report": "r.json",
 }
 
 
@@ -887,8 +887,7 @@ def test_run_records_match_chained_samples(tmp_path, far_length, beta):
     assert len(rows) == 11
     for k, row in enumerate(rows):
         if k:
-            state = advance(state, row["t"], grid, cfg.params, cfg.ctl,
-                            on_step=step)
+            state = advance(state, row["t"], grid, cfg.params, on_step=step)
         assert running[0]["V"] == dissipation_functional(
             state, grid, cfg.params), row["t"]
         chained = {**running[0], **sample_energy(state, grid, cfg.params),
@@ -1185,11 +1184,11 @@ def test_probe_placement_validation(tmp_path, monkeypatch):
     assert str(err) == message
 
 
-@pytest.mark.parametrize("key", ["grid.cellz", "ctl.dt_min", "ic.floor",
-                                 "probe.interval"])
+@pytest.mark.parametrize("key", ["grid.cellz", "ctl.dt_min", "ctl.cfl_hyp",
+                                 "ic.floor", "probe.interval"])
 def test_cli_unknown_key_exit_two(tmp_path, capsys, key):
-    """An unknown key is refused by name, ctl.dt_min, ic.floor and
-    probe.interval among them: their values are constants."""
+    """An unknown key is refused by name, ctl.dt_min, ctl.cfl_hyp, ic.floor
+    and probe.interval among them: their values are constants."""
     cfg_path = tmp_path / "bad.cfg"
     cfg_path.write_text(f"{key} = 5\n")
     assert cli_main(["run", "--config", str(cfg_path)]) == 2
@@ -1243,7 +1242,7 @@ def test_cli_hash_in_value_exit_two(tmp_path, monkeypatch, capsys, line):
 
 
 @pytest.mark.parametrize("line", [
-    "physics.beta = nan", "ctl.cfl_hyp = 2",
+    "physics.beta = nan",
     "grid.cells = 3", "grid.far_length = 50.5",
     "ic.amp_u = inf", "grid.far_length = inf", "grid.far_length = -inf",
     "grid.far_length = nan", "grid.length = inf",
@@ -1263,14 +1262,13 @@ def test_cli_non_finite_constant_exit_two(tmp_path, capsys, line):
     assert sorted(tmp_path.iterdir()) == [cfg_path]
 
 
-@pytest.mark.parametrize("line", ["physics.R = 1e200", "physics.R = 1e300",
-                                  "ctl.cfl_hyp = 1e-20"])
+@pytest.mark.parametrize("line", ["physics.R = 1e30", "physics.R = 1e200",
+                                  "physics.R = 1e300"])
 def test_cli_acoustic_step_at_floor_exit_two(tmp_path, capsys, line):
     """A run whose initial acoustic step is at most DT_MIN is a
-    configuration error naming ctl.cfl_hyp, physics.R and physics.cv:
-    exit 2, one line, before any file is written.  Run with steps of
-    DT_MIN, the huge R's step far exceeds its acoustic step and the probe
-    overflows; the tiny CFL number's run ignores the number asked for."""
+    configuration error naming physics.R and physics.cv: exit 2, one line,
+    before any file is written.  Run with steps of DT_MIN, the huge R's
+    step far exceeds its acoustic step and the probe overflows."""
     cfg_path = tmp_path / "bad.cfg"
     cfg_path.write_text(
         f"ic.kind = equilibrium\ngrid.cells = 100\nrun.t_final = 1e-9\n"
@@ -1278,8 +1276,8 @@ def test_cli_acoustic_step_at_floor_exit_two(tmp_path, capsys, line):
         f"out.report = {tmp_path}/r.json\n")
     assert cli_main(["run", "--config", str(cfg_path)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error: ctl.cfl_hyp = ")
-    assert ", physics.R = " in err and ", physics.cv = 1.0: " in err
+    assert err.startswith("config error: physics.R = ")
+    assert ", physics.cv = 1.0: " in err
     assert err.endswith(f"the initial acoustic step is at most DT_MIN = "
                         f"{stepper.DT_MIN}\n")
     assert err.count("\n") == 1

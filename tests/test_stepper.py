@@ -11,9 +11,9 @@ from nslag.core import ConfigError, ICSpec, Params, State, build_grid, \
 from nslag import core, stepper
 from nslag.model import (MmsProfile, _factors, mms_source, mms_tables,
                          strain_rate)
-from nslag.stepper import (PositivityViolation, StepControl, StepFailure,
-                           advance, check_dominant, solve_tridiagonal,
-                           stable_dt, step_imex)
+from nslag.stepper import (PositivityViolation, StepFailure, advance,
+                           check_dominant, solve_tridiagonal, stable_dt,
+                           step_imex)
 from oracles import (admissible, copy_state, dense_solve, dense_step,
                      normwise_residual_accepts)
 
@@ -245,33 +245,32 @@ def test_nonfinite_load_raises(bad, row):
 
 def test_stable_dt_equilibrium_formula():
     grid = build_grid(50.0, 2000)
-    ctl = StepControl(cfl_hyp=0.4)
     s = equilibrium_state(grid)
-    dt = stable_dt(s, grid, Params(), ctl)
+    dt = stable_dt(s, grid, Params())
+    assert stepper.CFL == 0.4
     assert abs(dt - 0.4 * 0.025 / math.sqrt(2.0)) < 1e-17
 
 
 def test_stable_dt_scalings():
     grid = build_grid(50.0, 2000)
-    ctl = StepControl()
     s = equilibrium_state(grid)
-    dt0 = stable_dt(s, grid, Params(), ctl)
+    dt0 = stable_dt(s, grid, Params())
     hot = copy_state(s)
     hot.theta = 2.0 * hot.theta
-    assert abs(stable_dt(hot, grid, Params(), ctl)
-               - dt0 / math.sqrt(2.0)) < 1e-16
+    assert abs(stable_dt(hot, grid, Params()) - dt0 / math.sqrt(2.0)) < 1e-16
     wide = copy_state(s)
     wide.v = 2.0 * wide.v
-    assert stable_dt(wide, grid, Params(), ctl) == 2.0 * dt0
+    assert stable_dt(wide, grid, Params()) == 2.0 * dt0
 
 
 def test_stable_dt_floor():
     """At the least CFL number the acoustic step is subnormal; stable_dt
     returns DT_MIN in its place."""
     grid = build_grid(50.0, 2000)
-    ctl = StepControl(cfl_hyp=5e-324)
-    assert stable_dt(equilibrium_state(grid), grid, Params(),
-                     ctl) == stepper.DT_MIN
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stepper, "CFL", 5e-324)
+        assert stable_dt(equilibrium_state(grid), grid,
+                         Params()) == stepper.DT_MIN
 
 
 def test_step_preserves_equilibrium():
@@ -362,7 +361,7 @@ def test_step_hands_on_its_strain_rate():
                   center=6.0, width=1.0)
     s = make_initial_data(grid, spec)
     params = Params(beta=2.5)
-    dt = stable_dt(s, grid, params, StepControl())
+    dt = stable_dt(s, grid, params)
     out = step_imex(s, dt, grid, params)
     assert out.ux.tobytes() == strain_rate(out.u, grid.dx).tobytes()
     kept = out.ux.copy()
@@ -478,10 +477,9 @@ def test_graded_grid_keeps_rest_state():
     junction where the far zone's cells widen."""
     grid = build_grid(50.0, 500, far_length=225.0)
     params = Params()
-    ctl = StepControl()
     s = equilibrium_state(grid)
     for _ in range(2000):
-        s = step_imex(s, stable_dt(s, grid, params, ctl), grid, params)
+        s = step_imex(s, stable_dt(s, grid, params), grid, params)
     assert np.max(np.abs(s.v - 1.0)) <= 1e-12
     assert np.max(np.abs(s.theta - 1.0)) <= 1e-12
     assert np.max(np.abs(s.u)) <= 1e-12
@@ -567,7 +565,7 @@ def test_step_failure_names_retry_limit(monkeypatch):
     _always_rejected(monkeypatch)
     grid = build_grid(50.0, 200)
     s = equilibrium_state(grid)
-    first = 16 * stable_dt(s, grid, Params(), StepControl())
+    first = 16 * stable_dt(s, grid, Params())
     assert first < 2.0
     with pytest.raises(StepFailure) as err:
         advance(s, 2.0, grid, Params())
@@ -585,7 +583,7 @@ def test_step_failure_names_dt_min(monkeypatch):
     _always_rejected(monkeypatch)
     grid = build_grid(50.0, 200)
     s = equilibrium_state(grid)
-    dt0 = stable_dt(s, grid, Params(), StepControl())
+    dt0 = stable_dt(s, grid, Params())
     first = 16 * dt0
     assert first < 2.0
     monkeypatch.setattr(stepper, "DT_MIN", 0.3 * dt0)
@@ -660,7 +658,7 @@ def test_advance_retries_steps_that_fail_dominance(monkeypatch):
     At beta = 400 no try within the retries passes, and advance fails
     with the last good state."""
     s, grid, params = _beta150_bump()
-    dt = stable_dt(s, grid, params, StepControl())
+    dt = stable_dt(s, grid, params)
     with pytest.raises(ArithmeticError, match="not strictly dominant"):
         step_imex(s, dt, grid, params)
 
@@ -757,26 +755,27 @@ def test_advance_keeps_states_valid_or_fails_with_one(n, cfl, beta, amp_v,
     data, returns a valid state or raises StepFailure carrying one."""
     grid = build_grid(24.0, n)
     params = Params(beta=beta)
-    ctl = StepControl(cfl_hyp=cfl)
     spec = ICSpec(kind=kind, amp_v=amp_v, amp_u=amp_u, amp_theta=amp_theta,
                   center=4.0, width=0.75)
     s = make_initial_data(grid, spec)
-    t_target = 100 * stable_dt(s, grid, params, ctl)   # about 100 steps
-    try:
-        out = advance(s, t_target, grid, params, ctl)
-    except StepFailure as exc:
-        out = exc.state
-        assert out.t < t_target
-    else:
-        assert out.t == t_target
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stepper, "CFL", cfl)
+        t_target = 100 * stable_dt(s, grid, params)   # about 100 steps
+        try:
+            out = advance(s, t_target, grid, params)
+        except StepFailure as exc:
+            out = exc.state
+            assert out.t < t_target
+        else:
+            assert out.t == t_target
     assert admissible(out)
 
 
-def _controlled(prev, grid, params, ctl, remaining):
+def _controlled(prev, grid, params, remaining):
     # min(remaining, max(a, min(16a, eta/r, K/sqrt(r)))) with r = max
     # |u_x|/v, eta = 3e-4 and K = 1.5e-3, the rule advance applies to the
     # state it steps from
-    a = stable_dt(prev, grid, params, ctl)
+    a = stable_dt(prev, grid, params)
     r = float(np.max(np.abs(prev.strain(grid.dx)) / prev.v))
     cap = math.inf if r == 0.0 else min(3e-4 / r, 1.5e-3 / math.sqrt(r))
     return min(remaining, max(a, min(16.0 * a, cap)))
@@ -796,23 +795,23 @@ def test_advance_takes_the_rate_limited_step(n, cfl, beta, amp_v, amp_u,
     before it."""
     grid = build_grid(24.0, n)
     params = Params(beta=beta)
-    ctl = StepControl(cfl_hyp=cfl)
     spec = ICSpec(kind=kind, amp_v=amp_v, amp_u=amp_u, amp_theta=amp_theta,
                   center=4.0, width=0.75)
     s = make_initial_data(grid, spec)
-    t_target = 100 * stable_dt(s, grid, params, ctl)
     seen, tried = [], [0]
 
     def on_step(prev, new, dt):
         halvings = len(outcomes) - 1 - tried[0]   # tries rejected before
         tried[0] = len(outcomes)
-        want = _controlled(prev, grid, params, ctl, t_target - prev.t)
+        want = _controlled(prev, grid, params, t_target - prev.t)
         seen.append(dt * 2 ** halvings == want)
 
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stepper, "CFL", cfl)
+        t_target = 100 * stable_dt(s, grid, params)
         outcomes = _counting_step_imex(mp, stepper)
         try:
-            advance(s, t_target, grid, params, ctl, on_step=on_step)
+            advance(s, t_target, grid, params, on_step=on_step)
         except StepFailure:
             pass
     assert all(seen)
@@ -855,11 +854,11 @@ def test_advance_at_rest_takes_sixteen_times_the_acoustic_step():
     """At rest u_x = 0, so every step but the one cut by t_target is
     sixteen times the stable_dt of the state it steps from."""
     grid = build_grid(50.0, 200)
-    params, ctl = Params(), StepControl()
+    params = Params()
     s = equilibrium_state(grid)
     seen = []
-    out = advance(s, 10.0, grid, params, ctl, on_step=lambda prev, new, dt:
-                  seen.append((dt, 16 * stable_dt(prev, grid, params, ctl))))
+    out = advance(s, 10.0, grid, params, on_step=lambda prev, new, dt:
+                  seen.append((dt, 16 * stable_dt(prev, grid, params))))
     assert out.t == 10.0
     assert len(seen) == math.ceil(10.0 / seen[0][1]) > 2
     assert all(dt == cap for dt, cap in seen[:-1])
@@ -871,21 +870,21 @@ def test_sample_interval_below_acoustic_step_sets_every_step():
     acoustic step throughout, each interval is one step of exactly its
     length, as under the fixed acoustic policy."""
     grid = build_grid(50.0, 500)
-    params, ctl = Params(), StepControl()
+    params = Params()
     spec = ICSpec(kind="bump", amp_v=0.3, amp_u=0.3, amp_theta=0.3,
                   center=6.0, width=1.0)
     state = make_initial_data(grid, spec)
     seen = []
 
     def on_step(prev, new, dt):
-        assert stable_dt(prev, grid, params, ctl) > 0.01
+        assert stable_dt(prev, grid, params) > 0.01
         seen.append(dt)
 
     for k in range(1, 301):
         t_next = 0.01 * k
         t_prev = state.t
         del seen[:]
-        state = advance(state, t_next, grid, params, ctl, on_step=on_step)
+        state = advance(state, t_next, grid, params, on_step=on_step)
         assert seen == [t_next - t_prev] and state.t == t_next
 
 
