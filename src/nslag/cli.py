@@ -12,8 +12,9 @@ from __future__ import annotations
 import sys
 
 from .core import ConfigError
-from .harness import (RunConfig, acceptance_suite, check_outputs,
-                      load_config, run_simulation, sweep, write_config)
+from .harness import (RunConfig, acceptance_suite, check_outputs, check_runs,
+                      load_config, run_simulation, sweep, sweep_configs,
+                      write_config)
 from .stepper import StepFailure
 
 
@@ -52,8 +53,8 @@ def _cmd_run(args):
 
 def _cmd_sweep(args):
     cfg = _load(args)
-    reports = sweep(cfg, _comma_list(args.beta, float, "--beta"), args.out,
-                    args.config)
+    configs = sweep_configs(cfg, _comma_list(args.beta, float, "--beta"))
+    reports = sweep(check_runs(configs, args.out, args.config), args.out)
     for b, r in reports.items():
         mark = "pass" if r.all_pass else "FAIL"
         print(f"beta = {b:g}: {mark} ({r.n_steps} steps, "

@@ -199,9 +199,9 @@ def load_config(path):
     """Parse a flat key = value config file into config_from_dict; a file
     that cannot be read, unknown or repeated keys, a '#' in a value (a
     comment takes a line of its own) and values of the wrong type are
-    rejected."""
+    rejected.  A leading UTF-8 byte-order mark is skipped."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             raw_lines = fh.readlines()
     except OSError as exc:
         raise ConfigError(f"{path}: {exc.strerror}") from None
@@ -245,10 +245,14 @@ def config_to_dict(cfg):
 
 
 def write_config(cfg, path):
-    """Write every config key explicitly.  load_config reads the file back
+    """Write every config key explicitly, in double quotes a string that
+    load_config would strip or unquote.  load_config reads the file back
     to cfg unless a path holds a '#', which it refuses."""
     with open(path, "w", encoding="utf-8") as fh:
         for key, value in config_to_dict(cfg).items():
+            if isinstance(value, str) and (value.strip() != value or (
+                    value[:1] in ("'", '"') and value[-1:] == value[:1])):
+                value = f'"{value}"'
             fh.write(f"{key} = {value}\n")
 
 
@@ -438,19 +442,21 @@ def _sample_times(t_final, sample_dt):
 
 
 def run_simulation(cfg, config_path=None):
-    """Run one configured trajectory and evaluate every standing verdict.
+    """Run one configured trajectory: check_runs, then _run; no output may
+    be the config file config_path when given."""
+    return _run(*check_runs([cfg], None, config_path)[0])
 
-    Sets up the run and checks its files, none of which may be the config
-    file config_path when given, before opening one.  Samples
-    diagnostics on the sample_dt cadence (running integrals and the
-    probe advance every step), streams the series CSV as it goes, writes
-    the JSON report, and returns the RunReport.  A stepper failure is
-    raised again, naming the snapshot of its last good state, once that
-    state is written next to the report.
+
+def _run(cfg, grid, state, band):
+    """Step a run check_runs set up and evaluate every standing verdict.
+
+    Samples diagnostics on the sample_dt cadence (running integrals and
+    the probe advance every step), streams the series CSV, writes the JSON
+    report and returns the RunReport, whose wall_seconds leave the set-up
+    out.  A stepper failure is raised again, naming the snapshot of its
+    last good state, once that state is written next to the report.
     """
     wall0 = time.perf_counter()
-    grid, state, band = _set_up(cfg)
-    check_outputs(cfg.outputs().items(), config_path)
     params = cfg.params
     with open(cfg.series_path, "w", encoding="utf-8") as fh:
         acc = _RunAccumulator(state, grid, params, _series_writer(fh))
@@ -562,7 +568,7 @@ def _keyed(cfg, tag, **changes):
     return replace(cfg, **changes, **keyed)
 
 
-def _sweep_configs(cfg, betas):
+def sweep_configs(cfg, betas):
     """Each exponent's config, sorted by beta, its files tagged beta<b:g>;
     exponents that share a tag, or that Params refuses, are a ConfigError."""
     betas = sorted(set(float(b) for b in betas))
@@ -575,25 +581,21 @@ def _sweep_configs(cfg, betas):
                 for b in betas]
 
 
-def _check_runs(configs, out_path, config_path):
-    """Pass every config through _set_up, then every file the runs and
-    out_path, if given, write through check_outputs, which keeps them off
-    the config file config_path when given, before any run starts."""
-    for c in configs:
-        _set_up(c)
+def check_runs(configs, out_path, config_path):
+    """Set every config up (_set_up), then check every file the runs and
+    out_path, if given, write, none on the config file config_path
+    (check_outputs); return each run's (cfg, grid, state, band)."""
+    runs = [(c, *_set_up(c)) for c in configs]
     outputs = [pair for c in configs for pair in c.outputs().items()]
     check_outputs(outputs if out_path is None
                   else outputs + [("--out", out_path)], config_path)
+    return runs
 
 
-def sweep(cfg, betas, out_path=None, config_path=None):
-    """Run one config across conductivity exponents, in turn, in this
-    process, once _check_runs passes them all and finds no output on the
-    config file config_path; write the {beta: report} aggregate to
-    out_path if given.  Returns {beta: RunReport} by beta."""
-    configs = _sweep_configs(cfg, betas)
-    _check_runs(configs, out_path, config_path)
-    reports = {c.params.beta: run_simulation(c) for c in configs}
+def sweep(runs, out_path=None):
+    """Step check_runs' runs in turn, in this process; write {beta: report}
+    to out_path if given.  Returns {beta: RunReport} in the runs' order."""
+    reports = {run[0].params.beta: _run(*run) for run in runs}
     if out_path is not None:
         write_json({f"{b:g}": r.to_dict() for b, r in reports.items()},
                    out_path)
@@ -650,20 +652,21 @@ _EQ_RUN = {"n_cells": 500, "ic": ICSpec(kind="equilibrium"), "t_final": 10.0}
 
 @dataclass
 class _Suite:
-    """What the criteria read besides THRESHOLDS: the config and the shared
-    runs, each made when a criterion first reads it."""
+    """What the criteria read besides THRESHOLDS: the shared runs, each
+    stepped from its check_runs set-up (the beta sweep's, then the
+    equilibrium run's) when a criterion first reads it."""
 
-    cfg: RunConfig
+    set_ups: list
 
     @cached_property
     def runs(self):
         """{beta: RunReport} of the beta sweep."""
-        return sweep(self.cfg, _SUITE_BETAS)
+        return sweep(self.set_ups[:-1])
 
     @cached_property
     def eq(self):
         """RunReport of the equilibrium diagnostics run."""
-        return run_simulation(_keyed(self.cfg, "equilibrium", **_EQ_RUN))
+        return _run(*self.set_ups[-1])
 
 
 def _criterion_equilibrium(suite):
@@ -774,8 +777,8 @@ def _criterion_y_decay(suite):
     eq_slope = suite.eq.decay["y_slope"]
     measured["equilibrium_slope"] = eq_slope
     limit = THRESHOLDS["yslope_eq_tol"]
-    return ok and abs(eq_slope + suite.cfg.params.R) <= limit, measured, \
-        {"sign": 0.0, "equilibrium": limit}
+    return ok and abs(eq_slope + suite.eq.config["physics.R"]) <= limit, \
+        measured, {"sign": 0.0, "equilibrium": limit}
 
 
 # (number, name, evaluator) in report order; an evaluator takes the _Suite
@@ -803,7 +806,7 @@ def acceptance_suite(cfg, out_path, criteria=None, config_path=None):
     """Run the standing acceptance criteria on cfg; write the JSON to out_path.
 
     criteria selects a nonempty subset by number (1..11); every shared run
-    passes _check_runs first, whichever criteria run, and no output may be
+    passes check_runs first, whichever criteria run, and no output may be
     the config file config_path when given.  Every criterion and
     the run verdicts it rolls up read their limits from THRESHOLDS.
     Returns the aggregate report dict; "all_pass" says whether every
@@ -818,11 +821,11 @@ def acceptance_suite(cfg, out_path, criteria=None, config_path=None):
     if bad or not wanted:
         raise ConfigError(f"no such criterion {bad[0]}" if bad
                           else "no criterion selected")
-    _check_runs([*_sweep_configs(cfg, _SUITE_BETAS),
-                 _keyed(cfg, "equilibrium", **_EQ_RUN)], out_path,
-                config_path)
+    set_ups = check_runs([*sweep_configs(cfg, _SUITE_BETAS),
+                          _keyed(cfg, "equilibrium", **_EQ_RUN)], out_path,
+                         config_path)
 
-    suite, results = _Suite(cfg), {}
+    suite, results = _Suite(set_ups), {}
     for num, name, evaluate in _CRITERIA:
         if num not in wanted:
             continue

@@ -26,9 +26,9 @@ from nslag.diagnostics import (JensenBand, decay_report,
                                update_repr_probe)
 from nslag.harness import (CONFIG_KEYS, SERIES_COLUMNS, SERIES_HEADER,
                            THRESHOLDS, RunConfig, acceptance_suite,
-                           config_from_dict, config_to_dict, load_config,
-                           read_series, run_simulation, sweep,
-                           write_config, write_snapshot)
+                           check_runs, config_from_dict, config_to_dict,
+                           load_config, read_series, run_simulation, sweep,
+                           sweep_configs, write_config, write_snapshot)
 from nslag.model import strain_rate
 from nslag.stepper import StepFailure, advance
 
@@ -167,6 +167,26 @@ def test_config_round_trip(tmp_path):
     write_config(cfg, str(second))
     assert first.read_text() == second.read_text()
     assert load_config(str(second)) == cfg
+
+
+def test_config_round_trip_keeps_quotes_and_spaces(tmp_path):
+    """A path that load_config reads with surrounding quotes or spaces,
+    written back by write_config, loads as the same path."""
+    first = tmp_path / "a.cfg"
+    first.write_text("out.series = \"'a.csv'\"\nout.report = \" r.json\"\n")
+    cfg = load_config(str(first))
+    assert (cfg.series_path, cfg.report_path) == ("'a.csv'", " r.json")
+    second = tmp_path / "b.cfg"
+    write_config(cfg, str(second))
+    assert load_config(str(second)) == cfg
+
+
+def test_load_config_skips_byte_order_mark(tmp_path):
+    """A config file saved with a UTF-8 byte-order mark loads; the mark is
+    not part of its first key."""
+    path = tmp_path / "bom.cfg"
+    path.write_bytes(b"\xef\xbb\xbfgrid.cells = 100\n")
+    assert load_config(str(path)) == config_from_dict({"grid.cells": 100})
 
 
 def test_grid_must_resolve_unit_intervals(tmp_path, monkeypatch):
@@ -684,6 +704,47 @@ def test_cli_sweep_refuses_runs_sharing_a_file(tmp_path, monkeypatch, capsys):
     assert sorted(tmp_path.iterdir()) == before
 
 
+def _count_calls(monkeypatch, names):
+    """{name: calls} of each harness function named, counted at every
+    module name it is looked up by (harness, and cli where it imports
+    it)."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        inner = getattr(harness, name)
+
+        def counted(*args, _name=name, _inner=inner, **kwargs):
+            counts[_name] += 1
+            return _inner(*args, **kwargs)
+
+        for module in (harness, cli):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize("argv, set_ups, keyings", [
+    (["run"], 1, 0),
+    (["sweep", "--beta", "0.5,1,2.5"], 3, 1),
+    (["check", "--criteria", "2"], 4, 1),
+    (["check", "--criteria", "3,7"], 4, 1),
+], ids=["run", "sweep", "check_c02", "check_c03_c07"])
+def test_cli_sets_up_and_checks_each_run_once(tmp_path, monkeypatch, argv,
+                                              set_ups, keyings):
+    """A command sets each of its runs up once and checks its files once,
+    in one preflight, and the runs step from those set-ups: run's one run,
+    sweep's three, and check's three exponents and equilibrium run,
+    whichever criteria it runs.  sweep and check key the exponents' configs
+    once."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(harness, "mms_convergence", lambda: _CANNED_MMS)
+    _keyed_outputs_config(tmp_path)
+    counts = _count_calls(monkeypatch,
+                          ("_set_up", "check_outputs", "sweep_configs"))
+    assert cli_main([*argv, "--config", "tiny.cfg"]) == 0
+    assert counts == {"_set_up": set_ups, "check_outputs": 1,
+                      "sweep_configs": keyings}
+
+
 def test_cli_write_config_rejects_missing_directory(tmp_path, capsys):
     target = tmp_path / "missing" / "x.cfg"
     assert cli_main(["write-config", str(target)]) == 2
@@ -992,9 +1053,14 @@ def test_cli_check_c02_measures_the_whole_study(tmp_path, monkeypatch,
                                 "temporal": list(THRESHOLDS["temporal_order"])}
 
 
+def _sweep(cfg, betas):
+    # what `nslag sweep` does with cfg and --beta betas, with no --out
+    return sweep(check_runs(sweep_configs(cfg, betas), None, None))
+
+
 def test_sweep_outputs_keyed_and_sorted(tmp_path):
     cfg = _quick_cfg(tmp_path, n_cells=100, t_final=6.0)
-    reports = sweep(cfg, [2.5, 0.5])
+    reports = _sweep(cfg, [2.5, 0.5])
     assert list(reports) == [0.5, 2.5]
     for beta in (0.5, 2.5):
         assert os.path.exists(str(tmp_path / f"series_beta{beta:g}.csv"))
@@ -1006,7 +1072,7 @@ def test_sweep_order_independent(tmp_path):
     """The input order of the exponents changes neither the reports nor
     the files: each run is keyed by its own beta."""
     def outputs(order):
-        reports = sweep(cfg, order)
+        reports = _sweep(cfg, order)
         files = {p.name: p.read_text() for p in tmp_path.glob("series_*")}
         return [{**r.to_dict(), "wall_seconds": None}
                 for r in reports.values()], files
@@ -1026,7 +1092,7 @@ def test_sweep_step_failure_reaches_caller(tmp_path, monkeypatch):
     cfg = _quick_cfg(tmp_path, n_cells=100, t_final=6.0)
     monkeypatch.setattr(harness, "advance", _fail_step)
     with pytest.raises(StepFailure) as err:
-        sweep(cfg, [1.0, 0.5])
+        _sweep(cfg, [1.0, 0.5])
     snap = str(tmp_path / "report_beta0.5.json.failed_state.txt")
     assert str(err.value) == f"step size underflowed; state -> {snap}"
     assert os.path.exists(snap)
@@ -1084,9 +1150,9 @@ def test_acceptance_sweeps_once_through_harness_sweep(tmp_path,
     calls = []
     inner = harness.sweep
 
-    def counted(cfg, betas, *args, **kwargs):
-        calls.append(tuple(betas))
-        return inner(cfg, betas, *args, **kwargs)
+    def counted(runs, *args, **kwargs):
+        calls.append(tuple(c.params.beta for c, *_ in runs))
+        return inner(runs, *args, **kwargs)
 
     monkeypatch.setattr(harness, "sweep", counted)
     cfg = _quick_cfg(tmp_path, n_cells=100, t_final=6.0)
